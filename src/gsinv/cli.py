@@ -13,7 +13,7 @@ import sys
 
 from .coeffs import coeffs_to_csv, coeffs_to_json
 from .errors import DomainError
-from .inverter import TransformFn, invert_ladder
+from .inverter import InversionReport, ReportEntry, TransformFn, invert_ladder, stehfest_approx
 from .lambertw import lambert_w0, wew_residual
 from .numerics import PrecisionContext, context_for_order, guard_for_order, required_digits
 from .pairs import corpus_manifest_json, get_pair, jordan_target
@@ -61,6 +61,13 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _invert_single(F, x, n, ref, ctx, flags) -> InversionReport:
+    """Order ``n`` alone; the same entry as the last rung of a ladder to ``n``."""
+    value = stehfest_approx(F, x, n, ctx)
+    err = None if ref is None else abs(value - ctx.mpf(ref(x)))
+    return InversionReport(x, (ReportEntry(n, value, err),), ctx.digits, flags)
+
+
 def _cmd_invert(args) -> int:
     n_max = args.n_max or args.n
     if n_max is None:
@@ -94,13 +101,10 @@ def _cmd_invert(args) -> int:
     if any(not x > 0 for x in xs):
         print("error: x values must be positive", file=sys.stderr)
         return 2
-    reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
-    if args.n is not None and not args.n_max:
-        from .inverter import InversionReport
-
-        reports = [
-            InversionReport(r.x, r.entries[-1:], r.digits_used, r.flags) for r in reports
-        ]
+    if args.n_max:
+        reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
+    else:
+        reports = [_invert_single(F, x, n_max, ref, ctx, flags) for x in xs]
 
     if args.output == "csv":
         chunks = [r.to_csv(ctx) for r in reports]

@@ -12,9 +12,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from .coeffs import gaver_stehfest_coeffs, stehfest_weights
+from mpmath.libmp import from_int, mpf_div, round_nearest
+
+from .coeffs import MAX_ORDER, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .lambertw import xi_alpha
 from .numerics import PrecisionContext, context_for_order, integrate, required_digits
@@ -91,8 +94,12 @@ class InversionReport:
 
 
 class _AbscissaCache:
-    """Per-call cache of F(j ln2 / x); both summation routes re-query
-    overlapping abscissas."""
+    """Cache of F(j ln2 / x) for one (F, x, ctx).
+
+    Every order reads F only at the points j ln2 / x, so one cache shared
+    by a whole ladder (or by the Gaver functionals of one accelerated
+    sum) evaluates F once per distinct abscissa.
+    """
 
     def __init__(self, F, x, ctx):
         self.F = F
@@ -119,6 +126,32 @@ def _check_point(x, ctx):
     return x
 
 
+def _warn_low_digits(ctx, n: int):
+    """Warn the public caller (two frames up) when ``ctx`` is too coarse for order ``n``."""
+    if ctx.digits < required_digits(n):
+        warnings.warn(
+            f"digits={ctx.digits} below required_digits({n})={required_digits(n)}; "
+            "expect cancellation loss",
+            stacklevel=3,
+        )
+
+
+@lru_cache(maxsize=256)
+def _coeff_vector(n: int, prec: int) -> tuple:
+    """Raw ``_mpf_`` tuples of a_k(n), k = 1..2n, at ``prec`` bits.
+
+    Rounded as :meth:`PrecisionContext.mpf` rounds a Fraction (numerator
+    to ``prec`` bits, then one division by the denominator), so the bits
+    are identical; tuples carry no mpmath context, so callers rebuild
+    them with their own ``make_mpf``.
+    """
+    return tuple(
+        mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
+                prec, round_nearest)
+        for q in gaver_stehfest_coeffs(n).a
+    )
+
+
 def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     """Order-``k`` Gaver functional.
 
@@ -128,12 +161,7 @@ def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     Requires ``ctx.digits >= required_digits(k)``.
     """
     x = _check_point(x, ctx)
-    if ctx.digits < required_digits(k):
-        warnings.warn(
-            f"digits={ctx.digits} below required_digits({k})={required_digits(k)}; "
-            "expect cancellation loss",
-            stacklevel=2,
-        )
+    _warn_low_digits(ctx, k)
     m = ctx.mp
     cache = _cache or _AbscissaCache(F, x, ctx)
     pre = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
@@ -143,25 +171,25 @@ def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     return m.ln(2) / x * ctx.mpf(pre) * acc
 
 
-def stehfest_approx(F, x, n: int, ctx: PrecisionContext):
+def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     """Order-``n`` accelerated approximant, collapsed form.
 
     ln2/x * sum_{k=1}^{2n} a_k(n) F(k ln2 / x)
+
+    The private ``_cache`` lets :func:`invert_ladder` share one abscissa
+    cache across orders; that caller makes the precision check once.
     """
     x = _check_point(x, ctx)
-    if ctx.digits < required_digits(n):
-        warnings.warn(
-            f"digits={ctx.digits} below required_digits({n})={required_digits(n)}; "
-            "expect cancellation loss",
-            stacklevel=2,
-        )
+    if _cache is None:
+        _warn_low_digits(ctx, n)
+        _cache = _AbscissaCache(F, x, ctx)
     m = ctx.mp
-    cache = _AbscissaCache(F, x, ctx)
-    a = gaver_stehfest_coeffs(n).a
+    a = _coeff_vector(n, m.prec)  # before any F call: rejects a bad order
+    make = m.make_mpf
     acc = m.mpf(0)
-    for k in range(1, 2 * n + 1):
-        acc += ctx.mpf(a[k - 1]) * cache(k)
-    return m.ln(2) / x * acc
+    for k, a_k in enumerate(a, start=1):
+        acc += make(a_k) * _cache(k)
+    return _cache.base * acc
 
 
 def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
@@ -184,18 +212,22 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
     """Approximants for n = 1..n_max, with errors when ``ref`` is given.
 
     With ``ctx=None`` the precision follows the required_digits rule for
-    ``n_max``.  An explicit coarser context is allowed (a warning is
+    ``n_max``.  An explicit coarser context is allowed (one warning is
     issued) so cancellation failure can be demonstrated deliberately.
+    All orders share one abscissa cache, so F is evaluated once per
+    distinct abscissa: 2 n_max calls.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_ORDER:
+        raise DomainError(f"order must be in [1, {MAX_ORDER}], got {n_max}")
     if ctx is None:
         ctx = context_for_order(n_max)
     x = _check_point(x, ctx)
+    _warn_low_digits(ctx, n_max)
     target = None if ref is None else ctx.mpf(ref(x))
+    cache = _AbscissaCache(F, x, ctx)
     entries = []
     for n in range(1, n_max + 1):
-        value = stehfest_approx(F, x, n, ctx)
+        value = stehfest_approx(F, x, n, ctx, _cache=cache)
         err = None if target is None else abs(value - target)
         entries.append(ReportEntry(n, value, err))
     return InversionReport(x, tuple(entries), ctx.digits, tuple(flags))

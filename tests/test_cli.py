@@ -54,6 +54,36 @@ def test_invert_single_order_json(capsys):
     assert abs(float(doc["reports"][0]["entries"][0]["value"]) - 0.367879) < 1e-4
 
 
+@pytest.mark.parametrize("flag", ["--n", "--n-max"])
+def test_invert_order_beyond_max_names_requested_order(capsys, flag):
+    rc, out, err = run_cli(capsys, "invert", "--transform", "1/z", "--x", "1", flag, "70")
+    assert rc == 2
+    assert "got 70" in err and out == ""
+
+
+@pytest.mark.parametrize("source", [("--pair", "exponential"), ("--transform", "1/(z+1)")])
+@pytest.mark.parametrize("n", [4, 16])
+def test_single_order_equals_last_ladder_rung(capsys, source, n):
+    def entries(flag):
+        rc, out, _ = run_cli(capsys, "invert", *source, "--x", "0.4,1,3.5", flag, str(n),
+                             "--output", "json")
+        assert rc == 0
+        return [r["entries"] for r in json.loads(out)["reports"]]
+
+    single, ladder = entries("--n"), entries("--n-max")
+    assert [e for e, in single] == [rungs[-1] for rungs in ladder]
+
+
+def test_single_order_evaluates_only_its_abscissas(capsys, monkeypatch):
+    import gsinv.cli as cli
+
+    seen = []
+    monkeypatch.setitem(cli.BUILTIN_TRANSFORMS, "1/z", lambda z: seen.append(z) or 1 / z)
+    rc, _, _ = run_cli(capsys, "invert", "--transform", "1/z", "--x", "1,2", "--n", "9")
+    assert rc == 0
+    assert len(seen) == 2 * 2 * 9  # 2n abscissas per point, no lower orders
+
+
 def test_ladder_requires_n_max(capsys):
     rc, _, _ = run_cli(capsys, "ladder", "--pair", "constant", "--x", "1")
     assert rc == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import gsinv.inverter as inverter
 from gsinv import (
     DomainError,
     PrecisionContext,
@@ -14,6 +15,7 @@ from gsinv import (
     equivalence_probe,
     expansion_probe,
     gaver_approx,
+    gaver_stehfest_coeffs,
     get_pair,
     invert_ladder,
     required_digits,
@@ -130,6 +132,95 @@ def test_ladder_low_digits_warns():
     assert any("required_digits" in str(w.message) for w in caught)
 
 
+def test_ladder_low_digits_warns_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        invert_ladder(F_EXP, 1, 10, ctx=PrecisionContext(20))
+    assert [w.category for w in caught] == [UserWarning]
+
+
+def counting(F):
+    seen = []
+
+    def counted(z):
+        seen.append(z)
+        return F(z)
+
+    return TransformFn(counted, F.label), seen
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 16])
+def test_ladder_calls_transform_once_per_abscissa(n_max):
+    F, seen = counting(F_EXP)
+    invert_ladder(F, 1, n_max)
+    assert len(seen) == len(set(seen)) == 2 * n_max
+
+
+def test_ladder_entries_equal_standalone_approximants():
+    ctx = context_for_order(12)
+    for pair in corpus():
+        for x in (ctx.mpf(1) / 2, ctx.mpf(1), ctx.mpf(3)):
+            rep = invert_ladder(pair.F, x, 12, ctx=ctx)
+            for e in rep.entries:
+                assert e.value == stehfest_approx(pair.F, x, e.n, ctx), (pair.name, e.n)
+
+
+def test_coefficient_vector_rounds_like_context_mpf():
+    for digits in (20, 57):
+        ctx = PrecisionContext(digits)
+        for n in (1, 7, 30, 64):
+            cached = inverter._coeff_vector(n, ctx.mp.prec)
+            assert [ctx.mp.make_mpf(t) for t in cached] == [
+                ctx.mpf(q) for q in gaver_stehfest_coeffs(n).a]
+
+
+def test_equal_digits_contexts_agree_in_own_type():
+    c1, c2 = PrecisionContext(33, 9), PrecisionContext(33, 9)
+    assert c1.mp is not c2.mp
+    v1 = stehfest_approx(F_EXP, 1, 9, c1)
+    v2 = stehfest_approx(F_EXP, 1, 9, c2)
+    assert v1 == v2
+    assert type(v1) is c1.mp.mpf and type(v2) is c2.mp.mpf
+    rep = invert_ladder(F_EXP, 1, 9, ctx=c2)
+    assert all(type(e.value) is c2.mp.mpf for e in rep.entries)
+
+
+def test_via_gaver_never_reads_coefficient_vector(monkeypatch):
+    ctx = context_for_order(8)
+    expected = stehfest_via_gaver(F_EXP, 1, 8, ctx)
+
+    def forbidden(n, prec):
+        raise AssertionError("a_k vector read by the witness route")
+
+    monkeypatch.setattr(inverter, "_coeff_vector", forbidden)
+    assert stehfest_via_gaver(F_EXP, 1, 8, ctx) == expected
+    with pytest.raises(AssertionError):
+        stehfest_approx(F_EXP, 1, 8, ctx)
+
+
+def test_order_beyond_max_fails_before_transform():
+    F, seen = counting(F_EXP)
+    ctx = context_for_order(70)
+    for call in (lambda: invert_ladder(F, 1, 70, ctx=ctx),
+                 lambda: stehfest_approx(F, 1, 70, ctx)):
+        with pytest.raises(DomainError, match="got 70"):
+            call()
+    assert seen == []
+
+
+def test_ladder_failure_carries_first_failing_abscissa(ctx30):
+    ln2 = ctx30.mp.ln(2)
+
+    def fragile(z):
+        if z > 4.5 * ln2:  # fails from the abscissa j = 5 on
+            raise ValueError("boom")
+        return 1 / z
+
+    with pytest.raises(TransformEvaluationError) as err:
+        invert_ladder(TransformFn(fragile, "fragile"), 1, 6, ctx=ctx30)
+    assert err.value.z == 5 * ln2
+
+
 def test_transform_failure_carries_abscissa(ctx30):
     def bad(z):
         raise ValueError("boom")
@@ -214,15 +305,18 @@ def test_equivalence_probe_domain(ctx30):
 
 def test_thread_safety_across_contexts():
     # operations are pure given an explicit context; concurrent ladders on
-    # distinct contexts must reproduce the serial results exactly
+    # distinct contexts must reproduce the serial results exactly, also
+    # when the threads race to fill the process-wide coefficient cache
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = []
     for digits in (25, 35):
         ctx = PrecisionContext(digits)
         for pair in corpus()[:4]:
-            jobs.append((pair.F, ctx))
-    serial = [stehfest_approx(F, 1, 6, ctx) for F, ctx in jobs]
+            for n in (4, 6):
+                jobs.append((pair.F, n, ctx))
+    serial = [stehfest_approx(F, 1, n, ctx) for F, n, ctx in jobs]
+    inverter._coeff_vector.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda j: stehfest_approx(j[0], 1, 6, j[1]), jobs))
+        threaded = list(pool.map(lambda j: stehfest_approx(j[0], 1, j[1], j[2]), jobs))
     assert serial == threaded
