@@ -12,7 +12,13 @@ import json
 import sys
 
 from .coeffs import coeffs_to_csv, coeffs_to_json
-from .errors import DomainError
+from .errors import (
+    DomainError,
+    PrecisionError,
+    ProbeError,
+    QuadratureError,
+    TransformEvaluationError,
+)
 from .inverter import InversionReport, ReportEntry, TransformFn, invert_ladder, stehfest_approx
 from .lambertw import lambert_w0, wew_residual
 from .numerics import PrecisionContext, context_for_order, guard_for_order, required_digits
@@ -207,7 +213,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (DomainError, KeyError, ValueError) as exc:
+    except (DomainError, KeyError, ValueError, QuadratureError, ProbeError,
+            PrecisionError, TransformEvaluationError) as exc:
+        # exit code 1 is reserved for "a verification check failed"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from mpmath.libmp import from_int, mpf_div, round_nearest
-
 from .coeffs import MAX_ORDER, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .lambertw import xi_alpha
-from .numerics import PrecisionContext, context_for_order, integrate, required_digits
+from .numerics import (
+    PrecisionContext,
+    context_for_order,
+    integrate,
+    mpf_tuples,
+    required_digits,
+)
 
 __all__ = [
     "TransformFn",
@@ -140,16 +144,11 @@ def _warn_low_digits(ctx, n: int):
 def _coeff_vector(n: int, prec: int) -> tuple:
     """Raw ``_mpf_`` tuples of a_k(n), k = 1..2n, at ``prec`` bits.
 
-    Rounded as :meth:`PrecisionContext.mpf` rounds a Fraction (numerator
-    to ``prec`` bits, then one division by the denominator), so the bits
-    are identical; tuples carry no mpmath context, so callers rebuild
-    them with their own ``make_mpf``.
+    Bit-identical to ``ctx.mpf(a_k)`` (see :func:`mpf_tuples`); tuples
+    carry no mpmath context, so callers rebuild them with their own
+    ``make_mpf``.
     """
-    return tuple(
-        mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
-                prec, round_nearest)
-        for q in gaver_stehfest_coeffs(n).a
-    )
+    return mpf_tuples(gaver_stehfest_coeffs(n).a, prec)
 
 
 def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):

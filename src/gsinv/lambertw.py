@@ -181,9 +181,16 @@ def lambert_w0(z, ctx: PrecisionContext):
     mpc
         ``w`` with ``|w e^w - z| <= max(|z|, 1) * 10**(-digits + guard)``
         and ``w`` inside the region A (boundary curve included on the cut).
+
+    Raises
+    ------
+    DomainError
+        If ``z`` is infinite or NaN.
     """
     m = ctx.mp
     z = m.mpc(z)
+    if not m.isfinite(z):
+        raise DomainError(f"lambert_w0 needs a finite argument, got {z}")
     if z == 0:
         return m.mpc(0)
     if z.imag < 0:

@@ -5,14 +5,24 @@ Every floating operation in the package goes through a
 There is no global precision state: two contexts never interact, and a
 context is immutable after construction, so values and contexts can be
 shared freely between threads.
+
+Quantities that depend only on the working precision (rounded
+coefficient vectors, tanh-sinh node tables) are built once per process
+and kept in bounded caches keyed by the binary precision.  The caches
+hold raw ``_mpf_`` tuples, never mpmath numbers, so no mpmath context is
+shared through them: each caller rebuilds the values with its own
+``make_mpf``, and the results are bit-identical to building them afresh.
 """
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .errors import DomainError, QuadratureError
 
@@ -67,12 +77,14 @@ class PrecisionContext:
     Notes
     -----
     The context is frozen; derive a finer or coarser one with
-    :meth:`with_digits`.  ``eps`` therefore never goes stale.
+    :meth:`with_digits`.  ``eps`` is computed once at construction and
+    therefore never goes stale.
     """
 
     digits: int
     guard: int = 10
     _mp: MPContext = field(init=False, repr=False, compare=False)
+    _eps: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.digits < 15:
@@ -82,6 +94,7 @@ class PrecisionContext:
         m = MPContext()
         m.dps = self.digits + self.guard
         object.__setattr__(self, "_mp", m)
+        object.__setattr__(self, "_eps", m.mpf(10) ** (-self.digits))
 
     # -- scalar factory / helpers -------------------------------------
     @property
@@ -96,7 +109,7 @@ class PrecisionContext:
     @property
     def eps(self):
         """Comparison tolerance ``10**-digits`` at working precision."""
-        return self._mp.mpf(10) ** (-self.digits)
+        return self._eps
 
     def mpf(self, x):
         if isinstance(x, Fraction):
@@ -122,6 +135,67 @@ def context_for_order(n: int) -> PrecisionContext:
     return PrecisionContext(max(15, required_digits(n)), guard_for_order(n))
 
 
+def mpf_tuples(values, prec: int) -> tuple:
+    """Raw ``_mpf_`` tuples of the Fractions ``values`` at ``prec`` bits.
+
+    Rounded as :meth:`PrecisionContext.mpf` rounds a Fraction (numerator
+    to ``prec`` bits, then one division by the exact denominator), so a
+    caller at binary precision ``prec`` that rebuilds them with its own
+    ``make_mpf`` gets the same bits as converting each Fraction itself.
+    """
+    return tuple(
+        mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
+                prec, round_nearest)
+        for q in values
+    )
+
+
+def horner_x(coeffs, x, m):
+    """``c_1 x + c_2 x^2 + ... + c_N x^N`` in context ``m``, by Horner.
+
+    ``coeffs`` are raw ``_mpf_`` tuples ``c_1..c_N`` at ``m.prec`` (see
+    :func:`mpf_tuples`) and ``x`` an mpf of ``m``.  Each step rounds as
+    ``acc = (acc + c) * x`` rounds on ``m``'s numbers, so the result is
+    bit-identical to that loop without building an mpf per operation.
+    """
+    prec = m.prec
+    xv = x._mpf_
+    acc = fzero
+    for c in reversed(coeffs):
+        acc = mpf_mul(mpf_add(acc, c, prec, round_nearest), xv, prec, round_nearest)
+    return m.make_mpf(acc)
+
+
+class _BoundedCache:
+    """Thread-safe LRU map of at most ``maxsize`` entries.
+
+    Values are built outside the lock by the caller's ``build``; two
+    threads that miss the same key both build it and keep one result,
+    which is harmless because builds are deterministic.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                return self._data[key]
+        value = build()
+        with self._lock:
+            self._data[key] = value
+            if len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+        return value
+
+    def cache_clear(self):
+        with self._lock:
+            self._data.clear()
+
+
 # ---------------------------------------------------------------------
 # tanh-sinh (double exponential) quadrature
 # ---------------------------------------------------------------------
@@ -144,37 +218,77 @@ def _neg_log1m(m, s):
         term *= s
 
 
-def _tanh_sinh(m, fleft, fright, digits, max_level):
-    """Integrate over [-1, 1] given endpoint-offset evaluators.
+# (prec, level, semi_infinite) -> node table; m.dps is a function of
+# m.prec for every context, so the binary precision fixes the nodes.
+_NODE_TABLES = _BoundedCache(maxsize=96)
 
-    ``fleft(d)`` evaluates the integrand at ``x = -1 + d`` and ``fright(d)``
-    at ``x = 1 - d``; offsets ``d`` stay exact down to ~1e-(dps+5), so
-    integrable endpoint singularities at a = 0 cost no precision.
-    """
-    tol = m.mpf(10) ** (-digits)
-    # truncate the trapezoid once node offsets drop below the noise floor
+
+def _build_level(m, level):
+    # weight w and offset d = 1 - tanh(s) of the nodes of one refinement
+    # level: every t = i h at level 0, the odd multiples of h = 2^-level
+    # above it; the trapezoid is truncated once offsets drop below the
+    # noise floor
     tmax = m.asinh(m.ln(m.mpf(10) ** (m.dps + 5)) * 2 / m.pi)
     pih = m.pi / 2
+    h = m.mpf(1) / 2**level
+    if level == 0:
+        ts = (i * h for i in range(int(tmax / h) + 2))
+    else:
+        ts = ((2 * i + 1) * h for i in range(int(tmax / (2 * h)) + 2))
+    nodes = []
+    for t in ts:
+        if t > tmax:
+            break
+        s = pih * m.sinh(t)
+        es = m.exp(2 * s)
+        delta = 2 / (es + 1)  # 1 - tanh(s), no cancellation
+        w = pih * m.cosh(t) * 4 * es / (es + 1) ** 2
+        nodes.append((w._mpf_, delta._mpf_))
+    return tuple(nodes)
+
+
+def _build_semi_level(m, level):
+    # the (0, inf) map reads s = d/2 at both ends: u = -ln(1-s) near 0
+    # and u = -ln(s) for large u
+    nodes = []
+    for w, delta in _level_nodes(m, level, False):
+        s = m.make_mpf(delta) / 2
+        nodes.append((w, s._mpf_, _neg_log1m(m, s)._mpf_, m.ln(s)._mpf_))
+    return tuple(nodes)
+
+
+def _level_nodes(m, level, semi_infinite):
+    """Raw node tuples of one level at ``m.prec``, built by ``m`` on a miss.
+
+    Finite nodes are ``(w, d)``; semi-infinite ones are
+    ``(w, s, -ln(1 - s), ln s)`` with ``s = d/2``.
+    """
+    build = _build_semi_level if semi_infinite else _build_level
+    return _NODE_TABLES.get((m.prec, level, semi_infinite), lambda: build(m, level))
+
+
+def _tanh_sinh(m, fleft, fright, digits, max_level, semi_infinite=False):
+    """Integrate over [-1, 1] given endpoint-offset evaluators.
+
+    ``fleft(node)`` evaluates the integrand at ``x = -1 + d`` and
+    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's node
+    tuple rebuilt in ``m`` (see :func:`_level_nodes`); offsets ``d`` stay
+    exact down to ~1e-(dps+5), so integrable endpoint singularities at
+    a = 0 cost no precision.
+    """
+    tol = m.mpf(10) ** (-digits)
+    make = m.make_mpf
     total = m.mpf(0)
     prev = None
     for level in range(max_level + 1):
         h = m.mpf(1) / 2**level
-        if level == 0:
-            ts = (i * h for i in range(int(tmax / h) + 2))
-        else:
-            ts = ((2 * i + 1) * h for i in range(int(tmax / (2 * h)) + 2))
         new = m.mpf(0)
-        for t in ts:
-            if t > tmax:
-                break
-            s = pih * m.sinh(t)
-            es = m.exp(2 * s)
-            delta = 2 / (es + 1)  # 1 - tanh(s), no cancellation
-            w = pih * m.cosh(t) * 4 * es / (es + 1) ** 2
-            if t == 0:
-                new += w * fright(delta)  # midpoint, counted once
+        for i, raw in enumerate(_level_nodes(m, level, semi_infinite)):
+            node = tuple(map(make, raw))
+            if level == 0 and i == 0:
+                new += node[0] * fright(node)  # midpoint t = 0, counted once
             else:
-                new += w * (fright(delta) + fleft(delta))
+                new += node[0] * (fright(node) + fleft(node))
         total = (total / 2 if level else m.mpf(0)) + new * h
         if level >= 2 and abs(total - prev) <= tol * max(m.mpf(1), abs(total)):
             return total
@@ -211,15 +325,15 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
     a = ctx.mpf(a)
     infinite = b is not None and (b == m.inf or (isinstance(b, float) and math.isinf(b)))
     if infinite:
-        def fleft(d):  # s = d/2 near 0
-            s = d / 2
-            return f(a + _neg_log1m(m, s)) / (1 - s) / 2
+        def fleft(node):  # s = d/2 near 0
+            _, s, neg_log1m_s, _ = node
+            return f(a + neg_log1m_s) / (1 - s) / 2
 
-        def fright(d):  # 1 - s = d/2 near 0, u large
-            oms = d / 2
-            return f(a - m.ln(oms)) / oms / 2
+        def fright(node):  # 1 - s = d/2 near 0, u large
+            _, oms, _, ln_oms = node
+            return f(a - ln_oms) / oms / 2
 
-        return _tanh_sinh(m, fleft, fright, ctx.digits, max_level)
+        return _tanh_sinh(m, fleft, fright, ctx.digits, max_level, semi_infinite=True)
 
     b = ctx.mpf(b)
     if b == a:
@@ -228,10 +342,10 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
         return -integrate(f, b, a, ctx, max_level)
     halfw = (b - a) / 2
 
-    def fleft(d):
-        return f(a + halfw * d) * halfw
+    def fleft(node):
+        return f(a + halfw * node[1]) * halfw
 
-    def fright(d):
-        return f(b - halfw * d) * halfw
+    def fright(node):
+        return f(b - halfw * node[1]) * halfw
 
     return _tanh_sinh(m, fleft, fright, ctx.digits, max_level)

@@ -17,7 +17,7 @@ from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import PrecisionContext, integrate
+from .numerics import PrecisionContext, horner_x, integrate, mpf_tuples
 
 __all__ = [
     "PolyQ",
@@ -119,6 +119,17 @@ def _boosted(digits: int, guard: int) -> PrecisionContext:
     return PrecisionContext(digits, guard)
 
 
+@lru_cache(maxsize=256)
+def _qn_vector(n: int, prec: int) -> tuple:
+    """Raw ``_mpf_`` tuples of the q_n coefficients at ``prec`` bits.
+
+    Bit-identical to ``ctx.mpf(c)`` at that precision (see
+    :func:`~gsinv.numerics.mpf_tuples`); callers evaluate them with
+    :func:`~gsinv.numerics.horner_x` in their own context.
+    """
+    return mpf_tuples(qn_coeffs(n).coeffs, prec)
+
+
 def qn_eval(n: int, v, ctx: PrecisionContext):
     """Evaluate q_n(v) for v in [0, 1] at working precision.
 
@@ -128,13 +139,10 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
     """
     if isinstance(v, (Fraction, int)):
         return ctx.mpf(qn_exact(n, Fraction(v)))
-    boost = ctx.with_digits(ctx.digits + (45 * n + 99) // 100 + 10) if n > 1 else ctx
-    work = _boosted(boost.digits, boost.guard)
-    vv = work.mpf(v)
-    acc = work.mp.mpf(0)
-    for c in reversed(qn_coeffs(n).coeffs):
-        acc = (acc + work.mpf(c)) * vv
-    return ctx.mpf(acc)
+    boost = (45 * n + 99) // 100 + 10 if n > 1 else 0
+    work = _boosted(ctx.digits + boost, ctx.guard)
+    m = work.mp
+    return ctx.mpf(horner_x(_qn_vector(n, m.prec), m.mpf(v), m))
 
 
 # ---------------------------------------------------------------------
@@ -480,15 +488,11 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     m = ctx.mp
     x = ctx.mpf(x)
     ln2 = m.ln(2)
-    coeffs = qn_coeffs(n).coeffs
+    coeffs = _qn_vector(n, m.prec)
 
     def integrand(u):
         eu = m.exp(-u)
-        arg = 4 * eu * (1 - eu)
-        acc = m.mpf(0)
-        for c in reversed(coeffs):
-            acc = (acc + ctx.mpf(c)) * arg
-        return acc * f(x * u / ln2)
+        return horner_x(coeffs, 4 * eu * (1 - eu), m) * f(x * u / ln2)
 
     lhs = integrate(integrand, 0, m.inf, ctx)
     rhs = stehfest_approx(F, x, n, ctx)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gsinv import PrecisionError, ProbeError, QuadratureError, TransformEvaluationError
 from gsinv.cli import main
 
 
@@ -186,6 +187,31 @@ def test_weval(capsys):
     doc = json.loads(out)
     assert float(doc["residual"].replace("e", "E").split("E")[0]) == pytest.approx(0, abs=1)
     assert doc["w"]
+
+
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_weval_rejects_non_finite(capsys, z):
+    rc, out, err = run_cli(capsys, "weval", f"--z={z}")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [QuadratureError, ProbeError, PrecisionError, TransformEvaluationError]
+)
+def test_library_errors_exit_2(capsys, monkeypatch, exc):
+    # exit code 1 means only "a verification check failed"
+    import gsinv.cli as cli
+
+    def raising(names):
+        raise exc("synthetic failure")
+
+    monkeypatch.setattr(cli, "run_suites", raising)
+    rc, out, err = run_cli(capsys, "verify", "--suite", "genfun")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: synthetic failure\n"
 
 
 def test_weval_cut_real(capsys):

@@ -69,6 +69,13 @@ def test_w_special_points(ctx30):
     assert abs(abs(w) - m.mpf("1.2508")) <= m.mpf("1e-3")
 
 
+def test_w_rejects_non_finite(ctx30):
+    m = ctx30.mp
+    for z in (m.nan, m.inf, -m.inf, m.mpc(1, m.inf), m.mpc(m.nan, 1), float("nan")):
+        with pytest.raises(DomainError):
+            lambert_w0(z, ctx30)
+
+
 def test_w_defining_identity_random_grid(ctx30):
     m = ctx30.mp
     tol_scale = m.mpf(10) ** (-(ctx30.digits - 5))

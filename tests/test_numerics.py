@@ -1,4 +1,7 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +12,11 @@ from gsinv import (
     context_for_order,
     guard_for_order,
     integrate,
+    qn_eval,
     required_digits,
 )
+from gsinv import numerics, qpoly
+from gsinv.numerics import horner_x, mpf_tuples
 
 
 def test_required_digits_examples():
@@ -41,6 +47,13 @@ def test_context_invariants():
     finer = ctx.with_digits(40)
     assert finer.digits == 40 and finer.guard == 5
     assert finer.eps == finer.mp.mpf(10) ** -40
+
+
+def test_eps_is_built_once():
+    ctx = PrecisionContext(33)
+    assert ctx.eps is ctx.eps
+    assert type(ctx.eps) is ctx.mp.mpf
+    assert ctx.eps._mpf_ == (ctx.mp.mpf(10) ** -33)._mpf_
 
 
 def test_context_for_order_covers_required():
@@ -132,3 +145,109 @@ def test_quadrature_error_carries_estimates(ctx30):
         integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx30, max_level=1)
     assert err.value.last_estimates is not None
     assert len(err.value.last_estimates) == 2
+
+
+def _clear_precision_caches():
+    numerics._NODE_TABLES.cache_clear()
+    qpoly._qn_vector.cache_clear()
+    qpoly._boosted.cache_clear()
+
+
+def _bits(x):
+    return x._mpf_
+
+
+def test_mpf_tuples_round_like_context():
+    rng = random.Random(11)
+    values = [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**25)) for _ in range(40)]
+    values += [Fraction(0), Fraction(1, 3), Fraction(-7, 1)]
+    for digits in (15, 31, 77):
+        ctx = PrecisionContext(digits)
+        raw = mpf_tuples(values, ctx.mp.prec)
+        assert raw == tuple(_bits(ctx.mpf(q)) for q in values)
+
+
+def test_horner_x_matches_mpf_loop(ctx30):
+    m = ctx30.mp
+    coeffs = [Fraction((-1) ** k * 3**k, k + 2) for k in range(1, 25)]
+    raw = mpf_tuples(coeffs, m.prec)
+    for x in (m.mpf("0.37"), m.mpf("-1.25"), m.mpf(0)):
+        acc = m.mpf(0)
+        for c in reversed(coeffs):
+            acc = (acc + ctx30.mpf(c)) * x
+        got = horner_x(raw, x, m)
+        assert type(got) is m.mpf
+        assert _bits(got) == _bits(acc)
+
+
+def _sample_integrals(ctx, wrap=lambda g: g):
+    m = ctx.mp
+    return [
+        integrate(wrap(lambda u: m.exp(-2 * u) / m.sqrt(u)), 0, m.inf, ctx),
+        integrate(wrap(lambda u: m.exp(-u) * m.cos(u)), 1, m.inf, ctx),
+        integrate(wrap(lambda u: m.sin(u) / u), 0, m.pi, ctx),
+        integrate(wrap(lambda x: 1 / m.sqrt(x)), 0, 1, ctx),
+    ]
+
+
+def test_integrate_cold_and_warm_caches_agree_bitwise():
+    ctx = PrecisionContext(27)
+    _clear_precision_caches()
+    cold = _sample_integrals(ctx)
+    warm = _sample_integrals(ctx)
+    assert [_bits(v) for v in cold] == [_bits(v) for v in warm]
+
+
+def test_integrate_returns_callers_type_across_equal_contexts():
+    # the node tables are shared by precision, not by context: a second
+    # context of equal digits reads the first one's tables, yet its
+    # integrand and result only ever see its own numbers
+    first, second = PrecisionContext(29), PrecisionContext(29)
+    assert first.mp is not second.mp
+    _clear_precision_caches()
+    ref = _sample_integrals(first)
+    m = second.mp
+    seen = set()
+
+    def own(g):
+        def checked(u):
+            seen.add(type(u))
+            return g(u)
+        return checked
+
+    got = _sample_integrals(second, own)
+    assert seen == {m.mpf}
+    assert all(type(v) is m.mpf for v in got)
+    tables = list(numerics._NODE_TABLES._data.values())
+    assert tables and all(type(x) is tuple for t in tables for node in t for x in node)
+    assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
+def _mixed_jobs(ctx):
+    m = ctx.mp
+    v = ctx.mpf("0.37")
+    return [
+        lambda: qn_eval(6, v, ctx),
+        lambda: integrate(lambda u: m.exp(-2 * u) / m.sqrt(u), 0, m.inf, ctx),
+        lambda: qn_eval(17, v, ctx),
+        lambda: integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx),
+        lambda: qn_eval(30, v, ctx),
+    ]
+
+
+def test_thread_safety_of_precision_caches():
+    # the node tables, q_n vectors and boosted contexts are process-wide;
+    # threads racing to fill them cold must reproduce the serial bits
+    per_ctx = [_mixed_jobs(PrecisionContext(d)) for d in (20, 35)]
+    jobs = [job for pair in zip(*per_ctx) for job in pair]  # alternate precisions
+    _clear_precision_caches()
+    serial = [_bits(job()) for job in jobs]
+    _clear_precision_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force thread switches inside the cache fills
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [_bits(v) for v in pool.map(lambda job: job(), jobs * 2, timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 2

@@ -23,7 +23,8 @@ from gsinv import (
     series_g,
     series_h,
 )
-from gsinv.qpoly import _g_continuation, _genfun_matches, _h_laurent, _boosted
+from gsinv import numerics
+from gsinv.qpoly import _boosted, _g_continuation, _genfun_matches, _h_laurent, _qn_vector
 
 
 def test_qn_small_orders():
@@ -48,6 +49,48 @@ def test_qn_eval_routes_agree(ctx30):
         exact = ctx30.mpf(qn_exact(n, v))
         floating = qn_eval(n, ctx30.mpf("0.37"), ctx30)
         assert abs(exact - floating) <= 10 * ctx30.eps * abs(exact)
+
+
+def _work_context(n, ctx):
+    # the boosted context qn_eval runs Horner in
+    return _boosted(ctx.digits + ((45 * n + 99) // 100 + 10 if n > 1 else 0), ctx.guard)
+
+
+def test_qn_vector_matches_context_conversion(ctx30):
+    for n in (1, 10, 40, 200):
+        work = _work_context(n, ctx30)
+        raw = _qn_vector(n, work.mp.prec)
+        assert raw == tuple(work.mpf(c)._mpf_ for c in qn_coeffs(n).coeffs)
+
+
+def test_qn_eval_bits_match_fraction_horner(ctx30):
+    # the cached-vector Horner against the plain loop over Fractions
+    for n in (1, 2, 13, 40):
+        work = _work_context(n, ctx30)
+        for v in ("0.37", "0.999", "1e-3"):
+            vv = work.mpf(ctx30.mpf(v))
+            acc = work.mp.mpf(0)
+            for c in reversed(qn_coeffs(n).coeffs):
+                acc = (acc + work.mpf(c)) * vv
+            assert qn_eval(n, ctx30.mpf(v), ctx30)._mpf_ == ctx30.mpf(acc)._mpf_
+
+
+def test_qn_eval_builds_no_context_when_warm(ctx30, monkeypatch):
+    built = []
+    real = numerics.MPContext
+
+    def counted():
+        built.append(1)
+        return real()
+
+    points = [ctx30.mpf(i) / 97 for i in range(1, 97)]
+    for n in (5, 25):
+        qn_eval(n, points[0], ctx30)
+    monkeypatch.setattr(numerics, "MPContext", counted)
+    for n in (5, 25):
+        for v in points:
+            qn_eval(n, v, ctx30)
+    assert built == []
 
 
 def test_qn_bounds():
