@@ -12,27 +12,15 @@ import json
 import sys
 
 from .coeffs import coeffs_to_csv, coeffs_to_json
-from .errors import (
-    DomainError,
-    PrecisionError,
-    ProbeError,
-    QuadratureError,
-    TransformEvaluationError,
-)
+from .errors import NUMERICAL_ERRORS
 from .inverter import InversionReport, ReportEntry, TransformFn, invert_ladder, stehfest_approx
 from .lambertw import lambert_w0, wew_residual
 from .numerics import PrecisionContext, context_for_order, guard_for_order, required_digits
-from .pairs import corpus_manifest_json, get_pair, jordan_target
+from .pairs import corpus, corpus_manifest_json, get_pair, jordan_target
 from .verify import run_suites
 
-BUILTIN_TRANSFORMS = {
-    "1/z": lambda z: 1 / z,
-    "1/z^2": lambda z: 1 / z**2,
-    "1/(z+1)": lambda z: 1 / (z + 1),
-    "exp(-z)/z": lambda z: z.context.exp(-z) / z,
-    "sqrt(pi/z)": lambda z: z.context.sqrt(z.context.pi / z),
-    "1/(1+z^2)": lambda z: 1 / (1 + z**2),
-}
+# --transform takes a corpus pair by its transform formula
+BUILTIN_TRANSFORMS = {p.formula: p.F.eval for p in corpus()}
 
 
 def _write(text: str, out_path):
@@ -213,8 +201,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (DomainError, KeyError, ValueError, QuadratureError, ProbeError,
-            PrecisionError, TransformEvaluationError) as exc:
+    except (KeyError, ValueError, *NUMERICAL_ERRORS) as exc:
         # exit code 1 is reserved for "a verification check failed"
         print(f"error: {exc}", file=sys.stderr)
         return 2

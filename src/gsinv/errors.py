@@ -31,3 +31,8 @@ class ProbeError(RuntimeError):
 
 class PrecisionError(RuntimeError):
     """A series or refinement cannot reach the requested precision."""
+
+
+# what a numerical routine of the package raises on bad input or failure
+NUMERICAL_ERRORS = (DomainError, QuadratureError, ProbeError, PrecisionError,
+                    TransformEvaluationError)

@@ -21,6 +21,7 @@ from .lambertw import xi_alpha
 from .numerics import (
     PrecisionContext,
     context_for_order,
+    fit_line,
     integrate,
     mpf_tuples,
     required_digits,
@@ -255,16 +256,7 @@ def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext, rel_tol=0.05):
     fref = ctx.mpf(ref)
     cache = _AbscissaCache(F, x, ctx)
     ys = [k * (gaver_approx(F, x, k, ctx, _cache=cache) - fref) for k in ks]
-    us = [m.mpf(1) / k for k in ks]
-    N = len(ks)
-    su = sum(us)
-    sy = sum(ys)
-    suu = sum(u * u for u in us)
-    suy = sum(u * y for u, y in zip(us, ys))
-    denom = N * suu - su * su
-    b2 = (N * suy - su * sy) / denom
-    b1 = (sy - b2 * su) / N
-    rms = m.sqrt(sum((y - b1 - b2 * u) ** 2 for u, y in zip(us, ys)) / N)
+    b1, b2, rms = fit_line([m.mpf(1) / k for k in ks], ys, m)
     floor = m.mpf(10) ** (-(ctx.digits // 2)) * max(m.mpf(1), abs(fref))
     if rms > ctx.mpf(rel_tol) * abs(b1) + floor:
         raise ProbeError(

@@ -19,9 +19,10 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, mpf_tuples
 
 __all__ = [
     "BranchSeries",
@@ -87,6 +88,15 @@ def branch_series(N: int) -> BranchSeries:
     return BranchSeries(tuple(_MU[: N + 1]))
 
 
+@lru_cache(maxsize=64)
+def _mu_vector(N: int, prec: int) -> tuple:
+    """Raw ``_mpf_`` tuples of mu_0..mu_N at ``prec`` bits.
+
+    Bit-identical to ``ctx.mpf(mu_n)`` (see :func:`mpf_tuples`).
+    """
+    return mpf_tuples(branch_series(N).mu, prec)
+
+
 _SQRT2_MARGIN = 0.9  # stay inside the |p| < sqrt(2) convergence disk
 
 
@@ -102,10 +112,15 @@ def branch_series_eval(p, N: int, series: BranchSeries, ctx: PrecisionContext):
         raise DomainError(f"|p| = {abs(p)} outside the safe convergence disk")
     if N >= len(series.mu):
         raise DomainError(f"series holds {len(series.mu)} coefficients, need {N + 1}")
+    return _sum_series(m, p, mpf_tuples(series.mu[: N + 1], m.prec))
+
+
+def _sum_series(m, p, coeffs):
+    """sum c_n p^n over raw ``_mpf_`` coefficient tuples, in working precision."""
     acc = m.mpc(0)
     ppow = m.mpc(1)
-    for n in range(N + 1):
-        acc += ctx.mpf(series.mu[n]) * ppow
+    for c in coeffs:
+        acc += m.make_mpf(c) * ppow
         ppow *= p
     return acc
 
@@ -205,7 +220,7 @@ def lambert_w0(z, ctx: PrecisionContext):
         if p == 0:
             return m.mpc(-1)
         N = int(1.6 * m.dps) + 12
-        w = branch_series_eval(p, N, branch_series(N), ctx)
+        w = _sum_series(m, p, _mu_vector(N, m.prec))  # |p| < 0.32 is inside the disk
         w = _halley(m, z, w, rtol)
     elif abs(ez1) < m.mpf("0.45"):
         p = m.sqrt(2 * ez1)

@@ -15,7 +15,6 @@ shared through them: each caller rebuilds the values with its own
 """
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, ProbeError, QuadratureError
 
 __all__ = [
     "PrecisionContext",
@@ -32,6 +31,7 @@ __all__ = [
     "guard_for_order",
     "context_for_order",
     "integrate",
+    "fit_line",
 ]
 
 
@@ -164,6 +164,32 @@ def horner_x(coeffs, x, m):
     for c in reversed(coeffs):
         acc = mpf_mul(mpf_add(acc, c, prec, round_nearest), xv, prec, round_nearest)
     return m.make_mpf(acc)
+
+
+def fit_line(xs, ys, m):
+    """Least-squares line ``y = c0 + c1 x`` in context ``m``.
+
+    Returns ``(c0, c1, rms)``, where ``rms`` is the root-mean-square
+    residual of the fit.
+
+    Raises
+    ------
+    ProbeError
+        If the ``xs`` have no spread.
+    """
+    xs = [m.mpf(x) for x in xs]
+    N = len(xs)
+    sx = sum(xs)
+    sy = sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    denom = N * sxx - sx * sx
+    if denom == 0:
+        raise ProbeError("degenerate fit: no spread in x")
+    c1 = (N * sxy - sx * sy) / denom
+    c0 = (sy - c1 * sx) / N
+    rms = m.sqrt(sum((y - c0 - c1 * x) ** 2 for x, y in zip(xs, ys)) / N)
+    return c0, c1, rms
 
 
 class _BoundedCache:
@@ -308,23 +334,29 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
         Real-valued integrand of one high-precision argument.  Integrable
         endpoint singularities are fine when the endpoint is 0.
     a, b
-        Interval ends; ``b`` may be ``+inf`` (mpmath or float infinity),
-        in which case ``f`` must decay at least exponentially and the
-        range is reduced to ``s in [0, 1)`` via ``u = a - ln(1 - s)``.
+        Interval ends.  ``a`` must be finite; ``b`` is finite or ``+inf``
+        (mpmath or float infinity), in which case ``f`` must decay at
+        least exponentially and the range is reduced to ``s in [0, 1)``
+        via ``u = a - ln(1 - s)``.
     ctx : PrecisionContext
         Precision policy; refinement stops once two successive levels
         agree to ``10**-digits``.
 
     Raises
     ------
+    DomainError
+        If ``a`` is not finite, or ``b`` is NaN or ``-inf``; ``f`` is
+        never called then.
     QuadratureError
         If the refinement ladder does not converge; the error carries the
         last two level estimates.
     """
     m = ctx.mp
     a = ctx.mpf(a)
-    infinite = b is not None and (b == m.inf or (isinstance(b, float) and math.isinf(b)))
-    if infinite:
+    b = ctx.mpf(b)
+    if not m.isfinite(a) or m.isnan(b) or b == m.ninf:
+        raise DomainError(f"integrate needs a finite a and a finite or +inf b, got ({a}, {b})")
+    if b == m.inf:
         def fleft(node):  # s = d/2 near 0
             _, s, neg_log1m_s, _ = node
             return f(a + neg_log1m_s) / (1 - s) / 2
@@ -335,7 +367,6 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
 
         return _tanh_sinh(m, fleft, fright, ctx.digits, max_level, semi_infinite=True)
 
-    b = ctx.mpf(b)
     if b == a:
         return m.mpf(0)
     if b < a:

@@ -17,7 +17,7 @@ from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import PrecisionContext, horner_x, integrate, mpf_tuples
+from .numerics import PrecisionContext, fit_line, horner_x, integrate, mpf_tuples
 
 __all__ = [
     "PolyQ",
@@ -456,17 +456,7 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int 
     ]
     if len(peaks) < 2:
         raise ProbeError("degenerate fit: fewer than two envelope points")
-    N = len(peaks)
-    sx = sum(m.mpf(ns[i]) for i in peaks)
-    sy = sum(logs[i] for i in peaks)
-    sxx = sum(m.mpf(ns[i]) ** 2 for i in peaks)
-    sxy = sum(ns[i] * logs[i] for i in peaks)
-    denom = N * sxx - sx * sx
-    if denom == 0:
-        raise ProbeError("degenerate fit: no spread in n")
-    slope = (N * sxy - sx * sy) / denom
-    inter = (sy - slope * sx) / N
-    rms = m.sqrt(sum((logs[i] - inter - slope * ns[i]) ** 2 for i in peaks) / N)
+    inter, slope, rms = fit_line([ns[i] for i in peaks], [logs[i] for i in peaks], m)
     return DecayFit(
         C=m.exp(inter),
         b=m.exp(-slope),

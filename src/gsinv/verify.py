@@ -1,48 +1,52 @@
-"""Verification suites behind the ``verify`` subcommand.
+"""Verification checks behind the ``verify`` subcommand and the acceptance suite.
 
-Each check returns ``{"check", "status", "metrics", "grid"}`` with metric
-values serialized as decimal strings, so reports diff cleanly between
-runs.  The acceptance-grade versions of these checks (full grids, pinned
-tolerances) live in the test suite; the suites here are sized to finish
-in a couple of minutes combined.
+Each criterion is defined once, as a ``check_*`` function returning one
+report ``{"check", "status", "metrics", "grid"}`` with metric values
+serialized as decimal strings, so reports diff cleanly between runs.  A
+check whose acceptance grid is larger than its ``verify`` grid takes the
+grid points that differ as keyword arguments, defaulting to the quick
+``verify`` grid; ``tests/test_acceptance.py`` calls the same checks on
+the acceptance grids.  A check that raises one of the package's
+numerical errors reports a failure carrying the error text.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
-from .coeffs import (
-    coeffs_from_weights,
-    gaver_stehfest_coeffs,
-    stehfest_weights,
-    vandermonde_check,
-)
+from .coeffs import coeffs_from_weights, gaver_stehfest_coeffs, stehfest_weights, vandermonde_check
+from .errors import NUMERICAL_ERRORS
 from .inverter import equivalence_probe, stehfest_approx, stehfest_via_gaver
-from .lambertw import lambert_w0, wew_residual, xi_alpha
+from .lambertw import in_region_a, lambert_w0, wew_residual, xi_alpha
 from .numerics import PrecisionContext, context_for_order
-from .pairs import corpus, get_pair, jordan_target, run_pair
-from .qpoly import (
-    decay_bound_probe,
-    genfun_identity_check,
-    integral_representation_check,
-    qn_at_one_asymptotic,
-    qn_exact,
-    qn_jump_form_check,
-)
+from .pairs import corpus, get_pair, run_pair
+from .qpoly import (decay_bound_probe, genfun_identity_check, integral_representation_check,
+                    qn_at_one_asymptotic, qn_exact, qn_jump_form_check)
 
 __all__ = ["SUITES", "run_suites"]
 
 
-def _report(check, ok, metrics=None, grid=None):
-    return {
-        "check": check,
-        "status": "pass" if ok else "fail",
-        "metrics": metrics or {},
-        "grid": grid or {},
-    }
+def _check(name):
+    """Make ``fn -> (ok, metrics, grid)`` a check reporting as ``name``."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def check(**grid):
+            try:
+                ok, metrics, shown = fn(**grid)
+            except NUMERICAL_ERRORS as exc:
+                ok, metrics, shown = False, {"error": f"{type(exc).__name__}: {exc}"}, {}
+            return {"check": name, "status": "pass" if ok else "fail", "metrics": metrics,
+                    "grid": shown}
+
+        return check
+
+    return wrap
 
 
-def suite_vandermonde():
+@_check("coefficient-identities")
+def check_coefficient_identities():
     bad = []
     for n in range(1, 16):
         if not vandermonde_check(stehfest_weights(n)):
@@ -51,109 +55,87 @@ def suite_vandermonde():
         if sum(ak / Fraction(k) for k, ak in enumerate(a, start=1)) != 1:
             bad.append(n)
     cross_bad = [n for n in range(1, 13) if coeffs_from_weights(n) != gaver_stehfest_coeffs(n)]
-    ok = not bad and not cross_bad
-    return [
-        _report(
-            "coefficient-identities",
-            ok,
-            metrics={"failures": bad, "cross_construction_failures": cross_bad},
-            grid={"n": "1..15", "cross_construction_n": "1..12"},
-        )
-    ]
+    return (not bad and not cross_bad,
+            {"failures": bad, "cross_construction_failures": cross_bad},
+            {"n": "1..15", "cross_construction_n": "1..12"})
 
 
-def suite_genfun():
-    ok = genfun_identity_check(20, Fraction(1, 3))
-    ok2 = all(genfun_identity_check(12, v) for v in (Fraction(1, 2), Fraction(1)))
-    return [
-        _report(
-            "generating-function-identity",
-            ok and ok2,
-            metrics={"exact": bool(ok and ok2)},
-            grid={"n_max": 20, "v": ["1/3", "1/2", "1"]},
-        )
-    ]
+@_check("generating-function-identity")
+def check_generating_function_identity(cases=((20, "1/3"), (12, "1/2"), (12, "1"))):
+    ok = all(genfun_identity_check(n, v) for n, v in cases)
+    return ok, {"exact": ok}, {"n_max": max(n for n, _ in cases), "v": [v for _, v in cases]}
 
 
-def suite_lambertw():
+def _cut_from_branch_point(m, i):
+    return m.mpc(-m.exp(-1) - i * m.mpf("0.198"), 0)
+
+
+@_check("lambertw-defining-identity")
+def check_lambertw_defining_identity(seed=20240901, cut=_cut_from_branch_point):
+    """Scaled residuals at 800 random points off the cut and 200 on it.
+
+    ``cut(m, i)`` is the i-th cut point; each random point's W must also
+    lie in the principal-branch range A.
+    """
     ctx = PrecisionContext(30)
     m = ctx.mp
     tol = m.mpf(10) ** (-(ctx.digits - 5))
-    rng = random.Random(20240901)
-    worst = m.mpf(0)
-    count = 0
+    rng = random.Random(seed)
+    near_cut = m.mpf("1e-3")
+    worst, outside_a, count = m.mpf(0), 0, 0
     while count < 800:
         z = m.mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if z.imag == 0 and z.real <= -m.exp(-1):
+        if abs(z.imag) < near_cut and z.real < 0:
             continue
         w = lambert_w0(z, ctx)
         worst = max(worst, wew_residual(w, z, ctx) / max(abs(z), m.mpf(1)))
+        outside_a += not in_region_a(w, tol=tol)
         count += 1
     for i in range(200):
-        z = m.mpc(-m.exp(-1) - i * m.mpf("0.198"), 0)
-        w = lambert_w0(z, ctx)
-        worst = max(worst, wew_residual(w, z, ctx) / max(abs(z), m.mpf(1)))
-    r1 = worst <= tol
+        z = cut(m, i)
+        worst = max(worst, wew_residual(lambert_w0(z, ctx), z, ctx) / max(abs(z), m.mpf(1)))
+    return (worst <= tol and not outside_a,
+            {"worst_scaled_residual": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
+            {"random_points": 800, "cut_points": 200, "digits": ctx.digits})
+
+
+@_check("lambertw-branch-values")
+def check_lambertw_branch_values():
+    ctx = PrecisionContext(30)
+    m = ctx.mp
     w2e = abs(lambert_w0(m.mpf(-2) / m.e, ctx))
-    r2 = abs(w2e - m.mpf("1.2508")) <= m.mpf("1e-3")
     alpha = xi_alpha(m.mpf("0.01"), ctx).alpha
     coeff = (alpha - 2 * m.sqrt(2) * m.mpf("0.01")) / m.mpf("1e-6")
     target = 14 * m.sqrt(2) / 9
-    r3 = abs(coeff / target - 1) <= m.mpf("0.01")
-    return [
-        _report(
-            "lambertw-defining-identity",
-            bool(r1),
-            metrics={"worst_scaled_residual": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
-            grid={"random_points": 800, "cut_points": 200, "digits": ctx.digits},
-        ),
-        _report(
-            "lambertw-branch-values",
-            bool(r2 and r3),
-            metrics={
-                "abs_W_minus_2_over_e": ctx.nstr(w2e, 10),
+    ok = abs(w2e - m.mpf("1.2508")) <= m.mpf("1e-3") and abs(coeff / target - 1) <= m.mpf("0.01")
+    return ok, {"abs_W_minus_2_over_e": ctx.nstr(w2e, 10),
                 "alpha_cubic_coefficient": ctx.nstr(coeff, 8),
-                "alpha_cubic_target": ctx.nstr(target, 8),
-            },
-            grid={},
-        ),
-    ]
+                "alpha_cubic_target": ctx.nstr(target, 8)}, {}
 
 
-def suite_qn_asymptotics():
+@_check("qn-at-one-refined")
+def check_qn_at_one_refined():
+    """n^3-scaled residuals of the refined q_n(1) asymptotic stay bounded."""
     ctx = PrecisionContext(40)
-    m = ctx.mp
-    # refined q_n(1) residual: n^3-scaled residuals stay bounded
-    resid = {}
-    for n in (50, 100, 150, 200):
-        q1 = ctx.mpf(qn_exact(n, Fraction(1)))
-        resid[n] = abs(q1 - qn_at_one_asymptotic(n, ctx)) * n**3
-    ok1 = max(resid.values()) <= 2 * resid[50]
-    # jump form: difference bounded by a fitted, n-stable multiple of |xi|^-n
-    cs = []
-    for vs in ("0.05", "0.1", "0.2"):
-        for n in (50, 100, 200):
-            chk = qn_jump_form_check(n, Fraction(vs), ctx)
-            cs.append(chk.difference / chk.decay)
-    cmax = max(cs)
-    ok2 = cmax <= m.mpf("0.5")
-    return [
-        _report(
-            "qn-at-one-refined",
-            bool(ok1),
-            metrics={str(n): ctx.nstr(r, 8) for n, r in resid.items()},
-            grid={"n": [50, 100, 150, 200]},
-        ),
-        _report(
-            "qn-jump-form-bound",
-            bool(ok2),
-            metrics={"max_fitted_C": ctx.nstr(cmax, 6), "bound": "0.5"},
-            grid={"v": ["0.05", "0.1", "0.2"], "n": [50, 100, 200]},
-        ),
-    ]
+    resid = {n: abs(ctx.mpf(qn_exact(n, Fraction(1))) - qn_at_one_asymptotic(n, ctx)) * n**3
+             for n in (50, 100, 150, 200)}
+    return (max(resid.values()) <= 2 * resid[50],
+            {str(n): ctx.nstr(r, 8) for n, r in resid.items()}, {"n": [50, 100, 150, 200]})
 
 
-def suite_integral_rep():
+@_check("qn-jump-form-bound")
+def check_qn_jump_form_bound():
+    """The jump-form difference is a fitted, n-stable multiple of |xi|^-n."""
+    ctx = PrecisionContext(40)
+    vs, ns = ("0.05", "0.1", "0.2"), (50, 100, 200)
+    cmax = max(chk.difference / chk.decay
+               for chk in (qn_jump_form_check(n, Fraction(v), ctx) for v in vs for n in ns))
+    return (cmax <= ctx.mpf("0.5"), {"max_fitted_C": ctx.nstr(cmax, 6), "bound": "0.5"},
+            {"v": list(vs), "n": list(ns)})
+
+
+@_check("integral-representation")
+def check_integral_representation(ns=(2, 4, 8)):
     ctx = context_for_order(8)
     m = ctx.mp
     tol = m.mpf(10) ** (-(ctx.digits // 2))
@@ -162,133 +144,94 @@ def suite_integral_rep():
         "exponential": (lambda t: m.exp(-t), get_pair("exponential").F),
         "ramp": (lambda t: t, get_pair("ramp").F),
     }
-    worst = m.mpf(0)
-    for f, F in cases.values():
-        for x in (1, 2):
-            for n in (2, 4, 8):
-                worst = max(worst, integral_representation_check(f, F, ctx.mpf(x), n, ctx))
-    return [
-        _report(
-            "integral-representation",
-            bool(worst <= tol),
-            metrics={"worst_discrepancy": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
-            grid={"f": list(cases), "x": [1, 2], "n": [2, 4, 8]},
-        )
-    ]
+    worst = max(integral_representation_check(f, F, ctx.mpf(x), n, ctx)
+                for f, F in cases.values() for x in (1, 2) for n in ns)
+    return (worst <= tol,
+            {"worst_discrepancy": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
+            {"f": list(cases), "x": [1, 2], "n": list(ns)})
 
 
-def suite_decay_bound():
+@_check("decay-bound")
+def check_decay_bound():
     ctx = PrecisionContext(25)
     fit = decay_bound_probe(ctx.mpf("0.1"), range(10, 41), ctx)
-    ok = fit.b > 1 and fit.residual <= ctx.mpf("0.05")
-    return [
-        _report(
-            "decay-bound",
-            bool(ok),
-            metrics={
-                "C": ctx.nstr(fit.C, 8),
-                "b": ctx.nstr(fit.b, 8),
-                "envelope_residual": ctx.nstr(fit.residual, 4),
-            },
-            grid={"epsilon": "0.1", "n": "10..40"},
-        )
-    ]
+    return (fit.b > 1 and fit.residual <= ctx.mpf("0.05"),
+            {"C": ctx.nstr(fit.C, 8), "b": ctx.nstr(fit.b, 8),
+             "envelope_residual": ctx.nstr(fit.residual, 4)},
+            {"epsilon": "0.1", "n": "10..40"})
 
 
-def suite_corpus():
-    reports = []
-    # constant exactness
-    ctx = context_for_order(10)
+@_check("constant-exactness")
+def check_constant_exactness(n_max=10, xs=("1",)):
+    """c/z inverts to c within the guard digits at orders 1..n_max."""
+    ctx = context_for_order(n_max)
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard))
+    worst = max(abs(stehfest_approx(lambda z, c=c: c / z, ctx.mpf(Fraction(x)), n, ctx) - c)
+                for c in (ctx.mpf(Fraction(s)) for s in ("1", "-3", "1/7"))
+                for x in xs for n in range(1, n_max + 1))
+    return (worst <= tol, {"worst_error": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
+            {"c": ["1", "-3", "1/7"], "x": list(xs), "n": f"1..{n_max}"})
+
+
+@_check("two-path-agreement")
+def check_two_path_agreement(ns=(2, 5, 8), xs=("1",)):
+    """The a_k summation and the Gaver-functional route agree on every pair."""
+    ctx = context_for_order(max(ns))
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard - 2))
+    pairs = corpus()
+    worst = max(abs(stehfest_approx(p.F, x, n, ctx) - stehfest_via_gaver(p.F, x, n, ctx))
+                for p in pairs for x in (ctx.mpf(Fraction(s)) for s in xs) for n in ns)
+    return (worst <= tol, {"worst_delta": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
+            {"pairs": [p.name for p in pairs], "n": list(ns), "x": list(xs)})
+
+
+@_check("smooth-convergence")
+def check_smooth_convergence():
+    ctx = context_for_order(14)
+    rep = run_pair(get_pair("exponential"), 1, 14, ctx)
+    e4, e14 = rep.entries[3].abs_error, rep.entries[13].abs_error
+    return (e14 <= ctx.mpf("1e-6") and e4 >= 10**4 * e14,
+            {"error_n4": ctx.nstr(e4, 6), "error_n14": ctx.nstr(e14, 6)},
+            {"pair": "exponential", "x": "1"})
+
+
+@_check("jump-midpoint")
+def check_jump_midpoint():
+    ctx = context_for_order(18)
+    rep = run_pair(get_pair("step"), 1, 18, ctx)
+    e6, e18 = rep.entries[5].abs_error, rep.entries[17].abs_error
+    return (e18 < ctx.mpf("0.05") and e18 < e6,
+            {"error_n6": ctx.nstr(e6, 6), "error_n18": ctx.nstr(e18, 6)},
+            {"pair": "step", "x": "1"})
+
+
+@_check("equivalence-probe")
+def check_equivalence_probe():
+    """At the step's own midpoint the probe falls (non-strictly) below the floor."""
+    ctx = PrecisionContext(30)
     m = ctx.mp
-    tol = m.mpf(10) ** (-(ctx.digits - ctx.guard))
-    worst = m.mpf(0)
-    for c in (m.mpf(1), m.mpf(-3), m.mpf(1) / 7):
-        F = lambda z, c=c: c / z
-        for n in range(1, 11):
-            worst = max(worst, abs(stehfest_approx(F, m.mpf(1), n, ctx) - c))
-    reports.append(
-        _report(
-            "constant-exactness",
-            bool(worst <= tol),
-            metrics={"worst_error": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
-            grid={"c": ["1", "-3", "1/7"], "x": ["1"], "n": "1..10"},
-        )
-    )
-    # two-path agreement
-    ctx8 = context_for_order(8)
-    m8 = ctx8.mp
-    tol2 = m8.mpf(10) ** (-(ctx8.digits - ctx8.guard - 2))
-    worst2 = m8.mpf(0)
-    for pair in corpus():
-        for n in (2, 5, 8):
-            d = abs(
-                stehfest_approx(pair.F, m8.mpf(1), n, ctx8)
-                - stehfest_via_gaver(pair.F, m8.mpf(1), n, ctx8)
-            )
-            worst2 = max(worst2, d)
-    reports.append(
-        _report(
-            "two-path-agreement",
-            bool(worst2 <= tol2),
-            metrics={"worst_delta": ctx8.nstr(worst2, 6), "tolerance": ctx8.nstr(tol2, 3)},
-            grid={"pairs": [p.name for p in corpus()], "n": [2, 5, 8], "x": ["1"]},
-        )
-    )
-    # smooth convergence and jump midpoint
-    rep = run_pair(get_pair("exponential"), 1, 14)
-    ctx14 = context_for_order(14)
-    e4 = rep.entries[3].abs_error
-    e14 = rep.entries[13].abs_error
-    ok_smooth = e14 <= ctx14.mpf("1e-6") and e4 / e14 >= 10**4
-    reports.append(
-        _report(
-            "smooth-convergence",
-            bool(ok_smooth),
-            metrics={"error_n4": ctx14.nstr(e4, 6), "error_n14": ctx14.nstr(e14, 6)},
-            grid={"pair": "exponential", "x": "1"},
-        )
-    )
-    rep = run_pair(get_pair("step"), 1, 18)
-    e6 = rep.entries[5].abs_error
-    e18 = rep.entries[17].abs_error
-    ctx18 = context_for_order(18)
-    reports.append(
-        _report(
-            "jump-midpoint",
-            bool(e18 < ctx18.mpf("0.05") and e18 < e6),
-            metrics={"error_n6": ctx18.nstr(e6, 6), "error_n18": ctx18.nstr(e18, 6)},
-            grid={"pair": "step", "x": "1"},
-        )
-    )
-    # equivalence probe at the step jump
-    ctxp = PrecisionContext(30)
-    mp_ = ctxp.mp
-    step = get_pair("step")
-    vals = [
-        abs(equivalence_probe(step.f_ref, mp_.mpf(1), mp_.mpf(1) / 2, mp_.mpf("0.2"), n, ctxp))
-        for n in (20, 40, 80)
-    ]
-    floor = mp_.mpf(10) ** (-(ctxp.digits - ctxp.guard))
-    ok_probe = vals[2] <= max(vals[0], floor) and vals[2] <= floor * 10**6 + vals[0]
-    reports.append(
-        _report(
-            "equivalence-probe",
-            bool(ok_probe),
-            metrics={str(n): ctxp.nstr(v, 6) for n, v in zip((20, 40, 80), vals)},
-            grid={"pair": "step", "x": "1", "c": "1/2", "eps": "0.2"},
-        )
-    )
-    return reports
+    f = get_pair("step").f_ref
+    ns = (20, 40, 80)
+    vals = [abs(equivalence_probe(f, m.mpf(1), m.mpf(1) / 2, m.mpf("0.2"), n, ctx)) for n in ns]
+    floor = m.mpf(10) ** (-(ctx.digits - ctx.guard))
+    falls = all(b <= a + floor for a, b in zip(vals, vals[1:]))
+    return (falls and vals[-1] <= floor, {str(n): ctx.nstr(v, 6) for n, v in zip(ns, vals)},
+            {"pair": "step", "x": "1", "c": "1/2", "eps": "0.2"})
+
+
+def _suite(*checks):
+    return lambda: [check() for check in checks]
 
 
 SUITES = {
-    "vandermonde": suite_vandermonde,
-    "genfun": suite_genfun,
-    "lambertw": suite_lambertw,
-    "qn-asymptotics": suite_qn_asymptotics,
-    "integral-rep": suite_integral_rep,
-    "decay-bound": suite_decay_bound,
-    "corpus": suite_corpus,
+    "vandermonde": _suite(check_coefficient_identities),
+    "genfun": _suite(check_generating_function_identity),
+    "lambertw": _suite(check_lambertw_defining_identity, check_lambertw_branch_values),
+    "qn-asymptotics": _suite(check_qn_at_one_refined, check_qn_jump_form_bound),
+    "integral-rep": _suite(check_integral_representation),
+    "decay-bound": _suite(check_decay_bound),
+    "corpus": _suite(check_constant_exactness, check_two_path_agreement,
+                     check_smooth_convergence, check_jump_midpoint, check_equivalence_probe),
 }
 
 

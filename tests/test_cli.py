@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from gsinv import PrecisionError, ProbeError, QuadratureError, TransformEvaluationError
-from gsinv.cli import main
+from gsinv import (
+    DomainError,
+    PrecisionError,
+    ProbeError,
+    QuadratureError,
+    TransformEvaluationError,
+    corpus,
+)
+from gsinv.cli import BUILTIN_TRANSFORMS, main
+from conftest import FIXTURES
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +119,20 @@ def test_invert_low_digits_warns(capsys):
     assert "required_digits" in err
 
 
+def test_builtin_transforms_are_the_corpus_formulas(capsys):
+    assert sorted(BUILTIN_TRANSFORMS) == sorted(p.formula for p in corpus())
+    rc, _, err = run_cli(capsys, "invert", "--transform", "bogus", "--x", "1", "--n", "4")
+    assert rc == 2 and "1/(z(1+exp(-z)))" in err
+
+    def values(*source):
+        rc, out, _ = run_cli(capsys, "invert", *source, "--x", "0.5,2", "--n-max", "8",
+                             "--output", "json")
+        assert rc == 0
+        return [[e["value"] for e in r["entries"]] for r in json.loads(out)["reports"]]
+
+    assert values("--transform", "1/(z(1+exp(-z)))") == values("--pair", "square-wave")
+
+
 def test_corpus_manifest(capsys):
     rc, out, _ = run_cli(capsys, "corpus")
     assert rc == 0
@@ -163,6 +185,26 @@ def test_verify_all_suites(capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert len(doc["checks"]) >= 13
+    # pinned byte for byte: regenerate the fixture only for an intended report change
+    assert out == (FIXTURES / "verify_all.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "exc", [DomainError, QuadratureError, ProbeError, PrecisionError, TransformEvaluationError]
+)
+def test_verify_raising_check_is_a_failed_report(capsys, monkeypatch, exc):
+    import gsinv.verify as verify
+
+    def raising(*args):
+        raise exc("synthetic failure")
+
+    monkeypatch.setattr(verify, "decay_bound_probe", raising)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "decay-bound", "--suite", "genfun")
+    assert rc == 1
+    decay, genfun = json.loads(out)["checks"]
+    assert decay == {"check": "decay-bound", "status": "fail",
+                     "metrics": {"error": f"{exc.__name__}: synthetic failure"}, "grid": {}}
+    assert genfun["status"] == "pass"
 
 
 def test_verify_deterministic_output(capsys):

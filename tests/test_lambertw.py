@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from gsinv import (
+    BranchSeries,
     DomainError,
     PrecisionContext,
     branch_series,
@@ -16,6 +17,7 @@ from gsinv import (
     wew_residual,
     xi_alpha,
 )
+from gsinv import lambertw
 from gsinv.series import mul_trunc
 
 
@@ -59,6 +61,47 @@ def test_branch_series_eval(ctx30):
     assert abs(w * m.exp(w) - target) <= 10 * ctx30.eps
     with pytest.raises(DomainError):
         branch_series_eval(ctx30.mpf("1.3"), 40, series, ctx30)
+
+
+def test_branch_series_eval_bits_match_fraction_route(ctx30):
+    # branch_series_eval on any series, and the cached vector lambert_w0
+    # sums, give the bits of converting each mu_n on its own
+    m = ctx30.mp
+    N = int(1.6 * m.dps) + 12  # the lambert_w0 truncation
+    other = BranchSeries(tuple(Fraction((-1) ** k, k + 3) for k in range(N + 1)))
+    for series in (branch_series(N), other):
+        for p in (m.mpf("0.05"), m.mpc("0.1", "-0.2"), m.mpc(0, "0.3")):
+            acc, ppow = m.mpc(0), m.mpc(1)
+            for mu in series.mu:
+                acc += ctx30.mpf(mu) * ppow
+                ppow *= p
+            expected = (acc.real._mpf_, acc.imag._mpf_)
+            got = branch_series_eval(p, N, series, ctx30)
+            assert (got.real._mpf_, got.imag._mpf_) == expected
+            if series is not other:
+                got = lambertw._sum_series(m, m.mpc(p), lambertw._mu_vector(N, m.prec))
+                assert (got.real._mpf_, got.imag._mpf_) == expected
+
+
+def test_branch_region_w_converts_no_coefficient_when_warm(ctx30, monkeypatch):
+    m = ctx30.mp
+    z = -m.exp(-1) + m.mpf("0.001")  # |1 + e z| < 0.05: the branch-series region
+    expected = lambert_w0(z, ctx30)
+    conversions = []
+    plain_mpf = PrecisionContext.mpf
+
+    def counted_mpf(self, x):
+        if isinstance(x, Fraction):
+            conversions.append(x)
+        return plain_mpf(self, x)
+
+    def no_rounding(values, prec):
+        raise AssertionError("coefficients rounded again")
+
+    monkeypatch.setattr(PrecisionContext, "mpf", counted_mpf)
+    monkeypatch.setattr(lambertw, "mpf_tuples", no_rounding)
+    assert lambert_w0(z, ctx30) == expected
+    assert conversions == []
 
 
 def test_w_special_points(ctx30):

@@ -8,6 +8,7 @@ import pytest
 from gsinv import (
     DomainError,
     PrecisionContext,
+    ProbeError,
     QuadratureError,
     context_for_order,
     guard_for_order,
@@ -16,7 +17,7 @@ from gsinv import (
     required_digits,
 )
 from gsinv import numerics, qpoly
-from gsinv.numerics import horner_x, mpf_tuples
+from gsinv.numerics import fit_line, horner_x, mpf_tuples
 
 
 def test_required_digits_examples():
@@ -145,6 +146,32 @@ def test_quadrature_error_carries_estimates(ctx30):
         integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx30, max_level=1)
     assert err.value.last_estimates is not None
     assert len(err.value.last_estimates) == 2
+
+
+@pytest.mark.parametrize("kind", ["mpf", "float"])
+@pytest.mark.parametrize("a, b", [("-inf", "0"), ("nan", "1"), ("inf", "1"), ("0", "-inf"),
+                                  ("0", "nan")])
+def test_integrate_rejects_bad_limits_before_calling_f(ctx30, kind, a, b):
+    make = ctx30.mpf if kind == "mpf" else float
+
+    def f(u):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DomainError):
+        integrate(f, make(a), make(b), ctx30)
+
+
+def test_integrate_accepts_float_inf(ctx30):
+    m = ctx30.mp
+    assert integrate(lambda u: m.exp(-u), 0, float("inf"), ctx30) == \
+        integrate(lambda u: m.exp(-u), 0, m.inf, ctx30)
+
+
+def test_fit_line_recovers_a_line_and_rejects_no_spread(ctx30):
+    m = ctx30.mp
+    assert fit_line([1, 2, 3, 4], [m.mpf(3 + 2 * k) for k in (1, 2, 3, 4)], m) == (3, 2, 0)
+    with pytest.raises(ProbeError):
+        fit_line([2, 2, 2], [m.mpf(1), m.mpf(2), m.mpf(3)], m)
 
 
 def _clear_precision_caches():
