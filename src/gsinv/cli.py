@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .coeffs import coeffs_to_csv, coeffs_to_json
 from .errors import NUMERICAL_ERRORS
@@ -95,10 +96,13 @@ def _cmd_invert(args) -> int:
     if any(not x > 0 for x in xs):
         print("error: x values must be positive", file=sys.stderr)
         return 2
-    if args.n_max:
-        reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
-    else:
-        reports = [_invert_single(F, x, n_max, ref, ctx, flags) for x in xs]
+    with warnings.catch_warnings():
+        # _resolve_ctx has printed the low-digits warning; the library's copy repeats it
+        warnings.filterwarnings("ignore", r"digits=\d+ below required_digits", UserWarning)
+        if args.n_max:
+            reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
+        else:
+            reports = [_invert_single(F, x, n_max, ref, ctx, flags) for x in xs]
 
     if args.output == "csv":
         chunks = [r.to_csv(ctx) for r in reports]
@@ -201,7 +205,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (KeyError, ValueError, *NUMERICAL_ERRORS) as exc:
+    except (ValueError, *NUMERICAL_ERRORS) as exc:
         # exit code 1 is reserved for "a verification check failed"
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,24 @@ Algorithm selection per region:
 * ``|z| < 0.2/e``: Taylor series at 0 (geometric ratio <= 0.2),
 * ``|1 + e z| < 0.05``: square-root branch series at ``z = -1/e`` with
   exact rational coefficients extended by a recurrence,
-* otherwise: Halley iteration with a region-dependent seed.
+* otherwise: Halley iteration with a region-dependent seed: the
+  branch-point series to p^4 for ``|1 + e z| < 0.45`` and for the part of
+  ``|z| <= 1.2`` left of the branch point (off the cut), the Taylor sum
+  for ``|z| < 0.2/e``, ``z (1 - z)`` in the rest of ``|z| <= 1.2``, and
+  ``ln z - ln ln z`` (or the linearization at W(1) near z = 1) beyond.
+
+Every region finishes with Halley's iteration.  It runs on raw ``_mpc_``
+tuples through the libmpc calls the mpc operators make, so it skips the
+number objects but not one rounding: the bits are those of the plain mpc
+arithmetic.  What depends only on the precision (the branch point, the
+tolerances, the region radii and seed constants) is built once per
+binary precision, with the caller's context, and kept as raw tuples in a
+bounded cache.  The two stop tests ``|f| <= rtol`` and
+``|dw| <= 10**-dps (1 + |w|)`` are screened on exponents first: a nonzero
+finite part c of a raw number lies in ``[2**(exp+bc-1), 2**(exp+bc))``,
+so when those bounds alone show a test false, its ``hypot`` is skipped.
+A test the bounds cannot decide, or one on a zero, infinite or NaN
+value, is made exactly.
 """
 from __future__ import annotations
 
@@ -20,9 +37,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
+
+from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp,
+                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul)
 
 from .errors import DomainError
-from .numerics import PrecisionContext, mpf_tuples
+from .numerics import PrecisionContext, _BoundedCache, mpf_tuples
 
 __all__ = [
     "BranchSeries",
@@ -97,6 +118,8 @@ def _mu_vector(N: int, prec: int) -> tuple:
     return mpf_tuples(branch_series(N).mu, prec)
 
 
+_CZERO = (fzero, fzero)
+_FTWO = from_int(2)
 _SQRT2_MARGIN = 0.9  # stay inside the |p| < sqrt(2) convergence disk
 
 
@@ -129,14 +152,18 @@ def in_region_a(w, tol=0) -> bool:
     """Membership in the principal-branch range A.
 
     A = { x + iy : x > -y cot(y), -pi < y < pi }, with the y = 0 slice
-    meaning x > -1 (the limit of -y cot y).
+    meaning x > -1 (the limit of -y cot y).  The test runs in floats; its
+    slack beyond ``tol`` covers rounding x and y to floats; the error of y
+    is scaled by the boundary's slope ``y / sin(y)^2 - cot(y)``, so
+    a W on the boundary curve (the cut) tests inside.
     """
     x, y = float(w.real), float(w.imag)
     if not -math.pi < y < math.pi:
         return False
     if y == 0:
         return x > -1 - float(tol)
-    return x >= -y / math.tan(y) - float(tol) - 1e-15
+    y_slope = (y / math.sin(y)) ** 2 - y / math.tan(y)
+    return x >= -y / math.tan(y) - float(tol) - 1e-15 * (1 + abs(x) + abs(y_slope))
 
 
 def wew_residual(w, z, ctx: PrecisionContext):
@@ -145,34 +172,104 @@ def wew_residual(w, z, ctx: PrecisionContext):
     return abs(m.mpc(w) * m.exp(m.mpc(w)) - m.mpc(z))
 
 
-def _halley(m, z, w, rtol):
-    best_w, best_f = w, m.inf
+class _WConstants(NamedTuple):
+    """Raw ``_mpf_`` tuples of the quantities :func:`lambert_w0` needs at one precision."""
+
+    minus_inv_e: tuple  # -1/e, the branch point
+    e: tuple
+    rtol_scale: tuple  # 10**(-dps + 2)
+    rtol_factor: tuple  # 1e-4
+    step_tol: tuple  # 10**(-dps), Halley's relative step tolerance
+    taylor_tol: tuple  # 10**(-dps - 5), the Taylor tail cut-off
+    branch_radius: tuple  # |1 + e z| < 0.05: branch series
+    seed_radius: tuple  # |1 + e z| < 0.45: branch-point seed
+    taylor_radius: tuple  # |z| < 0.2/e: Taylor series
+    disk_radius: tuple  # |z| <= 1.2: seed z (1 - z)
+    omega_radius: tuple  # |ln z| < 0.2: linearization at W(1)
+    mu3: tuple  # 11/72
+    mu4: tuple  # 43/540
+    omega: tuple  # W(1)
+
+
+def _build_w_constants(m) -> _WConstants:
+    e = m.e
+    return _WConstants(*(x._mpf_ for x in (
+        -m.exp(-1), e, m.mpf(10) ** (-m.dps + 2), m.mpf("1e-4"), m.mpf(10) ** (-m.dps),
+        m.mpf(10) ** (-m.dps - 5), m.mpf("0.05"), m.mpf("0.45"), m.mpf("0.2") / e,
+        m.mpf("1.2"), m.mpf("0.2"), m.mpf(11) / 72, m.mpf(43) / 540,
+        m.mpf("0.5671432904097838729999686622103555497538"),
+    )))
+
+
+# keyed by m.prec alone: mpmath derives m.dps from m.prec
+_W_CONSTANTS = _BoundedCache(64)
+
+
+def _top(v):
+    """``exp + bc`` of the larger part of the raw mpc ``v``.
+
+    A nonzero finite part c has ``2**(top - 1) <= |c| < 2**top``.  None
+    when a part is inf or nan or both parts are zero.
+    """
+    re, im = v
+    if re[1]:
+        if im[1]:
+            return max(re[2] + re[3], im[2] + im[3])
+        return re[2] + re[3] if im == fzero else None
+    if im[1] and re == fzero:
+        return im[2] + im[3]
+    return None
+
+
+def _halley(z, w, rtol, step_tol, prec, rnd):
+    """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
+
+    Each step makes the libmpc calls the mpc operators of
+    ``w * e^w - z`` and ``ew (w+1) - (w+2) f / (2 (w+1))`` make, in the
+    same order and rounding, so the bits are those of the mpc arithmetic.
+    The stop tests ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are
+    first screened on exponents (see :func:`_top`): when the bounds alone
+    show a test false, its ``hypot`` is skipped.  After 100 steps the
+    stored residuals are replayed with strict ``<``, which returns the
+    first w of least residual, as tracking it on every step would.
+    """
+    f_screen = rtol[2] + rtol[3] + 2  # _top(f) >= f_screen: |f| >= 2**(f_screen - 1) > rtol
+    step_screen = step_tol[2] + step_tol[3] + 3
+    steps = []
     for _ in range(100):
-        ew = m.exp(w)
-        f = w * ew - z
-        af = abs(f)
-        if af < best_f:
-            best_w, best_f = w, af
-        if af <= rtol:
+        ew = mpc_exp(w, prec, rnd)
+        f = mpc_sub(mpc_mul(w, ew, prec, rnd), z, prec, rnd)
+        steps.append((w, f))
+        top_f = _top(f)
+        if (top_f is None or top_f < f_screen) and mpf_le(mpc_abs(f, prec, rnd), rtol):
             return w
-        w1 = w + 1
-        if w1 == 0:
+        w1 = mpc_add_mpf(w, fone, prec, rnd)
+        if w1 == _CZERO:
             return w  # branch point: iteration map is singular there
-        denom = ew * w1 - (w + 2) * f / (2 * w1)
-        if denom == 0:
-            denom = ew * w1
-        dw = f / denom
-        w = w - dw
-        if abs(dw) <= m.mpf(10) ** (-m.dps) * (1 + abs(w)):
-            return w
+        ew_w1 = mpc_mul(ew, w1, prec, rnd)
+        denom = mpc_sub(ew_w1, mpc_div(mpc_mul(mpc_add_mpf(w, _FTWO, prec, rnd), f, prec, rnd),
+                                       mpc_mul_int(w1, 2, prec, rnd), prec, rnd), prec, rnd)
+        if denom == _CZERO:
+            denom = ew_w1
+        dw = mpc_div(f, denom, prec, rnd)
+        w = mpc_sub(w, dw, prec, rnd)
+        top_dw, top_w = _top(dw), _top(w)
+        if top_dw is None or top_w is None or top_dw < step_screen + max(top_w + 1, 0):
+            bound = mpf_mul(step_tol, mpf_add(mpc_abs(w, prec, rnd), fone, prec, rnd), prec, rnd)
+            if mpf_le(mpc_abs(dw, prec, rnd), bound):
+                return w
+    best_w, best_f = steps[0][0], finf
+    for w, f in steps:
+        af = mpc_abs(f, prec, rnd)
+        if mpf_lt(af, best_f):
+            best_w, best_f = w, af
     return best_w
 
 
-def _taylor_w(m, z, dps):
+def _taylor_w(m, z, tol):
     # W(z) = sum (-n)^(n-1) z^n / n!; term ratio -((n+1)/n)^(n-1) * z
     acc = m.mpc(0)
     term = m.mpc(z)
-    tol = m.mpf(10) ** (-dps - 5)
     n = 1
     while abs(term) > tol:
         acc += term
@@ -206,41 +303,49 @@ def lambert_w0(z, ctx: PrecisionContext):
     z = m.mpc(z)
     if not m.isfinite(z):
         raise DomainError(f"lambert_w0 needs a finite argument, got {z}")
-    if z == 0:
+    zr, zi = zc = z._mpc_
+    if zc == _CZERO:
         return m.mpc(0)
-    if z.imag < 0:
+    if mpf_lt(zi, fzero):
         return m.conj(lambert_w0(m.conj(z), ctx))
 
-    on_cut = z.imag == 0 and z.real < -m.exp(-1)
-    rtol = m.mpf(10) ** (-m.dps + 2) * max(m.mpf(1), abs(z)) * m.mpf("1e-4")
-    ez1 = 1 + m.e * z
+    K = _W_CONSTANTS.get(m.prec, lambda: _build_w_constants(m))
+    prec, rnd = m._prec_rounding
+    on_cut = zi == fzero and mpf_lt(zr, K.minus_inv_e)
+    az = mpc_abs(zc, prec, rnd)
+    rtol = mpf_mul(mpf_mul(K.rtol_scale, az if mpf_gt(az, fone) else fone, prec, rnd),
+                   K.rtol_factor, prec, rnd)
+    ez1 = 1 + m.make_mpf(K.e) * z
+    aez1 = mpc_abs(ez1._mpc_, prec, rnd)
+    in_disk = mpf_le(az, K.disk_radius) and not on_cut
 
-    if abs(ez1) < m.mpf("0.05"):
+    if mpf_lt(aez1, K.branch_radius):
         p = m.sqrt(2 * ez1)  # principal root: Im p >= 0 on the cut side
         if p == 0:
             return m.mpc(-1)
         N = int(1.6 * m.dps) + 12
-        w = _sum_series(m, p, _mu_vector(N, m.prec))  # |p| < 0.32 is inside the disk
-        w = _halley(m, z, w, rtol)
-    elif abs(ez1) < m.mpf("0.45"):
+        w = _sum_series(m, p, _mu_vector(N, prec))  # |p| < 0.32 is inside the disk
+    elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
+        # left of the branch point the seed z (1 - z) can lead Halley to
+        # another branch, or next to the cut to no root at all
         p = m.sqrt(2 * ez1)
-        seed = -1 + p - p**2 / 3 + m.mpf(11) / 72 * p**3 - m.mpf(43) / 540 * p**4
-        w = _halley(m, z, seed, rtol)
-    elif abs(z) < m.mpf("0.2") / m.e:
-        w = _halley(m, z, _taylor_w(m, z, m.dps), rtol)
-    elif abs(z) <= m.mpf("1.2") and not on_cut:
-        w = _halley(m, z, z * (1 - z), rtol)
+        mk = m.make_mpf
+        w = -1 + p - p**2 / 3 + mk(K.mu3) * p**3 - mk(K.mu4) * p**4
+    elif mpf_lt(az, K.taylor_radius):
+        w = _taylor_w(m, z, m.make_mpf(K.taylor_tol))
+    elif in_disk:
+        w = z * (1 - z)
     else:
         lz = m.ln(z)  # principal log; Im = pi on the cut
-        if abs(lz) < m.mpf("0.2"):
+        if mpf_lt(mpc_abs(lz._mpc_, prec, rnd), K.omega_radius):
             # near z = 1 the log seed degenerates; linearize at W(1)
-            omega = m.mpf("0.5671432904097838729999686622103555497538")
-            seed = omega + (z - 1) * omega / (1 + omega)
+            omega = m.make_mpf(K.omega)
+            w = omega + (z - 1) * omega / (1 + omega)
         else:
-            seed = lz - m.ln(lz)
-        if on_cut and seed.imag < 0:
-            seed = m.conj(seed)
-        w = _halley(m, z, seed, rtol)
+            w = lz - m.ln(lz)
+        if on_cut and w.imag < 0:
+            w = m.conj(w)
+    w = m.make_mpc(_halley(zc, w._mpc_, rtol, K.step_tol, prec, rnd))
 
     if on_cut and w.imag < 0:
         w = m.conj(w)

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .coeffs import coeffs_from_weights, gaver_stehfest_coeffs, stehfest_weights, vandermonde_check
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, DomainError
 from .inverter import equivalence_probe, stehfest_approx, stehfest_via_gaver
 from .lambertw import in_region_a, lambert_w0, wew_residual, xi_alpha
 from .numerics import PrecisionContext, context_for_order
@@ -236,12 +236,21 @@ SUITES = {
 
 
 def run_suites(names) -> tuple[list[dict], bool]:
-    """Run the named suites (or all); returns (reports, all_passed)."""
-    if names in (None, "all", ["all"]):
-        names = list(SUITES)
-    reports = []
-    for name in names:
+    """Run the named suites; returns (reports, all_passed).
+
+    ``"all"`` (or ``None``) stands for every suite, wherever it appears in
+    ``names``; each suite runs at most once, in order of first appearance.
+
+    Raises
+    ------
+    DomainError
+        If a name is not a suite, before any suite runs.
+    """
+    if names is None or isinstance(names, str):
+        names = [names or "all"]
+    expanded = [suite for name in names for suite in (SUITES if name == "all" else (name,))]
+    for name in expanded:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        reports.extend(SUITES[name]())
+            raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    reports = [report for name in dict.fromkeys(expanded) for report in SUITES[name]()]
     return reports, all(r["status"] == "pass" for r in reports)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -119,6 +120,19 @@ def test_invert_low_digits_warns(capsys):
     assert "required_digits" in err
 
 
+@pytest.mark.parametrize("order", [("--n", "16"), ("--n-max", "10")])
+def test_invert_low_digits_prints_only_the_cli_warning(capsys, order):
+    flag, n = order
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "invert", "--pair", "exponential", "--x", "1",
+                               flag, n, "--digits", "20")
+    assert rc == 0 and out.startswith("x = 1.0 (digits=20)")
+    need = {"16": 46, "10": 32}[n]
+    assert err == f"warning: digits=20 below required_digits({n})={need}; cancellation will dominate\n"
+    assert caught == []
+
+
 def test_builtin_transforms_are_the_corpus_formulas(capsys):
     assert sorted(BUILTIN_TRANSFORMS) == sorted(p.formula for p in corpus())
     rc, _, err = run_cli(capsys, "invert", "--transform", "bogus", "--x", "1", "--n", "4")
@@ -150,9 +164,30 @@ def test_verify_single_suite(capsys):
     assert "metrics" in doc["checks"][0] and "grid" in doc["checks"][0]
 
 
-def test_verify_unknown_suite(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--suite", "nope")
-    assert rc == 2
+def test_verify_unknown_suite(capsys, monkeypatch):
+    import gsinv.verify as verify
+
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "genfun", lambda: ran.append("genfun") or [])
+    rc, out, err = run_cli(capsys, "verify", "--suite", "genfun", "--suite", "nope")
+    assert rc == 2 and out == "" and ran == []  # rejected before any suite runs
+    assert err.startswith("error: unknown suite 'nope'; choose from [")
+
+
+def test_run_suites_expands_all_once_in_order(monkeypatch):
+    import gsinv.verify as verify
+
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name: ran.append(name) or [])
+    for names in (["genfun", "all", "genfun"], ["genfun", "genfun", "all"]):
+        ran.clear()
+        verify.run_suites(names)
+        assert ran == ["genfun"] + [n for n in verify.SUITES if n != "genfun"]
+    for names in (None, "all", ["all"], ["all", "lambertw", "all"]):
+        ran.clear()
+        verify.run_suites(names)
+        assert ran == list(verify.SUITES)
 
 
 def test_verify_failed_check_exits_1(capsys, monkeypatch):
@@ -186,6 +221,14 @@ def test_verify_all_suites(capsys):
     assert doc["all_passed"] is True
     assert len(doc["checks"]) >= 13
     # pinned byte for byte: regenerate the fixture only for an intended report change
+    assert out == (FIXTURES / "verify_all.json").read_text()
+
+
+@pytest.mark.slow
+def test_verify_all_mixed_with_a_suite_equals_all(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "all", "--suite", "genfun",
+                         "--suite", "all")
+    assert rc == 0
     assert out == (FIXTURES / "verify_all.json").read_text()
 
 

@@ -4,6 +4,8 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsinv import (
     BranchSeries,
@@ -19,6 +21,7 @@ from gsinv import (
 )
 from gsinv import lambertw
 from gsinv.series import mul_trunc
+from conftest import load_fixture
 
 
 def test_branch_series_leading_coefficients():
@@ -102,6 +105,128 @@ def test_branch_region_w_converts_no_coefficient_when_warm(ctx30, monkeypatch):
     monkeypatch.setattr(lambertw, "mpf_tuples", no_rounding)
     assert lambert_w0(z, ctx30) == expected
     assert conversions == []
+
+
+def _w_bits(w):
+    return (w.real._mpf_, w.imag._mpf_)
+
+
+def test_w_bits_match_pinned_fixture():
+    # tools/make_lambertw_bits.py: every region at 15, 30 and 60 digits
+    doc = load_fixture("lambertw_bits.json")
+    for digits, rows in doc["bits"].items():
+        ctx = PrecisionContext(int(digits))
+        for (region, re, im), row in zip(doc["points"], rows):
+            expected = tuple((s, int(man, 16), e, bc) for s, man, e, bc in row)
+            assert _w_bits(lambert_w0(ctx.mpc(re, im), ctx)) == expected, (digits, region, re, im)
+
+
+def test_warm_w_builds_no_constants(monkeypatch):
+    # the constants are keyed by precision: a second context of the same
+    # digits reads what the first one built
+    zs = ("0.03", "-0.3668794411714423", "-0.33", "0.5", "5", "1.21", "-3", "2-5j")
+    first, second = PrecisionContext(37), PrecisionContext(37)
+    expected = [_w_bits(lambert_w0(first.mp.mpc(complex(z)), first)) for z in zs]
+
+    def no_build(m):
+        raise AssertionError("W constants built again")
+
+    monkeypatch.setattr(lambertw, "_build_w_constants", no_build)
+    for ctx in (first, second):
+        assert [_w_bits(lambert_w0(ctx.mp.mpc(complex(z)), ctx)) for z in zs] == expected
+
+
+def _halley_on_numbers(m, z, w, rtol, step_tol):
+    # Halley's iteration in plain mpc arithmetic, tracking the best residual
+    best_w, best_f = w, m.inf
+    for _ in range(100):
+        ew = m.exp(w)
+        f = w * ew - z
+        af = abs(f)
+        if af < best_f:
+            best_w, best_f = w, af
+        if af <= rtol:
+            return w, False
+        w1 = w + 1
+        if w1 == 0:
+            return w, False
+        denom = ew * w1 - (w + 2) * f / (2 * w1)
+        if denom == 0:
+            denom = ew * w1
+        dw = f / denom
+        w = w - dw
+        if abs(dw) <= step_tol * (1 + abs(w)):
+            return w, False
+    return best_w, True
+
+
+def test_halley_on_tuples_matches_mpc_arithmetic():
+    # the exponent screens and the replayed fallback change no bit; zero
+    # tolerances run the full 100 steps, so the fallback is exercised
+    ctx = PrecisionContext(20)
+    m = ctx.mp
+    fallbacks = 0
+    for zs in ("0.5", "3+2j", "-2", "-0.3+0.1j", "100", "-1e3-1e-20j"):
+        z = m.mpc(complex(zs))
+        w0 = z * (1 - z) if abs(z) < 1 else m.ln(z)
+        for rtol, step_tol in ((m.mpf("1e-20"), m.mpf(10) ** -m.dps), (m.mpf(0), m.mpf(0))):
+            expected, fell_back = _halley_on_numbers(m, z, w0, rtol, step_tol)
+            got = lambertw._halley(z._mpc_, w0._mpc_, rtol._mpf_, step_tol._mpf_,
+                                   *m._prec_rounding)
+            assert got == expected._mpc_, (zs, rtol)
+            fallbacks += fell_back
+    assert fallbacks >= 2
+
+
+_CTX = {d: PrecisionContext(d) for d in (15, 20, 30)}
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# derandomized: every run draws the same examples, so tier-1 stays deterministic
+_properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_properties
+@given(st.sampled_from(sorted(_CTX)), _finite, _finite)
+def test_w_conjugate_symmetry_is_bitwise_off_the_cut(digits, re, im):
+    ctx = _CTX[digits]
+    m = ctx.mp
+    z = ctx.mpc(re, im)
+    if z.imag == 0 and z.real <= -m.exp(-1):
+        return  # the cut carries the upper boundary value instead
+    assert _w_bits(lambert_w0(m.conj(z), ctx)) == _w_bits(m.conj(lambert_w0(z, ctx)))
+
+
+@_properties
+@given(st.sampled_from(sorted(_CTX)), _finite, _finite)
+def test_w_meets_documented_residual_bound_in_region_a(digits, re, im):
+    ctx = _CTX[digits]
+    m = ctx.mp
+    z = ctx.mpc(re, im)
+    w = lambert_w0(z, ctx)
+    tol = m.mpf(10) ** (-ctx.digits + ctx.guard)
+    assert wew_residual(w, z, ctx) <= max(abs(z), 1) * tol
+    assert in_region_a(w, tol=tol)
+
+
+@_properties
+@given(st.sampled_from([float("inf"), float("-inf"), float("nan")]), _finite, st.booleans())
+def test_w_rejects_non_finite_parts(bad, other, bad_is_real):
+    ctx = _CTX[15]
+    z = ctx.mp.mpc(bad, other) if bad_is_real else ctx.mp.mpc(other, bad)
+    with pytest.raises(DomainError):
+        lambert_w0(z, ctx)
+
+
+def test_w_left_of_branch_point_next_to_cut_is_principal(ctx30):
+    # |z| <= 1.2 and Re z < -1/e, next to the cut: where the seed z (1 - z)
+    # reaches another branch or no root, the branch-point seed is used
+    m = ctx30.mp
+    tol = m.mpf(10) ** (-(ctx30.digits - 5))
+    with mpmath.mp.workdps(ctx30.dps):
+        for re, im in (("-1", "1e-30"), ("-1.09375", "0.0078125"), ("-0.7", "1e-100"),
+                       ("-1.2", "1e-6"), ("-0.55", "0.05"), ("-0.9", "-1e-12")):
+            z = ctx30.mpc(re, im)
+            w = lambert_w0(z, ctx30)
+            assert abs(w - mpmath.lambertw(mpmath.mpc(z))) <= tol, (re, im)
 
 
 def test_w_special_points(ctx30):

@@ -13,10 +13,11 @@ from gsinv import (
     context_for_order,
     guard_for_order,
     integrate,
+    lambert_w0,
     qn_eval,
     required_digits,
 )
-from gsinv import numerics, qpoly
+from gsinv import lambertw, numerics, qpoly
 from gsinv.numerics import fit_line, horner_x, mpf_tuples
 
 
@@ -178,6 +179,9 @@ def _clear_precision_caches():
     numerics._NODE_TABLES.cache_clear()
     qpoly._qn_vector.cache_clear()
     qpoly._boosted.cache_clear()
+    qpoly._h_laurent.cache_clear()
+    lambertw._W_CONSTANTS.cache_clear()
+    lambertw._mu_vector.cache_clear()
 
 
 def _bits(x):
@@ -262,6 +266,16 @@ def _mixed_jobs(ctx):
     ]
 
 
+def _run_threaded(jobs, repeat=2):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force thread switches inside the cache fills
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            return list(pool.map(lambda job: job(), jobs * repeat, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_thread_safety_of_precision_caches():
     # the node tables, q_n vectors and boosted contexts are process-wide;
     # threads racing to fill them cold must reproduce the serial bits
@@ -270,11 +284,28 @@ def test_thread_safety_of_precision_caches():
     _clear_precision_caches()
     serial = [_bits(job()) for job in jobs]
     _clear_precision_caches()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force thread switches inside the cache fills
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = [_bits(v) for v in pool.map(lambda job: job(), jobs * 2, timeout=120)]
-    finally:
-        sys.setswitchinterval(interval)
+    threaded = [_bits(v) for v in _run_threaded(jobs)]
     assert threaded == serial * 2
+
+
+def test_thread_safety_of_special_function_paths():
+    # the W constants and branch-series vectors are process-wide, and
+    # g_value near -1/e reaches ellipk, ellipe and W (through _htilde) in
+    # boosted contexts that every thread shares
+    def w_jobs(ctx):
+        zs = ("0.03+0.02j", "-0.3668794411714423", "-0.33+0.01j", "0.5-0.5j", "5+3j", "-3")
+        return [lambda z=z: lambert_w0(ctx.mp.mpc(complex(z)), ctx) for z in zs]
+
+    g_ctx = PrecisionContext(20)
+    g_job = lambda: qpoly.g_value(-1 / g_ctx.mp.e + g_ctx.mpf("1e-4"), g_ctx)
+    per_ctx = [w_jobs(PrecisionContext(d)) for d in (20, 30, 45)]
+    jobs = [job for group in zip(*per_ctx) for job in group]
+    jobs.insert(len(jobs) // 2, g_job)
+
+    def bits(v):
+        return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+    _clear_precision_caches()
+    serial = [bits(job()) for job in jobs]
+    _clear_precision_caches()
+    assert [bits(v) for v in _run_threaded(jobs)] == serial * 2
