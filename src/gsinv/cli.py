@@ -64,7 +64,10 @@ def _invert_single(F, x, n, ref, ctx, flags) -> InversionReport:
 
 
 def _cmd_invert(args) -> int:
-    n_max = args.n_max or args.n
+    if args.n is not None and args.n_max is not None:
+        print("error: give one of --n / --n-max, not both", file=sys.stderr)
+        return 2
+    n_max = args.n if args.n_max is None else args.n_max
     if n_max is None:
         print("error: one of --n / --n-max is required", file=sys.stderr)
         return 2
@@ -137,6 +140,9 @@ def _cmd_verify(args) -> int:
 def _cmd_weval(args) -> int:
     ctx = PrecisionContext(max(int(args.digits), 15))
     parts = args.z.split(",")
+    if len(parts) > 2:
+        print(f"error: --z takes 're' or 're,im', got {args.z!r}", file=sys.stderr)
+        return 2
     z = ctx.mpc(parts[0], parts[1] if len(parts) > 1 else 0)
     if z.imag == 0:
         z = ctx.mpf(parts[0])

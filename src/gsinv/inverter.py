@@ -126,8 +126,8 @@ class _AbscissaCache:
 
 def _check_point(x, ctx):
     x = ctx.mpf(x)
-    if not x > 0:
-        raise DomainError(f"evaluation point must be > 0, got {x}")
+    if not (x > 0 and ctx.mp.isfinite(x)):
+        raise DomainError(f"evaluation point must be finite and > 0, got x = {x}")
     return x
 
 

@@ -40,9 +40,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp,
-                          mpc_mul, mpc_mul_int, mpc_sub, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul)
+                          mpc_mul, mpc_mul_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_le,
+                          mpf_lt, mpf_mul, to_str)
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .numerics import PrecisionContext, _BoundedCache, mpf_tuples
 
 __all__ = [
@@ -221,7 +222,7 @@ def _top(v):
     return None
 
 
-def _halley(z, w, rtol, step_tol, prec, rnd):
+def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
     """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
 
     Each step makes the libmpc calls the mpc operators of
@@ -232,6 +233,10 @@ def _halley(z, w, rtol, step_tol, prec, rnd):
     show a test false, its ``hypot`` is skipped.  After 100 steps the
     stored residuals are replayed with strict ``<``, which returns the
     first w of least residual, as tracking it on every step would.
+
+    ``max_residual()`` is called only on that fallback and returns the
+    raw bound the best ``|f|`` must meet; a w that misses it raises
+    :class:`PrecisionError` instead of being returned.
     """
     f_screen = rtol[2] + rtol[3] + 2  # _top(f) >= f_screen: |f| >= 2**(f_screen - 1) > rtol
     step_screen = step_tol[2] + step_tol[3] + 3
@@ -263,6 +268,12 @@ def _halley(z, w, rtol, step_tol, prec, rnd):
         af = mpc_abs(f, prec, rnd)
         if mpf_lt(af, best_f):
             best_w, best_f = w, af
+    bound = max_residual()
+    if not mpf_le(best_f, bound):
+        raise PrecisionError(
+            f"Halley's iteration for W({mpc_to_str(z, 10)}) did not converge: best "
+            f"residual {to_str(best_f, 6)} exceeds {to_str(bound, 3)}"
+        )
     return best_w
 
 
@@ -298,6 +309,8 @@ def lambert_w0(z, ctx: PrecisionContext):
     ------
     DomainError
         If ``z`` is infinite or NaN.
+    PrecisionError
+        If Halley's iteration ends without a ``w`` meeting that bound.
     """
     m = ctx.mp
     z = m.mpc(z)
@@ -313,8 +326,8 @@ def lambert_w0(z, ctx: PrecisionContext):
     prec, rnd = m._prec_rounding
     on_cut = zi == fzero and mpf_lt(zr, K.minus_inv_e)
     az = mpc_abs(zc, prec, rnd)
-    rtol = mpf_mul(mpf_mul(K.rtol_scale, az if mpf_gt(az, fone) else fone, prec, rnd),
-                   K.rtol_factor, prec, rnd)
+    scale = az if mpf_gt(az, fone) else fone  # max(|z|, 1)
+    rtol = mpf_mul(mpf_mul(K.rtol_scale, scale, prec, rnd), K.rtol_factor, prec, rnd)
     ez1 = 1 + m.make_mpf(K.e) * z
     aez1 = mpc_abs(ez1._mpc_, prec, rnd)
     in_disk = mpf_le(az, K.disk_radius) and not on_cut
@@ -345,7 +358,11 @@ def lambert_w0(z, ctx: PrecisionContext):
             w = lz - m.ln(lz)
         if on_cut and w.imag < 0:
             w = m.conj(w)
-    w = m.make_mpc(_halley(zc, w._mpc_, rtol, K.step_tol, prec, rnd))
+
+    def max_residual():  # the documented max(|z|, 1) 10**(-digits + guard)
+        return mpf_mul(scale, (m.mpf(10) ** (ctx.guard - ctx.digits))._mpf_, prec, rnd)
+
+    w = m.make_mpc(_halley(zc, w._mpc_, rtol, K.step_tol, prec, rnd, max_residual))
 
     if on_cut and w.imag < 0:
         w = m.conj(w)

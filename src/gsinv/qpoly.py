@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import PrecisionContext, fit_line, horner_x, integrate, mpf_tuples
+from .numerics import PrecisionContext, _BoundedCache, fit_line, horner_x, integrate, mpf_tuples
 
 __all__ = [
     "PolyQ",
@@ -119,6 +121,17 @@ def _boosted(digits: int, guard: int) -> PrecisionContext:
     return PrecisionContext(digits, guard)
 
 
+@lru_cache(maxsize=None)
+def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
+    """Numerators N_1..N_n of the q_n coefficients over their common denominator D.
+
+    D is returned as an exact raw ``_mpf_`` tuple, ready for ``mpf_div``.
+    """
+    coeffs = qn_coeffs(n).coeffs
+    D = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), from_int(D)
+
+
 @lru_cache(maxsize=256)
 def _qn_vector(n: int, prec: int) -> tuple:
     """Raw ``_mpf_`` tuples of the q_n coefficients at ``prec`` bits.
@@ -131,18 +144,42 @@ def _qn_vector(n: int, prec: int) -> tuple:
 
 
 def qn_eval(n: int, v, ctx: PrecisionContext):
-    """Evaluate q_n(v) for v in [0, 1] at working precision.
+    """Evaluate q_n(v) at working precision, rounded once.
 
-    Rational ``v`` routes through exact arithmetic.  Floating ``v`` uses
-    Horner at an internally boosted precision: the alternating terms peak
-    near e^n, so about 0.44 n extra digits are consumed by cancellation.
+    Rational ``v`` routes through exact rational arithmetic.  Floating
+    ``v`` (an mpf of any context, or anything ``ctx.mpf`` converts) is a
+    dyadic M 2^-s, so Horner runs exactly in integers over the cached
+    numerators N_k and common denominator D of the coefficients:
+    ``sum N_k M^k 2^(s(n-k))`` is divided by ``D 2^(sn)`` in one correctly
+    rounded division.  The alternating terms peak near e^n while q_n may
+    be near e^-n; the exact route loses nothing to that cancellation,
+    where a floating Horner has to guess how many digits it will lose
+    (the former 0.44 n boost fell short from about n = 120).
+
+    Raises
+    ------
+    DomainError
+        If ``v`` is infinite or NaN.
     """
     if isinstance(v, (Fraction, int)):
         return ctx.mpf(qn_exact(n, Fraction(v)))
-    boost = (45 * n + 99) // 100 + 10 if n > 1 else 0
-    work = _boosted(ctx.digits + boost, ctx.guard)
-    m = work.mp
-    return ctx.mpf(horner_x(_qn_vector(n, m.prec), m.mpf(v), m))
+    m = ctx.mp
+    sign, man, exp, _ = raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
+    if not man:
+        if raw != fzero:
+            raise DomainError(f"qn_eval needs a finite v, got {ctx.nstr(m.make_mpf(raw))}")
+        return m.mpf(0)
+    numerators, D = _qn_integer_form(n)
+    M = -man if sign else man
+    s = -exp
+    if s < 0:
+        M, s = M << exp, 0
+    acc = shift = 0
+    for c in reversed(numerators):  # N_k is scaled by 2^(s(n-k))
+        acc = acc * M + (c << shift)
+        shift += s
+    acc *= M
+    return m.make_mpf(mpf_div(from_man_exp(acc, -s * n), D, m.prec, round_nearest))
 
 
 # ---------------------------------------------------------------------
@@ -439,11 +476,11 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int 
     if len(ns) < 4:
         raise ProbeError("need at least 4 orders to fit the decay bound")
     hi = 1 - eps
+    vs = [hi * m.mpf(i) / grid_points for i in range(1, grid_points + 1)]
     ratios = []
     for n in ns:
         best = m.mpf(0)
-        for i in range(1, grid_points + 1):
-            v = hi * m.mpf(i) / grid_points
+        for v in vs:
             r = abs(qn_eval(n, v, ctx)) / v
             if r > best:
                 best = r
@@ -466,6 +503,13 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int 
     )
 
 
+# (n, prec) -> {u._mpf_: q_n(4 e^-u (1 - e^-u))._mpf_}; the quadrature
+# nodes u are fixed by the binary precision, so every (f, x) of one
+# order and precision reads the same entries.  Threads that miss the
+# same node both compute it and store equal bits.
+_KERNEL_TABLES = _BoundedCache(maxsize=32)
+
+
 def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     """|integral form of f_n(x) - summation form of f_n(x)|.
 
@@ -474,15 +518,28 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     :func:`stehfest_approx` applied to the exact transform ``F`` of ``f``.
     Both sides are computed independently, so the discrepancy bounds the
     combined quadrature and evaluation error.
+
+    The kernel factor depends only on (n, precision, u), and the
+    quadrature nodes u only on the precision, so it is kept per
+    ``(n, prec)`` as raw tuples keyed by ``u`` and computed once per node.
+    A miss computes it as the integrand always has, by ``exp`` and
+    :func:`~gsinv.numerics.horner_x` at working precision rather than
+    by the exact :func:`qn_eval`: the reported discrepancy sits at the
+    noise level, so a changed last bit of the kernel would change it.
     """
     m = ctx.mp
     x = ctx.mpf(x)
     ln2 = m.ln(2)
     coeffs = _qn_vector(n, m.prec)
+    table = _KERNEL_TABLES.get((n, m.prec), dict)
+    make = m.make_mpf
 
     def integrand(u):
-        eu = m.exp(-u)
-        return horner_x(coeffs, 4 * eu * (1 - eu), m) * f(x * u / ln2)
+        kernel = table.get(u._mpf_)
+        if kernel is None:
+            eu = m.exp(-u)
+            kernel = table[u._mpf_] = horner_x(coeffs, 4 * eu * (1 - eu), m)._mpf_
+        return make(kernel) * f(x * u / ln2)
 
     lhs = integrate(integrand, 0, m.inf, ctx)
     rhs = stehfest_approx(F, x, n, ctx)

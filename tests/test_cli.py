@@ -312,3 +312,34 @@ def test_out_path(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["n"] == 2
+
+
+@pytest.mark.parametrize("flag", ["--n", "--n-max"])
+def test_invert_rejects_infinite_x(capsys, flag):
+    rc, out, err = run_cli(capsys, "invert", "--pair", "exponential", "--x", "inf", flag, "4")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: evaluation point must be finite and > 0, got x = +inf\n"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--n-max"])
+def test_invert_order_zero_names_the_order(capsys, flag):
+    rc, out, err = run_cli(capsys, "invert", "--pair", "exponential", "--x", "1", flag, "0")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: order must be >= 1, got 0\n"
+
+
+def test_invert_rejects_both_order_flags(capsys):
+    rc, out, err = run_cli(capsys, "invert", "--pair", "exponential", "--x", "1",
+                           "--n", "4", "--n-max", "3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--n-max" in err
+
+
+def test_weval_rejects_extra_parts(capsys):
+    rc, out, err = run_cli(capsys, "weval", "--z", "1,2,3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1,2,3" in err

@@ -320,3 +320,19 @@ def test_thread_safety_across_contexts():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda j: stehfest_approx(j[0], 1, j[1], j[2]), jobs))
     assert serial == threaded
+
+
+@pytest.mark.parametrize("x", ["inf", float("inf"), "nan", "-inf"])
+@pytest.mark.parametrize("route", ["stehfest", "ladder", "gaver"])
+def test_non_finite_point_is_rejected_before_any_transform_call(x, route):
+    ctx = context_for_order(4)
+    seen = []
+    F = TransformFn(lambda z: seen.append(z) or 1 / z, "1/z")
+    call = {
+        "stehfest": lambda: stehfest_approx(F, x, 4, ctx),
+        "ladder": lambda: invert_ladder(F, x, 4, ctx=ctx),
+        "gaver": lambda: gaver_approx(F, x, 4, ctx),
+    }[route]
+    with pytest.raises(DomainError, match="x = "):
+        call()
+    assert seen == []

@@ -11,6 +11,7 @@ from gsinv import (
     BranchSeries,
     DomainError,
     PrecisionContext,
+    PrecisionError,
     branch_series,
     branch_series_eval,
     in_region_a,
@@ -162,17 +163,19 @@ def _halley_on_numbers(m, z, w, rtol, step_tol):
 
 def test_halley_on_tuples_matches_mpc_arithmetic():
     # the exponent screens and the replayed fallback change no bit; zero
-    # tolerances run the full 100 steps, so the fallback is exercised
+    # tolerances run the full 100 steps, so the fallback is exercised, and
+    # its best w must meet lambert_w0's documented residual bound
     ctx = PrecisionContext(20)
     m = ctx.mp
     fallbacks = 0
     for zs in ("0.5", "3+2j", "-2", "-0.3+0.1j", "100", "-1e3-1e-20j"):
         z = m.mpc(complex(zs))
         w0 = z * (1 - z) if abs(z) < 1 else m.ln(z)
+        bound = (max(abs(z), 1) * m.mpf(10) ** (ctx.guard - ctx.digits))._mpf_
         for rtol, step_tol in ((m.mpf("1e-20"), m.mpf(10) ** -m.dps), (m.mpf(0), m.mpf(0))):
             expected, fell_back = _halley_on_numbers(m, z, w0, rtol, step_tol)
             got = lambertw._halley(z._mpc_, w0._mpc_, rtol._mpf_, step_tol._mpf_,
-                                   *m._prec_rounding)
+                                   *m._prec_rounding, lambda: bound)
             assert got == expected._mpc_, (zs, rtol)
             fallbacks += fell_back
     assert fallbacks >= 2
@@ -350,3 +353,13 @@ def test_xi_alpha_strictly_increasing():
             assert mod > prev_mod
             assert xa.alpha > prev_alpha
         prev_mod, prev_alpha = mod, xa.alpha
+
+
+def test_halley_fallback_outside_the_bound_raises(monkeypatch):
+    # a seed Halley cannot recover from in 100 steps: w e^w overflows the
+    # bound by hundreds of thousands of decades, and must not be returned
+    ctx = PrecisionContext(30)
+    monkeypatch.setattr(lambertw, "_taylor_w", lambda m, z, tol: m.mpc(10**6))
+    with pytest.raises(PrecisionError, match="did not converge"):
+        lambert_w0(ctx.mpf("0.05"), ctx)
+

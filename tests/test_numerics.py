@@ -11,6 +11,7 @@ from gsinv import (
     ProbeError,
     QuadratureError,
     context_for_order,
+    get_pair,
     guard_for_order,
     integrate,
     lambert_w0,
@@ -178,6 +179,8 @@ def test_fit_line_recovers_a_line_and_rejects_no_spread(ctx30):
 def _clear_precision_caches():
     numerics._NODE_TABLES.cache_clear()
     qpoly._qn_vector.cache_clear()
+    qpoly._qn_integer_form.cache_clear()
+    qpoly._KERNEL_TABLES.cache_clear()
     qpoly._boosted.cache_clear()
     qpoly._h_laurent.cache_clear()
     lambertw._W_CONSTANTS.cache_clear()
@@ -256,6 +259,7 @@ def test_integrate_returns_callers_type_across_equal_contexts():
 
 def _mixed_jobs(ctx):
     m = ctx.mp
+    exp_F = get_pair("exponential").F
     v = ctx.mpf("0.37")
     return [
         lambda: qn_eval(6, v, ctx),
@@ -263,6 +267,8 @@ def _mixed_jobs(ctx):
         lambda: qn_eval(17, v, ctx),
         lambda: integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx),
         lambda: qn_eval(30, v, ctx),
+        lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 2, ctx),
+        lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 4, ctx),
     ]
 
 
@@ -277,8 +283,9 @@ def _run_threaded(jobs, repeat=2):
 
 
 def test_thread_safety_of_precision_caches():
-    # the node tables, q_n vectors and boosted contexts are process-wide;
-    # threads racing to fill them cold must reproduce the serial bits
+    # the node tables, q_n vectors, integer forms and kernel tables are
+    # process-wide; threads racing to fill them cold must reproduce the
+    # serial bits
     per_ctx = [_mixed_jobs(PrecisionContext(d)) for d in (20, 35)]
     jobs = [job for pair in zip(*per_ctx) for job in pair]  # alternate precisions
     _clear_precision_caches()

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from gsinv import (
     DomainError,
@@ -22,8 +24,10 @@ from gsinv import (
     qn_jump_form_check,
     series_g,
     series_h,
+    stehfest_approx,
 )
-from gsinv import numerics
+from gsinv import numerics, qpoly
+from gsinv.numerics import horner_x, integrate, mpf_tuples
 from gsinv.qpoly import _boosted, _g_continuation, _genfun_matches, _h_laurent, _qn_vector
 
 
@@ -42,8 +46,8 @@ def test_qn_sign_pattern():
 
 
 def test_qn_eval_routes_agree(ctx30):
-    # Horner with the internal cancellation boost must track the exact
-    # route even where q_n is ~e^-n against terms peaking near e^n
+    # the floating route must track the rational one even where q_n is
+    # ~e^-n against terms peaking near e^n
     v = Fraction(37, 100)
     for n in (30, 120):
         exact = ctx30.mpf(qn_exact(n, v))
@@ -73,6 +77,42 @@ def test_qn_eval_bits_match_fraction_horner(ctx30):
             for c in reversed(qn_coeffs(n).coeffs):
                 acc = (acc + work.mpf(c)) * vv
             assert qn_eval(n, ctx30.mpf(v), ctx30)._mpf_ == ctx30.mpf(acc)._mpf_
+
+
+def test_qn_eval_is_correctly_rounded_at_high_order():
+    # a floating v is the dyadic rational it stores: q_n of that rational,
+    # rounded once, is the only right answer, also where the terms cancel
+    # more than 0.44 n digits (n >= 120)
+    rng = random.Random(5)
+    for n in (120, 200):
+        for digits in (15, 30):
+            ctx = PrecisionContext(digits)
+            for _ in range(10):
+                v = ctx.mpf(rng.random())
+                _, man, exp, _ = v._mpf_
+                q = qn_exact(n, Fraction(man) * Fraction(2) ** exp)
+                want = from_rational(q.numerator, q.denominator, ctx.mp.prec, round_nearest)
+                assert qn_eval(n, v, ctx)._mpf_ == want, (n, digits, v)
+
+
+@pytest.mark.parametrize("v", ["inf", "-inf", "nan"])
+def test_qn_eval_rejects_non_finite(ctx30, v):
+    with pytest.raises(DomainError, match="finite"):
+        qn_eval(10, ctx30.mpf(v), ctx30)
+
+
+def test_qn_eval_bits_match_boosted_horner_on_decay_grid():
+    # the decay-bound grid (eps = 0.1, 121 points, 25 digits) through the
+    # former route: Horner at digits + ceil(0.45 n) + 10, rounded to ctx
+    ctx = PrecisionContext(25)
+    m = ctx.mp
+    hi = 1 - ctx.mpf("0.1")
+    vs = [hi * m.mpf(i) / 121 for i in range(1, 122, 10)]
+    for n in (10, 25, 40):
+        work = PrecisionContext(ctx.digits + (45 * n + 99) // 100 + 10, ctx.guard).mp
+        coeffs = mpf_tuples(qn_coeffs(n).coeffs, work.prec)
+        for v in vs:
+            assert qn_eval(n, v, ctx)._mpf_ == ctx.mpf(horner_x(coeffs, work.mpf(v), work))._mpf_
 
 
 def test_qn_eval_builds_no_context_when_warm(ctx30, monkeypatch):
@@ -329,3 +369,44 @@ def test_integral_representation(ctx30):
         assert d <= tol
     d = integral_representation_check(ident, get_pair("ramp").F, 2, 4, ctx)
     assert d <= tol
+
+
+def _exp_case(ctx):
+    m = ctx.mp
+    return lambda t: m.exp(-t), get_pair("exponential").F
+
+
+def test_integral_representation_kernel_table_matches_direct_integrand():
+    # the kernel read from the table has the bits of the integrand that
+    # computes q_n(4 e^-u (1 - e^-u)) at every node, cold or warm
+    ctx = context_for_order(8)
+    m = ctx.mp
+    f, F = _exp_case(ctx)
+    x, ln2 = ctx.mpf(1), m.ln(2)
+    for n in (2, 8):
+        coeffs = _qn_vector(n, m.prec)
+
+        def direct(u):
+            eu = m.exp(-u)
+            return horner_x(coeffs, 4 * eu * (1 - eu), m) * f(x * u / ln2)
+
+        want = abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(F, 1, n, ctx))
+        qpoly._KERNEL_TABLES.cache_clear()
+        cold = integral_representation_check(f, F, 1, n, ctx)
+        warm = integral_representation_check(f, F, 1, n, ctx)
+        assert cold._mpf_ == warm._mpf_ == want._mpf_
+
+
+def test_integral_representation_warm_kernel_needs_no_exp_or_context(monkeypatch):
+    ctx = context_for_order(8)
+    m = ctx.mp
+    one = lambda t: m.mpf(1)
+    F = get_pair("constant").F
+    first = integral_representation_check(one, F, 2, 4, ctx)
+    exp_calls, built = [], []
+    real_exp, real_context = m.exp, numerics.MPContext
+    monkeypatch.setattr(m, "exp", lambda *a: exp_calls.append(1) or real_exp(*a), raising=False)
+    monkeypatch.setattr(numerics, "MPContext", lambda: built.append(1) or real_context())
+    again = integral_representation_check(one, F, 2, 4, ctx)
+    assert exp_calls == [] and built == []
+    assert again._mpf_ == first._mpf_
