@@ -23,6 +23,12 @@ from .verify import run_suites
 # --transform takes a corpus pair by its transform formula
 BUILTIN_TRANSFORMS = {p.formula: p.F.eval for p in corpus()}
 
+# Largest --digits of invert, ladder and weval.  Every automatic context
+# stays below it (required_digits(MAX_ORDER) = 151).  Beyond it runs get
+# long: near the branch point weval sums 1.6 dps + 12 terms of the exact
+# mu recurrence, and its cost grows about as the cube of the digits.
+MAX_DIGITS = 300
+
 
 def _write(text: str, out_path):
     if out_path:
@@ -34,10 +40,17 @@ def _write(text: str, out_path):
             sys.stdout.write("\n")
 
 
+def _parse_digits(digits: str) -> int:
+    d = int(digits)
+    if d > MAX_DIGITS:
+        raise ValueError(f"--digits {d} exceeds the cap MAX_DIGITS = {MAX_DIGITS}")
+    return d
+
+
 def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
     if digits == "auto":
         return context_for_order(n_max)
-    d = int(digits)
+    d = _parse_digits(digits)
     need = required_digits(n_max)
     if d < need:
         print(
@@ -138,7 +151,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weval(args) -> int:
-    ctx = PrecisionContext(max(int(args.digits), 15))
+    ctx = PrecisionContext(max(_parse_digits(args.digits), 15))
     parts = args.z.split(",")
     if len(parts) > 2:
         print(f"error: --z takes 're' or 're,im', got {args.z!r}", file=sys.stderr)
@@ -211,7 +224,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, *NUMERICAL_ERRORS) as exc:
+    except (ValueError, OSError, *NUMERICAL_ERRORS) as exc:
         # exit code 1 is reserved for "a verification check failed"
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .coeffs import MAX_ORDER, gaver_stehfest_coeffs, stehfest_weights
+from .coeffs import MAX_ORDER, _check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .lambertw import xi_alpha
 from .numerics import (
@@ -158,9 +158,10 @@ def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     ln2/x * (2k)!/(k!(k-1)!) * sum_{i=0}^k C(k,i) (-1)^i F((k+i) ln2/x)
 
     The binomial factors are computed exactly and converted once.
-    Requires ``ctx.digits >= required_digits(k)``.
+    Requires ``1 <= k <= MAX_ORDER`` and ``ctx.digits >= required_digits(k)``.
     """
     x = _check_point(x, ctx)
+    _check_order(k, MAX_ORDER)
     _warn_low_digits(ctx, k)
     m = ctx.mp
     cache = _cache or _AbscissaCache(F, x, ctx)
@@ -180,11 +181,11 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     cache across orders; that caller makes the precision check once.
     """
     x = _check_point(x, ctx)
+    m = ctx.mp
+    a = _coeff_vector(n, m.prec)  # before any warning or F call: rejects a bad order
     if _cache is None:
         _warn_low_digits(ctx, n)
         _cache = _AbscissaCache(F, x, ctx)
-    m = ctx.mp
-    a = _coeff_vector(n, m.prec)  # before any F call: rejects a bad order
     make = m.make_mpf
     acc = m.mpf(0)
     for k, a_k in enumerate(a, start=1):
@@ -217,8 +218,7 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
     All orders share one abscissa cache, so F is evaluated once per
     distinct abscissa: 2 n_max calls.
     """
-    if not 1 <= n_max <= MAX_ORDER:
-        raise DomainError(f"order must be in [1, {MAX_ORDER}], got {n_max}")
+    _check_order(n_max, MAX_ORDER)
     if ctx is None:
         ctx = context_for_order(n_max)
     x = _check_point(x, ctx)

@@ -44,7 +44,7 @@ from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc
                           mpf_lt, mpf_mul, to_str)
 
 from .errors import DomainError, PrecisionError
-from .numerics import PrecisionContext, _BoundedCache, mpf_tuples
+from .numerics import PrecisionContext, _BoundedCache, mpf_tuples, power_sum
 
 __all__ = [
     "BranchSeries",
@@ -136,17 +136,7 @@ def branch_series_eval(p, N: int, series: BranchSeries, ctx: PrecisionContext):
         raise DomainError(f"|p| = {abs(p)} outside the safe convergence disk")
     if N >= len(series.mu):
         raise DomainError(f"series holds {len(series.mu)} coefficients, need {N + 1}")
-    return _sum_series(m, p, mpf_tuples(series.mu[: N + 1], m.prec))
-
-
-def _sum_series(m, p, coeffs):
-    """sum c_n p^n over raw ``_mpf_`` coefficient tuples, in working precision."""
-    acc = m.mpc(0)
-    ppow = m.mpc(1)
-    for c in coeffs:
-        acc += m.make_mpf(c) * ppow
-        ppow *= p
-    return acc
+    return power_sum(mpf_tuples(series.mu[: N + 1], m.prec), p, m)
 
 
 def in_region_a(w, tol=0) -> bool:
@@ -337,7 +327,7 @@ def lambert_w0(z, ctx: PrecisionContext):
         if p == 0:
             return m.mpc(-1)
         N = int(1.6 * m.dps) + 12
-        w = _sum_series(m, p, _mu_vector(N, prec))  # |p| < 0.32 is inside the disk
+        w = power_sum(_mu_vector(N, prec), p, m)  # |p| < 0.32 is inside the disk
     elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
         # left of the branch point the seed z (1 - z) can lead Halley to
         # another branch, or next to the cut to no root at all

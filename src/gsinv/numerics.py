@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from .errors import DomainError, ProbeError, QuadratureError
 
@@ -150,20 +150,21 @@ def mpf_tuples(values, prec: int) -> tuple:
     )
 
 
-def horner_x(coeffs, x, m):
-    """``c_1 x + c_2 x^2 + ... + c_N x^N`` in context ``m``, by Horner.
+def power_sum(coeffs, p, m):
+    """``c_0 + c_1 p + c_2 p^2 + ...`` in context ``m``, in ascending powers.
 
-    ``coeffs`` are raw ``_mpf_`` tuples ``c_1..c_N`` at ``m.prec`` (see
-    :func:`mpf_tuples`) and ``x`` an mpf of ``m``.  Each step rounds as
-    ``acc = (acc + c) * x`` rounds on ``m``'s numbers, so the result is
-    bit-identical to that loop without building an mpf per operation.
+    ``coeffs`` are raw ``_mpf_`` tuples at ``m.prec`` (see
+    :func:`mpf_tuples`) and ``p`` a number of ``m``.  The powers start
+    from ``p**0``, so a real ``p`` gives an mpf and a complex one an mpc,
+    with the bits of ``acc += c_k * ppow; ppow *= p`` on ``p``'s type.
     """
-    prec = m.prec
-    xv = x._mpf_
-    acc = fzero
-    for c in reversed(coeffs):
-        acc = mpf_mul(mpf_add(acc, c, prec, round_nearest), xv, prec, round_nearest)
-    return m.make_mpf(acc)
+    make = m.make_mpf
+    acc = m.mpf(0)
+    ppow = p**0
+    for c in coeffs:
+        acc += make(c) * ppow
+        ppow *= p
+    return acc
 
 
 def fit_line(xs, ys, m):

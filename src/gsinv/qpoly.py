@@ -19,7 +19,7 @@ from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import PrecisionContext, _BoundedCache, fit_line, horner_x, integrate, mpf_tuples
+from .numerics import PrecisionContext, _BoundedCache, fit_line, integrate, mpf_tuples, power_sum
 
 __all__ = [
     "PolyQ",
@@ -132,17 +132,6 @@ def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
     return tuple(c.numerator * (D // c.denominator) for c in coeffs), from_int(D)
 
 
-@lru_cache(maxsize=256)
-def _qn_vector(n: int, prec: int) -> tuple:
-    """Raw ``_mpf_`` tuples of the q_n coefficients at ``prec`` bits.
-
-    Bit-identical to ``ctx.mpf(c)`` at that precision (see
-    :func:`~gsinv.numerics.mpf_tuples`); callers evaluate them with
-    :func:`~gsinv.numerics.horner_x` in their own context.
-    """
-    return mpf_tuples(qn_coeffs(n).coeffs, prec)
-
-
 def qn_eval(n: int, v, ctx: PrecisionContext):
     """Evaluate q_n(v) at working precision, rounded once.
 
@@ -250,13 +239,7 @@ def _htilde(y, work: PrecisionContext):
     if p < m.mpf("0.3"):
         # Laurent tail: no cancellation for small p
         N = int(1.5 * work.dps) + 8
-        cs = _h_laurent(N)
-        acc = m.mpf(0)
-        ppow = m.mpf(1)
-        for i in range(3, len(cs)):
-            acc += work.mpf(cs[i]) * ppow
-            ppow *= p
-        return acc
+        return power_sum(mpf_tuples(_h_laurent(N)[3:], m.prec), p, m)
     w = lambert_w0(m.mpc(y), work)
     H = (-w / (1 + w) ** 3).real
     return H - p ** (-3) + m.mpf(11) / 24 / p
@@ -354,10 +337,7 @@ def hz_branch_check(z, ctx: PrecisionContext, laurent_terms: int = 6):
             raise PrecisionError("H series did not converge")
         term *= (-z) * (1 + m.mpf(1) / (n - 1)) ** n
     # branch expansion side
-    cs = _h_laurent(laurent_terms)
-    lval = m.mpf(0)
-    for i in range(0, laurent_terms + 4):
-        lval += ctx.mpf(cs[i]) * p ** (i - 3)
+    lval = power_sum(mpf_tuples(_h_laurent(laurent_terms), m.prec), p, m) / p**3
     return abs(acc - lval)
 
 
@@ -440,7 +420,7 @@ def qn_jump_form_check(n: int, v, ctx: PrecisionContext) -> JumpFormCheck:
         vfrac = Fraction(v)
         if not 0 < vfrac <= Fraction(1, 4):
             raise DomainError("v must lie in (0, 1/4]")
-        q = ctx.mpf(qn_exact(n, 1 - 4 * vfrac * vfrac))
+        q = qn_eval(n, 1 - 4 * vfrac * vfrac, ctx)
         vv = ctx.mpf(vfrac)
     else:
         vv = ctx.mpf(v)
@@ -522,15 +502,13 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     The kernel factor depends only on (n, precision, u), and the
     quadrature nodes u only on the precision, so it is kept per
     ``(n, prec)`` as raw tuples keyed by ``u`` and computed once per node.
-    A miss computes it as the integrand always has, by ``exp`` and
-    :func:`~gsinv.numerics.horner_x` at working precision rather than
-    by the exact :func:`qn_eval`: the reported discrepancy sits at the
-    noise level, so a changed last bit of the kernel would change it.
+    A miss evaluates q_n with the exact :func:`qn_eval` at ``v = 4 e^-u
+    (1 - e^-u)``, so the kernel is q_n of that rounded ``v``, correctly
+    rounded; a warm table reads the same bits.
     """
     m = ctx.mp
     x = ctx.mpf(x)
     ln2 = m.ln(2)
-    coeffs = _qn_vector(n, m.prec)
     table = _KERNEL_TABLES.get((n, m.prec), dict)
     make = m.make_mpf
 
@@ -538,7 +516,7 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
         kernel = table.get(u._mpf_)
         if kernel is None:
             eu = m.exp(-u)
-            kernel = table[u._mpf_] = horner_x(coeffs, 4 * eu * (1 - eu), m)._mpf_
+            kernel = table[u._mpf_] = qn_eval(n, 4 * eu * (1 - eu), ctx)._mpf_
         return make(kernel) * f(x * u / ln2)
 
     lhs = integrate(integrand, 0, m.inf, ctx)

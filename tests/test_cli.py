@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsinv import (
     DomainError,
@@ -11,7 +15,8 @@ from gsinv import (
     TransformEvaluationError,
     corpus,
 )
-from gsinv.cli import BUILTIN_TRANSFORMS, main
+from gsinv import numerics
+from gsinv.cli import BUILTIN_TRANSFORMS, MAX_DIGITS, main
 from conftest import FIXTURES
 
 
@@ -343,3 +348,91 @@ def test_weval_rejects_extra_parts(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "1,2,3" in err
+
+
+@pytest.mark.parametrize("argv", [("coeffs", "--n", "3"), ("corpus",),
+                                  ("verify", "--suite", "vandermonde")])
+@pytest.mark.parametrize("bad", ["directory", "missing-parent"])
+def test_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys, argv, bad):
+    out = tmp_path if bad == "directory" else tmp_path / "missing" / "x.json"
+    rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invert", "--pair", "constant", "--x", "1", "--n", "4"),
+    ("ladder", "--pair", "constant", "--x", "1", "--n-max", "4"),
+    ("weval", "--z", "-0.3678"),
+])
+def test_digits_over_the_cap_exit_2_before_any_context(capsys, monkeypatch, argv):
+    built = []
+    real = numerics.MPContext
+    monkeypatch.setattr(numerics, "MPContext", lambda: built.append(1) or real())
+    rc, out, err = run_cli(capsys, *argv, "--digits", str(MAX_DIGITS + 1))
+    assert rc == 2
+    assert out == "" and built == []
+    assert err == f"error: --digits {MAX_DIGITS + 1} exceeds the cap MAX_DIGITS = {MAX_DIGITS}\n"
+
+
+# argv drawn from a small grammar of every subcommand's flags: each flag
+# (name, good values, bad values, chance in eighths that it is given)
+# takes a good value seven times in eight; <file>, <dir> and <missing>
+# stand for --out paths
+_ORDERS = ([str(n) for n in range(1, 9)], ["0", "65"])
+_DIGITS = (["15", "28", "40"], ["0", "-3", str(MAX_DIGITS + 1), "100000", "1.5", "abc", ""])
+_OUT = ("--out", ["<file>"], ["<dir>", "<missing>"], 2)
+
+
+def _invert_flags(single, ladder):
+    return [("--pair", ["constant", "exponential", "sine"], ["bogus"], 6),
+            ("--transform", ["1/z", "1/(z+1)"], ["bogus"], 2),
+            ("--x", ["1", "0.5,2"], ["0", "-1", "-2.5", "inf", "nan", "", "x"], 7),
+            ("--n", *_ORDERS, single), ("--n-max", *_ORDERS, ladder),
+            ("--digits", ["auto", *_DIGITS[0]], _DIGITS[1], 4),
+            ("--output", ["text", "json", "csv"], ["xml"], 4), _OUT]
+
+
+_GRAMMAR = {
+    "coeffs": [("--n", *_ORDERS, 7), ("--set", ["a", "c", "both"], ["d"], 4),
+               ("--output", ["json", "csv"], ["xml"], 4), _OUT],
+    "invert": _invert_flags(single=6, ladder=2),
+    "ladder": _invert_flags(single=1, ladder=7),
+    "corpus": [_OUT],
+    "verify": [("--suite", ["vandermonde", "genfun"], ["nope", "all,genfun"], 7),
+               ("--suite", ["vandermonde", "genfun"], [], 2), _OUT],
+    "weval": [("--z", ["1", "-0.3678", "-0.5,0.5", "-1.5"], ["inf", "nan", "", "1,2,3", "w"], 7),
+              ("--digits", *_DIGITS, 4), _OUT],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for flag, good, bad, eighths in _GRAMMAR[command]:
+        if draw(st.integers(0, 7)) < eighths:
+            values = good if not bad or draw(st.integers(0, 7)) else bad
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cli_argv())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(fuzz_dir, argv):
+    paths = {"<file>": fuzz_dir / "out.txt", "<dir>": fuzz_dir,
+             "<missing>": fuzz_dir / "missing" / "out.txt"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -2,6 +2,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsinv.inverter as inverter
 from gsinv import (
@@ -335,4 +337,68 @@ def test_non_finite_point_is_rejected_before_any_transform_call(x, route):
     }[route]
     with pytest.raises(DomainError, match="x = "):
         call()
+    assert seen == []
+
+
+# Properties over random rationals, points and orders <= 8; derandomized
+# like the Lambert W ones, so every run draws the same examples.
+_properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_INV_CTX = (context_for_order(8), PrecisionContext(40))
+_contexts = st.sampled_from(range(len(_INV_CTX))).map(lambda i: _INV_CTX[i])
+_orders = st.integers(1, 8)
+_points = st.integers(1, 160).map(lambda i: Fraction(i, 16))  # x in (0, 10]
+_rationals = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))
+_smooth = [p.F for p in corpus() if p.klass == "smooth"]
+
+
+def _tol(ctx):
+    return ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard))
+
+
+@_properties
+@given(_contexts, _orders, _points, st.sampled_from(_smooth), st.sampled_from(_smooth),
+       _rationals, _rationals)
+def test_stehfest_is_linear_in_F(ctx, n, x, F1, F2, a, b):
+    A, B = ctx.mpf(a), ctx.mpf(b)
+    G = TransformFn(lambda z: A * F1(z) + B * F2(z), "a F1 + b F2")
+    f1, f2 = stehfest_approx(F1, x, n, ctx), stehfest_approx(F2, x, n, ctx)
+    scale = 1 + abs(A * f1) + abs(B * f2)
+    assert abs(stehfest_approx(G, x, n, ctx) - (A * f1 + B * f2)) <= _tol(ctx) * scale
+
+
+@_properties
+@given(_contexts, _orders, _points, _rationals)
+def test_c_over_z_inverts_to_c(ctx, n, x, c):
+    C = ctx.mpf(c)
+    F = TransformFn(lambda z: C / z, "c/z")
+    assert abs(stehfest_approx(F, x, n, ctx) - C) <= _tol(ctx)
+
+
+_bad_points = st.one_of(
+    st.integers(-10**6, 0),
+    st.floats(max_value=0, allow_nan=False),
+    st.sampled_from(["inf", "-inf", "nan", float("inf"), float("nan")]),
+)
+_bad_calls = st.one_of(
+    st.tuples(st.sampled_from([-1, 0, 65]), st.one_of(_points, _bad_points)),
+    st.tuples(_orders, _bad_points),
+)
+
+
+@_properties
+@given(st.sampled_from(["stehfest", "ladder", "gaver"]), _bad_calls)
+def test_out_of_range_order_or_point_raises_only_domain_error(route, call):
+    n, x = call
+    ctx = _INV_CTX[0]
+    seen = []
+    F = TransformFn(lambda z: seen.append(z) or 1 / z, "1/z")
+    run = {
+        "stehfest": lambda: stehfest_approx(F, x, n, ctx),
+        "ladder": lambda: invert_ladder(F, x, n, ctx=ctx),
+        "gaver": lambda: gaver_approx(F, x, n, ctx),
+    }[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning before the error is something else
+        with pytest.raises(DomainError):
+            run()
     assert seen == []

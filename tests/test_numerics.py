@@ -19,7 +19,7 @@ from gsinv import (
     required_digits,
 )
 from gsinv import lambertw, numerics, qpoly
-from gsinv.numerics import fit_line, horner_x, mpf_tuples
+from gsinv.numerics import fit_line, mpf_tuples, power_sum
 
 
 def test_required_digits_examples():
@@ -178,7 +178,6 @@ def test_fit_line_recovers_a_line_and_rejects_no_spread(ctx30):
 
 def _clear_precision_caches():
     numerics._NODE_TABLES.cache_clear()
-    qpoly._qn_vector.cache_clear()
     qpoly._qn_integer_form.cache_clear()
     qpoly._KERNEL_TABLES.cache_clear()
     qpoly._boosted.cache_clear()
@@ -201,17 +200,23 @@ def test_mpf_tuples_round_like_context():
         assert raw == tuple(_bits(ctx.mpf(q)) for q in values)
 
 
-def test_horner_x_matches_mpf_loop(ctx30):
+def test_power_sum_matches_mpf_loop(ctx30):
     m = ctx30.mp
-    coeffs = [Fraction((-1) ** k * 3**k, k + 2) for k in range(1, 25)]
+    coeffs = [Fraction((-1) ** k * 3**k, k + 2) for k in range(25)]
     raw = mpf_tuples(coeffs, m.prec)
-    for x in (m.mpf("0.37"), m.mpf("-1.25"), m.mpf(0)):
-        acc = m.mpf(0)
-        for c in reversed(coeffs):
-            acc = (acc + ctx30.mpf(c)) * x
-        got = horner_x(raw, x, m)
-        assert type(got) is m.mpf
-        assert _bits(got) == _bits(acc)
+    for p in (m.mpf("0.37"), m.mpf("-1.25"), m.mpf(0), m.mpc("0.1", "-0.2"), m.mpc(0, "0.3")):
+        acc, ppow = m.mpc(0), m.mpc(1)
+        for c in coeffs:
+            acc += ctx30.mpf(c) * ppow
+            ppow *= p
+        got = power_sum(raw, p, m)
+        if type(p) is m.mpf:
+            assert type(got) is m.mpf
+            assert _bits(got) == _bits(acc.real) and acc.imag == 0
+        else:
+            assert type(got) is m.mpc
+            assert (_bits(got.real), _bits(got.imag)) == (_bits(acc.real), _bits(acc.imag))
+            assert type(power_sum(raw[:1], p, m)) is m.mpc  # the type follows p from c_0 on
 
 
 def _sample_integrals(ctx, wrap=lambda g: g):
@@ -283,7 +288,7 @@ def _run_threaded(jobs, repeat=2):
 
 
 def test_thread_safety_of_precision_caches():
-    # the node tables, q_n vectors, integer forms and kernel tables are
+    # the node tables, q_n integer forms and kernel tables are
     # process-wide; threads racing to fill them cold must reproduce the
     # serial bits
     per_ctx = [_mixed_jobs(PrecisionContext(d)) for d in (20, 35)]

@@ -27,8 +27,8 @@ from gsinv import (
     stehfest_approx,
 )
 from gsinv import numerics, qpoly
-from gsinv.numerics import horner_x, integrate, mpf_tuples
-from gsinv.qpoly import _boosted, _g_continuation, _genfun_matches, _h_laurent, _qn_vector
+from gsinv.numerics import integrate
+from gsinv.qpoly import _boosted, _g_continuation, _genfun_matches, _h_laurent
 
 
 def test_qn_small_orders():
@@ -58,13 +58,6 @@ def test_qn_eval_routes_agree(ctx30):
 def _work_context(n, ctx):
     # the boosted context qn_eval runs Horner in
     return _boosted(ctx.digits + ((45 * n + 99) // 100 + 10 if n > 1 else 0), ctx.guard)
-
-
-def test_qn_vector_matches_context_conversion(ctx30):
-    for n in (1, 10, 40, 200):
-        work = _work_context(n, ctx30)
-        raw = _qn_vector(n, work.mp.prec)
-        assert raw == tuple(work.mpf(c)._mpf_ for c in qn_coeffs(n).coeffs)
 
 
 def test_qn_eval_bits_match_fraction_horner(ctx30):
@@ -109,10 +102,14 @@ def test_qn_eval_bits_match_boosted_horner_on_decay_grid():
     hi = 1 - ctx.mpf("0.1")
     vs = [hi * m.mpf(i) / 121 for i in range(1, 122, 10)]
     for n in (10, 25, 40):
-        work = PrecisionContext(ctx.digits + (45 * n + 99) // 100 + 10, ctx.guard).mp
-        coeffs = mpf_tuples(qn_coeffs(n).coeffs, work.prec)
+        work = PrecisionContext(ctx.digits + (45 * n + 99) // 100 + 10, ctx.guard)
+        coeffs = [work.mpf(c) for c in qn_coeffs(n).coeffs]
         for v in vs:
-            assert qn_eval(n, v, ctx)._mpf_ == ctx.mpf(horner_x(coeffs, work.mpf(v), work))._mpf_
+            vv = work.mpf(v)
+            acc = work.mp.mpf(0)
+            for c in reversed(coeffs):
+                acc = (acc + c) * vv
+            assert qn_eval(n, v, ctx)._mpf_ == ctx.mpf(acc)._mpf_
 
 
 def test_qn_eval_builds_no_context_when_warm(ctx30, monkeypatch):
@@ -384,11 +381,9 @@ def test_integral_representation_kernel_table_matches_direct_integrand():
     f, F = _exp_case(ctx)
     x, ln2 = ctx.mpf(1), m.ln(2)
     for n in (2, 8):
-        coeffs = _qn_vector(n, m.prec)
-
         def direct(u):
             eu = m.exp(-u)
-            return horner_x(coeffs, 4 * eu * (1 - eu), m) * f(x * u / ln2)
+            return qn_eval(n, 4 * eu * (1 - eu), ctx) * f(x * u / ln2)
 
         want = abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(F, 1, n, ctx))
         qpoly._KERNEL_TABLES.cache_clear()
