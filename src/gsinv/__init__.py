@@ -6,82 +6,58 @@ verification layer that reproduces the analytic apparatus behind the
 method numerically: the Lambert W branch structure, the polynomial kernel
 q_n(v) with its generating function and asymptotics, and the convergence
 criteria for smooth, Dini-regular and bounded-variation originals.
+
+Submodules are imported on first use (PEP 562): ``import gsinv`` loads
+none of them, and ``gsinv.gaver_stehfest_coeffs`` loads only the exact
+coefficient module, not mpmath.  A public name is read from its defining
+module on every access, never copied here, so a name patched in that
+module (a test's monkeypatch, a tracer) shows through ``gsinv.<name>``.
 """
-from .coeffs import (
-    GaverStehfestCoeffs,
-    StehfestWeights,
-    coeffs_from_weights,
-    gaver_kernel,
-    gaver_stehfest_coeffs,
-    stehfest_weights,
-    vandermonde_check,
-)
-from .errors import (
-    DomainError,
-    PrecisionError,
-    ProbeError,
-    QuadratureError,
-    TransformEvaluationError,
-)
-from .inverter import (
-    InversionReport,
-    ReportEntry,
-    TransformFn,
-    equivalence_probe,
-    expansion_probe,
-    gaver_approx,
-    invert_ladder,
-    stehfest_approx,
-    stehfest_via_gaver,
-)
-from .lambertw import (
-    BranchSeries,
-    XiAlpha,
-    branch_series,
-    branch_series_eval,
-    in_region_a,
-    lambert_w0,
-    w_of_v,
-    wew_residual,
-    xi_alpha,
-)
-from .numerics import (
-    PrecisionContext,
-    context_for_order,
-    guard_for_order,
-    integrate,
-    required_digits,
-)
-from .pairs import (
-    DiniEstimate,
-    TransformPair,
-    corpus,
-    dini_integral_estimate,
-    get_pair,
-    jordan_target,
-    laplace_identity_residual,
-    run_pair,
-)
-from .qpoly import (
-    DecayFit,
-    JumpFormCheck,
-    PolyQ,
-    SeriesG,
-    SeriesH,
-    decay_bound_probe,
-    g_singular_remainder,
-    g_value,
-    genfun_identity_check,
-    hz_branch_check,
-    integral_representation_check,
-    qn_asymptotic,
-    qn_at_one_asymptotic,
-    qn_coeffs,
-    qn_eval,
-    qn_exact,
-    qn_jump_form_check,
-    series_g,
-    series_h,
+import importlib
+
+# public name -> the submodule that defines it
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "coeffs": ("GaverStehfestCoeffs", "StehfestWeights", "coeffs_from_weights",
+                   "gaver_kernel", "gaver_stehfest_coeffs", "stehfest_weights",
+                   "vandermonde_check"),
+        "errors": ("DomainError", "PrecisionError", "ProbeError", "QuadratureError",
+                   "TransformEvaluationError"),
+        "inverter": ("InversionReport", "ReportEntry", "TransformFn", "equivalence_probe",
+                     "expansion_probe", "gaver_approx", "invert_ladder", "stehfest_approx",
+                     "stehfest_via_gaver"),
+        "lambertw": ("BranchSeries", "XiAlpha", "branch_series", "branch_series_eval",
+                     "in_region_a", "lambert_w0", "w_of_v", "wew_residual", "xi_alpha"),
+        "numerics": ("PrecisionContext", "context_for_order", "guard_for_order", "integrate",
+                     "required_digits"),
+        "pairs": ("DiniEstimate", "TransformPair", "corpus", "dini_integral_estimate",
+                  "get_pair", "jordan_target", "laplace_identity_residual", "run_pair"),
+        "qpoly": ("DecayFit", "JumpFormCheck", "PolyQ", "SeriesG", "SeriesH",
+                  "decay_bound_probe", "g_singular_remainder", "g_value",
+                  "genfun_identity_check", "hz_branch_check", "integral_representation_check",
+                  "qn_asymptotic", "qn_at_one_asymptotic", "qn_coeffs", "qn_eval", "qn_exact",
+                  "qn_jump_form_check", "series_g", "series_h"),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(
+    ("cli", "coeffs", "errors", "inverter", "lambertw", "numerics", "pairs", "qpoly",
+     "series", "verify")
 )
 
+__all__ = list(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _SUBMODULES:  # the import binds it here, as a plain import would
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,16 +15,19 @@ import warnings
 from .coeffs import coeffs_to_csv, coeffs_to_json
 from .errors import NUMERICAL_ERRORS
 from .inverter import InversionReport, ReportEntry, TransformFn, invert_ladder, stehfest_approx
-from .lambertw import lambert_w0, wew_residual
-from .numerics import PrecisionContext, context_for_order, guard_for_order, required_digits
+from .numerics import (MIN_DIGITS, PrecisionContext, context_for_order, guard_for_order,
+                       required_digits)
 from .pairs import corpus, corpus_manifest_json, get_pair, jordan_target
-from .verify import run_suites
+
+# verify (with qpoly and series) and lambertw are imported by the commands
+# that use them, so that invert, coeffs and corpus do not load them
 
 # --transform takes a corpus pair by its transform formula
 BUILTIN_TRANSFORMS = {p.formula: p.F.eval for p in corpus()}
 
-# Largest --digits of invert, ladder and weval.  Every automatic context
-# stays below it (required_digits(MAX_ORDER) = 151).  Beyond it runs get
+# Largest --digits of invert, ladder and weval; the smallest is the
+# MIN_DIGITS floor of PrecisionContext.  Every automatic context stays
+# below the cap (required_digits(MAX_ORDER) = 151).  Beyond it runs get
 # long: near the branch point weval sums 1.6 dps + 12 terms of the exact
 # mu recurrence, and its cost grows about as the cube of the digits.
 MAX_DIGITS = 300
@@ -42,6 +45,8 @@ def _write(text: str, out_path):
 
 def _parse_digits(digits: str) -> int:
     d = int(digits)
+    if d < MIN_DIGITS:
+        raise ValueError(f"--digits {d} is below the floor MIN_DIGITS = {MIN_DIGITS}")
     if d > MAX_DIGITS:
         raise ValueError(f"--digits {d} exceeds the cap MAX_DIGITS = {MAX_DIGITS}")
     return d
@@ -58,7 +63,7 @@ def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
             "cancellation will dominate",
             file=sys.stderr,
         )
-    return PrecisionContext(max(d, 15), guard_for_order(n_max))
+    return PrecisionContext(d, guard_for_order(n_max))
 
 
 def _cmd_coeffs(args) -> int:
@@ -143,6 +148,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     names = args.suite
     reports, ok = run_suites(names if names else "all")
     doc = {"checks": reports, "all_passed": ok}
@@ -151,7 +158,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weval(args) -> int:
-    ctx = PrecisionContext(max(_parse_digits(args.digits), 15))
+    from .lambertw import lambert_w0, wew_residual
+
+    ctx = PrecisionContext(_parse_digits(args.digits))
     parts = args.z.split(",")
     if len(parts) > 2:
         print(f"error: --z takes 're' or 're,im', got {args.z!r}", file=sys.stderr)

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .numerics import PrecisionContext
+
+if TYPE_CHECKING:  # numerics loads mpmath; the exact tables need neither
+    from .numerics import PrecisionContext
 
 __all__ = [
     "MAX_ORDER",
@@ -93,11 +96,13 @@ def gaver_stehfest_coeffs(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCo
     """
     _check_order(n, max_order)
     nfact = factorial(n)
+    # the factor of each j that does not depend on k
+    jfac = [0] + [j ** (n + 1) * comb(n, j) * comb(2 * j, j) for j in range(1, n + 1)]
     a = []
     for k in range(1, 2 * n + 1):
         s = 0
         for j in range((k + 1) // 2, min(k, n) + 1):
-            s += j ** (n + 1) * comb(n, j) * comb(2 * j, j) * comb(j, k - j)
+            s += jfac[j] * comb(j, k - j)
         a.append((-1) ** (n + k) * Fraction(s, nfact))
     return GaverStehfestCoeffs(n, tuple(a))
 

@@ -17,7 +17,6 @@ from math import comb, factorial
 
 from .coeffs import MAX_ORDER, _check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
-from .lambertw import xi_alpha
 from .numerics import (
     PrecisionContext,
     context_for_order,
@@ -273,6 +272,8 @@ def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
 
     for ``eps`` in (0, 1/4); ``f`` must be locally integrable near ``x``.
     """
+    from .lambertw import xi_alpha  # the inverter proper does not need Lambert W
+
     m = ctx.mp
     x = _check_point(x, ctx)
     c = ctx.mpf(c)

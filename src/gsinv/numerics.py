@@ -34,6 +34,8 @@ __all__ = [
     "fit_line",
 ]
 
+MIN_DIGITS = 15  # the working-precision floor of PrecisionContext
+
 
 def required_digits(n: int) -> int:
     """Minimum working precision (decimal digits) for an order-``n`` run.
@@ -87,8 +89,8 @@ class PrecisionContext:
     _eps: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.digits < 15:
-            raise DomainError(f"digits must be >= 15, got {self.digits}")
+        if self.digits < MIN_DIGITS:
+            raise DomainError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
         if self.guard < 5:
             raise DomainError(f"guard must be >= 5, got {self.guard}")
         m = MPContext()
@@ -132,7 +134,7 @@ def context_for_order(n: int) -> PrecisionContext:
 
     The context floor of 15 digits binds below order 3.
     """
-    return PrecisionContext(max(15, required_digits(n)), guard_for_order(n))
+    return PrecisionContext(max(MIN_DIGITS, required_digits(n)), guard_for_order(n))
 
 
 def mpf_tuples(values, prec: int) -> tuple:

@@ -231,6 +231,12 @@ def _h_laurent(N: int) -> tuple[Fraction, ...]:
     return tuple(fps.mul_trunc(one_minus_pS, S3inv, N + 3)[: N + 4])
 
 
+@lru_cache(maxsize=16)
+def _h_laurent_tail(N: int, prec: int) -> tuple:
+    """Raw ``_mpf_`` tuples of the Laurent coefficients of p^0..p^N at ``prec``."""
+    return mpf_tuples(_h_laurent(N)[3:], prec)
+
+
 def _htilde(y, work: PrecisionContext):
     # h~(y) = H(y) - p^-3 + (11/24) p^-1, bounded through the branch point
     m = work.mp
@@ -239,7 +245,7 @@ def _htilde(y, work: PrecisionContext):
     if p < m.mpf("0.3"):
         # Laurent tail: no cancellation for small p
         N = int(1.5 * work.dps) + 8
-        return power_sum(mpf_tuples(_h_laurent(N)[3:], m.prec), p, m)
+        return power_sum(_h_laurent_tail(N, m.prec), p, m)
     w = lambert_w0(m.mpc(y), work)
     H = (-w / (1 + w) ** 3).real
     return H - p ** (-3) + m.mpf(11) / 24 / p

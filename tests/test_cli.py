@@ -292,12 +292,12 @@ def test_weval_rejects_non_finite(capsys, z):
 )
 def test_library_errors_exit_2(capsys, monkeypatch, exc):
     # exit code 1 means only "a verification check failed"
-    import gsinv.cli as cli
+    import gsinv.verify as verify
 
     def raising(names):
         raise exc("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_suites", raising)
+    monkeypatch.setattr(verify, "run_suites", raising)
     rc, out, err = run_cli(capsys, "verify", "--suite", "genfun")
     assert rc == 2
     assert out == ""
@@ -374,6 +374,22 @@ def test_digits_over_the_cap_exit_2_before_any_context(capsys, monkeypatch, argv
     assert rc == 2
     assert out == "" and built == []
     assert err == f"error: --digits {MAX_DIGITS + 1} exceeds the cap MAX_DIGITS = {MAX_DIGITS}\n"
+
+
+@pytest.mark.parametrize("digits", ["14", "0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("invert", "--pair", "constant", "--x", "1", "--n", "4"),
+    ("ladder", "--pair", "constant", "--x", "1", "--n-max", "4"),
+    ("weval", "--z", "-0.3678"),
+])
+def test_digits_under_the_floor_exit_2_before_any_context(capsys, monkeypatch, argv, digits):
+    built = []
+    real = numerics.MPContext
+    monkeypatch.setattr(numerics, "MPContext", lambda: built.append(1) or real())
+    rc, out, err = run_cli(capsys, *argv, "--digits", digits)
+    assert rc == 2
+    assert out == "" and built == []
+    assert err == f"error: --digits {digits} is below the floor MIN_DIGITS = 15\n"
 
 
 # argv drawn from a small grammar of every subcommand's flags: each flag

@@ -182,6 +182,7 @@ def _clear_precision_caches():
     qpoly._KERNEL_TABLES.cache_clear()
     qpoly._boosted.cache_clear()
     qpoly._h_laurent.cache_clear()
+    qpoly._h_laurent_tail.cache_clear()
     lambertw._W_CONSTANTS.cache_clear()
     lambertw._mu_vector.cache_clear()
 

@@ -181,6 +181,19 @@ def test_g_value_routes_agree(ctx30):
         assert abs(via_series - via_cont) <= m.mpf(10) ** (-(ctx30.digits - 5)) * abs(via_series)
 
 
+def test_htilde_warm_call_converts_no_laurent_vector(ctx20, monkeypatch):
+    # the small-p branch of _htilde keeps one raw H Laurent vector per
+    # (N, prec); the bits are those of converting it on every call
+    m = ctx20.mp
+    z = -m.exp(-1) + m.mpf("1e-4")
+    assert g_value(z, ctx20)._mpf_ == (0, 512147384504115410076787000409, -89, 99)
+    conversions = []
+    real = qpoly.mpf_tuples
+    monkeypatch.setattr(qpoly, "mpf_tuples", lambda *a: conversions.append(1) or real(*a))
+    assert g_value(z, ctx20)._mpf_ == (0, 512147384504115410076787000409, -89, 99)
+    assert conversions == []
+
+
 def test_g_singular_remainder_cauchy(ctx30):
     m = ctx30.mp
     rems = []
