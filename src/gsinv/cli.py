@@ -8,22 +8,38 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 from .coeffs import coeffs_to_csv, coeffs_to_json
 from .errors import NUMERICAL_ERRORS
-from .inverter import InversionReport, ReportEntry, TransformFn, invert_ladder, stehfest_approx
-from .numerics import (MIN_DIGITS, PrecisionContext, context_for_order, guard_for_order,
-                       required_digits)
-from .pairs import corpus, corpus_manifest_json, get_pair, jordan_target
 
-# verify (with qpoly and series) and lambertw are imported by the commands
-# that use them, so that invert, coeffs and corpus do not load them
+if TYPE_CHECKING:
+    from .inverter import InversionReport
+    from .numerics import PrecisionContext
 
-# --transform takes a corpus pair by its transform formula
-BUILTIN_TRANSFORMS = {p.formula: p.F.eval for p in corpus()}
+# Each command imports the modules it uses, so that coeffs loads no
+# mpmath, and invert, ladder and corpus load no verification layer.
+# BUILTIN_TRANSFORMS and TransformFn are module attributes resolved on
+# first use (see __getattr__); the commands read them through _module so
+# that a value set on the module shows through.
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name == "BUILTIN_TRANSFORMS":  # --transform takes a corpus pair by its transform formula
+        from .pairs import corpus
+
+        value = {p.formula: p.F.eval for p in corpus()}
+    elif name == "TransformFn":
+        from .inverter import TransformFn as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, value)  # one object from the first use on
+
 
 # Largest --digits of invert, ladder and weval; the smallest is the
 # MIN_DIGITS floor of PrecisionContext.  Every automatic context stays
@@ -44,6 +60,8 @@ def _write(text: str, out_path):
 
 
 def _parse_digits(digits: str) -> int:
+    from .numerics import MIN_DIGITS
+
     d = int(digits)
     if d < MIN_DIGITS:
         raise ValueError(f"--digits {d} is below the floor MIN_DIGITS = {MIN_DIGITS}")
@@ -53,6 +71,8 @@ def _parse_digits(digits: str) -> int:
 
 
 def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
+    from .numerics import cached_context, context_for_order, guard_for_order, required_digits
+
     if digits == "auto":
         return context_for_order(n_max)
     d = _parse_digits(digits)
@@ -63,7 +83,7 @@ def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
             "cancellation will dominate",
             file=sys.stderr,
         )
-    return PrecisionContext(d, guard_for_order(n_max))
+    return cached_context(d, guard_for_order(n_max))
 
 
 def _cmd_coeffs(args) -> int:
@@ -76,12 +96,17 @@ def _cmd_coeffs(args) -> int:
 
 def _invert_single(F, x, n, ref, ctx, flags) -> InversionReport:
     """Order ``n`` alone; the same entry as the last rung of a ladder to ``n``."""
+    from .inverter import InversionReport, ReportEntry, stehfest_approx
+
     value = stehfest_approx(F, x, n, ctx)
     err = None if ref is None else abs(value - ctx.mpf(ref(x)))
     return InversionReport(x, (ReportEntry(n, value, err),), ctx.digits, flags)
 
 
 def _cmd_invert(args) -> int:
+    from .inverter import invert_ladder
+    from .pairs import get_pair, jordan_target
+
     if args.n is not None and args.n_max is not None:
         print("error: give one of --n / --n-max, not both", file=sys.stderr)
         return 2
@@ -100,14 +125,15 @@ def _cmd_invert(args) -> int:
             print(f"note: pair {pair.name!r} is oscillatory; convergence "
                   "theory does not cover it", file=sys.stderr)
     elif args.transform:
-        if args.transform not in BUILTIN_TRANSFORMS:
+        transforms = _module.BUILTIN_TRANSFORMS
+        if args.transform not in transforms:
             print(
                 f"error: unknown transform {args.transform!r}; "
-                f"built-ins: {sorted(BUILTIN_TRANSFORMS)}",
+                f"built-ins: {sorted(transforms)}",
                 file=sys.stderr,
             )
             return 2
-        F = TransformFn(BUILTIN_TRANSFORMS[args.transform], args.transform)
+        F = _module.TransformFn(transforms[args.transform], args.transform)
         ref = None
     else:
         print("error: --pair or --transform is required", file=sys.stderr)
@@ -143,6 +169,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .pairs import corpus_manifest_json
+
     _write(corpus_manifest_json() + "\n", args.out)
     return 0
 
@@ -159,8 +187,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_weval(args) -> int:
     from .lambertw import lambert_w0, wew_residual
+    from .numerics import cached_context
 
-    ctx = PrecisionContext(_parse_digits(args.digits))
+    ctx = cached_context(_parse_digits(args.digits))
     parts = args.z.split(",")
     if len(parts) > 2:
         print(f"error: --z takes 're' or 're,im', got {args.z!r}", file=sys.stderr)
@@ -225,8 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

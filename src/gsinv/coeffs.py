@@ -103,7 +103,7 @@ def gaver_stehfest_coeffs(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCo
         s = 0
         for j in range((k + 1) // 2, min(k, n) + 1):
             s += jfac[j] * comb(j, k - j)
-        a.append((-1) ** (n + k) * Fraction(s, nfact))
+        a.append(Fraction(-s if (n + k) % 2 else s, nfact))
     return GaverStehfestCoeffs(n, tuple(a))
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from mpmath.libmp import fzero, mpf_add, mpf_mul
+
 from .coeffs import MAX_ORDER, _check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .numerics import (
@@ -185,10 +187,18 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     if _cache is None:
         _warn_low_digits(ctx, n)
         _cache = _AbscissaCache(F, x, ctx)
+    values = [_cache(k) for k in range(1, len(a) + 1)]
+    if all(hasattr(v, "_mpf_") for v in values):
+        # the calls mpf.__mul__ and mpf.__add__ make, on raw tuples: same bits
+        prec, rnd = m._prec_rounding
+        acc = fzero
+        for a_k, v in zip(a, values):
+            acc = mpf_add(acc, mpf_mul(a_k, v._mpf_, prec, rnd), prec, rnd)
+        return _cache.base * m.make_mpf(acc)
     make = m.make_mpf
     acc = m.mpf(0)
-    for k, a_k in enumerate(a, start=1):
-        acc += make(a_k) * _cache(k)
+    for a_k, v in zip(a, values):  # ints, floats or mpc values
+        acc += make(a_k) * v
     return _cache.base * acc
 
 

@@ -2,9 +2,15 @@
 
 Every floating operation in the package goes through a
 :class:`PrecisionContext`, which owns a private mpmath context instance.
-There is no global precision state: two contexts never interact, and a
-context is immutable after construction, so values and contexts can be
-shared freely between threads.
+There is no global precision state: two contexts never interact.  A
+context may be used by one thread at a time: mpmath's special functions
+(``besselk`` through ``hypercomb``, for one) raise the working precision
+of the context they run in and restore it afterwards, so a second thread
+in that context computes at the raised precision, and a few such threads
+push it up without bound.  Values are immutable and may be shared
+freely.  :func:`context_for_order` keeps one context per
+``(digits, guard)`` for each thread, so its contexts are never shared
+between threads.
 
 Quantities that depend only on the working precision (rounded
 coefficient vectors, tanh-sinh node tables) are built once per process
@@ -129,12 +135,58 @@ class PrecisionContext:
         return self._mp.nstr(x, n or self.digits)
 
 
+class _ThreadContexts(threading.local):
+    """One :class:`PrecisionContext` per ``(digits, guard)`` for each thread.
+
+    LRU-bounded per thread.  A hit whose mpmath context no longer runs at
+    the precision it was built at (a caller raised ``mp.prec`` and left
+    it so) is rebuilt, so every context handed out starts at its nominal
+    precision.
+    """
+
+    maxsize = 64
+
+    def __init__(self):
+        self._data: OrderedDict = OrderedDict()  # key -> (context, prec at build)
+
+    def get(self, digits: int, guard: int) -> PrecisionContext:
+        key = (digits, guard)
+        hit = self._data.get(key)
+        if hit is not None and hit[0].mp.prec == hit[1]:
+            self._data.move_to_end(key)
+            return hit[0]
+        ctx = PrecisionContext(digits, guard)
+        self._data[key] = (ctx, ctx.mp.prec)
+        self._data.move_to_end(key)
+        if len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+        return ctx
+
+    def cache_clear(self):
+        """Forget the calling thread's contexts."""
+        self._data.clear()
+
+
+_CONTEXTS = _ThreadContexts()
+
+
+def cached_context(digits: int, guard: int = 10) -> PrecisionContext:
+    """The calling thread's context of ``digits`` and ``guard`` (see :class:`_ThreadContexts`).
+
+    Callers that build a context per call use this one instead; the
+    context must not be handed to another thread.  A direct
+    ``PrecisionContext(...)`` is never cached.
+    """
+    return _CONTEXTS.get(digits, guard)
+
+
 def context_for_order(n: int) -> PrecisionContext:
     """Context sized by the :func:`required_digits` rule for order ``n``.
 
-    The context floor of 15 digits binds below order 3.
+    The context floor of 15 digits binds below order 3.  The calling
+    thread gets the same context on every call (see :func:`cached_context`).
     """
-    return PrecisionContext(max(MIN_DIGITS, required_digits(n)), guard_for_order(n))
+    return cached_context(max(MIN_DIGITS, required_digits(n)), guard_for_order(n))
 
 
 def mpf_tuples(values, prec: int) -> tuple:

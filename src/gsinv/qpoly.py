@@ -19,7 +19,8 @@ from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import PrecisionContext, _BoundedCache, fit_line, integrate, mpf_tuples, power_sum
+from .numerics import (PrecisionContext, _BoundedCache, cached_context, fit_line, integrate,
+                       mpf_tuples, power_sum)
 
 __all__ = [
     "PolyQ",
@@ -116,11 +117,6 @@ def qn_exact(n: int, v: Fraction) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=64)
-def _boosted(digits: int, guard: int) -> PrecisionContext:
-    return PrecisionContext(digits, guard)
-
-
 @lru_cache(maxsize=None)
 def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
     """Numerators N_1..N_n of the q_n coefficients over their common denominator D.
@@ -200,7 +196,7 @@ def _g_series_sum(z, ctx: PrecisionContext):
     # the term ratio is (-z)(n - 1/2)/(n - 1) * (1 + 1/(n-1))^(n-1).
     near_radius = -z * ctx.mp.e > ctx.mpf("0.9")
     dps = max(ctx.dps, 4 * ctx.digits) if near_radius else ctx.dps
-    work = _boosted(dps - 5, 5)
+    work = cached_context(dps - 5, 5)
     m = work.mp
     zz = m.mpf(z)
     acc = m.mpf(0)
@@ -282,7 +278,7 @@ def g_value(z, ctx: PrecisionContext):
     if ez1 >= m.mpf("1e-3"):
         return ctx.mpf(_g_series_sum(z, ctx))
     extra = int(-m.log10(ez1)) + 8
-    work = _boosted(ctx.digits + extra, ctx.guard)
+    work = cached_context(ctx.digits + extra, ctx.guard)
     return ctx.mpf(_g_continuation(z, work))
 
 
@@ -300,7 +296,7 @@ def g_singular_remainder(z, ctx: PrecisionContext):
     if not (0 < ez1_coarse <= m.mpf("0.02") * m.e + ctx.eps):
         raise DomainError("z must lie in (-1/e, -1/e + 0.02]")
     extra = int(-m.log10(ez1_coarse)) + 8
-    work = _boosted(ctx.digits + extra, ctx.guard)
+    work = cached_context(ctx.digits + extra, ctx.guard)
     mw = work.mp
     zz = mw.mpf(z)
     ez1 = 1 + mw.e * zz

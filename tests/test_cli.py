@@ -452,3 +452,37 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(fuzz_dir, argv):
         rc = main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+_BACK_TO_BACK = [
+    ("invert", "--pair", "exponential", "--x", "1,2.5", "--n", "8", "--digits", "40"),
+    ("invert", "--pair", "exponential", "--x", "1,2.5", "--n", "8"),  # auto after 40
+    ("coeffs", "--n", "3", "--bogus"),  # a usage error, then valid calls
+    ("coeffs", "--n", "3"),
+    ("ladder", "--pair", "step", "--x", "1"),  # --n-max missing
+    ("ladder", "--pair", "step", "--x", "1", "--n-max", "5", "--output", "csv"),
+    ("verify", "--suite", "vandermonde"),
+    ("verify", "--suite", "vandermonde"),  # the appended --suite list starts empty again
+    ("weval", "--z", "0.5,0.25", "--digits", "20"),
+    ("weval", "--z", "0.5"),
+    ("invert", "--transform", "1/(z+1)", "--x", "0.5", "--n-max", "4", "--output", "json"),
+    ("invert", "--n", "4", "--x", "1"),  # no --pair or --transform
+    ("corpus", "--help"),
+    ("coeffs", "--n", "2", "--set", "c", "--output", "csv"),
+]
+
+
+def test_reused_parser_answers_each_call_like_a_first_call(capsys):
+    import gsinv.cli as cli
+
+    def first_call(argv):
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        return run_cli(capsys, *argv)
+
+    fresh = [first_call(argv) for argv in _BACK_TO_BACK]
+    cli._parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in _BACK_TO_BACK]
+    assert cli._parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    for argv, want, got in zip(_BACK_TO_BACK, fresh, reused):
+        assert got == want, argv

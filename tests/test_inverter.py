@@ -402,3 +402,39 @@ def test_out_of_range_order_or_point_raises_only_domain_error(route, call):
         with pytest.raises(DomainError):
             run()
     assert seen == []
+
+
+def _operator_loop(F, x, n, ctx):
+    # the weighted sum through mpf operators, as stehfest_approx summed it
+    # before it ran on raw tuples
+    m = ctx.mp
+    base = m.ln(2) / ctx.mpf(x)
+    acc = m.mpf(0)
+    for k, a_k in enumerate(gaver_stehfest_coeffs(n).a, start=1):
+        acc += ctx.mpf(a_k) * F(k * base)
+    return base * acc
+
+
+def _raw(v):
+    return (type(v).__name__, v._mpc_ if hasattr(v, "_mpc_") else v._mpf_)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 48])
+def test_stehfest_sum_bits_match_operator_loop(n):
+    ctx = context_for_order(n)
+    m = ctx.mp
+    foreign = PrecisionContext(50, 7)
+    transforms = {
+        "own mpf": lambda z: 1 / (z + 1),
+        "own mpf, constant": lambda z: z.context.pi / z,
+        "foreign mpf": lambda z: 1 / (foreign.mpf(z) + 1),
+        "int": lambda z: 1,
+        "float": lambda z: 1 / (float(z) + 1),
+        "int and mpf": lambda z: 1 if z < 1 else 1 / z,
+        "mpc": lambda z: 1 / (z + m.mpc(1, 2)),
+        "complex": lambda z: 1 / (complex(z) + 1j),
+    }
+    for label, f in transforms.items():
+        for x in ("0.3", "1", "2.75"):
+            got = stehfest_approx(TransformFn(f, label), x, n, ctx)
+            assert _raw(got) == _raw(_operator_loop(f, x, n, ctx)), (label, x)

@@ -1,5 +1,7 @@
 import random
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -10,10 +12,12 @@ from gsinv import (
     PrecisionContext,
     ProbeError,
     QuadratureError,
+    TransformFn,
     context_for_order,
     get_pair,
     guard_for_order,
     integrate,
+    invert_ladder,
     lambert_w0,
     qn_eval,
     required_digits,
@@ -180,7 +184,7 @@ def _clear_precision_caches():
     numerics._NODE_TABLES.cache_clear()
     qpoly._qn_integer_form.cache_clear()
     qpoly._KERNEL_TABLES.cache_clear()
-    qpoly._boosted.cache_clear()
+    numerics._CONTEXTS.cache_clear()
     qpoly._h_laurent.cache_clear()
     qpoly._h_laurent_tail.cache_clear()
     lambertw._W_CONSTANTS.cache_clear()
@@ -304,7 +308,7 @@ def test_thread_safety_of_precision_caches():
 def test_thread_safety_of_special_function_paths():
     # the W constants and branch-series vectors are process-wide, and
     # g_value near -1/e reaches ellipk, ellipe and W (through _htilde) in
-    # boosted contexts that every thread shares
+    # boosted contexts, one per thread
     def w_jobs(ctx):
         zs = ("0.03+0.02j", "-0.3668794411714423", "-0.33+0.01j", "0.5-0.5j", "5+3j", "-3")
         return [lambda z=z: lambert_w0(ctx.mp.mpc(complex(z)), ctx) for z in zs]
@@ -322,3 +326,74 @@ def test_thread_safety_of_special_function_paths():
     serial = [bits(job()) for job in jobs]
     _clear_precision_caches()
     assert [bits(v) for v in _run_threaded(jobs)] == serial * 2
+
+
+def test_context_for_order_is_one_context_per_thread():
+    numerics._CONTEXTS.cache_clear()
+    mine = context_for_order(12)
+    assert context_for_order(12) is mine
+    assert numerics.cached_context(mine.digits, mine.guard) is mine
+    assert context_for_order(13) is not mine
+    seen = []
+    worker = threading.Thread(
+        target=lambda: seen.extend(context_for_order(12) for _ in range(2)), daemon=True)
+    worker.start()
+    worker.join(60)
+    assert len(seen) == 2 and seen[0] is seen[1]  # a hit within the other thread
+    assert seen[0] is not mine and seen[0] == mine  # equal settings, its own context
+    assert seen[0].mp is not mine.mp
+    assert context_for_order(12) is mine  # the other thread left this one's cache alone
+
+
+def test_cached_context_left_at_raised_precision_is_rebuilt():
+    numerics._CONTEXTS.cache_clear()
+    ctx = numerics.cached_context(31, 7)
+    prec = ctx.mp.prec
+    ctx.mp.prec += 100  # a caller that raised the precision and left it so
+    fresh = numerics.cached_context(31, 7)
+    assert fresh is not ctx and fresh.mp.prec == prec
+    assert numerics.cached_context(31, 7) is fresh
+    assert fresh.mpf(1) / 3 == PrecisionContext(31, 7).mpf(1) / 3
+
+
+def test_cached_contexts_are_bounded_per_thread():
+    numerics._CONTEXTS.cache_clear()
+    first = numerics.cached_context(20)
+    for digits in range(21, 21 + numerics._CONTEXTS.maxsize):
+        numerics.cached_context(digits)
+    assert len(numerics._CONTEXTS._data) == numerics._CONTEXTS.maxsize
+    assert numerics.cached_context(20) is not first  # the oldest entry was dropped
+
+
+def test_threaded_besselk_ladders_match_serial_bits():
+    # besselk raises the precision of the context it runs in and restores
+    # it afterwards; four threads sharing one context push the precision
+    # up without bound and never finish, so they run on daemon threads
+    # with a deadline rather than in a pool that interpreter exit would join
+    F = TransformFn(lambda z: z.context.besselk(0, z.context.sqrt(z)) / z, "K0(sqrt(z))/z")
+    ts = ("1", "1.6", "2.5", "3.9", "6.1", "9.4", "1.25", "7.7")
+
+    def ladder(t):
+        ctx = context_for_order(16)
+        return [e.value._mpf_ for e in invert_ladder(F, t, 16, ctx=ctx).entries]
+
+    serial = [ladder(t) for t in ts]
+    results = {}
+
+    def worker(i):
+        for j in range(i, len(ts), 4):
+            results[j] = ladder(ts[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(4)]
+        for w in workers:
+            w.start()
+        deadline = time.monotonic() + 120
+        for w in workers:
+            w.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers), "threaded ladders missed the deadline"
+    assert [results.get(j) for j in range(len(ts))] == serial

@@ -92,3 +92,11 @@ def test_invert_loads_no_verification_layer(tmp_path):
     assert (tmp_path / "out.txt").read_text().startswith("x = 1.0")
     assert {"gsinv.cli", "gsinv.inverter", "mpmath"} <= loaded
     assert loaded.isdisjoint({"gsinv.verify", "gsinv.qpoly", "gsinv.series", "gsinv.lambertw"})
+
+
+def test_coeffs_command_loads_no_mpmath(tmp_path):
+    out = tmp_path / "coeffs.json"
+    loaded = fresh_modules(
+        f"from gsinv.cli import main\nassert main(['coeffs', '--n', '4', '--out', {str(out)!r}]) == 0")
+    assert '"n": 4' in out.read_text()
+    assert loaded == {"gsinv", "gsinv.cli", "gsinv.coeffs", "gsinv.errors"}

@@ -27,8 +27,8 @@ from gsinv import (
     stehfest_approx,
 )
 from gsinv import numerics, qpoly
-from gsinv.numerics import integrate
-from gsinv.qpoly import _boosted, _g_continuation, _genfun_matches, _h_laurent
+from gsinv.numerics import cached_context, integrate
+from gsinv.qpoly import _g_continuation, _genfun_matches, _h_laurent
 
 
 def test_qn_small_orders():
@@ -57,7 +57,7 @@ def test_qn_eval_routes_agree(ctx30):
 
 def _work_context(n, ctx):
     # the boosted context qn_eval runs Horner in
-    return _boosted(ctx.digits + ((45 * n + 99) // 100 + 10 if n > 1 else 0), ctx.guard)
+    return cached_context(ctx.digits + ((45 * n + 99) // 100 + 10 if n > 1 else 0), ctx.guard)
 
 
 def test_qn_eval_bits_match_fraction_horner(ctx30):
@@ -176,7 +176,7 @@ def test_g_value_routes_agree(ctx30):
     for d in ("0.01", "0.001"):
         z = -m.exp(-1) + m.mpf(d)
         via_series = g_value(z, ctx30)
-        work = _boosted(ctx30.digits + 10, ctx30.guard)
+        work = cached_context(ctx30.digits + 10, ctx30.guard)
         via_cont = ctx30.mpf(_g_continuation(work.mpf(z), work))
         assert abs(via_series - via_cont) <= m.mpf(10) ** (-(ctx30.digits - 5)) * abs(via_series)
 
