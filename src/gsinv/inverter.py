@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from mpmath.libmp import fzero, mpf_add, mpf_mul
@@ -20,6 +19,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul
 from .coeffs import MAX_ORDER, _check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .numerics import (
+    _TABLES,
     PrecisionContext,
     context_for_order,
     fit_line,
@@ -142,17 +142,6 @@ def _warn_low_digits(ctx, n: int):
         )
 
 
-@lru_cache(maxsize=256)
-def _coeff_vector(n: int, prec: int) -> tuple:
-    """Raw ``_mpf_`` tuples of a_k(n), k = 1..2n, at ``prec`` bits.
-
-    Bit-identical to ``ctx.mpf(a_k)`` (see :func:`mpf_tuples`); tuples
-    carry no mpmath context, so callers rebuild them with their own
-    ``make_mpf``.
-    """
-    return mpf_tuples(gaver_stehfest_coeffs(n).a, prec)
-
-
 def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     """Order-``k`` Gaver functional.
 
@@ -183,7 +172,9 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     """
     x = _check_point(x, ctx)
     m = ctx.mp
-    a = _coeff_vector(n, m.prec)  # before any warning or F call: rejects a bad order
+    # a_k(n) as raw tuples (see mpf_tuples); built before any warning or
+    # F call, so a bad order is rejected first
+    a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
     if _cache is None:
         _warn_low_digits(ctx, n)
         _cache = _AbscissaCache(F, x, ctx)

@@ -21,12 +21,14 @@ Every region finishes with Halley's iteration.  It runs on raw ``_mpc_``
 tuples through the libmpc calls the mpc operators make, so it skips the
 number objects but not one rounding: the bits are those of the plain mpc
 arithmetic.  What depends only on the precision (the branch point, the
-tolerances, the region radii and seed constants) is built once per
-binary precision, with the caller's context, and kept as raw tuples in a
-bounded cache.  The two stop tests ``|f| <= rtol`` and
-``|dw| <= 10**-dps (1 + |w|)`` are screened on exponents first: a nonzero
-finite part c of a raw number lies in ``[2**(exp+bc-1), 2**(exp+bc))``,
-so when those bounds alone show a test false, its ``hypot`` is skipped.
+tolerances, the region radii, the seed constants and the rounded branch
+series) is built once per binary precision, with the caller's context,
+and kept as raw tuples in ``numerics._TABLES``, the one store of
+per-precision tables, bounded at 256 entries.  The two stop tests
+``|f| <= rtol`` and ``|dw| <= 10**-dps (1 + |w|)`` are screened on
+exponents first: a nonzero finite part c of a raw number lies in
+``[2**(exp+bc-1), 2**(exp+bc))``, so when those bounds alone show a
+test false, its ``hypot`` is skipped.
 A test the bounds cannot decide, or one on a zero, infinite or NaN
 value, is made exactly.
 """
@@ -36,7 +38,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp,
@@ -44,7 +45,7 @@ from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc
                           mpf_lt, mpf_mul, to_str)
 
 from .errors import DomainError, PrecisionError
-from .numerics import PrecisionContext, _BoundedCache, mpf_tuples, power_sum
+from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
 
 __all__ = [
     "BranchSeries",
@@ -108,15 +109,6 @@ def branch_series(N: int) -> BranchSeries:
         raise DomainError("N must be >= 0")
     _extend_mu(N)
     return BranchSeries(tuple(_MU[: N + 1]))
-
-
-@lru_cache(maxsize=64)
-def _mu_vector(N: int, prec: int) -> tuple:
-    """Raw ``_mpf_`` tuples of mu_0..mu_N at ``prec`` bits.
-
-    Bit-identical to ``ctx.mpf(mu_n)`` (see :func:`mpf_tuples`).
-    """
-    return mpf_tuples(branch_series(N).mu, prec)
 
 
 _CZERO = (fzero, fzero)
@@ -190,10 +182,6 @@ def _build_w_constants(m) -> _WConstants:
         m.mpf("1.2"), m.mpf("0.2"), m.mpf(11) / 72, m.mpf(43) / 540,
         m.mpf("0.5671432904097838729999686622103555497538"),
     )))
-
-
-# keyed by m.prec alone: mpmath derives m.dps from m.prec
-_W_CONSTANTS = _BoundedCache(64)
 
 
 def _top(v):
@@ -312,7 +300,7 @@ def lambert_w0(z, ctx: PrecisionContext):
     if mpf_lt(zi, fzero):
         return m.conj(lambert_w0(m.conj(z), ctx))
 
-    K = _W_CONSTANTS.get(m.prec, lambda: _build_w_constants(m))
+    K = _TABLES.get(("w", m.prec), lambda: _build_w_constants(m))
     prec, rnd = m._prec_rounding
     on_cut = zi == fzero and mpf_lt(zr, K.minus_inv_e)
     az = mpc_abs(zc, prec, rnd)
@@ -327,7 +315,8 @@ def lambert_w0(z, ctx: PrecisionContext):
         if p == 0:
             return m.mpc(-1)
         N = int(1.6 * m.dps) + 12
-        w = power_sum(_mu_vector(N, prec), p, m)  # |p| < 0.32 is inside the disk
+        mu = _TABLES.get(("mu", N, prec), lambda: mpf_tuples(branch_series(N).mu, prec))
+        w = power_sum(mu, p, m)  # |p| < 0.32 is inside the disk
     elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
         # left of the branch point the seed z (1 - z) can lead Halley to
         # another branch, or next to the cut to no root at all

@@ -12,12 +12,15 @@ freely.  :func:`context_for_order` keeps one context per
 ``(digits, guard)`` for each thread, so its contexts are never shared
 between threads.
 
-Quantities that depend only on the working precision (rounded
-coefficient vectors, tanh-sinh node tables) are built once per process
-and kept in bounded caches keyed by the binary precision.  The caches
-hold raw ``_mpf_`` tuples, never mpmath numbers, so no mpmath context is
-shared through them: each caller rebuilds the values with its own
-``make_mpf``, and the results are bit-identical to building them afresh.
+Quantities that depend only on the working precision (the rounded a_k,
+branch-series and Laurent coefficient vectors, Lambert W's constants,
+the integral-representation kernel tables, the tanh-sinh node tables)
+are built once per process and kept in one store, ``_TABLES``, an LRU
+map bounded at 256 entries.  Each key names its table and carries the
+binary precision, e.g. ``("a_k", n, prec)``.  The store holds raw
+``_mpf_`` tuples, never mpmath numbers, so no mpmath context is shared
+through it: each caller rebuilds the values with its own ``make_mpf``,
+and the results are bit-identical to building them afresh.
 """
 from __future__ import annotations
 
@@ -251,8 +254,8 @@ class _BoundedCache:
     """Thread-safe LRU map of at most ``maxsize`` entries.
 
     Values are built outside the lock by the caller's ``build``; two
-    threads that miss the same key both build it and keep one result,
-    which is harmless because builds are deterministic.
+    threads that miss the same key both build it and keep one result:
+    the entry stored first, which both callers get back.
     """
 
     def __init__(self, maxsize: int):
@@ -267,7 +270,8 @@ class _BoundedCache:
                 return self._data[key]
         value = build()
         with self._lock:
-            self._data[key] = value
+            value = self._data.setdefault(key, value)
+            self._data.move_to_end(key)
             if len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
         return value
@@ -275,6 +279,13 @@ class _BoundedCache:
     def cache_clear(self):
         with self._lock:
             self._data.clear()
+
+
+# Every table built per binary precision, keyed by table name, its
+# order and m.prec (m.dps is a function of m.prec for every context).
+# verify --suite all, the cli-single-order mix and four Theis ladders to
+# n_max = 16 in one process hold 86 entries, so nothing is evicted.
+_TABLES = _BoundedCache(maxsize=256)
 
 
 # ---------------------------------------------------------------------
@@ -297,11 +308,6 @@ def _neg_log1m(m, s):
             return acc
         k += 1
         term *= s
-
-
-# (prec, level, semi_infinite) -> node table; m.dps is a function of
-# m.prec for every context, so the binary precision fixes the nodes.
-_NODE_TABLES = _BoundedCache(maxsize=96)
 
 
 def _build_level(m, level):
@@ -345,7 +351,7 @@ def _level_nodes(m, level, semi_infinite):
     ``(w, s, -ln(1 - s), ln s)`` with ``s = d/2``.
     """
     build = _build_semi_level if semi_infinite else _build_level
-    return _NODE_TABLES.get((m.prec, level, semi_infinite), lambda: build(m, level))
+    return _TABLES.get(("nodes", m.prec, level, semi_infinite), lambda: build(m, level))
 
 
 def _tanh_sinh(m, fleft, fright, digits, max_level, semi_infinite=False):

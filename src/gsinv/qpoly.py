@@ -19,7 +19,7 @@ from . import series as fps
 from .errors import DomainError, PrecisionError, ProbeError
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import (PrecisionContext, _BoundedCache, cached_context, fit_line, integrate,
+from .numerics import (_TABLES, PrecisionContext, cached_context, fit_line, integrate,
                        mpf_tuples, power_sum)
 
 __all__ = [
@@ -227,21 +227,16 @@ def _h_laurent(N: int) -> tuple[Fraction, ...]:
     return tuple(fps.mul_trunc(one_minus_pS, S3inv, N + 3)[: N + 4])
 
 
-@lru_cache(maxsize=16)
-def _h_laurent_tail(N: int, prec: int) -> tuple:
-    """Raw ``_mpf_`` tuples of the Laurent coefficients of p^0..p^N at ``prec``."""
-    return mpf_tuples(_h_laurent(N)[3:], prec)
-
-
 def _htilde(y, work: PrecisionContext):
     # h~(y) = H(y) - p^-3 + (11/24) p^-1, bounded through the branch point
     m = work.mp
     ez1 = 1 + m.e * y
     p = m.sqrt(2 * ez1)
     if p < m.mpf("0.3"):
-        # Laurent tail: no cancellation for small p
-        N = int(1.5 * work.dps) + 8
-        return power_sum(_h_laurent_tail(N, m.prec), p, m)
+        # Laurent tail, the coefficients of p^0..p^N: no cancellation for small p
+        N, prec = int(1.5 * work.dps) + 8, m.prec
+        tail = _TABLES.get(("h_laurent", N, prec), lambda: mpf_tuples(_h_laurent(N)[3:], prec))
+        return power_sum(tail, p, m)
     w = lambert_w0(m.mpc(y), work)
     H = (-w / (1 + w) ** 3).real
     return H - p ** (-3) + m.mpf(11) / 24 / p
@@ -485,13 +480,6 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int 
     )
 
 
-# (n, prec) -> {u._mpf_: q_n(4 e^-u (1 - e^-u))._mpf_}; the quadrature
-# nodes u are fixed by the binary precision, so every (f, x) of one
-# order and precision reads the same entries.  Threads that miss the
-# same node both compute it and store equal bits.
-_KERNEL_TABLES = _BoundedCache(maxsize=32)
-
-
 def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     """|integral form of f_n(x) - summation form of f_n(x)|.
 
@@ -511,7 +499,10 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     m = ctx.mp
     x = ctx.mpf(x)
     ln2 = m.ln(2)
-    table = _KERNEL_TABLES.get((n, m.prec), dict)
+    # {u._mpf_: q_n(4 e^-u (1 - e^-u))._mpf_}; every (f, x) of one order
+    # and precision reads the same entries.  Threads that miss the same
+    # node both compute it and store equal bits.
+    table = _TABLES.get(("qn_kernel", n, m.prec), dict)
     make = m.make_mpf
 
     def integrand(u):

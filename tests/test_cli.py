@@ -4,7 +4,7 @@ import json
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gsinv import (
@@ -439,7 +439,6 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_cli_argv())
 def test_cli_fuzz_exits_0_1_or_2_without_traceback(fuzz_dir, argv):
     paths = {"<file>": fuzz_dir / "out.txt", "<dir>": fuzz_dir,

@@ -2,10 +2,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import gsinv.inverter as inverter
+import gsinv.numerics as numerics
 from gsinv import (
     DomainError,
     PrecisionContext,
@@ -168,10 +169,15 @@ def test_ladder_entries_equal_standalone_approximants():
 
 
 def test_coefficient_vector_rounds_like_context_mpf():
+    # the a_k vector stehfest_approx stores rounds each a_k as ctx.mpf does
     for digits in (20, 57):
         ctx = PrecisionContext(digits)
         for n in (1, 7, 30, 64):
-            cached = inverter._coeff_vector(n, ctx.mp.prec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # orders beyond the digits rule
+                stehfest_approx(F_CONST, 1, n, ctx)
+            key = ("a_k", n, ctx.mp.prec)
+            cached = numerics._TABLES.get(key, lambda: pytest.fail(f"{key} not stored"))
             assert [ctx.mp.make_mpf(t) for t in cached] == [
                 ctx.mpf(q) for q in gaver_stehfest_coeffs(n).a]
 
@@ -191,10 +197,13 @@ def test_via_gaver_never_reads_coefficient_vector(monkeypatch):
     ctx = context_for_order(8)
     expected = stehfest_via_gaver(F_EXP, 1, 8, ctx)
 
-    def forbidden(n, prec):
-        raise AssertionError("a_k vector read by the witness route")
+    class Forbidden:
+        def get(self, key, build):
+            if key[0] == "a_k":
+                raise AssertionError("a_k vector read by the witness route")
+            return numerics._TABLES.get(key, build)
 
-    monkeypatch.setattr(inverter, "_coeff_vector", forbidden)
+    monkeypatch.setattr(inverter, "_TABLES", Forbidden())
     assert stehfest_via_gaver(F_EXP, 1, 8, ctx) == expected
     with pytest.raises(AssertionError):
         stehfest_approx(F_EXP, 1, 8, ctx)
@@ -318,7 +327,7 @@ def test_thread_safety_across_contexts():
             for n in (4, 6):
                 jobs.append((pair.F, n, ctx))
     serial = [stehfest_approx(F, 1, n, ctx) for F, n, ctx in jobs]
-    inverter._coeff_vector.cache_clear()
+    numerics._TABLES.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda j: stehfest_approx(j[0], 1, j[1], j[2]), jobs))
     assert serial == threaded
@@ -340,9 +349,7 @@ def test_non_finite_point_is_rejected_before_any_transform_call(x, route):
     assert seen == []
 
 
-# Properties over random rationals, points and orders <= 8; derandomized
-# like the Lambert W ones, so every run draws the same examples.
-_properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# Properties over random rationals, points and orders <= 8 (settings in conftest.py).
 _INV_CTX = (context_for_order(8), PrecisionContext(40))
 _contexts = st.sampled_from(range(len(_INV_CTX))).map(lambda i: _INV_CTX[i])
 _orders = st.integers(1, 8)
@@ -355,7 +362,6 @@ def _tol(ctx):
     return ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard))
 
 
-@_properties
 @given(_contexts, _orders, _points, st.sampled_from(_smooth), st.sampled_from(_smooth),
        _rationals, _rationals)
 def test_stehfest_is_linear_in_F(ctx, n, x, F1, F2, a, b):
@@ -366,7 +372,6 @@ def test_stehfest_is_linear_in_F(ctx, n, x, F1, F2, a, b):
     assert abs(stehfest_approx(G, x, n, ctx) - (A * f1 + B * f2)) <= _tol(ctx) * scale
 
 
-@_properties
 @given(_contexts, _orders, _points, _rationals)
 def test_c_over_z_inverts_to_c(ctx, n, x, c):
     C = ctx.mpf(c)
@@ -385,7 +390,6 @@ _bad_calls = st.one_of(
 )
 
 
-@_properties
 @given(st.sampled_from(["stehfest", "ladder", "gaver"]), _bad_calls)
 def test_out_of_range_order_or_point_raises_only_domain_error(route, call):
     n, x = call

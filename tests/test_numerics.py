@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import MPZ
 
 from gsinv import (
     DomainError,
@@ -22,7 +23,7 @@ from gsinv import (
     qn_eval,
     required_digits,
 )
-from gsinv import lambertw, numerics, qpoly
+from gsinv import numerics, qpoly
 from gsinv.numerics import fit_line, mpf_tuples, power_sum
 
 
@@ -181,14 +182,10 @@ def test_fit_line_recovers_a_line_and_rejects_no_spread(ctx30):
 
 
 def _clear_precision_caches():
-    numerics._NODE_TABLES.cache_clear()
+    numerics._TABLES.cache_clear()
     qpoly._qn_integer_form.cache_clear()
-    qpoly._KERNEL_TABLES.cache_clear()
     numerics._CONTEXTS.cache_clear()
     qpoly._h_laurent.cache_clear()
-    qpoly._h_laurent_tail.cache_clear()
-    lambertw._W_CONSTANTS.cache_clear()
-    lambertw._mu_vector.cache_clear()
 
 
 def _bits(x):
@@ -262,9 +259,51 @@ def test_integrate_returns_callers_type_across_equal_contexts():
     got = _sample_integrals(second, own)
     assert seen == {m.mpf}
     assert all(type(v) is m.mpf for v in got)
-    tables = list(numerics._NODE_TABLES._data.values())
+    tables = [t for key, t in numerics._TABLES._data.items() if key[0] == "nodes"]
     assert tables and all(type(x) is tuple for t in tables for node in t for x in node)
     assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
+def test_bounded_cache_returns_the_entry_stored_first():
+    # a build that fills its own key stands in for a second thread that
+    # missed the same key and stored first: both callers get that entry
+    cache = numerics._BoundedCache(maxsize=2)
+    inner = []
+
+    def outer_build():
+        inner.append(cache.get("k", lambda: ["inner"]))
+        return ["outer"]
+
+    got = cache.get("k", outer_build)
+    assert got is inner[0] == ["inner"]
+    assert cache.get("k", lambda: ["rebuilt"]) is got
+    cache.get("a", list)
+    cache.get("k", list)  # a hit keeps "k" the most recent entry
+    cache.get("b", list)
+    assert list(cache._data) == ["k", "b"]
+
+
+def _raw(x):
+    # an int (or the backend's integer type), or a tuple or dict of raw values
+    if isinstance(x, (int, MPZ)):
+        return True
+    if isinstance(x, dict):
+        return all(_raw(k) and _raw(v) for k, v in x.items())
+    return isinstance(x, tuple) and all(_raw(v) for v in x)
+
+
+def test_precision_tables_hold_raw_tuples_and_stay_under_their_bound():
+    from gsinv import verify
+
+    F = TransformFn(lambda z: z.context.besselk(0, z.context.sqrt(z)) / z, "K0(sqrt(z))/z")
+    numerics._TABLES.cache_clear()
+    assert verify.run_suites("all")[1]
+    invert_ladder(F, 3, 16)
+    entries = dict(numerics._TABLES._data)
+    assert {key[0] for key in entries} >= {"a_k", "mu", "w", "qn_kernel", "nodes"}
+    bad = [key for key, value in entries.items() if not _raw(value)]
+    assert bad == []
+    assert len(entries) < numerics._TABLES.maxsize  # nothing was evicted
 
 
 def _mixed_jobs(ctx):

@@ -399,7 +399,7 @@ def test_integral_representation_kernel_table_matches_direct_integrand():
             return qn_eval(n, 4 * eu * (1 - eu), ctx) * f(x * u / ln2)
 
         want = abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(F, 1, n, ctx))
-        qpoly._KERNEL_TABLES.cache_clear()
+        numerics._TABLES.cache_clear()
         cold = integral_representation_check(f, F, 1, n, ctx)
         warm = integral_representation_check(f, F, 1, n, ctx)
         assert cold._mpf_ == warm._mpf_ == want._mpf_
