@@ -44,7 +44,6 @@ class TransformPair:
     f_ref: object
     klass: str
     jumps: tuple = ()
-    oscillatory_flag: bool = False
 
     def __post_init__(self):
         if self.klass not in CLASSES:
@@ -54,6 +53,11 @@ class TransformPair:
     def formula(self) -> str:
         """The human-readable transform expression: the label of ``F``."""
         return self.F.label
+
+    @property
+    def oscillatory_flag(self) -> bool:
+        """True for the oscillatory class, which the convergence theory does not cover."""
+        return self.klass == "oscillatory"
 
 
 def _sq_ref(t):
@@ -111,7 +115,6 @@ def corpus() -> tuple[TransformPair, ...]:
             TransformFn(lambda z: 1 / (1 + z**2), "1/(1+z^2)"),
             lambda t: t.context.sin(t),
             "oscillatory",
-            oscillatory_flag=True,
         ),
     )
 

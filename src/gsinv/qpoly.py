@@ -190,29 +190,19 @@ def series_h(N: int) -> SeriesH:
 _MAX_SERIES_TERMS = 5_000_000
 
 
-def _g_series_sum(z, ctx: PrecisionContext):
-    # Valid for -1/e < z < 0, where every term is positive.  Near the
-    # convergence radius the summation switches to precision 4*digits;
-    # the term ratio is (-z)(n - 1/2)/(n - 1) * (1 + 1/(n-1))^(n-1).
-    near_radius = -z * ctx.mp.e > ctx.mpf("0.9")
-    dps = max(ctx.dps, 4 * ctx.digits) if near_radius else ctx.dps
-    work = cached_context(dps - 5, 5)
-    m = work.mp
-    zz = m.mpf(z)
-    acc = m.mpf(0)
-    term = -zz / 2
-    reltol = m.mpf(10) ** (-(ctx.digits + 10))
+def _positive_series(term, ratio, reltol, name: str):
+    # Sum of positive terms term_n = term_{n-1} * ratio(n), starting from
+    # term_1 = term, until a term falls to reltol times the running sum
+    # (a NaN term never does).
+    acc = term
     n = 1
-    while True:
-        acc += term
-        if term <= reltol * acc:
-            return acc
+    while not term <= reltol * acc:
         n += 1
         if n > _MAX_SERIES_TERMS:
-            raise PrecisionError(
-                f"G series needs more than {_MAX_SERIES_TERMS} terms at z = {ctx.nstr(z)}"
-            )
-        term *= (-zz) * (n - m.mpf(1) / 2) / (n - 1) * (1 + m.mpf(1) / (n - 1)) ** (n - 1)
+            raise PrecisionError(f"{name} series needs more than {_MAX_SERIES_TERMS} terms")
+        term *= ratio(n)
+        acc += term
+    return acc
 
 
 @lru_cache(maxsize=8)
@@ -260,18 +250,23 @@ def _g_continuation(z, work: PrecisionContext):
 def g_value(z, ctx: PrecisionContext):
     """G(z) for real z in (-1/e, 0).
 
-    Sums the defining series while ``|ez| <= 1 - 1e-3``; closer to the
-    radius it switches to the analytic continuation (elliptic integrals
-    plus a bounded remainder), which the tests pin against the series on
-    the overlap.
+    Sums the defining series at the caller's precision while
+    ``1 + ez >= 0.1``, where its term ratio tends to ``-ez <= 0.9``;
+    closer to the branch point it takes the analytic continuation
+    (elliptic integrals plus a bounded remainder), which the tests pin
+    against the series on their overlap.
     """
     m = ctx.mp
     z = ctx.mpf(z)
     if not (-m.exp(-1) < z < 0):
         raise DomainError("g_value requires -1/e < z < 0")
     ez1 = 1 + m.e * z
-    if ez1 >= m.mpf("1e-3"):
-        return ctx.mpf(_g_series_sum(z, ctx))
+    if ez1 >= m.mpf("0.1"):
+        # every term is positive; term_n / term_(n-1) = (-z)(n - 1/2)/(n - 1) (1 + 1/(n-1))^(n-1)
+        one = m.mpf(1)
+        return _positive_series(
+            -z / 2, lambda n: (-z) * (n - one / 2) / (n - 1) * (1 + one / (n - 1)) ** (n - 1),
+            m.mpf(10) ** (-(ctx.digits + 10)), "G")
     extra = int(-m.log10(ez1)) + 8
     work = cached_context(ctx.digits + extra, ctx.guard)
     return ctx.mpf(_g_continuation(z, work))
@@ -295,16 +290,12 @@ def g_singular_remainder(z, ctx: PrecisionContext):
     mw = work.mp
     zz = mw.mpf(z)
     ez1 = 1 + mw.e * zz
-    if ez1 >= mw.mpf("1e-3"):
-        G = _g_series_sum(zz, work)
-    else:
-        G = _g_continuation(zz, work)
     sing = (1 / ez1 + mw.mpf(5) / 24 * mw.ln(ez1)) / (mw.sqrt(2) * mw.pi)
-    return ctx.mpf(G - sing)
+    return ctx.mpf(_g_continuation(zz, work) - sing)
 
 
-def hz_branch_check(z, ctx: PrecisionContext, laurent_terms: int = 6):
-    """|H summed from its series - branch expansion truncated at p^N|.
+def hz_branch_check(z, ctx: PrecisionContext):
+    """|H summed from its series - branch expansion truncated at p^6|.
 
     The leading expansion coefficients (1, -11/24, -4/135, -1/1152) are
     fixed; higher ones come from the exact branch-series algebra.  The
@@ -315,27 +306,15 @@ def hz_branch_check(z, ctx: PrecisionContext, laurent_terms: int = 6):
     m = ctx.mp
     z = ctx.mpf(z)
     ez1 = 1 + m.e * z
-    if ez1 <= 0:
-        raise DomainError("p(z) would be imaginary: need z > -1/e")
+    if not ez1 > 0:
+        raise DomainError("p(z) would be imaginary: need a finite z > -1/e")
     p = m.sqrt(2 * ez1)
     if p > m.mpf("0.5"):
         raise DomainError(f"|p(z)| = {ctx.nstr(p, 6)} exceeds 0.5")
-    # series side
-    acc = m.mpf(0)
-    term = -z
-    reltol = m.mpf("1e-18")
-    n = 1
-    while True:
-        acc += term
-        if term <= reltol * acc:
-            break
-        n += 1
-        if n > _MAX_SERIES_TERMS:
-            raise PrecisionError("H series did not converge")
-        term *= (-z) * (1 + m.mpf(1) / (n - 1)) ** n
-    # branch expansion side
-    lval = power_sum(mpf_tuples(_h_laurent(laurent_terms), m.prec), p, m) / p**3
-    return abs(acc - lval)
+    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n,
+                              m.mpf("1e-18"), "H")
+    lval = power_sum(mpf_tuples(_h_laurent(6), m.prec), p, m) / p**3
+    return abs(series - lval)
 
 
 # ---------------------------------------------------------------------
@@ -430,8 +409,10 @@ def qn_jump_form_check(n: int, v, ctx: PrecisionContext) -> JumpFormCheck:
     return JumpFormCheck(abs(q - form), decay, q, form)
 
 
-def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int = 121) -> DecayFit:
+def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     """Fit max over v in [0, 1-eps] of |q_n(v)|/v against C b^-n.
+
+    The maximum is taken over the 121 equally spaced points of (0, 1-eps].
 
     The per-n maxima oscillate around their geometric envelope (the
     nearest sin(n alpha) peak moves relative to the grid edge), so the
@@ -453,7 +434,7 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext, grid_points: int 
     if len(ns) < 4:
         raise ProbeError("need at least 4 orders to fit the decay bound")
     hi = 1 - eps
-    vs = [hi * m.mpf(i) / grid_points for i in range(1, grid_points + 1)]
+    vs = [hi * m.mpf(i) / 121 for i in range(1, 122)]
     ratios = []
     for n in ns:
         best = m.mpf(0)

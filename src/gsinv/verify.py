@@ -137,18 +137,13 @@ def check_qn_jump_form_bound():
 @_check("integral-representation")
 def check_integral_representation(ns=(2, 4, 8)):
     ctx = context_for_order(8)
-    m = ctx.mp
-    tol = m.mpf(10) ** (-(ctx.digits // 2))
-    cases = {
-        "constant": (lambda t: m.mpf(1), get_pair("constant").F),
-        "exponential": (lambda t: m.exp(-t), get_pair("exponential").F),
-        "ramp": (lambda t: t, get_pair("ramp").F),
-    }
-    worst = max(integral_representation_check(f, F, ctx.mpf(x), n, ctx)
-                for f, F in cases.values() for x in (1, 2) for n in ns)
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits // 2))
+    pairs = [get_pair(name) for name in ("constant", "exponential", "ramp")]
+    worst = max(integral_representation_check(p.f_ref, p.F, ctx.mpf(x), n, ctx)
+                for p in pairs for x in (1, 2) for n in ns)
     return (worst <= tol,
             {"worst_discrepancy": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
-            {"f": list(cases), "x": [1, 2], "n": list(ns)})
+            {"f": [p.name for p in pairs], "x": [1, 2], "n": list(ns)})
 
 
 @_check("decay-bound")

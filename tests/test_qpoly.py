@@ -173,12 +173,41 @@ def test_genfun_domain():
 def test_g_value_routes_agree(ctx30):
     # series route vs analytic continuation on their overlap
     m = ctx30.mp
-    for d in ("0.01", "0.001"):
+    for d in ("0.04", "0.1"):
         z = -m.exp(-1) + m.mpf(d)
         via_series = g_value(z, ctx30)
         work = cached_context(ctx30.digits + 10, ctx30.guard)
         via_cont = ctx30.mpf(_g_continuation(work.mpf(z), work))
         assert abs(via_series - via_cont) <= m.mpf(10) ** (-(ctx30.digits - 5)) * abs(via_series)
+
+
+@pytest.mark.parametrize("digits, z, bits", [
+    (20, "-0.2", (0, 4766939888342122728580057361643, -104, 102)),
+    (20, "-0.3", (0, 9347816335921204855070103732079, -103, 103)),
+    (30, "-0.2", (0, 40947701844854617556939261772159922304079, -137, 135)),
+    (30, "-0.3", (0, 40148565451796124885442515316799253675191, -135, 135)),
+])
+def test_g_value_series_route_bits(digits, z, bits):
+    # the series route (1 + ez >= 0.1) sums at the caller's precision
+    ctx = PrecisionContext(digits)
+    assert g_value(ctx.mpf(z), ctx)._mpf_ == bits
+
+
+@pytest.mark.parametrize("digits, ez1, bits", [
+    (20, "0.05", (0, 656659483951035083063402840151, -97, 100)),
+    (20, "0.003", (0, 5905503228648090240714259946605, -96, 103)),
+    (30, "0.05", (0, 2820331008177932547105958692978162112757, -129, 132)),
+    (30, "0.003", (0, 25363943233465957876724514160136291928401, -128, 135)),
+])
+def test_g_value_continuation_matches_series_values(digits, ez1, bits):
+    # points with 1 + ez < 0.1 take the continuation; the bits are those
+    # of the defining series summed at 4 x digits, to which the
+    # continuation must agree within 10^-digits relative
+    ctx = PrecisionContext(digits)
+    m = ctx.mp
+    series = m.make_mpf(bits)
+    value = g_value((m.mpf(ez1) - 1) / m.e, ctx)
+    assert abs(value - series) <= m.mpf(10) ** -digits * series
 
 
 def test_htilde_warm_call_converts_no_laurent_vector(ctx20, monkeypatch):
@@ -244,6 +273,9 @@ def test_hz_branch_check_fast(ctx20):
     m = ctx20.mp
     diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-3"), ctx20)
     assert diff < m.mpf("1e-5")
+    assert diff._mpf_ == (0, 6111836298365035, -91, 53)
+    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-2"), ctx20)
+    assert diff._mpf_ == (0, 22077667916732017965, -92, 65)
 
 
 @pytest.mark.slow
@@ -259,6 +291,14 @@ def test_hz_branch_check_domain(ctx20):
         hz_branch_check(-m.exp(-1) - m.mpf("1e-4"), ctx20)  # p imaginary
     with pytest.raises(DomainError):
         hz_branch_check(-m.mpf("0.05"), ctx20)  # |p| > 0.5
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_hz_branch_check_rejects_non_finite_before_summing(z, ctx20, monkeypatch):
+    # a series that ran would hit the lowered cap and raise PrecisionError
+    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", 10)
+    with pytest.raises(DomainError):
+        hz_branch_check(ctx20.mpf(z), ctx20)
 
 
 def test_qn_asymptotic_relative_error(ctx30):
