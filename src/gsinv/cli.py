@@ -105,6 +105,7 @@ def _invert_single(F, x, n, ref, ctx, flags) -> InversionReport:
 
 def _cmd_invert(args) -> int:
     from .inverter import invert_ladder
+    from .numerics import check_point
     from .pairs import get_pair, jordan_target
 
     if args.n is not None and args.n_max is not None:
@@ -139,10 +140,7 @@ def _cmd_invert(args) -> int:
         print("error: --pair or --transform is required", file=sys.stderr)
         return 2
 
-    xs = [ctx.mpf(part) for part in args.x.split(",")]
-    if any(not x > 0 for x in xs):
-        print("error: x values must be positive", file=sys.stderr)
-        return 2
+    xs = [check_point(part, ctx) for part in args.x.split(",")]
     with warnings.catch_warnings():
         # _resolve_ctx has printed the low-digits warning; the library's copy repeats it
         warnings.filterwarnings("ignore", r"digits=\d+ below required_digits", UserWarning)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,9 +35,8 @@ __all__ = [
     "coeffs_to_csv",
 ]
 
-# Exact integers beyond this order grow without practical inversion
-# benefit; pass max_order explicitly to override.
-MAX_ORDER = 64
+MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without benefit
+QN_MAX_ORDER = 200  # q_n orders, which the verification layer probes up to 200
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,21 @@ class GaverStehfestCoeffs:
     a: tuple[Fraction, ...]
 
 
-def _check_order(n: int, max_order: int):
-    if not 1 <= n <= max_order:
-        raise DomainError(f"order must be in [1, {max_order}], got {n}")
+def check_order(n, cap: int = MAX_ORDER):
+    """The one order check of the package: ``n`` must be an integer in ``[1, cap]``."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= cap):
+        raise DomainError(f"order must be an integer in [1, {cap}], got {n!r}")
 
 
-@lru_cache(maxsize=None)
-def stehfest_weights(n: int, max_order: int = MAX_ORDER) -> StehfestWeights:
+# typed: 5.0 or True reaches the order check, not the table cached for 5 or 1
+@lru_cache(maxsize=None, typed=True)
+def stehfest_weights(n: int) -> StehfestWeights:
     """Weights c_k(n) = (-1)^(n+k) k^n / (k! (n-k)!).
 
     They satisfy the Vandermonde conditions: sum_k c_k k^-j equals 1 for
     j = 0 and 0 for j = 1..n-1, exactly in rational arithmetic.
     """
-    _check_order(n, max_order)
+    check_order(n)
     c = tuple(
         (-1) ** (n + k) * Fraction(k**n, factorial(k) * factorial(n - k))
         for k in range(1, n + 1)
@@ -77,6 +79,8 @@ def stehfest_weights(n: int, max_order: int = MAX_ORDER) -> StehfestWeights:
 
 def vandermonde_check(w: StehfestWeights) -> bool:
     """True iff sum_k c_k k^-j = delta_{j,0} exactly for j = 0..n-1."""
+    if not isinstance(w, StehfestWeights):
+        raise DomainError(f"vandermonde_check needs StehfestWeights, got {w!r}")
     for j in range(w.n):
         total = sum(ck * Fraction(1, k**j) for k, ck in enumerate(w.c, start=1))
         if total != (1 if j == 0 else 0):
@@ -84,8 +88,8 @@ def vandermonde_check(w: StehfestWeights) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def gaver_stehfest_coeffs(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCoeffs:
+@lru_cache(maxsize=None, typed=True)
+def gaver_stehfest_coeffs(n: int) -> GaverStehfestCoeffs:
     """Coefficients a_k(n), k = 1..2n, from the closed double sum.
 
     a_k(n) = (-1)^(n+k)/n! * sum_{j=floor((k+1)/2)}^{min(k,n)}
@@ -94,7 +98,7 @@ def gaver_stehfest_coeffs(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCo
     The floor bracket is integer floor division; the construction is
     cross-checked against :func:`coeffs_from_weights` in the test suite.
     """
-    _check_order(n, max_order)
+    check_order(n)
     nfact = factorial(n)
     # the factor of each j that does not depend on k
     jfac = [0] + [j ** (n + 1) * comb(n, j) * comb(2 * j, j) for j in range(1, n + 1)]
@@ -107,15 +111,14 @@ def gaver_stehfest_coeffs(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCo
     return GaverStehfestCoeffs(n, tuple(a))
 
 
-def coeffs_from_weights(n: int, max_order: int = MAX_ORDER) -> GaverStehfestCoeffs:
+def coeffs_from_weights(n: int) -> GaverStehfestCoeffs:
     """Alternative construction: expand the accelerated combination.
 
     Collapses sum_k c_k(n) * [row-k finite difference] into coefficients of
     F(m ln2 / x), m = 1..2n.  Must reproduce :func:`gaver_stehfest_coeffs`
     exactly; kept separate as the independent route for that identity.
     """
-    _check_order(n, max_order)
-    w = stehfest_weights(n, max_order)
+    w = stehfest_weights(n)
     a = [Fraction(0)] * (2 * n)
     for k in range(1, n + 1):
         row = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
@@ -131,12 +134,11 @@ def gaver_kernel(k: int, u, ctx: PrecisionContext):
     Nonnegative with unit mass on [0, inf); the mass and mean are probed
     by quadrature in the test suite.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_order(k)
     m = ctx.mp
     u = ctx.mpf(u)
-    if u < 0:
-        raise DomainError("kernel argument must be >= 0")
+    if not u >= 0:
+        raise DomainError(f"kernel argument must be >= 0, got u = {u}")
     pre = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
     eu = m.exp(-u)
     return ctx.mpf(pre) * (1 - eu) ** k * eu**k

@@ -33,6 +33,14 @@ class PrecisionError(RuntimeError):
     """A series or refinement cannot reach the requested precision."""
 
 
+def as_number(convert, value, kind: str):
+    """``convert(value)``, or DomainError when ``value`` is not a ``kind`` (None, "abc")."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: Fraction(inf)
+        raise DomainError(f"not a {kind}: {value!r}") from exc
+
+
 # what a numerical routine of the package raises on bad input or failure
 NUMERICAL_ERRORS = (DomainError, QuadratureError, ProbeError, PrecisionError,
                     TransformEvaluationError)

@@ -10,17 +10,18 @@ independent witness, and the test suite holds them together to within
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from mpmath.libmp import fzero, mpf_add, mpf_mul
 
-from .coeffs import MAX_ORDER, _check_order, gaver_stehfest_coeffs, stehfest_weights
+from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .numerics import (
     _TABLES,
     PrecisionContext,
+    check_point,
     context_for_order,
     fit_line,
     integrate,
@@ -125,13 +126,6 @@ class _AbscissaCache:
         return self.values[j]
 
 
-def _check_point(x, ctx):
-    x = ctx.mpf(x)
-    if not (x > 0 and ctx.mp.isfinite(x)):
-        raise DomainError(f"evaluation point must be finite and > 0, got x = {x}")
-    return x
-
-
 def _warn_low_digits(ctx, n: int):
     """Warn the public caller (two frames up) when ``ctx`` is too coarse for order ``n``."""
     if ctx.digits < required_digits(n):
@@ -150,8 +144,8 @@ def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     The binomial factors are computed exactly and converted once.
     Requires ``1 <= k <= MAX_ORDER`` and ``ctx.digits >= required_digits(k)``.
     """
-    x = _check_point(x, ctx)
-    _check_order(k, MAX_ORDER)
+    x = check_point(x, ctx)
+    check_order(k)
     _warn_low_digits(ctx, k)
     m = ctx.mp
     cache = _cache or _AbscissaCache(F, x, ctx)
@@ -170,10 +164,10 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     The private ``_cache`` lets :func:`invert_ladder` share one abscissa
     cache across orders; that caller makes the precision check once.
     """
-    x = _check_point(x, ctx)
+    x = check_point(x, ctx)
+    check_order(n)
     m = ctx.mp
-    # a_k(n) as raw tuples (see mpf_tuples); built before any warning or
-    # F call, so a bad order is rejected first
+    # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
     if _cache is None:
         _warn_low_digits(ctx, n)
@@ -199,7 +193,7 @@ def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
     Algebraically identical to :func:`stehfest_approx`; kept as the
     independent second route for the two-path agreement checks.
     """
-    x = _check_point(x, ctx)
+    x = check_point(x, ctx)
     cache = _AbscissaCache(F, x, ctx)
     c = stehfest_weights(n).c
     acc = ctx.mp.mpf(0)
@@ -218,10 +212,10 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
     All orders share one abscissa cache, so F is evaluated once per
     distinct abscissa: 2 n_max calls.
     """
-    _check_order(n_max, MAX_ORDER)
+    check_order(n_max)
     if ctx is None:
         ctx = context_for_order(n_max)
-    x = _check_point(x, ctx)
+    x = check_point(x, ctx)
     _warn_low_digits(ctx, n_max)
     target = None if ref is None else ctx.mpf(ref(x))
     cache = _AbscissaCache(F, x, ctx)
@@ -233,7 +227,7 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
     return InversionReport(x, tuple(entries), ctx.digits, tuple(flags))
 
 
-def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext, rel_tol=0.05):
+def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext):
     """Empirical leading error coefficient of the Gaver functionals.
 
     Fits ``k (gaver_k(x) - ref)`` against ``b1 + b2/k`` over ``k_range``
@@ -244,45 +238,58 @@ def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext, rel_tol=0.05):
     Raises
     ------
     ProbeError
-        If the fit residual exceeds ``rel_tol * |b1|`` (plus a small
-        absolute floor), which signals the 1/k expansion is not visible
-        over the window.
+        If the fit residual exceeds 5% of ``|b1|`` (plus a small absolute
+        floor), which signals the 1/k expansion is not visible over the
+        window.
     """
     ks = list(k_range)
     if len(ks) < 4:
         raise DomainError("k_range must span at least 4 values")
-    x = _check_point(x, ctx)
+    x = check_point(x, ctx)
+    for k in ks:  # every order, before the first transform call
+        check_order(k)
     m = ctx.mp
     fref = ctx.mpf(ref)
     cache = _AbscissaCache(F, x, ctx)
     ys = [k * (gaver_approx(F, x, k, ctx, _cache=cache) - fref) for k in ks]
     b1, b2, rms = fit_line([m.mpf(1) / k for k in ks], ys, m)
     floor = m.mpf(10) ** (-(ctx.digits // 2)) * max(m.mpf(1), abs(fref))
-    if rms > ctx.mpf(rel_tol) * abs(b1) + floor:
+    if rms > ctx.mpf(0.05) * abs(b1) + floor:
         raise ProbeError(
             f"expansion fit residual {ctx.nstr(rms, 6)} too large for b1 = {ctx.nstr(b1, 6)}"
         )
     return b1
 
 
-def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
-    """The oscillatory integral whose vanishing characterizes f_n(x) -> c.
+def _symmetrized_difference(f, x, c, eps, ctx: PrecisionContext):
+    """The symmetrized difference ``g(v) = f(-x log2(1/2+v)) + f(-x log2(1/2-v)) - 2c``.
 
-    integral_0^eps |xi(v)|^-n sin(n alpha(v))/alpha(v)
-        [f(-x log2(1/2+v)) + f(-x log2(1/2-v)) - 2c] dv
-
-    for ``eps`` in (0, 1/4); ``f`` must be locally integrable near ``x``.
+    Both convergence criteria integrate it over ``v`` in (0, eps), eps < 1/4;
+    ``x`` and ``eps`` are checked before ``f`` is called.
     """
-    from .lambertw import xi_alpha  # the inverter proper does not need Lambert W
-
     m = ctx.mp
-    x = _check_point(x, ctx)
+    x = check_point(x, ctx)
     c = ctx.mpf(c)
     eps = ctx.mpf(eps)
     if not 0 < eps < m.mpf(1) / 4:
-        raise DomainError("eps must lie in (0, 1/4)")
+        raise DomainError(f"eps must lie in (0, 1/4), got eps = {eps}")
     half = m.mpf(1) / 2
     ln2 = m.ln(2)
+    return lambda v: f(-x * m.ln(half + v) / ln2) + f(-x * m.ln(half - v) / ln2) - 2 * c
+
+
+def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
+    """The oscillatory integral whose vanishing characterizes f_n(x) -> c.
+
+    integral_0^eps |xi(v)|^-n sin(n alpha(v))/alpha(v) g(v) dv, with g the
+    symmetrized difference, for ``eps`` in (0, 1/4); ``f`` must be locally
+    integrable near ``x``.
+    """
+    from .lambertw import xi_alpha  # the inverter proper does not need Lambert W
+
+    check_order(n, QN_MAX_ORDER)
+    m = ctx.mp
+    g = _symmetrized_difference(f, x, c, eps, ctx)
 
     def integrand(v):
         if v == 0:
@@ -292,7 +299,6 @@ def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
             osc = m.mpf(n)  # limit of sin(n a)/a as 1 - 4v^2 rounds to 1
         else:
             osc = abs(xa.xi) ** (-n) * m.sin(n * xa.alpha) / xa.alpha
-        g = f(-x * m.ln(half + v) / ln2) + f(-x * m.ln(half - v) / ln2) - 2 * c
-        return osc * g
+        return osc * g(v)
 
     return integrate(integrand, 0, eps, ctx)

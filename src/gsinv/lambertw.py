@@ -44,7 +44,7 @@ from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc
                           mpc_mul, mpc_mul_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_le,
                           mpf_lt, mpf_mul, to_str)
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, as_number
 from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
 
 __all__ = [
@@ -124,7 +124,7 @@ def branch_series_eval(p, N: int, series: BranchSeries, ctx: PrecisionContext):
     """
     m = ctx.mp
     p = m.mpc(p)
-    if abs(p) >= _SQRT2_MARGIN * m.sqrt(2):
+    if not abs(p) < _SQRT2_MARGIN * m.sqrt(2):
         raise DomainError(f"|p| = {abs(p)} outside the safe convergence disk")
     if N >= len(series.mu):
         raise DomainError(f"series holds {len(series.mu)} coefficients, need {N + 1}")
@@ -291,7 +291,7 @@ def lambert_w0(z, ctx: PrecisionContext):
         If Halley's iteration ends without a ``w`` meeting that bound.
     """
     m = ctx.mp
-    z = m.mpc(z)
+    z = as_number(m.mpc, z, "complex number")
     if not m.isfinite(z):
         raise DomainError(f"lambert_w0 needs a finite argument, got {z}")
     zr, zi = zc = z._mpc_

@@ -32,7 +32,8 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from .errors import DomainError, ProbeError, QuadratureError
+from .coeffs import check_order
+from .errors import DomainError, ProbeError, QuadratureError, as_number
 
 __all__ = [
     "PrecisionContext",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 MIN_DIGITS = 15  # the working-precision floor of PrecisionContext
+MAX_LEVEL = 10  # tanh-sinh refinement levels before integrate gives up
 
 
 def required_digits(n: int) -> int:
@@ -54,8 +56,7 @@ def required_digits(n: int) -> int:
     empirically destroys about ``1.3 n`` digits; the acceptance suite
     validates the rule rather than assuming it.
     """
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    check_order(n)
     return (11 * n + 4) // 5 + 10  # exact ceil(2.2 n) + 10
 
 
@@ -67,8 +68,7 @@ def guard_for_order(n: int) -> int:
     computation error several orders below the reporting tolerance
     ``10**(-digits + guard)``.
     """
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    check_order(n)
     return max(5, (7 * n + 9) // 10 + 3)
 
 
@@ -125,7 +125,7 @@ class PrecisionContext:
     def mpf(self, x):
         if isinstance(x, Fraction):
             return self._mp.mpf(x.numerator) / x.denominator
-        return self._mp.mpf(x)
+        return as_number(self._mp.mpf, x, "real number")
 
     def mpc(self, re, im=0):
         return self._mp.mpc(self.mpf(re), self.mpf(im))
@@ -190,6 +190,14 @@ def context_for_order(n: int) -> PrecisionContext:
     thread gets the same context on every call (see :func:`cached_context`).
     """
     return cached_context(max(MIN_DIGITS, required_digits(n)), guard_for_order(n))
+
+
+def check_point(x, ctx: PrecisionContext):
+    """The one point check of the package: ``x`` as an mpf of ``ctx``, finite and > 0."""
+    x = ctx.mpf(x)
+    if not (x > 0 and ctx.mp.isfinite(x)):
+        raise DomainError(f"evaluation point must be finite and > 0, got x = {x}")
+    return x
 
 
 def mpf_tuples(values, prec: int) -> tuple:
@@ -354,7 +362,7 @@ def _level_nodes(m, level, semi_infinite):
     return _TABLES.get(("nodes", m.prec, level, semi_infinite), lambda: build(m, level))
 
 
-def _tanh_sinh(m, fleft, fright, digits, max_level, semi_infinite=False):
+def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
     """Integrate over [-1, 1] given endpoint-offset evaluators.
 
     ``fleft(node)`` evaluates the integrand at ``x = -1 + d`` and
@@ -367,7 +375,7 @@ def _tanh_sinh(m, fleft, fright, digits, max_level, semi_infinite=False):
     make = m.make_mpf
     total = m.mpf(0)
     prev = None
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         h = m.mpf(1) / 2**level
         new = m.mpf(0)
         for i, raw in enumerate(_level_nodes(m, level, semi_infinite)):
@@ -381,12 +389,12 @@ def _tanh_sinh(m, fleft, fright, digits, max_level, semi_infinite=False):
             return total
         prev = total
     raise QuadratureError(
-        f"tanh-sinh did not converge within {max_level} levels",
+        f"tanh-sinh did not converge within {MAX_LEVEL} levels",
         last_estimates=(prev, total),
     )
 
 
-def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
+def integrate(f, a, b, ctx: PrecisionContext):
     """Integrate ``f`` over ``(a, b)`` with absolute error near ``ctx.eps``.
 
     Parameters
@@ -401,7 +409,7 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
         via ``u = a - ln(1 - s)``.
     ctx : PrecisionContext
         Precision policy; refinement stops once two successive levels
-        agree to ``10**-digits``.
+        agree to ``10**-digits``, or fails after :data:`MAX_LEVEL` levels.
 
     Raises
     ------
@@ -426,12 +434,12 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
             _, oms, _, ln_oms = node
             return f(a - ln_oms) / oms / 2
 
-        return _tanh_sinh(m, fleft, fright, ctx.digits, max_level, semi_infinite=True)
+        return _tanh_sinh(m, fleft, fright, ctx.digits, semi_infinite=True)
 
     if b == a:
         return m.mpf(0)
     if b < a:
-        return -integrate(f, b, a, ctx, max_level)
+        return -integrate(f, b, a, ctx)
     halfw = (b - a) / 2
 
     def fleft(node):
@@ -440,4 +448,4 @@ def integrate(f, a, b, ctx: PrecisionContext, max_level: int = 10):
     def fright(node):
         return f(b - halfw * node[1]) * halfw
 
-    return _tanh_sinh(m, fleft, fright, ctx.digits, max_level)
+    return _tanh_sinh(m, fleft, fright, ctx.digits)

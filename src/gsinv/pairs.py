@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .inverter import InversionReport, TransformFn, invert_ladder
-from .numerics import PrecisionContext, integrate
+from .inverter import InversionReport, TransformFn, _symmetrized_difference, invert_ladder
+from .numerics import PrecisionContext, check_point, context_for_order, integrate
 
 __all__ = [
     "TransformPair",
@@ -128,7 +128,7 @@ def get_pair(name: str) -> TransformPair:
 
 def jordan_target(pair: TransformPair, x, ctx: PrecisionContext):
     """Reference value at ``x``: f_ref(x), or the jump midpoint at a jump."""
-    x = ctx.mpf(x)
+    x = check_point(x, ctx)
     for loc, left, right in pair.jumps:
         if x == ctx.mpf(loc):
             return (ctx.mpf(left) + ctx.mpf(right)) / 2
@@ -137,13 +137,11 @@ def jordan_target(pair: TransformPair, x, ctx: PrecisionContext):
 
 def run_pair(pair: TransformPair, x, n_max: int, ctx: PrecisionContext | None = None) -> InversionReport:
     """Ladder for a corpus pair, with errors against the Jordan target."""
-    from .numerics import context_for_order
-
     if ctx is None:
         ctx = context_for_order(n_max)
-    target = jordan_target(pair, x, ctx)
     flags = ("oscillatory",) if pair.oscillatory_flag else ()
-    return invert_ladder(pair.F, x, n_max, ref=lambda _x: target, ctx=ctx, flags=flags)
+    # the ladder asks for the target once it has checked x and n_max
+    return invert_ladder(pair.F, x, n_max, lambda t: jordan_target(pair, t, ctx), ctx, flags)
 
 
 @dataclass(frozen=True)
@@ -167,21 +165,13 @@ def dini_integral_estimate(pair: TransformPair, x, c, epsilon, ctx: PrecisionCon
     satisfies this at the points the tests probe.
     """
     m = ctx.mp
-    x = ctx.mpf(x)
-    c = ctx.mpf(c)
-    eps = ctx.mpf(epsilon)
-    if not 0 < eps < m.mpf(1) / 4:
-        raise DomainError("epsilon must lie in (0, 1/4)")
-    half = m.mpf(1) / 2
-    ln2 = m.ln(2)
-    f = pair.f_ref
+    g = _symmetrized_difference(pair.f_ref, x, c, epsilon, ctx)
 
     def integrand(v):
-        g = f(-x * m.ln(half + v) / ln2) + f(-x * m.ln(half - v) / ln2) - 2 * c
-        return abs(g) / v
+        return abs(g(v)) / v
 
     v_min = m.mpf(10) ** (-(ctx.digits // 2))
-    base = integrate(integrand, v_min, eps, ctx)
+    base = integrate(integrand, v_min, epsilon, ctx)
     extended = integrate(integrand, v_min / 10, v_min, ctx)
     threshold = m.mpf("1e-6") * max(m.mpf(1), abs(base))
     return DiniEstimate(value=base, divergent=bool(extended > threshold), increment=extended)
@@ -195,9 +185,7 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     smoothness away from the endpoints.
     """
     m = ctx.mp
-    z = ctx.mpf(z)
-    if not z > 0:
-        raise DomainError("identity probed for real z > 0 only")
+    z = check_point(z, ctx)
     f = pair.f_ref
 
     def integrand(t):

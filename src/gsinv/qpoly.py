@@ -16,7 +16,8 @@ from math import factorial, lcm
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from . import series as fps
-from .errors import DomainError, PrecisionError, ProbeError
+from .coeffs import QN_MAX_ORDER, check_order
+from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
 from .numerics import (_TABLES, PrecisionContext, cached_context, fit_line, integrate,
@@ -94,11 +95,10 @@ def _poch_half(k: int) -> Fraction:
     return Fraction(factorial(2 * k), 4**k * factorial(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qn_coeffs(n: int) -> PolyQ:
     """Exact coefficients of q_n: (-1)^(n+k) k^(n+1) (1/2)_k / ((n-k)! (k!)^2)."""
-    if not 1 <= n <= 200:
-        raise DomainError(f"order must be in [1, 200], got {n}")
+    check_order(n, QN_MAX_ORDER)
     coeffs = tuple(
         (-1) ** (n + k)
         * Fraction(k ** (n + 1))
@@ -111,13 +111,14 @@ def qn_coeffs(n: int) -> PolyQ:
 
 def qn_exact(n: int, v: Fraction) -> Fraction:
     """q_n at a rational point, exactly."""
+    v = as_number(Fraction, v, "rational number")
     acc = Fraction(0)
     for c in reversed(qn_coeffs(n).coeffs):
         acc = (acc + c) * v
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
     """Numerators N_1..N_n of the q_n coefficients over their common denominator D.
 
@@ -147,14 +148,14 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
         If ``v`` is infinite or NaN.
     """
     if isinstance(v, (Fraction, int)):
-        return ctx.mpf(qn_exact(n, Fraction(v)))
+        return ctx.mpf(qn_exact(n, v))
     m = ctx.mp
     sign, man, exp, _ = raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
+    numerators, D = _qn_integer_form(n)  # checks the order, even at v = 0
     if not man:
         if raw != fzero:
             raise DomainError(f"qn_eval needs a finite v, got {ctx.nstr(m.make_mpf(raw))}")
         return m.mpf(0)
-    numerators, D = _qn_integer_form(n)
     M = -man if sign else man
     s = -exp
     if s < 0:
@@ -306,11 +307,9 @@ def hz_branch_check(z, ctx: PrecisionContext):
     m = ctx.mp
     z = ctx.mpf(z)
     ez1 = 1 + m.e * z
-    if not ez1 > 0:
-        raise DomainError("p(z) would be imaginary: need a finite z > -1/e")
+    if not 0 < ez1 <= m.mpf("0.125"):  # p(z) = sqrt(2 (1 + ez)) real, at most 0.5
+        raise DomainError(f"z must lie in (-1/e, -0.875/e], got z = {z}")
     p = m.sqrt(2 * ez1)
-    if p > m.mpf("0.5"):
-        raise DomainError(f"|p(z)| = {ctx.nstr(p, 6)} exceeds 0.5")
     series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n,
                               m.mpf("1e-18"), "H")
     lval = power_sum(mpf_tuples(_h_laurent(6), m.prec), p, m) / p**3
@@ -332,14 +331,13 @@ def _genfun_matches(qvals, v: Fraction, n_max: int) -> bool:
 def genfun_identity_check(n_max: int, v) -> bool:
     """Exact check of G(v t e^t) = sum q_n(v) (-1)^n t^n through t^n_max.
 
-    ``v`` must be rational in [0, 1]; the composition uses exact rational
-    arithmetic throughout, so the result is a strict equality test.
+    ``v`` must be rational in [0, 1] and ``n_max`` at most 30; exact
+    rational arithmetic throughout makes the result a strict equality test.
     """
-    v = Fraction(v)
+    check_order(n_max, 30)
+    v = as_number(Fraction, v, "rational number")
     if not 0 <= v <= 1:
-        raise DomainError("v must lie in [0, 1]")
-    if n_max > 30:
-        raise DomainError("formal-series cost: n_max capped at 30")
+        raise DomainError(f"v must lie in [0, 1], got v = {v}")
     qvals = [qn_exact(n, v) for n in range(1, n_max + 1)]
     return _genfun_matches(qvals, v, n_max)
 
@@ -362,12 +360,11 @@ def qn_asymptotic(n: int, v, ctx: PrecisionContext, extended: bool = False):
     ``v = 1`` is rejected: w(1) = -1 is a double pole of the integrand
     that produced this form; use :func:`qn_at_one_asymptotic` there.
     """
+    check_order(n, QN_MAX_ORDER)
     m = ctx.mp
     v = ctx.mpf(v)
     if not m.mpf(1) / 2 <= v < 1:
         raise DomainError("v must lie in [1/2, 1); v = 1 has its own formula")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     w = w_of_v(v, ctx)
     inner = w ** (-n) / (1 + w)
     if extended:
@@ -377,8 +374,7 @@ def qn_asymptotic(n: int, v, ctx: PrecisionContext, extended: bool = False):
 
 def qn_at_one_asymptotic(n: int, ctx: PrecisionContext):
     """(sqrt(2)/pi) (n + 1/3 - 5/(24n)); residual is O(n^-3)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    check_order(n, QN_MAX_ORDER)
     m = ctx.mp
     return _sqrt2_over_pi(m) * (n + m.mpf(1) / 3 - m.mpf(5) / (24 * n))
 
@@ -392,18 +388,11 @@ def qn_jump_form_check(n: int, v, ctx: PrecisionContext) -> JumpFormCheck:
     a fitted, n-stable C rather than against the form value pointwise.
     """
     m = ctx.mp
-    if isinstance(v, (Fraction, int)):
-        vfrac = Fraction(v)
-        if not 0 < vfrac <= Fraction(1, 4):
-            raise DomainError("v must lie in (0, 1/4]")
-        q = qn_eval(n, 1 - 4 * vfrac * vfrac, ctx)
-        vv = ctx.mpf(vfrac)
-    else:
-        vv = ctx.mpf(v)
-        if not 0 < vv <= m.mpf(1) / 4:
-            raise DomainError("v must lie in (0, 1/4]")
-        q = qn_eval(n, 1 - 4 * vv * vv, ctx)
-    xa = xi_alpha(vv, ctx)
+    u = Fraction(v) if isinstance(v, (Fraction, int)) else ctx.mpf(v)
+    if not 0 < u <= 0.25:  # exact for a Fraction and for an mpf
+        raise DomainError(f"v must lie in (0, 1/4], got v = {u}")
+    q = qn_eval(n, 1 - 4 * u * u, ctx)
+    xa = xi_alpha(ctx.mpf(u), ctx)
     decay = abs(xa.xi) ** (-n)
     form = _sqrt2_over_pi(m) * decay * m.sin(n * xa.alpha) / xa.alpha
     return JumpFormCheck(abs(q - form), decay, q, form)
@@ -478,6 +467,7 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     rounded; a warm table reads the same bits.
     """
     m = ctx.mp
+    rhs = stehfest_approx(F, x, n, ctx)  # first: it checks x and n before F or f is called
     x = ctx.mpf(x)
     ln2 = m.ln(2)
     # {u._mpf_: q_n(4 e^-u (1 - e^-u))._mpf_}; every (f, x) of one order
@@ -494,5 +484,4 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
         return make(kernel) * f(x * u / ln2)
 
     lhs = integrate(integrand, 0, m.inf, ctx)
-    rhs = stehfest_approx(F, x, n, ctx)
     return abs(lhs - rhs)

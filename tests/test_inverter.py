@@ -211,7 +211,7 @@ def test_via_gaver_never_reads_coefficient_vector(monkeypatch):
 
 def test_order_beyond_max_fails_before_transform():
     F, seen = counting(F_EXP)
-    ctx = context_for_order(70)
+    ctx = context_for_order(64)
     for call in (lambda: invert_ladder(F, 1, 70, ctx=ctx),
                  lambda: stehfest_approx(F, 1, 70, ctx)):
         with pytest.raises(DomainError, match="got 70"):
@@ -370,6 +370,17 @@ def test_stehfest_is_linear_in_F(ctx, n, x, F1, F2, a, b):
     f1, f2 = stehfest_approx(F1, x, n, ctx), stehfest_approx(F2, x, n, ctx)
     scale = 1 + abs(A * f1) + abs(B * f2)
     assert abs(stehfest_approx(G, x, n, ctx) - (A * f1 + B * f2)) <= _tol(ctx) * scale
+
+
+@given(st.sampled_from(corpus()), st.integers(1, 64), _points,
+       st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)))
+def test_scale_covariance(pair, n, x, a):
+    # F(z/a)/a is the transform of f(a t): both routes read F at k ln2/(a x)
+    ctx = context_for_order(n)
+    A = ctx.mpf(a)
+    G = TransformFn(lambda z: pair.F(z / A) / A, "F(z/a)/a")
+    expected = stehfest_approx(pair.F, ctx.mpf(a * x), n, ctx)
+    assert abs(stehfest_approx(G, x, n, ctx) - expected) <= _tol(ctx) * max(1, abs(expected))
 
 
 @given(_contexts, _orders, _points, _rationals)

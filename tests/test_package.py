@@ -1,4 +1,5 @@
 """The package namespace: names resolved from their submodules on first use."""
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import gsinv
 import gsinv.inverter
+from test_contract import CONTRACT, OUT_OF_SCOPE
 
 SRC = pathlib.Path(gsinv.__file__).resolve().parents[1]
 
@@ -100,3 +102,18 @@ def test_coeffs_command_loads_no_mpmath(tmp_path):
         f"from gsinv.cli import main\nassert main(['coeffs', '--n', '4', '--out', {str(out)!r}]) == 0")
     assert '"n": 4' in out.read_text()
     assert loaded == {"gsinv", "gsinv.cli", "gsinv.coeffs", "gsinv.errors"}
+
+
+# parameter names that carry an order or a real point
+DOMAIN_PARAMETERS = {"n", "k", "n_max", "x", "z", "v", "u", "eps", "epsilon"}
+
+
+def test_every_order_or_point_parameter_is_in_the_contract_table():
+    for name in gsinv.__all__:
+        obj = getattr(gsinv, name)
+        if inspect.isclass(obj) or not callable(obj) or name in OUT_OF_SCOPE:
+            continue
+        params = DOMAIN_PARAMETERS.intersection(inspect.signature(obj).parameters)
+        if params:
+            assert name in CONTRACT, f"{name} takes {sorted(params)} but is not in CONTRACT"
+            assert set(CONTRACT[name][1]) == params, name
