@@ -1,9 +1,12 @@
 """Command-line front end: inversion runs, coefficient export, verification.
 
-Reports are deterministic: numbers are serialized as decimal strings at
-the working precision, fields keep a fixed order, and no timestamps or
-environment data are embedded, so identical configurations produce
-byte-identical output.
+This is the one module that knows how results are written: JSON through
+:func:`_write_json` (indent 2, one final newline), CSV through
+:func:`_csv` (a header row per report), exact rationals as the ``p/q``
+strings of ``str(Fraction)``.  Reports are deterministic: numbers are
+serialized as decimal strings at the working precision, fields keep a
+fixed order, and no timestamps or environment data are embedded, so
+identical configurations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from .coeffs import coeffs_to_csv, coeffs_to_json
 from .errors import NUMERICAL_ERRORS
 
 if TYPE_CHECKING:
@@ -55,8 +57,15 @@ def _write(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+
+
+def _write_json(doc, out_path):
+    _write(json.dumps(doc, indent=2) + "\n", out_path)
+
+
+def _csv(rows) -> str:
+    """Rows of cells as CSV lines; no cell holds a comma, a quote or a newline."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _parse_digits(digits: str) -> int:
@@ -87,10 +96,23 @@ def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.output == "csv":
-        _write(coeffs_to_csv(args.n, args.set), args.out)
-    else:
-        _write(coeffs_to_json(args.n, args.set) + "\n", args.out)
+    from .coeffs import gaver_stehfest_coeffs, stehfest_weights
+
+    columns = {}  # "a": a_1..a_2n and/or "c": c_1..c_n, as exact p/q strings
+    if args.set in ("a", "both"):
+        columns["a"] = [str(q) for q in gaver_stehfest_coeffs(args.n).a]
+    if args.set in ("c", "both"):
+        columns["c"] = [str(q) for q in stehfest_weights(args.n).c]
+    if args.output == "json":
+        _write_json({"n": args.n, **columns}, args.out)
+        return 0
+    rows = [["k"] + [f"{name}_k" for name in columns]]
+    for k in range(1, 2 * args.n + 1):
+        row = [str(k)]
+        for values in columns.values():
+            row.append(values[k - 1] if k <= len(values) else "")  # c_k is blank for k > n
+        rows.append(row)
+    _write(_csv(rows), args.out)
     return 0
 
 
@@ -150,11 +172,23 @@ def _cmd_invert(args) -> int:
             reports = [_invert_single(F, x, n_max, ref, ctx, flags) for x in xs]
 
     if args.output == "csv":
-        chunks = [r.to_csv(ctx) for r in reports]
-        _write("".join(chunks), args.out)
+        rows = []
+        for r in reports:
+            rows.append(["n", "value", "abs_error", "digits"])
+            for e in r.entries:
+                err = "" if e.abs_error is None else ctx.nstr(e.abs_error)
+                rows.append([str(e.n), ctx.nstr(e.value), err, str(r.digits_used)])
+        _write(_csv(rows), args.out)
     elif args.output == "json":
-        doc = {"reports": [r.to_json_dict(ctx) for r in reports]}
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        docs = []
+        for r in reports:
+            entries = []
+            for e in r.entries:
+                err = None if e.abs_error is None else ctx.nstr(e.abs_error)
+                entries.append({"n": e.n, "value": ctx.nstr(e.value), "abs_error": err})
+            docs.append({"x": ctx.nstr(r.x), "digits": r.digits_used, "flags": list(r.flags),
+                         "entries": entries})
+        _write_json({"reports": docs}, args.out)
     else:
         lines = []
         for r in reports:
@@ -167,9 +201,16 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    from .pairs import corpus_manifest_json
+    from .pairs import corpus
 
-    _write(corpus_manifest_json() + "\n", args.out)
+    rows = []
+    for p in corpus():
+        jumps = []
+        for loc, left, right in p.jumps:
+            jumps.append({"location": str(loc), "left": str(left), "right": str(right)})
+        rows.append({"name": p.name, "class": p.klass, "formula": p.formula,
+                     "oscillatory_flag": p.oscillatory_flag, "jumps": jumps})
+    _write_json({"pairs": rows}, args.out)
     return 0
 
 
@@ -178,8 +219,7 @@ def _cmd_verify(args) -> int:
 
     names = args.suite
     reports, ok = run_suites(names if names else "all")
-    doc = {"checks": reports, "all_passed": ok}
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json({"checks": reports, "all_passed": ok}, args.out)
     return 0 if ok else 1
 
 
@@ -201,7 +241,7 @@ def _cmd_weval(args) -> int:
         "w": ctx.nstr(w),
         "residual": ctx.nstr(wew_residual(w, z, ctx), 6),
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json(doc, args.out)
     return 0
 
 

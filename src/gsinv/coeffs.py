@@ -7,9 +7,6 @@ floating shortcut is offered.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +28,6 @@ __all__ = [
     "gaver_stehfest_coeffs",
     "coeffs_from_weights",
     "gaver_kernel",
-    "coeffs_to_json",
-    "coeffs_to_csv",
 ]
 
 MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without benefit
@@ -59,6 +54,12 @@ def check_order(n, cap: int = MAX_ORDER):
     """The one order check of the package: ``n`` must be an integer in ``[1, cap]``."""
     if not (isinstance(n, numbers.Integral) and 1 <= n <= cap):
         raise DomainError(f"order must be an integer in [1, {cap}], got {n!r}")
+
+
+def check_count(N):
+    """The one series-length check of the package: ``N`` must be an integer >= 0."""
+    if not (isinstance(N, numbers.Integral) and N >= 0):
+        raise DomainError(f"series length must be an integer >= 0, got {N!r}")
 
 
 # typed: 5.0 or True reaches the order check, not the table cached for 5 or 1
@@ -142,43 +143,3 @@ def gaver_kernel(k: int, u, ctx: PrecisionContext):
     pre = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
     eu = m.exp(-u)
     return ctx.mpf(pre) * (1 - eu) ** k * eu**k
-
-
-# ---------------------------------------------------------------------
-# exact-string export
-# ---------------------------------------------------------------------
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def coeffs_to_json(n: int, which: str = "both") -> str:
-    """JSON document with a_k(n) and/or c_k(n) as exact "p/q" strings."""
-    doc: dict = {"n": n}
-    if which in ("a", "both"):
-        doc["a"] = [_frac_str(q) for q in gaver_stehfest_coeffs(n).a]
-    if which in ("c", "both"):
-        doc["c"] = [_frac_str(q) for q in stehfest_weights(n).c]
-    return json.dumps(doc, indent=2)
-
-
-def coeffs_to_csv(n: int, which: str = "both") -> str:
-    """CSV table (columns: k, a_k, c_k) with exact "p/q" strings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cols = ["k"]
-    if which in ("a", "both"):
-        cols.append("a_k")
-    if which in ("c", "both"):
-        cols.append("c_k")
-    writer.writerow(cols)
-    a = gaver_stehfest_coeffs(n).a if which in ("a", "both") else None
-    c = stehfest_weights(n).c if which in ("c", "both") else None
-    for k in range(1, 2 * n + 1):
-        row = [str(k)]
-        if a is not None:
-            row.append(_frac_str(a[k - 1]))
-        if c is not None:
-            row.append(_frac_str(c[k - 1]) if k <= n else "")
-        writer.writerow(row)
-    return buf.getvalue()

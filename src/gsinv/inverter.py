@@ -79,26 +79,6 @@ class InversionReport:
     digits_used: int
     flags: tuple[str, ...] = ()
 
-    def to_json_dict(self, ctx: PrecisionContext) -> dict:
-        rows = []
-        for e in self.entries:
-            row = {"n": e.n, "value": ctx.nstr(e.value)}
-            row["abs_error"] = None if e.abs_error is None else ctx.nstr(e.abs_error)
-            rows.append(row)
-        return {
-            "x": ctx.nstr(self.x),
-            "digits": self.digits_used,
-            "flags": list(self.flags),
-            "entries": rows,
-        }
-
-    def to_csv(self, ctx: PrecisionContext) -> str:
-        lines = ["n,value,abs_error,digits"]
-        for e in self.entries:
-            err = "" if e.abs_error is None else ctx.nstr(e.abs_error)
-            lines.append(f"{e.n},{ctx.nstr(e.value)},{err},{self.digits_used}")
-        return "\n".join(lines) + "\n"
-
 
 class _AbscissaCache:
     """Cache of F(j ln2 / x) for one (F, x, ctx).

@@ -44,6 +44,7 @@ from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc
                           mpc_mul, mpc_mul_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_le,
                           mpf_lt, mpf_mul, to_str)
 
+from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
 from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
 
@@ -105,8 +106,7 @@ def _extend_mu(N: int):
 
 def branch_series(N: int) -> BranchSeries:
     """Exact coefficients mu_0..mu_N of the branch-point expansion."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    check_count(N)
     _extend_mu(N)
     return BranchSeries(tuple(_MU[: N + 1]))
 
@@ -122,6 +122,7 @@ def branch_series_eval(p, N: int, series: BranchSeries, ctx: PrecisionContext):
     Truncation is bounded by the next-term heuristic; for the full-W use
     case prefer :func:`lambert_w0`, which picks N from the precision.
     """
+    check_count(N)
     m = ctx.mp
     p = m.mpc(p)
     if not abs(p) < _SQRT2_MARGIN * m.sqrt(2):

@@ -87,8 +87,7 @@ class PrecisionContext:
 
     Notes
     -----
-    The context is frozen; derive a finer or coarser one with
-    :meth:`with_digits`.  ``eps`` is computed once at construction and
+    The context is frozen.  ``eps`` is computed once at construction and
     therefore never goes stale.
     """
 
@@ -129,9 +128,6 @@ class PrecisionContext:
 
     def mpc(self, re, im=0):
         return self._mp.mpc(self.mpf(re), self.mpf(im))
-
-    def with_digits(self, digits: int, guard: int | None = None) -> "PrecisionContext":
-        return PrecisionContext(digits, self.guard if guard is None else guard)
 
     def nstr(self, x, n: int | None = None) -> str:
         """Decimal string at full reporting precision (default ``digits``)."""
@@ -192,11 +188,14 @@ def context_for_order(n: int) -> PrecisionContext:
     return cached_context(max(MIN_DIGITS, required_digits(n)), guard_for_order(n))
 
 
-def check_point(x, ctx: PrecisionContext):
-    """The one point check of the package: ``x`` as an mpf of ``ctx``, finite and > 0."""
+def check_point(x, ctx: PrecisionContext, name: str = "x"):
+    """The one point check of the package: ``x`` as an mpf of ``ctx``, finite and > 0.
+
+    ``name`` is the caller's name for the parameter, for the message.
+    """
     x = ctx.mpf(x)
     if not (x > 0 and ctx.mp.isfinite(x)):
-        raise DomainError(f"evaluation point must be finite and > 0, got x = {x}")
+        raise DomainError(f"evaluation point must be finite and > 0, got {name} = {x}")
     return x
 
 

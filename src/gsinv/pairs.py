@@ -8,7 +8,6 @@ midpoint targets.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ __all__ = [
     "dini_integral_estimate",
     "DiniEstimate",
     "laplace_identity_residual",
-    "corpus_manifest_json",
 ]
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
@@ -185,7 +183,7 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     smoothness away from the endpoints.
     """
     m = ctx.mp
-    z = check_point(z, ctx)
+    z = check_point(z, ctx, "z")
     f = pair.f_ref
 
     def integrand(t):
@@ -201,22 +199,3 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
         lo = s
     total += integrate(integrand, lo, m.inf, ctx)
     return abs(total - pair.F(z))
-
-
-def corpus_manifest_json() -> str:
-    """Manifest (name, class, jumps, transform formula) as JSON."""
-    rows = []
-    for p in corpus():
-        rows.append(
-            {
-                "name": p.name,
-                "class": p.klass,
-                "formula": p.formula,
-                "oscillatory_flag": p.oscillatory_flag,
-                "jumps": [
-                    {"location": str(loc), "left": str(l), "right": str(r)}
-                    for loc, l, r in p.jumps
-                ],
-            }
-        )
-    return json.dumps({"pairs": rows}, indent=2)

@@ -16,7 +16,7 @@ from math import factorial, lcm
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from . import series as fps
-from .coeffs import QN_MAX_ORDER, check_order
+from .coeffs import QN_MAX_ORDER, check_count, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
@@ -181,10 +181,12 @@ def _h_coeff(n: int) -> Fraction:
 
 
 def series_g(N: int) -> SeriesG:
+    check_count(N)
     return SeriesG(N, tuple(_g_coeff(n) if n else Fraction(0) for n in range(N + 1)))
 
 
 def series_h(N: int) -> SeriesH:
+    check_count(N)
     return SeriesH(N, tuple(_h_coeff(n) if n else Fraction(0) for n in range(N + 1)))
 
 
@@ -419,7 +421,9 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     eps = ctx.mpf(epsilon)
     if not 0 < eps < 1:
         raise DomainError("epsilon must lie in (0, 1)")
-    ns = [int(n) for n in n_range]
+    ns = list(n_range)
+    for n in ns:  # every order, before the first q_n
+        check_order(n, QN_MAX_ORDER)
     if len(ns) < 4:
         raise ProbeError("need at least 4 orders to fit the decay bound")
     hi = 1 - eps

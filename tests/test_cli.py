@@ -17,7 +17,7 @@ from gsinv import (
 )
 from gsinv import numerics
 from gsinv.cli import BUILTIN_TRANSFORMS, MAX_DIGITS, main
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -26,11 +26,36 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+# argv, exit code, stdout and stderr of a command matrix, recorded by
+# tools/make_cli_outputs.py: every subcommand and output format
+CLI_OUTPUTS = load_fixture("cli_outputs.json")
+
+
+@pytest.mark.parametrize("case", CLI_OUTPUTS, ids=lambda case: " ".join(case["argv"]))
+def test_output_bytes_are_pinned_on_stdout_and_out_file(capsys, tmp_path, case):
+    assert run_cli(capsys, *case["argv"]) == (case["rc"], case["stdout"], case["stderr"])
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *case["argv"], "--out", str(target)) == (case["rc"], "",
+                                                                    case["stderr"])
+    if case["rc"] == 0:
+        assert target.read_text() == case["stdout"]  # --out writes what stdout shows
+    else:
+        assert not target.exists()
+
+
 def test_coeffs_json(capsys):
     rc, out, _ = run_cli(capsys, "coeffs", "--n", "2", "--output", "json")
     assert rc == 0
+    assert out.endswith("}\n")
     doc = json.loads(out)
+    assert doc["n"] == 2
     assert doc["a"] == ["-2", "26", "-48", "24"]
+    assert doc["c"] == ["-1", "2"]
+    rc, out, _ = run_cli(capsys, "coeffs", "--n", "3", "--set", "c")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["c"] == ["1/2", "-4", "9/2"]  # exact p/q strings
+    assert "a" not in doc
 
 
 def test_coeffs_csv(capsys):
@@ -39,6 +64,9 @@ def test_coeffs_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "k,c_k"
     assert lines[1] == "1,1/2"
+    rc, out, _ = run_cli(capsys, "coeffs", "--n", "2", "--output", "csv")
+    assert rc == 0  # c_k is blank for k > n
+    assert out.splitlines() == ["k,a_k,c_k", "1,-2,-1", "2,26,2", "3,-48,", "4,24,"]
 
 
 def test_invert_step_ladder_csv(capsys):
@@ -53,6 +81,33 @@ def test_invert_step_ladder_csv(capsys):
     last = lines[-1].split(",")
     assert last[0] == "18"
     assert 0.45 < float(last[1]) < 0.55  # ends near the jump midpoint
+
+
+def test_invert_report_fields(capsys):
+    argv = ("invert", "--pair", "constant", "--x", "1", "--n-max", "3", "--digits", "30")
+    rc, out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert rc == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["digits"] == 30 and len(report["entries"]) == 3
+    assert report["x"] == "1.0" and report["flags"] == []
+    assert list(report["entries"][0]) == ["n", "value", "abs_error"]
+    rc, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,value,abs_error,digits"
+    assert lines[1].startswith("1,1.0") and lines[1].endswith(",30")
+
+
+def test_invert_csv_repeats_the_header_per_point(capsys):
+    rc, out, _ = run_cli(capsys, "invert", "--pair", "exponential", "--x", "0.5,1,2",
+                         "--n-max", "3", "--output", "csv")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 * 4
+    for i, line in enumerate(lines):
+        assert (line == "n,value,abs_error,digits") == (i % 4 == 0)
+        if i % 4:
+            assert line.split(",")[0] == str(i % 4)
 
 
 def test_invert_single_order_json(capsys):
@@ -155,8 +210,12 @@ def test_builtin_transforms_are_the_corpus_formulas(capsys):
 def test_corpus_manifest(capsys):
     rc, out, _ = run_cli(capsys, "corpus")
     assert rc == 0
-    names = {r["name"] for r in json.loads(out)["pairs"]}
-    assert "square-wave" in names
+    rows = {r["name"]: r for r in json.loads(out)["pairs"]}
+    assert "square-wave" in rows
+    assert rows["step"]["jumps"] == [{"location": "1", "left": "0", "right": "1"}]
+    assert rows["sine"]["oscillatory_flag"] is True
+    assert rows["ramp"]["formula"] == "1/z^2"
+    assert list(rows["ramp"]) == ["name", "class", "formula", "oscillatory_flag", "jumps"]
 
 
 def test_verify_single_suite(capsys):

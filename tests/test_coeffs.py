@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from gsinv import (
     stehfest_weights,
     vandermonde_check,
 )
-from gsinv.coeffs import coeffs_to_csv, coeffs_to_json
 
 
 def test_weights_small_orders():
@@ -96,21 +94,3 @@ def test_kernel_mean_tends_to_ln2(ctx20):
     dev8 = abs(mean8 - m.ln(2))
     assert dev8 < dev2 / 3
     assert dev8 < m.mpf("0.25")
-
-
-def test_json_export_exact_strings():
-    doc = json.loads(coeffs_to_json(2))
-    assert doc["n"] == 2
-    assert doc["a"] == ["-2", "26", "-48", "24"]
-    assert doc["c"] == ["-1", "2"]
-    doc3 = json.loads(coeffs_to_json(3, which="c"))
-    assert doc3["c"] == ["1/2", "-4", "9/2"]
-    assert "a" not in doc3
-
-
-def test_csv_export_shape():
-    text = coeffs_to_csv(2)
-    lines = text.strip().splitlines()
-    assert lines[0] == "k,a_k,c_k"
-    assert lines[1] == "1,-2,-1"
-    assert lines[4] == "4,24,"

@@ -1,11 +1,13 @@
 """The domain contract of the public API.
 
-Every public function that takes an order (``n``, ``k``, ``n_max``) or a
-real point (``x``, ``z``, ``v``, ``u``, ``eps``, ``epsilon``) rejects a
-value outside its domain with ``DomainError``, and with nothing else,
-before it evaluates a transform, an original or an integrand.  Orders go
-through ``coeffs.check_order`` and positive points through
-``numerics.check_point``; intervals are one-line tests in each function.
+Every public function that takes an order (``n``, ``k``, ``n_max``), a
+series length (``N``) or a real point (``x``, ``z``, ``v``, ``u``,
+``eps``, ``epsilon``) rejects a value outside its domain with
+``DomainError``, and with nothing else, before it evaluates a transform,
+an original, an integrand or a series term.  Orders go through
+``coeffs.check_order``, series lengths through ``coeffs.check_count`` and
+positive points through ``numerics.check_point``; intervals are one-line
+tests in each function.
 """
 import math
 import warnings
@@ -39,6 +41,15 @@ class Order:
 
 
 @dataclass(frozen=True)
+class Count:
+    """Series lengths are integers >= 0."""
+
+    def bad(self):
+        return st.one_of(st.sampled_from([-1, 2.5, "3", None]), st.integers(max_value=-1),
+                         st.floats())
+
+
+@dataclass(frozen=True)
 class Point:
     """Real points between lo and hi; the bounds are in the domain where closed."""
 
@@ -64,6 +75,7 @@ class Point:
 
 
 ORDER, QN_ORDER = Order(MAX_ORDER), Order(QN_MAX_ORDER)
+COUNT = Count()
 POSITIVE = Point(0)
 REAL = Point()
 EPS = Point(0, 0.25)  # the range of v in both convergence criteria
@@ -119,6 +131,10 @@ CONTRACT = {
                         {"x": POSITIVE}),
     "equivalence_probe": (lambda count: dict(f=_f(count), x=1, c=1, eps=0.2, n=4, ctx=CTX),
                           {"x": POSITIVE, "eps": EPS, "n": QN_ORDER}),
+    "branch_series": (lambda count: dict(N=5), {"N": COUNT}),
+    "branch_series_eval": (lambda count: dict(p=0.1, N=3, series=gsinv.branch_series(5),
+                                              ctx=CTX),
+                           {"N": COUNT}),
     "lambert_w0": (lambda count: dict(z=1, ctx=CTX), {"z": REAL}),
     "w_of_v": (lambda count: dict(v=0.5, ctx=CTX), {"v": Point(0, 1, hi_closed=True)}),
     "xi_alpha": (lambda count: dict(v=0.1, ctx=CTX), {"v": Point(0, 0.5, lo_closed=True)}),
@@ -147,6 +163,8 @@ CONTRACT = {
     "qn_asymptotic": (lambda count: dict(n=4, v=0.75, ctx=CTX),
                       {"n": QN_ORDER, "v": Point(0.5, 1, lo_closed=True)}),
     "qn_at_one_asymptotic": (lambda count: dict(n=4, ctx=CTX), {"n": QN_ORDER}),
+    "series_g": (lambda count: dict(N=5), {"N": COUNT}),
+    "series_h": (lambda count: dict(N=5), {"N": COUNT}),
     "qn_jump_form_check": (lambda count: dict(n=4, v=0.1, ctx=CTX),
                            {"n": QN_ORDER, "v": Point(0, 0.25, hi_closed=True)}),
     "decay_bound_probe": (lambda count: dict(epsilon=0.1, n_range=range(10, 30), ctx=CTX),
@@ -213,6 +231,16 @@ FINDINGS = {
     "lambert_w0 'abc'": lambda: gsinv.lambert_w0("abc", CTX),
     "branch_series_eval p=nan": lambda: gsinv.branch_series_eval(NAN, 5,
                                                                  gsinv.branch_series(5), CTX),
+    "branch_series N=2.5": lambda: gsinv.branch_series(2.5),
+    "series_h N=2.5": lambda: gsinv.series_h(2.5),
+    "series_g N='3'": lambda: gsinv.series_g("3"),
+    "series_g N=-2": lambda: gsinv.series_g(-2),
+    "branch_series_eval N=-1": lambda: gsinv.branch_series_eval(0.1, -1,
+                                                                gsinv.branch_series(5), CTX),
+    "decay_bound_probe n_range=[1.5, ...]": lambda: gsinv.decay_bound_probe(
+        0.1, [1.5, 2.5, 3.5, 4.5], CTX),
+    "decay_bound_probe n_range=['a', ...]": lambda: gsinv.decay_bound_probe(
+        0.1, ["a", "b", "c", "d"], CTX),
 }
 
 
@@ -236,6 +264,12 @@ def test_shared_messages():
     with pytest.raises(DomainError) as point:
         gsinv.jordan_target(STEP, "-2", CTX)
     assert str(point.value) == "evaluation point must be finite and > 0, got x = -2.0"
+    with pytest.raises(DomainError) as named:
+        gsinv.laplace_identity_residual(STEP, INF, CTX)
+    assert str(named.value) == "evaluation point must be finite and > 0, got z = +inf"
+    with pytest.raises(DomainError) as count:
+        gsinv.series_g(-2)
+    assert str(count.value) == "series length must be an integer >= 0, got -2"
     with pytest.raises(DomainError) as conversion:
         CTX.mpf("abc")
     assert str(conversion.value) == "not a real number: 'abc'"

@@ -241,16 +241,6 @@ def test_transform_failure_carries_abscissa(ctx30):
     assert err.value.z is not None
 
 
-def test_report_serialization(ctx30):
-    rep = invert_ladder(F_CONST, 1, 3, ref=lambda x: x.context.mpf(1), ctx=ctx30)
-    doc = rep.to_json_dict(ctx30)
-    assert doc["digits"] == 30 and len(doc["entries"]) == 3
-    csv_text = rep.to_csv(ctx30)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "n,value,abs_error,digits"
-    assert lines[1].startswith("1,1.0")
-
-
 def test_expansion_probe_constant_is_zero():
     ctx = context_for_order(20)
     b1 = expansion_probe(F_CONST, 1, range(8, 21), ctx.mpf(1), ctx)

@@ -52,7 +52,7 @@ def test_context_invariants():
     ctx = PrecisionContext(20, guard=5)
     assert ctx.dps == 25
     assert ctx.eps == ctx.mp.mpf(10) ** -20
-    finer = ctx.with_digits(40)
+    finer = PrecisionContext(40, 5)
     assert finer.digits == 40 and finer.guard == 5
     assert finer.eps == finer.mp.mpf(10) ** -40
 

@@ -104,8 +104,8 @@ def test_coeffs_command_loads_no_mpmath(tmp_path):
     assert loaded == {"gsinv", "gsinv.cli", "gsinv.coeffs", "gsinv.errors"}
 
 
-# parameter names that carry an order or a real point
-DOMAIN_PARAMETERS = {"n", "k", "n_max", "x", "z", "v", "u", "eps", "epsilon"}
+# parameter names that carry an order, a series length or a real point
+DOMAIN_PARAMETERS = {"n", "k", "n_max", "N", "x", "z", "v", "u", "eps", "epsilon"}
 
 
 def test_every_order_or_point_parameter_is_in_the_contract_table():

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from gsinv import (
     laplace_identity_residual,
     run_pair,
 )
-from gsinv.pairs import corpus_manifest_json
 
 
 def test_corpus_contents():
@@ -145,11 +143,3 @@ def test_oscillatory_flagged_but_usable():
     assert rep.flags == ("oscillatory",)
     assert run_pair(get_pair("ramp"), 1, 4).flags == ()
     assert rep.entries[9].abs_error < 1e-3  # entire original: fine at x=1
-
-
-def test_manifest_schema():
-    doc = json.loads(corpus_manifest_json())
-    rows = {r["name"]: r for r in doc["pairs"]}
-    assert rows["step"]["jumps"] == [{"location": "1", "left": "0", "right": "1"}]
-    assert rows["sine"]["oscillatory_flag"] is True
-    assert rows["ramp"]["formula"] == "1/z^2"
