@@ -80,18 +80,14 @@ def _parse_digits(digits: str) -> int:
 
 
 def _resolve_ctx(digits: str, n_max: int) -> PrecisionContext:
-    from .numerics import cached_context, context_for_order, guard_for_order, required_digits
+    from .numerics import cached_context, context_for_order, guard_for_order, low_digits_note
 
     if digits == "auto":
         return context_for_order(n_max)
     d = _parse_digits(digits)
-    need = required_digits(n_max)
-    if d < need:
-        print(
-            f"warning: digits={d} below required_digits({n_max})={need}; "
-            "cancellation will dominate",
-            file=sys.stderr,
-        )
+    note = low_digits_note(d, n_max)
+    if note:
+        print(f"warning: {note}", file=sys.stderr)
     return cached_context(d, guard_for_order(n_max))
 
 
@@ -133,6 +129,9 @@ def _cmd_invert(args) -> int:
     if args.n is not None and args.n_max is not None:
         print("error: give one of --n / --n-max, not both", file=sys.stderr)
         return 2
+    if args.pair is not None and args.transform is not None:
+        print("error: give one of --pair / --transform, not both", file=sys.stderr)
+        return 2
     n_max = args.n if args.n_max is None else args.n_max
     if n_max is None:
         print("error: one of --n / --n-max is required", file=sys.stderr)
@@ -163,9 +162,9 @@ def _cmd_invert(args) -> int:
         return 2
 
     xs = [check_point(part, ctx) for part in args.x.split(",")]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True):
         # _resolve_ctx has printed the low-digits warning; the library's copy repeats it
-        warnings.filterwarnings("ignore", r"digits=\d+ below required_digits", UserWarning)
+        warnings.simplefilter("always")  # recorded and dropped, even under -W error
         if args.n_max:
             reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
         else:

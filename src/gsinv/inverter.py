@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath.libmp import fzero, mpf_add, mpf_mul
-
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError
 from .numerics import (
@@ -25,8 +23,9 @@ from .numerics import (
     context_for_order,
     fit_line,
     integrate,
+    low_digits_note,
     mpf_tuples,
-    required_digits,
+    weighted_sum,
 )
 
 __all__ = [
@@ -81,7 +80,7 @@ class InversionReport:
 
 
 class _AbscissaCache:
-    """Cache of F(j ln2 / x) for one (F, x, ctx).
+    """Cache of F(j ln2 / x) for one (F, x, ctx), with ``x`` already checked.
 
     Every order reads F only at the points j ln2 / x, so one cache shared
     by a whole ladder (or by the Gaver functionals of one accelerated
@@ -90,8 +89,9 @@ class _AbscissaCache:
 
     def __init__(self, F, x, ctx):
         self.F = F
+        self.x = x
         self.ctx = ctx
-        self.base = ctx.mp.ln(2) / ctx.mpf(x)
+        self.base = ctx.mp.ln(2) / x
         self.values: dict[int, object] = {}
 
     def __call__(self, j: int):
@@ -106,14 +106,18 @@ class _AbscissaCache:
         return self.values[j]
 
 
-def _warn_low_digits(ctx, n: int):
-    """Warn the public caller (two frames up) when ``ctx`` is too coarse for order ``n``."""
-    if ctx.digits < required_digits(n):
-        warnings.warn(
-            f"digits={ctx.digits} below required_digits({n})={required_digits(n)}; "
-            "expect cancellation loss",
-            stacklevel=3,
-        )
+def _start(F, x, n: int, ctx: PrecisionContext) -> _AbscissaCache:
+    """Every entry point's prologue: check ``x`` and the largest order ``n``, warn the
+    public caller (two frames up) once, return the call's abscissa cache.
+
+    A call handed a private ``_cache`` skips it: its caller ran it.
+    """
+    x = check_point(x, ctx)
+    check_order(n)
+    note = low_digits_note(ctx.digits, n)
+    if note:
+        warnings.warn(note, stacklevel=3)
+    return _AbscissaCache(F, x, ctx)
 
 
 def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
@@ -122,18 +126,15 @@ def gaver_approx(F, x, k: int, ctx: PrecisionContext, _cache=None):
     ln2/x * (2k)!/(k!(k-1)!) * sum_{i=0}^k C(k,i) (-1)^i F((k+i) ln2/x)
 
     The binomial factors are computed exactly and converted once.
-    Requires ``1 <= k <= MAX_ORDER`` and ``ctx.digits >= required_digits(k)``.
+    Requires ``1 <= k <= MAX_ORDER``; below ``required_digits(k)`` digits
+    it warns and still computes.
     """
-    x = check_point(x, ctx)
-    check_order(k)
-    _warn_low_digits(ctx, k)
-    m = ctx.mp
-    cache = _cache or _AbscissaCache(F, x, ctx)
+    cache = _cache or _start(F, x, k, ctx)
     pre = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
-    acc = m.mpf(0)
+    acc = ctx.mp.mpf(0)
     for i in range(k + 1):
         acc += ctx.mpf((-1) ** i * comb(k, i)) * cache(k + i)
-    return m.ln(2) / x * ctx.mpf(pre) * acc
+    return cache.base * ctx.mpf(pre) * acc
 
 
 def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
@@ -142,29 +143,13 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     ln2/x * sum_{k=1}^{2n} a_k(n) F(k ln2 / x)
 
     The private ``_cache`` lets :func:`invert_ladder` share one abscissa
-    cache across orders; that caller makes the precision check once.
+    cache across orders.
     """
-    x = check_point(x, ctx)
-    check_order(n)
+    cache = _cache or _start(F, x, n, ctx)
     m = ctx.mp
     # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
-    if _cache is None:
-        _warn_low_digits(ctx, n)
-        _cache = _AbscissaCache(F, x, ctx)
-    values = [_cache(k) for k in range(1, len(a) + 1)]
-    if all(hasattr(v, "_mpf_") for v in values):
-        # the calls mpf.__mul__ and mpf.__add__ make, on raw tuples: same bits
-        prec, rnd = m._prec_rounding
-        acc = fzero
-        for a_k, v in zip(a, values):
-            acc = mpf_add(acc, mpf_mul(a_k, v._mpf_, prec, rnd), prec, rnd)
-        return _cache.base * m.make_mpf(acc)
-    make = m.make_mpf
-    acc = m.mpf(0)
-    for a_k, v in zip(a, values):  # ints, floats or mpc values
-        acc += make(a_k) * v
-    return _cache.base * acc
+    return cache.base * weighted_sum(a, [cache(k) for k in range(1, len(a) + 1)], m)
 
 
 def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
@@ -173,12 +158,11 @@ def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
     Algebraically identical to :func:`stehfest_approx`; kept as the
     independent second route for the two-path agreement checks.
     """
-    x = check_point(x, ctx)
-    cache = _AbscissaCache(F, x, ctx)
+    cache = _start(F, x, n, ctx)
     c = stehfest_weights(n).c
     acc = ctx.mp.mpf(0)
     for k in range(1, n + 1):
-        acc += ctx.mpf(c[k - 1]) * gaver_approx(F, x, k, ctx, _cache=cache)
+        acc += ctx.mpf(c[k - 1]) * gaver_approx(F, cache.x, k, ctx, _cache=cache)
     return acc
 
 
@@ -192,13 +176,11 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
     All orders share one abscissa cache, so F is evaluated once per
     distinct abscissa: 2 n_max calls.
     """
-    check_order(n_max)
     if ctx is None:
-        ctx = context_for_order(n_max)
-    x = check_point(x, ctx)
-    _warn_low_digits(ctx, n_max)
+        ctx = context_for_order(n_max)  # checks n_max first
+    cache = _start(F, x, n_max, ctx)
+    x = cache.x
     target = None if ref is None else ctx.mpf(ref(x))
-    cache = _AbscissaCache(F, x, ctx)
     entries = []
     for n in range(1, n_max + 1):
         value = stehfest_approx(F, x, n, ctx, _cache=cache)
@@ -225,13 +207,12 @@ def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext):
     ks = list(k_range)
     if len(ks) < 4:
         raise DomainError("k_range must span at least 4 values")
-    x = check_point(x, ctx)
     for k in ks:  # every order, before the first transform call
         check_order(k)
+    cache = _start(F, x, max(ks), ctx)
     m = ctx.mp
     fref = ctx.mpf(ref)
-    cache = _AbscissaCache(F, x, ctx)
-    ys = [k * (gaver_approx(F, x, k, ctx, _cache=cache) - fref) for k in ks]
+    ys = [k * (gaver_approx(F, cache.x, k, ctx, _cache=cache) - fref) for k in ks]
     b1, b2, rms = fit_line([m.mpf(1) / k for k in ks], ys, m)
     floor = m.mpf(10) ** (-(ctx.digits // 2)) * max(m.mpf(1), abs(fref))
     if rms > ctx.mpf(0.05) * abs(b1) + floor:

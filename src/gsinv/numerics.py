@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
@@ -58,6 +58,14 @@ def required_digits(n: int) -> int:
     """
     check_order(n)
     return (11 * n + 4) // 5 + 10  # exact ceil(2.2 n) + 10
+
+
+def low_digits_note(digits: int, n: int) -> str | None:
+    """The one low-digits verdict, which the inverter warns and the CLI prints; None if enough."""
+    need = required_digits(n)
+    if digits >= need:
+        return None
+    return f"digits={digits} below required_digits({n})={need}; cancellation will dominate"
 
 
 def guard_for_order(n: int) -> int:
@@ -214,21 +222,32 @@ def mpf_tuples(values, prec: int) -> tuple:
     )
 
 
-def power_sum(coeffs, p, m):
-    """``c_0 + c_1 p + c_2 p^2 + ...`` in context ``m``, in ascending powers.
+def weighted_sum(coeffs, values, m):
+    """``c_1 v_1 + c_2 v_2 + ...`` in ``m``; ``coeffs`` are raw tuples (see :func:`mpf_tuples`).
 
-    ``coeffs`` are raw ``_mpf_`` tuples at ``m.prec`` (see
-    :func:`mpf_tuples`) and ``p`` a number of ``m``.  The powers start
-    from ``p**0``, so a real ``p`` gives an mpf and a complex one an mpc,
-    with the bits of ``acc += c_k * ppow; ppow *= p`` on ``p``'s type.
+    The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``: mpf
+    values run the calls of ``mpf.__mul__``/``__add__`` on raw tuples,
+    ints, floats or mpc values that operator loop itself.
     """
+    if all(hasattr(v, "_mpf_") for v in values):
+        prec, rnd = m._prec_rounding
+        acc = fzero
+        for c, v in zip(coeffs, values):
+            acc = mpf_add(acc, mpf_mul(c, v._mpf_, prec, rnd), prec, rnd)
+        return m.make_mpf(acc)
     make = m.make_mpf
     acc = m.mpf(0)
-    ppow = p**0
-    for c in coeffs:
-        acc += make(c) * ppow
-        ppow *= p
+    for c, v in zip(coeffs, values):
+        acc += make(c) * v
     return acc
+
+
+def power_sum(coeffs, p, m):
+    """``c_0 + c_1 p + ...``: the :func:`weighted_sum` over ``p**0``, ``p**0 * p``, ..."""
+    powers = [p**0]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * p)
+    return weighted_sum(coeffs, powers, m)
 
 
 def fit_line(xs, ys, m):

@@ -193,6 +193,10 @@ def series_h(N: int) -> SeriesH:
 _MAX_SERIES_TERMS = 5_000_000
 
 
+def _too_long(name: str) -> PrecisionError:
+    return PrecisionError(f"{name} series needs more than {_MAX_SERIES_TERMS} terms")
+
+
 def _positive_series(term, ratio, reltol, name: str):
     # Sum of positive terms term_n = term_{n-1} * ratio(n), starting from
     # term_1 = term, until a term falls to reltol times the running sum
@@ -202,7 +206,7 @@ def _positive_series(term, ratio, reltol, name: str):
     while not term <= reltol * acc:
         n += 1
         if n > _MAX_SERIES_TERMS:
-            raise PrecisionError(f"{name} series needs more than {_MAX_SERIES_TERMS} terms")
+            raise _too_long(name)
         term *= ratio(n)
         acc += term
     return acc
@@ -304,7 +308,9 @@ def hz_branch_check(z, ctx: PrecisionContext):
     fixed; higher ones come from the exact branch-series algebra.  The
     series side converges slowly near the branch point, so its relative
     resolution is capped around 1e-16; requires real ``p(z)`` with
-    ``|p| <= 0.5``.
+    ``|p| <= 0.5``.  Where the series provably cannot stop within
+    ``_MAX_SERIES_TERMS`` terms (1 + ez below about 4.5e-6) it raises
+    ``PrecisionError`` before the first term.
     """
     m = ctx.mp
     z = ctx.mpf(z)
@@ -312,9 +318,14 @@ def hz_branch_check(z, ctx: PrecisionContext):
     if not 0 < ez1 <= m.mpf("0.125"):  # p(z) = sqrt(2 (1 + ez)) real, at most 0.5
         raise DomainError(f"z must lie in (-1/e, -0.875/e], got z = {z}")
     p = m.sqrt(2 * ez1)
-    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n,
-                              m.mpf("1e-18"), "H")
     lval = power_sum(mpf_tuples(_h_laurent(6), m.prec), p, m) / p**3
+    reltol = m.mpf("1e-18")
+    # Each ratio (-z)(n/(n-1))^n exceeds -ez, so term_n > (-z)(-ez)^(n-1), and
+    # the sum stays below 2 lval (H p^3 < 1): when that term bound at the cap
+    # is still above reltol * 2 lval, no term within the cap stops the sum.
+    if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:
+        raise _too_long("H")
+    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n, reltol, "H")
     return abs(series - lval)
 
 

@@ -17,6 +17,7 @@ from gsinv import (
 )
 from gsinv import numerics
 from gsinv.cli import BUILTIN_TRANSFORMS, MAX_DIGITS, main
+from gsinv.numerics import low_digits_note
 from conftest import FIXTURES, load_fixture
 
 
@@ -124,6 +125,13 @@ def test_invert_single_order_json(capsys):
     assert abs(float(doc["reports"][0]["entries"][0]["value"]) - 0.367879) < 1e-4
 
 
+def test_invert_pair_and_transform_together_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "invert", "--pair", "step", "--transform", "1/z", "--x", "1",
+                           "--n", "4")
+    assert (rc, out) == (2, "")
+    assert err == "error: give one of --pair / --transform, not both\n"
+
+
 @pytest.mark.parametrize("flag", ["--n", "--n-max"])
 def test_invert_order_beyond_max_names_requested_order(capsys, flag):
     rc, out, err = run_cli(capsys, "invert", "--transform", "1/z", "--x", "1", flag, "70")
@@ -190,6 +198,7 @@ def test_invert_low_digits_prints_only_the_cli_warning(capsys, order):
     assert rc == 0 and out.startswith("x = 1.0 (digits=20)")
     need = {"16": 46, "10": 32}[n]
     assert err == f"warning: digits=20 below required_digits({n})={need}; cancellation will dominate\n"
+    assert err == "warning: " + low_digits_note(20, int(n)) + "\n"  # the library's verdict
     assert caught == []
 
 

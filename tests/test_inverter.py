@@ -25,6 +25,7 @@ from gsinv import (
     stehfest_approx,
     stehfest_via_gaver,
 )
+from gsinv.numerics import low_digits_note
 from conftest import load_fixture
 
 F_CONST = TransformFn(lambda z: 1 / z, "1/z")
@@ -135,11 +136,28 @@ def test_ladder_low_digits_warns():
     assert any("required_digits" in str(w.message) for w in caught)
 
 
-def test_ladder_low_digits_warns_once():
+_CTX15 = PrecisionContext(15)
+
+# each public entry point below the digits rule, with the largest order it needs
+_LOW_DIGITS_CALLS = {
+    "gaver_approx": (lambda: gaver_approx(F_EXP, 1, 10, _CTX15), 10),
+    "stehfest_approx": (lambda: stehfest_approx(F_EXP, 1, 10, _CTX15), 10),
+    "stehfest_via_gaver": (lambda: stehfest_via_gaver(F_EXP, 1, 10, _CTX15), 10),
+    "invert_ladder": (lambda: invert_ladder(F_EXP, 1, 10, ctx=_CTX15), 10),
+    "expansion_probe": (lambda: expansion_probe(F_EXP, 1, range(4, 12), _CTX15.mp.exp(-1),
+                                                _CTX15), 11),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LOW_DIGITS_CALLS))
+def test_low_digits_warns_the_caller_once(entry):
+    call, n = _LOW_DIGITS_CALLS[entry]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        invert_ladder(F_EXP, 1, 10, ctx=PrecisionContext(20))
+        call()
     assert [w.category for w in caught] == [UserWarning]
+    assert caught[0].filename == __file__  # attributed to the public call
+    assert str(caught[0].message) == low_digits_note(15, n)
 
 
 def counting(F):
@@ -204,6 +222,15 @@ def test_via_gaver_never_reads_coefficient_vector(monkeypatch):
             return numerics._TABLES.get(key, build)
 
     monkeypatch.setattr(inverter, "_TABLES", Forbidden())
+    assert stehfest_via_gaver(F_EXP, 1, 8, ctx) == expected
+    with pytest.raises(AssertionError):
+        stehfest_approx(F_EXP, 1, 8, ctx)
+    monkeypatch.undo()
+
+    def forbidden(*args):  # the witness keeps its own loop, so the two sums stay independent
+        raise AssertionError("weighted_sum called by the witness route")
+
+    monkeypatch.setattr(inverter, "weighted_sum", forbidden)
     assert stehfest_via_gaver(F_EXP, 1, 8, ctx) == expected
     with pytest.raises(AssertionError):
         stehfest_approx(F_EXP, 1, 8, ctx)

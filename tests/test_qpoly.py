@@ -7,6 +7,7 @@ from mpmath.libmp import from_rational, round_nearest
 from gsinv import (
     DomainError,
     PrecisionContext,
+    PrecisionError,
     ProbeError,
     context_for_order,
     decay_bound_probe,
@@ -283,6 +284,37 @@ def test_hz_branch_check_example(ctx20):
     m = ctx20.mp
     diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-4"), ctx20)
     assert diff < m.mpf("1e-6")
+
+
+def _count_ratios(monkeypatch):
+    # every ratio the H series evaluates, through qpoly._positive_series
+    calls = []
+    real = qpoly._positive_series
+    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol, name: real(
+        term, lambda n: calls.append(n) or ratio(n), reltol, name))
+    return calls
+
+
+@pytest.mark.parametrize("offset, cap", [("1e-7", None), ("1e-2", 1000)])
+def test_hz_branch_check_fails_fast_past_the_cap(offset, cap, ctx20, monkeypatch):
+    # 1 + ez = 2.7e-7 needs about 10^8 terms: it ran 5,000,000 (about 200 s) before it raised
+    m = ctx20.mp
+    if cap:
+        monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", cap)
+    calls = _count_ratios(monkeypatch)
+    with pytest.raises(PrecisionError, match="H series needs more than"):
+        hz_branch_check(-m.exp(-1) + m.mpf(offset), ctx20)
+    assert calls == []
+
+
+def test_hz_branch_check_runs_to_a_cap_it_fits(ctx20, monkeypatch):
+    # the series at 1 + ez = 0.027 stops at its 1446th term, so that cap keeps the bits
+    m = ctx20.mp
+    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", 1446)
+    calls = _count_ratios(monkeypatch)
+    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-2"), ctx20)
+    assert diff._mpf_ == (0, 22077667916732017965, -92, 65)
+    assert len(calls) == 1445
 
 
 def test_hz_branch_check_domain(ctx20):

@@ -36,6 +36,14 @@ def matrix():
                "--output", output]
     yield ["invert", "--pair", "exponential", "--x", "1", "--n-max", "12", "--digits", "20",
            "--output", "csv"]
+    # below required_digits: one warning per command, before any note
+    yield ["invert", "--pair", "sine", "--x", "1,3", "--n", "12", "--digits", "15",
+           "--output", "json"]
+    yield ["invert", "--pair", "exponential", "--x", "0.5,2", "--n-max", "10", "--digits", "15"]
+    yield ["ladder", "--pair", "step", "--x", "1", "--n-max", "10", "--digits", "20",
+           "--output", "csv"]
+    yield ["invert", "--transform", "1/(z+1)", "--x", "1", "--n", "8", "--digits", "15",
+           "--output", "csv"]
     yield ["ladder", "--pair", "root", "--x", "0.25,4", "--n-max", "5", "--output", "json"]
     yield ["ladder", "--pair", "ramp", "--x", "2", "--n-max", "4"]
     yield ["weval", "--z=-0.5,0.5", "--digits", "25"]
