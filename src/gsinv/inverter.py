@@ -245,21 +245,34 @@ def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
     integral_0^eps |xi(v)|^-n sin(n alpha(v))/alpha(v) g(v) dv, with g the
     symmetrized difference, for ``eps`` in (0, 1/4); ``f`` must be locally
     integrable near ``x``.
+
+    xi(v) does not depend on n, so it is computed once per quadrature node
+    for each ``(eps, digits, guard)`` and kept as raw tuples in
+    ``numerics._TABLES``; a warm table reads the same bits.  The key
+    carries digits and guard, not only the precision, because
+    :func:`~gsinv.lambertw.lambert_w0` bounds its residual by both.
     """
     from .lambertw import xi_alpha  # the inverter proper does not need Lambert W
 
     check_order(n, QN_MAX_ORDER)
     m = ctx.mp
-    g = _symmetrized_difference(f, x, c, eps, ctx)
+    g = _symmetrized_difference(f, x, c, eps, ctx)  # first: nothing is stored for a bad call
+    # {v._mpf_: (xi._mpc_, alpha._mpf_)} over the tanh-sinh nodes of (0, eps).
+    # Threads that miss the same node both compute it and store equal bits.
+    table = _TABLES.get(("xi", ctx.mpf(eps)._mpf_, ctx.digits, ctx.guard), dict)
 
     def integrand(v):
         if v == 0:
             return m.mpf(0)
-        xa = xi_alpha(v, ctx)
-        if xa.alpha == 0:
+        hit = table.get(v._mpf_)
+        if hit is None:
+            xa = xi_alpha(v, ctx)
+            hit = table[v._mpf_] = (xa.xi._mpc_, xa.alpha._mpf_)
+        xi, alpha = m.make_mpc(hit[0]), m.make_mpf(hit[1])
+        if alpha == 0:
             osc = m.mpf(n)  # limit of sin(n a)/a as 1 - 4v^2 rounds to 1
         else:
-            osc = abs(xa.xi) ** (-n) * m.sin(n * xa.alpha) / xa.alpha
+            osc = abs(xi) ** (-n) * m.sin(n * alpha) / alpha
         return osc * g(v)
 
     return integrate(integrand, 0, eps, ctx)

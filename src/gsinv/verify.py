@@ -19,7 +19,7 @@ from .coeffs import coeffs_from_weights, gaver_stehfest_coeffs, stehfest_weights
 from .errors import NUMERICAL_ERRORS, DomainError
 from .inverter import equivalence_probe, stehfest_approx, stehfest_via_gaver
 from .lambertw import in_region_a, lambert_w0, wew_residual, xi_alpha
-from .numerics import PrecisionContext, context_for_order
+from .numerics import cached_context, context_for_order
 from .pairs import corpus, get_pair, run_pair
 from .qpoly import (decay_bound_probe, genfun_identity_check, integral_representation_check,
                     qn_at_one_asymptotic, qn_exact, qn_jump_form_check)
@@ -77,7 +77,7 @@ def check_lambertw_defining_identity(seed=20240901, cut=_cut_from_branch_point):
     ``cut(m, i)`` is the i-th cut point; each random point's W must also
     lie in the principal-branch range A.
     """
-    ctx = PrecisionContext(30)
+    ctx = cached_context(30)
     m = ctx.mp
     tol = m.mpf(10) ** (-(ctx.digits - 5))
     rng = random.Random(seed)
@@ -101,7 +101,7 @@ def check_lambertw_defining_identity(seed=20240901, cut=_cut_from_branch_point):
 
 @_check("lambertw-branch-values")
 def check_lambertw_branch_values():
-    ctx = PrecisionContext(30)
+    ctx = cached_context(30)
     m = ctx.mp
     w2e = abs(lambert_w0(m.mpf(-2) / m.e, ctx))
     alpha = xi_alpha(m.mpf("0.01"), ctx).alpha
@@ -116,7 +116,7 @@ def check_lambertw_branch_values():
 @_check("qn-at-one-refined")
 def check_qn_at_one_refined():
     """n^3-scaled residuals of the refined q_n(1) asymptotic stay bounded."""
-    ctx = PrecisionContext(40)
+    ctx = cached_context(40)
     resid = {n: abs(ctx.mpf(qn_exact(n, Fraction(1))) - qn_at_one_asymptotic(n, ctx)) * n**3
              for n in (50, 100, 150, 200)}
     return (max(resid.values()) <= 2 * resid[50],
@@ -126,7 +126,7 @@ def check_qn_at_one_refined():
 @_check("qn-jump-form-bound")
 def check_qn_jump_form_bound():
     """The jump-form difference is a fitted, n-stable multiple of |xi|^-n."""
-    ctx = PrecisionContext(40)
+    ctx = cached_context(40)
     vs, ns = ("0.05", "0.1", "0.2"), (50, 100, 200)
     cmax = max(chk.difference / chk.decay
                for chk in (qn_jump_form_check(n, Fraction(v), ctx) for v in vs for n in ns))
@@ -148,7 +148,7 @@ def check_integral_representation(ns=(2, 4, 8)):
 
 @_check("decay-bound")
 def check_decay_bound():
-    ctx = PrecisionContext(25)
+    ctx = cached_context(25)
     fit = decay_bound_probe(ctx.mpf("0.1"), range(10, 41), ctx)
     return (fit.b > 1 and fit.residual <= ctx.mpf("0.05"),
             {"C": ctx.nstr(fit.C, 8), "b": ctx.nstr(fit.b, 8),
@@ -203,7 +203,7 @@ def check_jump_midpoint():
 @_check("equivalence-probe")
 def check_equivalence_probe():
     """At the step's own midpoint the probe falls (non-strictly) below the floor."""
-    ctx = PrecisionContext(30)
+    ctx = cached_context(30)
     m = ctx.mp
     f = get_pair("step").f_ref
     ns = (20, 40, 80)

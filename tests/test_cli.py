@@ -305,6 +305,29 @@ def test_verify_all_mixed_with_a_suite_equals_all(capsys):
     assert out == (FIXTURES / "verify_all.json").read_text()
 
 
+@pytest.mark.slow
+def test_warm_verify_rerun_builds_no_context(monkeypatch):
+    import gsinv.verify as verify
+
+    assert verify.run_suites("all")[1]
+    built = []
+    real = numerics.MPContext
+    monkeypatch.setattr(numerics, "MPContext", lambda: built.append(1) or real())
+    assert verify.run_suites("all")[1]
+    assert built == []
+
+
+def test_warm_corpus_rerun_keeps_the_report():
+    import gsinv.verify as verify
+
+    numerics._TABLES.cache_clear()
+    cold = verify.run_suites("corpus")
+    warm = verify.run_suites("corpus")
+    assert cold == warm
+    pinned = load_fixture("verify_all.json")["checks"]
+    assert cold[0] == [c for c in pinned if c["check"] in {r["check"] for r in cold[0]}]
+
+
 @pytest.mark.parametrize(
     "exc", [DomainError, QuadratureError, ProbeError, PrecisionError, TransformEvaluationError]
 )

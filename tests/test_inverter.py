@@ -331,6 +331,53 @@ def test_equivalence_probe_domain(ctx30):
         equivalence_probe(lambda t: t, 1, 0, ctx30.mpf("0.3"), 5, ctx30)
 
 
+def _xi_keys():
+    return [key for key in numerics._TABLES._data if key[0] == "xi"]
+
+
+@pytest.mark.parametrize("name, c, nodes", [("step", "0.5", 37), ("exponential", "1/e", 576)])
+def test_equivalence_probe_solves_xi_once_per_node(ctx30, monkeypatch, name, c, nodes):
+    import gsinv.lambertw as lambertw
+
+    f = get_pair(name).f_ref
+    m = ctx30.mp
+    c = m.exp(-1) if c == "1/e" else m.mpf(c)  # f(1): f is continuous there, or 1/2 at the jump
+    probe = lambda n: equivalence_probe(f, 1, c, m.mpf("0.2"), n, ctx30)
+    ns = (20, 40, 80)
+    fresh = []
+    for n in ns:  # the table cleared before every call
+        numerics._TABLES.cache_clear()
+        fresh.append(probe(n)._mpf_)
+    calls = []
+    real = lambertw.xi_alpha
+    monkeypatch.setattr(lambertw, "xi_alpha", lambda v, ctx: calls.append(v) or real(v, ctx))
+    numerics._TABLES.cache_clear()
+    cold = [probe(n)._mpf_ for n in ns]
+    assert len(calls) == len(set(calls)) == nodes  # every order reads the same nodes
+    warm = [probe(n)._mpf_ for n in ns]
+    assert len(calls) == nodes
+    assert cold == warm == fresh
+    assert _xi_keys() == [("xi", m.mpf("0.2")._mpf_, ctx30.digits, ctx30.guard)]
+
+
+def test_equivalence_probe_rejected_call_stores_no_table(ctx30):
+    numerics._TABLES.cache_clear()
+    with pytest.raises(DomainError):
+        equivalence_probe(lambda t: t, 1, 0, ctx30.mpf("0.3"), 5, ctx30)
+    assert _xi_keys() == []
+
+
+def test_equivalence_probe_tables_are_keyed_by_digits_and_guard():
+    # equal binary precision, but lambert_w0 bounds its residual by digits and guard
+    a, b = PrecisionContext(30, 10), PrecisionContext(35, 5)
+    assert a.mp.prec == b.mp.prec
+    numerics._TABLES.cache_clear()
+    for ctx in (a, b):
+        equivalence_probe(lambda t: t.context.exp(-t), 1, ctx.mp.exp(-1), "0.2", 20, ctx)
+    assert sorted(_xi_keys()) == [("xi", a.mpf("0.2")._mpf_, 30, 10),
+                                  ("xi", b.mpf("0.2")._mpf_, 35, 5)]
+
+
 def test_thread_safety_across_contexts():
     # operations are pure given an explicit context; concurrent ladders on
     # distinct contexts must reproduce the serial results exactly, also

@@ -18,6 +18,7 @@ from gsinv import (
     get_pair,
     guard_for_order,
     integrate,
+    equivalence_probe,
     invert_ladder,
     lambert_w0,
     qn_eval,
@@ -301,7 +302,7 @@ def test_precision_tables_hold_raw_tuples_and_stay_under_their_bound():
     assert verify.run_suites("all")[1]
     invert_ladder(F, 3, 16)
     entries = dict(numerics._TABLES._data)
-    assert {key[0] for key in entries} >= {"a_k", "mu", "w", "qn_kernel", "nodes"}
+    assert {key[0] for key in entries} >= {"a_k", "mu", "w", "qn_kernel", "nodes", "xi"}
     bad = [key for key, value in entries.items() if not _raw(value)]
     assert bad == []
     assert len(entries) < numerics._TABLES.maxsize  # nothing was evicted
@@ -319,6 +320,7 @@ def _mixed_jobs(ctx):
         lambda: qn_eval(30, v, ctx),
         lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 2, ctx),
         lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 4, ctx),
+        lambda: equivalence_probe(lambda t: m.exp(-t), 1, m.exp(-1), "0.2", 20, ctx),
     ]
 
 
@@ -333,9 +335,9 @@ def _run_threaded(jobs, repeat=2):
 
 
 def test_thread_safety_of_precision_caches():
-    # the node tables, q_n integer forms and kernel tables are
-    # process-wide; threads racing to fill them cold must reproduce the
-    # serial bits
+    # the node tables, q_n integer forms, kernel tables and xi tables
+    # are process-wide; threads racing to fill them cold must reproduce
+    # the serial bits
     per_ctx = [_mixed_jobs(PrecisionContext(d)) for d in (20, 35)]
     jobs = [job for pair in zip(*per_ctx) for job in pair]  # alternate precisions
     _clear_precision_caches()
