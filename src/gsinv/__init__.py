@@ -12,6 +12,11 @@ none of them, and ``gsinv.gaver_stehfest_coeffs`` loads only the exact
 coefficient module, not mpmath.  A public name is read from its defining
 module on every access, never copied here, so a name patched in that
 module (a test's monkeypatch, a tracer) shows through ``gsinv.<name>``.
+
+The public names are those a CLI command or a ``verify`` check reaches,
+plus the exception types behind the CLI's exit codes.  Diagnostics that
+only the tests call (``gaver_kernel``, ``expansion_probe``, ``g_value``,
+``qn_asymptotic`` and the like) are imported from their modules.
 """
 import importlib
 
@@ -20,24 +25,20 @@ _ORIGIN = {
     name: module
     for module, names in {
         "coeffs": ("GaverStehfestCoeffs", "StehfestWeights", "coeffs_from_weights",
-                   "gaver_kernel", "gaver_stehfest_coeffs", "stehfest_weights",
-                   "vandermonde_check"),
+                   "gaver_stehfest_coeffs", "stehfest_weights", "vandermonde_check"),
         "errors": ("DomainError", "PrecisionError", "ProbeError", "QuadratureError",
                    "TransformEvaluationError"),
         "inverter": ("InversionReport", "ReportEntry", "TransformFn", "equivalence_probe",
-                     "expansion_probe", "gaver_approx", "invert_ladder", "stehfest_approx",
-                     "stehfest_via_gaver"),
-        "lambertw": ("BranchSeries", "XiAlpha", "branch_series", "branch_series_eval",
-                     "in_region_a", "lambert_w0", "w_of_v", "wew_residual", "xi_alpha"),
+                     "gaver_approx", "invert_ladder", "stehfest_approx", "stehfest_via_gaver"),
+        "lambertw": ("BranchSeries", "XiAlpha", "branch_series", "in_region_a", "lambert_w0",
+                     "w_of_v", "wew_residual", "xi_alpha"),
         "numerics": ("PrecisionContext", "context_for_order", "guard_for_order", "integrate",
                      "required_digits"),
-        "pairs": ("DiniEstimate", "TransformPair", "corpus", "dini_integral_estimate",
-                  "get_pair", "jordan_target", "laplace_identity_residual", "run_pair"),
-        "qpoly": ("DecayFit", "JumpFormCheck", "PolyQ", "SeriesG", "SeriesH",
-                  "decay_bound_probe", "g_singular_remainder", "g_value",
-                  "genfun_identity_check", "hz_branch_check", "integral_representation_check",
-                  "qn_asymptotic", "qn_at_one_asymptotic", "qn_coeffs", "qn_eval", "qn_exact",
-                  "qn_jump_form_check", "series_g", "series_h"),
+        "pairs": ("TransformPair", "corpus", "get_pair", "jordan_target", "run_pair"),
+        "qpoly": ("DecayFit", "JumpFormCheck", "PolyQ", "decay_bound_probe",
+                  "genfun_identity_check", "integral_representation_check",
+                  "qn_at_one_asymptotic", "qn_coeffs", "qn_eval", "qn_exact",
+                  "qn_jump_form_check"),
     }.items()
     for name in names
 }

@@ -112,13 +112,13 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _invert_single(F, x, n, ref, ctx, flags) -> InversionReport:
+def _invert_single(F, x, n, ref, ctx) -> InversionReport:
     """Order ``n`` alone; the same entry as the last rung of a ladder to ``n``."""
     from .inverter import InversionReport, ReportEntry, stehfest_approx
 
     value = stehfest_approx(F, x, n, ctx)
     err = None if ref is None else abs(value - ctx.mpf(ref(x)))
-    return InversionReport(x, (ReportEntry(n, value, err),), ctx.digits, flags)
+    return InversionReport(x, (ReportEntry(n, value, err),), ctx.digits)
 
 
 def _cmd_invert(args) -> int:
@@ -137,13 +137,13 @@ def _cmd_invert(args) -> int:
         print("error: one of --n / --n-max is required", file=sys.stderr)
         return 2
     ctx = _resolve_ctx(args.digits, n_max)
-    flags = ()
+    flags = []  # caveats the JSON report carries
     if args.pair:
         pair = get_pair(args.pair)
         F = pair.F
         ref = lambda x: jordan_target(pair, x, ctx)
         if pair.oscillatory_flag:
-            flags = ("oscillatory",)
+            flags = ["oscillatory"]
             print(f"note: pair {pair.name!r} is oscillatory; convergence "
                   "theory does not cover it", file=sys.stderr)
     elif args.transform:
@@ -166,9 +166,9 @@ def _cmd_invert(args) -> int:
         # _resolve_ctx has printed the low-digits warning; the library's copy repeats it
         warnings.simplefilter("always")  # recorded and dropped, even under -W error
         if args.n_max:
-            reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx, flags=flags) for x in xs]
+            reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx) for x in xs]
         else:
-            reports = [_invert_single(F, x, n_max, ref, ctx, flags) for x in xs]
+            reports = [_invert_single(F, x, n_max, ref, ctx) for x in xs]
 
     if args.output == "csv":
         rows = []
@@ -185,7 +185,7 @@ def _cmd_invert(args) -> int:
             for e in r.entries:
                 err = None if e.abs_error is None else ctx.nstr(e.abs_error)
                 entries.append({"n": e.n, "value": ctx.nstr(e.value), "abs_error": err})
-            docs.append({"x": ctx.nstr(r.x), "digits": r.digits_used, "flags": list(r.flags),
+            docs.append({"x": ctx.nstr(r.x), "digits": r.digits_used, "flags": flags,
                          "entries": entries})
         _write_json({"reports": docs}, args.out)
     else:

@@ -20,14 +20,12 @@ if TYPE_CHECKING:  # numerics loads mpmath; the exact tables need neither
     from .numerics import PrecisionContext
 
 __all__ = [
-    "MAX_ORDER",
     "StehfestWeights",
     "GaverStehfestCoeffs",
     "stehfest_weights",
     "vandermonde_check",
     "gaver_stehfest_coeffs",
     "coeffs_from_weights",
-    "gaver_kernel",
 ]
 
 MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without benefit

@@ -36,7 +36,6 @@ __all__ = [
     "stehfest_approx",
     "stehfest_via_gaver",
     "invert_ladder",
-    "expansion_probe",
     "equivalence_probe",
 ]
 
@@ -67,16 +66,11 @@ class ReportEntry:
 
 @dataclass(frozen=True)
 class InversionReport:
-    """Ladder of approximants at one evaluation point.
-
-    ``flags`` carries caller-asserted caveats, e.g. ``"oscillatory"`` for
-    transforms the convergence theory does not cover.
-    """
+    """Ladder of approximants at one evaluation point."""
 
     x: object
     entries: tuple[ReportEntry, ...]
     digits_used: int
-    flags: tuple[str, ...] = ()
 
 
 class _AbscissaCache:
@@ -166,8 +160,7 @@ def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
     return acc
 
 
-def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = None,
-                  flags=()):
+def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = None):
     """Approximants for n = 1..n_max, with errors when ``ref`` is given.
 
     With ``ctx=None`` the precision follows the required_digits rule for
@@ -186,7 +179,7 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
         value = stehfest_approx(F, x, n, ctx, _cache=cache)
         err = None if target is None else abs(value - target)
         entries.append(ReportEntry(n, value, err))
-    return InversionReport(x, tuple(entries), ctx.digits, tuple(flags))
+    return InversionReport(x, tuple(entries), ctx.digits)
 
 
 def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext):

@@ -52,7 +52,6 @@ __all__ = [
     "BranchSeries",
     "XiAlpha",
     "branch_series",
-    "branch_series_eval",
     "lambert_w0",
     "w_of_v",
     "xi_alpha",
@@ -113,23 +112,6 @@ def branch_series(N: int) -> BranchSeries:
 
 _CZERO = (fzero, fzero)
 _FTWO = from_int(2)
-_SQRT2_MARGIN = 0.9  # stay inside the |p| < sqrt(2) convergence disk
-
-
-def branch_series_eval(p, N: int, series: BranchSeries, ctx: PrecisionContext):
-    """Evaluate sum_{n<=N} mu_n p^n; requires |p| < 0.9 sqrt(2).
-
-    Truncation is bounded by the next-term heuristic; for the full-W use
-    case prefer :func:`lambert_w0`, which picks N from the precision.
-    """
-    check_count(N)
-    m = ctx.mp
-    p = m.mpc(p)
-    if not abs(p) < _SQRT2_MARGIN * m.sqrt(2):
-        raise DomainError(f"|p| = {abs(p)} outside the safe convergence disk")
-    if N >= len(series.mu):
-        raise DomainError(f"series holds {len(series.mu)} coefficients, need {N + 1}")
-    return power_sum(mpf_tuples(series.mu[: N + 1], m.prec), p, m)
 
 
 def in_region_a(w, tol=0) -> bool:
@@ -317,7 +299,7 @@ def lambert_w0(z, ctx: PrecisionContext):
             return m.mpc(-1)
         N = int(1.6 * m.dps) + 12
         mu = _TABLES.get(("mu", N, prec), lambda: mpf_tuples(branch_series(N).mu, prec))
-        w = power_sum(mu, p, m)  # |p| < 0.32 is inside the disk
+        w = power_sum(mu, p, m)  # |p| < 0.32: inside the |p| < sqrt(2) disk
     elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
         # left of the branch point the seed z (1 - z) can lead Halley to
         # another branch, or next to the cut to no root at all

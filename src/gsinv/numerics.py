@@ -43,7 +43,6 @@ __all__ = [
     "guard_for_order",
     "context_for_order",
     "integrate",
-    "fit_line",
 ]
 
 MIN_DIGITS = 15  # the working-precision floor of PrecisionContext

@@ -21,9 +21,6 @@ __all__ = [
     "get_pair",
     "run_pair",
     "jordan_target",
-    "dini_integral_estimate",
-    "DiniEstimate",
-    "laplace_identity_residual",
 ]
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
@@ -137,9 +134,8 @@ def run_pair(pair: TransformPair, x, n_max: int, ctx: PrecisionContext | None = 
     """Ladder for a corpus pair, with errors against the Jordan target."""
     if ctx is None:
         ctx = context_for_order(n_max)
-    flags = ("oscillatory",) if pair.oscillatory_flag else ()
     # the ladder asks for the target once it has checked x and n_max
-    return invert_ladder(pair.F, x, n_max, lambda t: jordan_target(pair, t, ctx), ctx, flags)
+    return invert_ladder(pair.F, x, n_max, lambda t: jordan_target(pair, t, ctx), ctx)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from math import factorial, lcm
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from . import series as fps
-from .coeffs import QN_MAX_ORDER, check_count, check_order
+from .coeffs import QN_MAX_ORDER, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
@@ -25,19 +25,12 @@ from .numerics import (_TABLES, PrecisionContext, cached_context, fit_line, inte
 
 __all__ = [
     "PolyQ",
-    "SeriesG",
-    "SeriesH",
     "JumpFormCheck",
     "DecayFit",
     "qn_coeffs",
+    "qn_exact",
     "qn_eval",
-    "series_g",
-    "series_h",
-    "g_value",
     "genfun_identity_check",
-    "g_singular_remainder",
-    "hz_branch_check",
-    "qn_asymptotic",
     "qn_at_one_asymptotic",
     "qn_jump_form_check",
     "decay_bound_probe",
@@ -51,22 +44,6 @@ class PolyQ:
 
     n: int
     coeffs: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class SeriesG:
-    """Exact leading coefficients of G(z); converges for |z| < 1/e."""
-
-    N: int
-    g: tuple[Fraction, ...]  # g[n] multiplies z^n, g[0] = 0
-
-
-@dataclass(frozen=True)
-class SeriesH:
-    """Exact leading coefficients of H(z) = -(z d/dz)^2 W(z)."""
-
-    N: int
-    h: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -173,21 +150,8 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
 # ---------------------------------------------------------------------
 
 def _g_coeff(n: int) -> Fraction:
+    """Coefficient of z^n in G(z), n >= 1; the series converges for |z| < 1/e."""
     return (-1) ** n * _poch_half(n) * Fraction(n ** (n + 1)) / factorial(n) ** 2
-
-
-def _h_coeff(n: int) -> Fraction:
-    return (-1) ** n * Fraction(n ** (n + 1), factorial(n))
-
-
-def series_g(N: int) -> SeriesG:
-    check_count(N)
-    return SeriesG(N, tuple(_g_coeff(n) if n else Fraction(0) for n in range(N + 1)))
-
-
-def series_h(N: int) -> SeriesH:
-    check_count(N)
-    return SeriesH(N, tuple(_h_coeff(n) if n else Fraction(0) for n in range(N + 1)))
 
 
 _MAX_SERIES_TERMS = 5_000_000
@@ -266,7 +230,7 @@ def g_value(z, ctx: PrecisionContext):
     m = ctx.mp
     z = ctx.mpf(z)
     if not (-m.exp(-1) < z < 0):
-        raise DomainError("g_value requires -1/e < z < 0")
+        raise DomainError(f"g_value requires -1/e < z < 0, got z = {z}")
     ez1 = 1 + m.e * z
     if ez1 >= m.mpf("0.1"):
         # every term is positive; term_n / term_(n-1) = (-z)(n - 1/2)/(n - 1) (1 + 1/(n-1))^(n-1)
@@ -291,7 +255,7 @@ def g_singular_remainder(z, ctx: PrecisionContext):
     z = ctx.mpf(z)
     ez1_coarse = 1 + m.e * z
     if not (0 < ez1_coarse <= m.mpf("0.02") * m.e + ctx.eps):
-        raise DomainError("z must lie in (-1/e, -1/e + 0.02]")
+        raise DomainError(f"z must lie in (-1/e, -1/e + 0.02], got z = {z}")
     extra = int(-m.log10(ez1_coarse)) + 8
     work = cached_context(ctx.digits + extra, ctx.guard)
     mw = work.mp
@@ -377,7 +341,7 @@ def qn_asymptotic(n: int, v, ctx: PrecisionContext, extended: bool = False):
     m = ctx.mp
     v = ctx.mpf(v)
     if not m.mpf(1) / 2 <= v < 1:
-        raise DomainError("v must lie in [1/2, 1); v = 1 has its own formula")
+        raise DomainError(f"v must lie in [1/2, 1), got v = {v}; v = 1 has its own formula")
     w = w_of_v(v, ctx)
     inner = w ** (-n) / (1 + w)
     if extended:
@@ -427,16 +391,24 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     DecayFit
         Fitted C and b (check ``b > 1``), the multiplicative rms misfit
         of the envelope points, and the raw sequence.
+
+    Raises
+    ------
+    DomainError
+        Before any q_n, if ``epsilon`` lies outside (0, 1) or ``n_range``
+        holds fewer than 4 orders or an order outside [1, 200].
+    ProbeError
+        If the sequence has fewer than two envelope points to fit.
     """
     m = ctx.mp
     eps = ctx.mpf(epsilon)
     if not 0 < eps < 1:
-        raise DomainError("epsilon must lie in (0, 1)")
+        raise DomainError(f"epsilon must lie in (0, 1), got epsilon = {eps}")
     ns = list(n_range)
+    if len(ns) < 4:
+        raise DomainError(f"n_range must span at least 4 orders, got {len(ns)}")
     for n in ns:  # every order, before the first q_n
         check_order(n, QN_MAX_ORDER)
-    if len(ns) < 4:
-        raise ProbeError("need at least 4 orders to fit the decay bound")
     hi = 1 - eps
     vs = [hi * m.mpf(i) / 121 for i in range(1, 122)]
     ratios = []

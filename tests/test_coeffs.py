@@ -6,12 +6,12 @@ from gsinv import (
     DomainError,
     StehfestWeights,
     coeffs_from_weights,
-    gaver_kernel,
     gaver_stehfest_coeffs,
     integrate,
     stehfest_weights,
     vandermonde_check,
 )
+from gsinv.coeffs import gaver_kernel
 
 
 def test_weights_small_orders():

@@ -7,7 +7,8 @@ series length (``N``) or a real point (``x``, ``z``, ``v``, ``u``,
 an original, an integrand or a series term.  Orders go through
 ``coeffs.check_order``, series lengths through ``coeffs.check_count`` and
 positive points through ``numerics.check_point``; intervals are one-line
-tests in each function.
+tests in each function.  The same holds for the paper diagnostics in
+``DIAGNOSTICS``, which are public in their modules but not in the package.
 """
 import math
 import warnings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import gsinv
 from gsinv import DomainError, PrecisionContext, TransformFn, TransformPair
+from gsinv import coeffs, inverter, pairs, qpoly
 from gsinv.coeffs import MAX_ORDER, QN_MAX_ORDER
 
 CTX = PrecisionContext(20)
@@ -110,7 +112,27 @@ def _pair(calls):
     return TransformPair("counted", _F(calls), _f(calls), "smooth")
 
 
-# public name -> (its valid arguments, built around a call counter; the
+# paper lemmas that only the tests reproduce: public in their module, out
+# of gsinv.__all__ until a CLI command or a verify check reaches them
+DIAGNOSTICS = {
+    "gaver_kernel": coeffs,
+    "expansion_probe": inverter,
+    "dini_integral_estimate": pairs,
+    "DiniEstimate": pairs,
+    "laplace_identity_residual": pairs,
+    "g_value": qpoly,
+    "g_singular_remainder": qpoly,
+    "hz_branch_check": qpoly,
+    "qn_asymptotic": qpoly,
+}
+
+
+def api(name):
+    """The function a contract row names: from its module for a diagnostic, else the package."""
+    return getattr(DIAGNOSTICS.get(name, gsinv), name)
+
+
+# function name -> (its valid arguments, built around a call counter; the
 # domain of each order or point parameter)
 CONTRACT = {
     "stehfest_weights": (lambda count: dict(n=4), {"n": ORDER}),
@@ -132,9 +154,6 @@ CONTRACT = {
     "equivalence_probe": (lambda count: dict(f=_f(count), x=1, c=1, eps=0.2, n=4, ctx=CTX),
                           {"x": POSITIVE, "eps": EPS, "n": QN_ORDER}),
     "branch_series": (lambda count: dict(N=5), {"N": COUNT}),
-    "branch_series_eval": (lambda count: dict(p=0.1, N=3, series=gsinv.branch_series(5),
-                                              ctx=CTX),
-                           {"N": COUNT}),
     "lambert_w0": (lambda count: dict(z=1, ctx=CTX), {"z": REAL}),
     "w_of_v": (lambda count: dict(v=0.5, ctx=CTX), {"v": Point(0, 1, hi_closed=True)}),
     "xi_alpha": (lambda count: dict(v=0.1, ctx=CTX), {"v": Point(0, 0.5, lo_closed=True)}),
@@ -163,8 +182,6 @@ CONTRACT = {
     "qn_asymptotic": (lambda count: dict(n=4, v=0.75, ctx=CTX),
                       {"n": QN_ORDER, "v": Point(0.5, 1, lo_closed=True)}),
     "qn_at_one_asymptotic": (lambda count: dict(n=4, ctx=CTX), {"n": QN_ORDER}),
-    "series_g": (lambda count: dict(N=5), {"N": COUNT}),
-    "series_h": (lambda count: dict(N=5), {"N": COUNT}),
     "qn_jump_form_check": (lambda count: dict(n=4, v=0.1, ctx=CTX),
                            {"n": QN_ORDER, "v": Point(0, 0.25, hi_closed=True)}),
     "decay_bound_probe": (lambda count: dict(epsilon=0.1, n_range=range(10, 30), ctx=CTX),
@@ -181,7 +198,7 @@ OUT_OF_SCOPE = {"wew_residual"}  # a residual of any (w, z) the caller passes
 def _call(name, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning before the error is something else
-        return getattr(gsinv, name)(**args)
+        return api(name)(**args)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
@@ -216,27 +233,20 @@ FINDINGS = {
     "equivalence_probe n=-3": lambda: gsinv.equivalence_probe(STEP.f_ref, 1, 0.5, 0.2, -3, CTX),
     "equivalence_probe n=2.5": lambda: gsinv.equivalence_probe(STEP.f_ref, 1, 0.5, 0.2, 2.5,
                                                                CTX),
-    "dini_integral_estimate x=-1": lambda: gsinv.dini_integral_estimate(STEP, -1, 0, 0.2, CTX),
+    "dini_integral_estimate x=-1": lambda: pairs.dini_integral_estimate(STEP, -1, 0, 0.2, CTX),
     "jordan_target x=nan": lambda: gsinv.jordan_target(STEP, NAN, CTX),
     "jordan_target x=+inf": lambda: gsinv.jordan_target(STEP, INF, CTX),
-    "laplace_identity_residual z=inf": lambda: gsinv.laplace_identity_residual(STEP, INF, CTX),
+    "laplace_identity_residual z=inf": lambda: pairs.laplace_identity_residual(STEP, INF, CTX),
     "gaver_stehfest_coeffs 2.5": lambda: gsinv.gaver_stehfest_coeffs(2.5),
     "stehfest_approx n=2.5": lambda: gsinv.stehfest_approx(STEP.F, 1, 2.5, CTX),
     "genfun_identity_check v='abc'": lambda: gsinv.genfun_identity_check(5, "abc"),
     "genfun_identity_check n_max=0": lambda: gsinv.genfun_identity_check(0, Fraction(1, 2)),
     "vandermonde_check None": lambda: gsinv.vandermonde_check(None),
     "context_for_order 100": lambda: gsinv.context_for_order(100),
-    "qn_asymptotic n=2.5": lambda: gsinv.qn_asymptotic(2.5, 0.6, CTX),
-    "gaver_kernel u=nan": lambda: gsinv.gaver_kernel(2, NAN, CTX),
+    "qn_asymptotic n=2.5": lambda: qpoly.qn_asymptotic(2.5, 0.6, CTX),
+    "gaver_kernel u=nan": lambda: coeffs.gaver_kernel(2, NAN, CTX),
     "lambert_w0 'abc'": lambda: gsinv.lambert_w0("abc", CTX),
-    "branch_series_eval p=nan": lambda: gsinv.branch_series_eval(NAN, 5,
-                                                                 gsinv.branch_series(5), CTX),
     "branch_series N=2.5": lambda: gsinv.branch_series(2.5),
-    "series_h N=2.5": lambda: gsinv.series_h(2.5),
-    "series_g N='3'": lambda: gsinv.series_g("3"),
-    "series_g N=-2": lambda: gsinv.series_g(-2),
-    "branch_series_eval N=-1": lambda: gsinv.branch_series_eval(0.1, -1,
-                                                                gsinv.branch_series(5), CTX),
     "decay_bound_probe n_range=[1.5, ...]": lambda: gsinv.decay_bound_probe(
         0.1, [1.5, 2.5, 3.5, 4.5], CTX),
     "decay_bound_probe n_range=['a', ...]": lambda: gsinv.decay_bound_probe(
@@ -253,7 +263,7 @@ def test_finding_raises_domain_error(finding):
 def test_expansion_probe_checks_every_order_before_the_transform():
     calls = Calls()
     with pytest.raises(DomainError):
-        gsinv.expansion_probe(_F(calls), 1, [1, 2, 3, 0], 0.3, CTX)
+        inverter.expansion_probe(_F(calls), 1, [1, 2, 3, 0], 0.3, CTX)
     assert calls.count == 0
 
 
@@ -265,11 +275,26 @@ def test_shared_messages():
         gsinv.jordan_target(STEP, "-2", CTX)
     assert str(point.value) == "evaluation point must be finite and > 0, got x = -2.0"
     with pytest.raises(DomainError) as named:
-        gsinv.laplace_identity_residual(STEP, INF, CTX)
+        pairs.laplace_identity_residual(STEP, INF, CTX)
     assert str(named.value) == "evaluation point must be finite and > 0, got z = +inf"
     with pytest.raises(DomainError) as count:
-        gsinv.series_g(-2)
+        gsinv.branch_series(-2)
     assert str(count.value) == "series length must be an integer >= 0, got -2"
     with pytest.raises(DomainError) as conversion:
         CTX.mpf("abc")
     assert str(conversion.value) == "not a real number: 'abc'"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qpoly.g_value("0.5", CTX), "g_value requires -1/e < z < 0, got z = 0.5"),
+    (lambda: qpoly.g_singular_remainder(0, CTX),
+     "z must lie in (-1/e, -1/e + 0.02], got z = 0.0"),
+    (lambda: qpoly.qn_asymptotic(4, "0.3", CTX),
+     "v must lie in [1/2, 1), got v = 0.3; v = 1 has its own formula"),
+    (lambda: gsinv.decay_bound_probe(2, range(10, 14), CTX),
+     "epsilon must lie in (0, 1), got epsilon = 2.0"),
+], ids=["g_value", "g_singular_remainder", "qn_asymptotic", "decay_bound_probe"])
+def test_interval_messages_name_the_bad_value(call, message):
+    with pytest.raises(DomainError) as bad:
+        call()
+    assert str(bad.value) == message

@@ -16,7 +16,6 @@ from gsinv import (
     context_for_order,
     corpus,
     equivalence_probe,
-    expansion_probe,
     gaver_approx,
     gaver_stehfest_coeffs,
     get_pair,
@@ -25,6 +24,7 @@ from gsinv import (
     stehfest_approx,
     stehfest_via_gaver,
 )
+from gsinv.inverter import expansion_probe
 from gsinv.numerics import low_digits_note
 from conftest import load_fixture
 

@@ -8,12 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsinv import (
-    BranchSeries,
     DomainError,
     PrecisionContext,
     PrecisionError,
     branch_series,
-    branch_series_eval,
     in_region_a,
     lambert_w0,
     w_of_v,
@@ -56,38 +54,20 @@ def test_branch_series_resubstitution():
     assert acc == expected
 
 
-def test_branch_series_eval(ctx30):
-    m = ctx30.mp
-    series = branch_series(40)
-    assert branch_series_eval(0, 40, series, ctx30) == -1
-    p = ctx30.mpf("0.05")
-    w = branch_series_eval(p, 40, series, ctx30)
-    target = (p**2 / 2 - 1) / m.e
-    assert abs(w * m.exp(w) - target) <= 10 * ctx30.eps
-    with pytest.raises(DomainError):
-        branch_series_eval(ctx30.mpf("1.3"), 40, series, ctx30)
-
-
-def test_branch_series_eval_bits_match_fraction_route(ctx30):
-    # branch_series_eval on any series, and the cached vector lambert_w0
-    # sums, give the bits of converting each mu_n on its own
+def test_lambert_w0_mu_vector_bits_match_fraction_route(ctx30):
+    # the cached vector lambert_w0 sums gives the bits of converting each
+    # mu_n on its own
     m = ctx30.mp
     N = int(1.6 * m.dps) + 12  # the lambert_w0 truncation
-    other = BranchSeries(tuple(Fraction((-1) ** k, k + 3) for k in range(N + 1)))
     lambert_w0(-m.exp(-1) + m.mpf("0.001"), ctx30)  # stores the vector it sums
     stored_mu = numerics._TABLES.get(("mu", N, m.prec), lambda: pytest.fail("mu not stored"))
-    for series in (branch_series(N), other):
-        for p in (m.mpf("0.05"), m.mpc("0.1", "-0.2"), m.mpc(0, "0.3")):
-            acc, ppow = m.mpc(0), m.mpc(1)
-            for mu in series.mu:
-                acc += ctx30.mpf(mu) * ppow
-                ppow *= p
-            expected = (acc.real._mpf_, acc.imag._mpf_)
-            got = branch_series_eval(p, N, series, ctx30)
-            assert (got.real._mpf_, got.imag._mpf_) == expected
-            if series is not other:
-                got = power_sum(stored_mu, m.mpc(p), m)
-                assert (got.real._mpf_, got.imag._mpf_) == expected
+    for p in (m.mpf("0.05"), m.mpc("0.1", "-0.2"), m.mpc(0, "0.3")):
+        acc, ppow = m.mpc(0), m.mpc(1)
+        for mu in branch_series(N).mu:
+            acc += ctx30.mpf(mu) * ppow
+            ppow *= p
+        got = power_sum(stored_mu, m.mpc(p), m)
+        assert (got.real._mpf_, got.imag._mpf_) == (acc.real._mpf_, acc.imag._mpf_)
 
 
 def test_branch_region_w_converts_no_coefficient_when_warm(ctx30, monkeypatch):

@@ -1,4 +1,5 @@
 """The package namespace: names resolved from their submodules on first use."""
+import functools
 import inspect
 import pathlib
 import subprocess
@@ -7,30 +8,29 @@ import sys
 import pytest
 
 import gsinv
+import gsinv.cli
 import gsinv.inverter
-from test_contract import CONTRACT, OUT_OF_SCOPE
+import gsinv.verify
+from test_contract import CONTRACT, DIAGNOSTICS, OUT_OF_SCOPE
 
 SRC = pathlib.Path(gsinv.__file__).resolve().parents[1]
 
 # every public name of the package, by the submodule that defines it
 PUBLIC = {
-    "coeffs": ["GaverStehfestCoeffs", "StehfestWeights", "coeffs_from_weights", "gaver_kernel",
+    "coeffs": ["GaverStehfestCoeffs", "StehfestWeights", "coeffs_from_weights",
                "gaver_stehfest_coeffs", "stehfest_weights", "vandermonde_check"],
     "errors": ["DomainError", "PrecisionError", "ProbeError", "QuadratureError",
                "TransformEvaluationError"],
     "inverter": ["InversionReport", "ReportEntry", "TransformFn", "equivalence_probe",
-                 "expansion_probe", "gaver_approx", "invert_ladder", "stehfest_approx",
-                 "stehfest_via_gaver"],
-    "lambertw": ["BranchSeries", "XiAlpha", "branch_series", "branch_series_eval",
-                 "in_region_a", "lambert_w0", "w_of_v", "wew_residual", "xi_alpha"],
+                 "gaver_approx", "invert_ladder", "stehfest_approx", "stehfest_via_gaver"],
+    "lambertw": ["BranchSeries", "XiAlpha", "branch_series", "in_region_a", "lambert_w0",
+                 "w_of_v", "wew_residual", "xi_alpha"],
     "numerics": ["PrecisionContext", "context_for_order", "guard_for_order", "integrate",
                  "required_digits"],
-    "pairs": ["DiniEstimate", "TransformPair", "corpus", "dini_integral_estimate", "get_pair",
-              "jordan_target", "laplace_identity_residual", "run_pair"],
-    "qpoly": ["DecayFit", "JumpFormCheck", "PolyQ", "SeriesG", "SeriesH", "decay_bound_probe",
-              "g_singular_remainder", "g_value", "genfun_identity_check", "hz_branch_check",
-              "integral_representation_check", "qn_asymptotic", "qn_at_one_asymptotic",
-              "qn_coeffs", "qn_eval", "qn_exact", "qn_jump_form_check", "series_g", "series_h"],
+    "pairs": ["TransformPair", "corpus", "get_pair", "jordan_target", "run_pair"],
+    "qpoly": ["DecayFit", "JumpFormCheck", "PolyQ", "decay_bound_probe",
+              "genfun_identity_check", "integral_representation_check", "qn_at_one_asymptotic",
+              "qn_coeffs", "qn_eval", "qn_exact", "qn_jump_form_check"],
 }
 
 
@@ -45,18 +45,20 @@ def fresh_modules(code):
 
 def test_all_is_the_public_api_in_defining_order():
     assert gsinv.__all__ == [name for names in PUBLIC.values() for name in names]
-    assert len(gsinv.__all__) == 62
+    assert len(gsinv.__all__) == 48
     assert gsinv.__version__ == "0.1.0"
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
 def test_each_name_is_the_defining_modules_object(module):
+    defining = sys.modules[f"gsinv.{module}"]
     for name in PUBLIC[module]:
         obj = getattr(gsinv, name)
-        defining = sys.modules[f"gsinv.{module}"]
         assert obj is getattr(defining, name)
         assert obj.__module__ == defining.__name__
         assert name not in vars(gsinv)  # read through, never copied here
+    if hasattr(defining, "__all__"):  # the module exports what the package does
+        assert sorted(defining.__all__) == sorted(PUBLIC[module])
 
 
 def test_dir_lists_the_names_and_unknown_names_raise():
@@ -109,11 +111,67 @@ DOMAIN_PARAMETERS = {"n", "k", "n_max", "N", "x", "z", "v", "u", "eps", "epsilon
 
 
 def test_every_order_or_point_parameter_is_in_the_contract_table():
-    for name in gsinv.__all__:
-        obj = getattr(gsinv, name)
+    for name in [*gsinv.__all__, *DIAGNOSTICS]:
+        obj = getattr(DIAGNOSTICS.get(name, gsinv), name)
         if inspect.isclass(obj) or not callable(obj) or name in OUT_OF_SCOPE:
             continue
         params = DOMAIN_PARAMETERS.intersection(inspect.signature(obj).parameters)
         if params:
             assert name in CONTRACT, f"{name} takes {sorted(params)} but is not in CONTRACT"
             assert set(CONTRACT[name][1]) == params, name
+
+
+@functools.lru_cache(maxsize=1)
+def reached():
+    """The gsinv objects the CLI and the verify checks reach, by ``id``.
+
+    A static closure over code from ``cli.main``, the ``cli._cmd_*``
+    commands and the ``verify.check_*`` checks.  A function reaches each
+    name its code (nested code included) loads or imports, looked up in
+    its module and in every gsinv module, and the defaults of its
+    parameters.  An ``lru_cache`` or a check wrapper stands for the
+    function it wraps, an instance for its class, and a class for the
+    functions it defines.
+    """
+    modules = [vars(m) for name, m in sorted(sys.modules.items()) if name.startswith("gsinv.")]
+    todo = [gsinv.cli.main,
+            *(fn for name, fn in vars(gsinv.cli).items() if name.startswith("_cmd_")),
+            *(fn for name, fn in vars(gsinv.verify).items() if name.startswith("check_"))]
+    seen = {}
+    while todo:
+        obj = todo.pop()
+        if not (inspect.isfunction(obj) or inspect.isclass(obj) or hasattr(obj, "__wrapped__")):
+            obj = type(obj)
+        if not getattr(obj, "__module__", "").startswith("gsinv") or id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if hasattr(obj, "__wrapped__"):
+            todo.append(inspect.unwrap(obj))
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    todo.append(member)
+        elif inspect.isfunction(obj):
+            todo += [v for v in (*(obj.__defaults__ or ()), *(obj.__kwdefaults__ or {}).values())
+                     if callable(v)]
+            codes = [obj.__code__]
+            for code in codes:
+                codes += [c for c in code.co_consts if inspect.iscode(c)]
+                todo += [scope[name] for name in code.co_names
+                         for scope in (obj.__globals__, *modules) if name in scope]
+    return seen
+
+
+def test_every_public_name_is_reached_by_the_cli_or_a_verify_check():
+    # the errors are the CLI's exit-code contract, public without a caller
+    missed = [name for name in gsinv.__all__
+              if name not in PUBLIC["errors"] and id(getattr(gsinv, name)) not in reached()]
+    assert missed == []
+
+
+def test_no_module_only_diagnostic_is_reached():
+    # one that a command or a check comes to reach goes back into gsinv.__all__
+    hit = [name for name, module in DIAGNOSTICS.items()
+           if id(getattr(module, name)) in reached()]
+    assert hit == []

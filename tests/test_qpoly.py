@@ -8,28 +8,22 @@ from gsinv import (
     DomainError,
     PrecisionContext,
     PrecisionError,
-    ProbeError,
     context_for_order,
     decay_bound_probe,
-    g_singular_remainder,
-    g_value,
     genfun_identity_check,
     get_pair,
-    hz_branch_check,
     integral_representation_check,
-    qn_asymptotic,
     qn_at_one_asymptotic,
     qn_coeffs,
     qn_eval,
     qn_exact,
     qn_jump_form_check,
-    series_g,
-    series_h,
     stehfest_approx,
 )
 from gsinv import numerics, qpoly
 from gsinv.numerics import cached_context, integrate
-from gsinv.qpoly import _g_continuation, _genfun_matches, _h_laurent
+from gsinv.qpoly import (_g_coeff, _g_continuation, _genfun_matches, _h_laurent,
+                         g_singular_remainder, g_value, hz_branch_check, qn_asymptotic)
 
 
 def test_qn_small_orders():
@@ -138,13 +132,9 @@ def test_qn_bounds():
         qn_coeffs(201)
 
 
-def test_series_objects():
-    g = series_g(5)
-    h = series_h(5)
-    assert g.g[1] == Fraction(-1, 2)  # (1/2)_1/(1!)^2 * (-1) * 1^2
-    assert h.h[1] == Fraction(-1)
-    assert h.h[2] == Fraction(4)  # 2^3/2!
-    assert g.g[2] == Fraction(3, 2) * Fraction(8, 1) / 4 / Fraction(2)  # (3/4)/4 * 8
+def test_g_coefficients():
+    assert _g_coeff(1) == Fraction(-1, 2)  # (1/2)_1/(1!)^2 * (-1) * 1^2
+    assert _g_coeff(2) == Fraction(3, 2) * Fraction(8, 1) / 4 / Fraction(2)  # (3/4)/4 * 8
 
 
 def test_genfun_identity_exact():
@@ -432,7 +422,7 @@ def test_decay_bound_probe():
 
 def test_decay_bound_degenerate():
     ctx = PrecisionContext(20)
-    with pytest.raises(ProbeError):
+    with pytest.raises(DomainError, match="at least 4 orders, got 3"):
         decay_bound_probe(ctx.mpf("0.1"), [10, 11, 12], ctx)
 
 
