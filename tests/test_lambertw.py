@@ -70,6 +70,17 @@ def test_lambert_w0_mu_vector_bits_match_fraction_route(ctx30):
         assert (got.real._mpf_, got.imag._mpf_) == (acc.real._mpf_, acc.imag._mpf_)
 
 
+@pytest.mark.parametrize("p", ["0.05", "0.1-0.2j", "0.3j"])
+def test_w_in_branch_ball_meets_defining_identity(ctx30, p):
+    # z = (p^2/2 - 1)/e lies in |1 + ez| < 0.05, where W is the branch
+    # series in p = sqrt(2(1 + ez)) polished by Halley
+    m = ctx30.mp
+    p = m.mpc(complex(p))
+    z = (p**2 / 2 - 1) / m.e
+    w = lambert_w0(z, ctx30)
+    assert abs(w * m.exp(w) - z) <= 10 * ctx30.eps
+
+
 def test_branch_region_w_converts_no_coefficient_when_warm(ctx30, monkeypatch):
     m = ctx30.mp
     z = -m.exp(-1) + m.mpf("0.001")  # |1 + e z| < 0.05: the branch-series region

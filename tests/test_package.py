@@ -10,6 +10,9 @@ import pytest
 import gsinv
 import gsinv.cli
 import gsinv.inverter
+import gsinv.lambertw
+import gsinv.numerics
+import gsinv.qpoly
 import gsinv.verify
 from test_contract import CONTRACT, DIAGNOSTICS, OUT_OF_SCOPE
 
@@ -121,22 +124,17 @@ def test_every_order_or_point_parameter_is_in_the_contract_table():
             assert set(CONTRACT[name][1]) == params, name
 
 
-@functools.lru_cache(maxsize=1)
-def reached():
-    """The gsinv objects the CLI and the verify checks reach, by ``id``.
+def reach(*roots):
+    """The gsinv objects that code from ``roots`` reaches, by ``id``.
 
-    A static closure over code from ``cli.main``, the ``cli._cmd_*``
-    commands and the ``verify.check_*`` checks.  A function reaches each
-    name its code (nested code included) loads or imports, looked up in
-    its module and in every gsinv module, and the defaults of its
-    parameters.  An ``lru_cache`` or a check wrapper stands for the
-    function it wraps, an instance for its class, and a class for the
-    functions it defines.
+    A static closure.  A function reaches each name its code (nested code
+    included) loads or imports, looked up in its module and in every
+    gsinv module, and the defaults of its parameters.  An ``lru_cache``
+    or a check wrapper stands for the function it wraps, an instance for
+    its class, and a class for the functions it defines.
     """
     modules = [vars(m) for name, m in sorted(sys.modules.items()) if name.startswith("gsinv.")]
-    todo = [gsinv.cli.main,
-            *(fn for name, fn in vars(gsinv.cli).items() if name.startswith("_cmd_")),
-            *(fn for name, fn in vars(gsinv.verify).items() if name.startswith("check_"))]
+    todo = list(roots)
     seen = {}
     while todo:
         obj = todo.pop()
@@ -161,6 +159,32 @@ def reached():
                 todo += [scope[name] for name in code.co_names
                          for scope in (obj.__globals__, *modules) if name in scope]
     return seen
+
+
+@functools.lru_cache(maxsize=1)
+def reached():
+    """What ``cli.main``, the ``cli._cmd_*`` commands and the ``verify.check_*`` checks reach."""
+    return reach(gsinv.cli.main,
+                 *(fn for name, fn in vars(gsinv.cli).items() if name.startswith("_cmd_")),
+                 *(fn for name, fn in vars(gsinv.verify).items() if name.startswith("check_")))
+
+
+# each link the closure follows: (a root, an object only that link reaches from it)
+LINKS = {
+    "check wrapper": (gsinv.verify.check_qn_at_one_refined, gsinv.qpoly.qn_at_one_asymptotic),
+    "lru_cache": (gsinv.cli._parser, gsinv.cli.build_parser),
+    "nested code": (gsinv.lambertw.lambert_w0, gsinv.lambertw.branch_series),
+    "parameter default": (gsinv.verify.check_lambertw_defining_identity,
+                          gsinv.verify._cut_from_branch_point),
+    "instance to class": (gsinv.numerics._TABLES, gsinv.numerics._BoundedCache),
+    "class to method": (gsinv.numerics._BoundedCache, gsinv.numerics._BoundedCache.get),
+}
+
+
+@pytest.mark.parametrize("link", sorted(LINKS))
+def test_reach_follows_each_link(link):
+    root, target = LINKS[link]
+    assert id(target) in reach(root)
 
 
 def test_every_public_name_is_reached_by_the_cli_or_a_verify_check():

@@ -8,6 +8,7 @@ from gsinv import (
     DomainError,
     PrecisionContext,
     PrecisionError,
+    ProbeError,
     context_for_order,
     decay_bound_probe,
     genfun_identity_check,
@@ -424,6 +425,13 @@ def test_decay_bound_degenerate():
     ctx = PrecisionContext(20)
     with pytest.raises(DomainError, match="at least 4 orders, got 3"):
         decay_bound_probe(ctx.mpf("0.1"), [10, 11, 12], ctx)
+
+
+def test_decay_bound_needs_two_envelope_points():
+    # the maxima fall strictly at every order, so only the first is a peak
+    ctx = PrecisionContext(20)
+    with pytest.raises(ProbeError, match="fewer than two envelope points"):
+        decay_bound_probe(ctx.mpf("0.1"), [10, 20, 40, 80], ctx)
 
 
 def test_integral_representation(ctx30):
