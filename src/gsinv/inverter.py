@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
-from .errors import DomainError, ProbeError, TransformEvaluationError
+from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
 from .numerics import (
     _TABLES,
     PrecisionContext,
@@ -192,12 +192,15 @@ def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext):
 
     Raises
     ------
+    DomainError
+        Before any transform call, if ``k_range`` is not a sequence of at
+        least 4 orders in [1, 64].
     ProbeError
         If the fit residual exceeds 5% of ``|b1|`` (plus a small absolute
         floor), which signals the 1/k expansion is not visible over the
         window.
     """
-    ks = list(k_range)
+    ks = as_number(list, k_range, "sequence of orders")
     if len(ks) < 4:
         raise DomainError("k_range must span at least 4 values")
     for k in ks:  # every order, before the first transform call

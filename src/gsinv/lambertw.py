@@ -31,6 +31,17 @@ exponents first: a nonzero finite part c of a raw number lies in
 test false, its ``hypot`` is skipped.
 A test the bounds cannot decide, or one on a zero, infinite or NaN
 value, is made exactly.
+
+The prologue that picks the region runs on raw tuples too: ``1 + e z``,
+the log seed ``ln z - ln ln z`` and the residual of
+:func:`wew_residual` make the libmpc calls of their operator forms.  The
+region tests ``|1 + e z| < 0.05``, ``|1 + e z| < 0.45`` and
+``|ln z| < 0.2`` are screened on exponents in the same way: a part of
+``1 + e z`` of at least 1/2, or a part of ``ln z`` of at least 1/4,
+settles them as false without a ``hypot``.  ``|z|``, which sets the
+tolerances, is always exact.  An argument with ``Im z < 0`` is solved
+at its conjugate and the result conjugated, as
+``conj(W(conj z))``.  The bits are those of the plain mpc arithmetic.
 """
 from __future__ import annotations
 
@@ -40,9 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath.libmp import (finf, fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp,
-                          mpc_mul, mpc_mul_int, mpc_sub, mpc_to_str, mpf_add, mpf_gt, mpf_le,
-                          mpf_lt, mpf_mul, to_str)
+from mpmath.libmp import (finf, fnone, fone, from_int, fzero, mpc_abs, mpc_add_mpf,
+                          mpc_conjugate, mpc_div, mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub,
+                          mpc_to_str, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_shift, to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
@@ -135,7 +146,9 @@ def in_region_a(w, tol=0) -> bool:
 def wew_residual(w, z, ctx: PrecisionContext):
     """|w e^w - z| at working precision."""
     m = ctx.mp
-    return abs(m.mpc(w) * m.exp(m.mpc(w)) - m.mpc(z))
+    wc, prec, rnd = m.mpc(w)._mpc_, *m._prec_rounding
+    f = mpc_sub(mpc_mul(wc, mpc_exp(wc, prec, rnd), prec, rnd), m.mpc(z)._mpc_, prec, rnd)
+    return m.make_mpf(mpc_abs(f, prec, rnd))
 
 
 class _WConstants(NamedTuple):
@@ -183,6 +196,18 @@ def _top(v):
     return None
 
 
+def _screened_abs(v, top_min, prec, rnd):
+    """``|v|`` of the raw mpc ``v``, or inf once a part has ``_top >= top_min``.
+
+    Such a part alone gives ``|v| >= 2**(top_min - 1)``, so the inf
+    stands in for ``|v|`` in a comparison with a smaller radius.
+    """
+    top = _top(v)
+    if top is not None and top >= top_min:
+        return finf
+    return mpc_abs(v, prec, rnd)
+
+
 def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
     """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
 
@@ -213,8 +238,9 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
         if w1 == _CZERO:
             return w  # branch point: iteration map is singular there
         ew_w1 = mpc_mul(ew, w1, prec, rnd)
+        w1x2 = (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1))  # 2 (w + 1): exact, as mpc_mul_int
         denom = mpc_sub(ew_w1, mpc_div(mpc_mul(mpc_add_mpf(w, _FTWO, prec, rnd), f, prec, rnd),
-                                       mpc_mul_int(w1, 2, prec, rnd), prec, rnd), prec, rnd)
+                                       w1x2, prec, rnd), prec, rnd)
         if denom == _CZERO:
             denom = ew_w1
         dw = mpc_div(f, denom, prec, rnd)
@@ -277,57 +303,65 @@ def lambert_w0(z, ctx: PrecisionContext):
     z = as_number(m.mpc, z, "complex number")
     if not m.isfinite(z):
         raise DomainError(f"lambert_w0 needs a finite argument, got {z}")
-    zr, zi = zc = z._mpc_
+    zc = z._mpc_
     if zc == _CZERO:
         return m.mpc(0)
-    if mpf_lt(zi, fzero):
-        return m.conj(lambert_w0(m.conj(z), ctx))
+    prec, rnd = m._prec_rounding
+    if mpf_lt(zc[1], fzero):  # W(conj z) = conj W(z)
+        w = _w0_upper(mpc_conjugate(zc, prec, rnd), ctx)
+        return m.make_mpc(mpc_conjugate(w, prec, rnd))
+    return m.make_mpc(_w0_upper(zc, ctx))
 
+
+def _w0_upper(zc, ctx: PrecisionContext):
+    """Raw W of the nonzero finite raw ``zc`` with ``Im z >= 0``; see :func:`lambert_w0`."""
+    m = ctx.mp
+    z, (zr, zi) = m.make_mpc(zc), zc
     K = _TABLES.get(("w", m.prec), lambda: _build_w_constants(m))
     prec, rnd = m._prec_rounding
     on_cut = zi == fzero and mpf_lt(zr, K.minus_inv_e)
     az = mpc_abs(zc, prec, rnd)
     scale = az if mpf_gt(az, fone) else fone  # max(|z|, 1)
     rtol = mpf_mul(mpf_mul(K.rtol_scale, scale, prec, rnd), K.rtol_factor, prec, rnd)
-    ez1 = 1 + m.make_mpf(K.e) * z
-    aez1 = mpc_abs(ez1._mpc_, prec, rnd)
+    ez1 = mpc_add_mpf(mpc_mul_mpf(zc, K.e, prec, rnd), fone, prec, rnd)  # 1 + e z
+    aez1 = _screened_abs(ez1, 0, prec, rnd)  # a part >= 1/2: beyond 0.05 and 0.45
     in_disk = mpf_le(az, K.disk_radius) and not on_cut
 
     if mpf_lt(aez1, K.branch_radius):
-        p = m.sqrt(2 * ez1)  # principal root: Im p >= 0 on the cut side
+        p = m.sqrt(2 * m.make_mpc(ez1))  # principal root: Im p >= 0 on the cut side
         if p == 0:
-            return m.mpc(-1)
+            return (fnone, fzero)
         N = int(1.6 * m.dps) + 12
         mu = _TABLES.get(("mu", N, prec), lambda: mpf_tuples(branch_series(N).mu, prec))
-        w = power_sum(mu, p, m)  # |p| < 0.32: inside the |p| < sqrt(2) disk
+        w = power_sum(mu, p, m)._mpc_  # |p| < 0.32: inside the |p| < sqrt(2) disk
     elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
         # left of the branch point the seed z (1 - z) can lead Halley to
         # another branch, or next to the cut to no root at all
-        p = m.sqrt(2 * ez1)
+        p = m.sqrt(2 * m.make_mpc(ez1))
         mk = m.make_mpf
-        w = -1 + p - p**2 / 3 + mk(K.mu3) * p**3 - mk(K.mu4) * p**4
+        w = (-1 + p - p**2 / 3 + mk(K.mu3) * p**3 - mk(K.mu4) * p**4)._mpc_
     elif mpf_lt(az, K.taylor_radius):
-        w = _taylor_w(m, z, m.make_mpf(K.taylor_tol))
+        w = _taylor_w(m, z, m.make_mpf(K.taylor_tol))._mpc_
     elif in_disk:
-        w = z * (1 - z)
+        w = (z * (1 - z))._mpc_
     else:
-        lz = m.ln(z)  # principal log; Im = pi on the cut
-        if mpf_lt(mpc_abs(lz._mpc_, prec, rnd), K.omega_radius):
+        lz = mpc_log(zc, prec, rnd)  # principal log; Im = pi on the cut
+        if mpf_lt(_screened_abs(lz, -1, prec, rnd), K.omega_radius):  # a part >= 1/4: beyond 0.2
             # near z = 1 the log seed degenerates; linearize at W(1)
             omega = m.make_mpf(K.omega)
-            w = omega + (z - 1) * omega / (1 + omega)
+            w = (omega + (z - 1) * omega / (1 + omega))._mpc_
         else:
-            w = lz - m.ln(lz)
-        if on_cut and w.imag < 0:
-            w = m.conj(w)
+            w = mpc_sub(lz, mpc_log(lz, prec, rnd), prec, rnd)
+        if on_cut and mpf_lt(w[1], fzero):
+            w = mpc_conjugate(w, prec, rnd)
 
     def max_residual():  # the documented max(|z|, 1) 10**(-digits + guard)
         return mpf_mul(scale, (m.mpf(10) ** (ctx.guard - ctx.digits))._mpf_, prec, rnd)
 
-    w = m.make_mpc(_halley(zc, w._mpc_, rtol, K.step_tol, prec, rnd, max_residual))
+    w = _halley(zc, w, rtol, K.step_tol, prec, rnd, max_residual)
 
-    if on_cut and w.imag < 0:
-        w = m.conj(w)
+    if on_cut and mpf_lt(w[1], fzero):
+        w = mpc_conjugate(w, prec, rnd)
     return w
 
 

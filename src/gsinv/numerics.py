@@ -23,6 +23,13 @@ Each key names its table and carries the binary precision, e.g.
 ``_mpf_`` tuples, never mpmath numbers, so no mpmath context is shared
 through it: each caller rebuilds the values with its own ``make_mpf``,
 and the results are bit-identical to building them afresh.
+
+The per-node arithmetic of :func:`integrate` (the abscissa, the scaling
+of the integrand's value and the node sum ``w (f(x_right) + f(x_left))``)
+and that of :func:`weighted_sum` run on raw tuples: each makes the libmp
+calls the mpf operators would make, in the same order and at the same
+precision, so the bits are those of the operator forms without building
+a number per step.  The integrand itself still gets and returns numbers.
 """
 from __future__ import annotations
 
@@ -32,7 +39,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
@@ -382,29 +390,48 @@ def _level_nodes(m, level, semi_infinite):
     return _TABLES.get(("nodes", m.prec, level, semi_infinite), lambda: build(m, level))
 
 
+def _real_value(v, m):
+    """The ``_mpf_`` of integrand value ``v``, converted as the mpf operators convert it.
+
+    An mpf gives its own tuple, an int or a float its exact one; a value
+    no real mpf stands for (an mpc, None, a string) raises DomainError.
+    """
+    try:
+        return v._mpf_
+    except AttributeError:
+        pass
+    try:
+        return m.convert(v, strings=False)._mpf_
+    except (TypeError, ValueError, AttributeError):
+        raise DomainError(f"integrand value is not a real number: {v!r}") from None
+
+
 def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
     """Integrate over [-1, 1] given endpoint-offset evaluators.
 
     ``fleft(node)`` evaluates the integrand at ``x = -1 + d`` and
-    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's node
-    tuple rebuilt in ``m`` (see :func:`_level_nodes`); offsets ``d`` stay
-    exact down to ~1e-(dps+5), so integrable endpoint singularities at
-    a = 0 cost no precision.
+    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's raw
+    node tuple (see :func:`_level_nodes`), and returns a raw ``_mpf_``;
+    offsets ``d`` stay exact down to ~1e-(dps+5), so integrable endpoint
+    singularities at a = 0 cost no precision.  The node sum of a level
+    makes the calls of ``new += w * (fright + fleft)`` on raw tuples;
+    level totals and the stop test run on numbers.
     """
     tol = m.mpf(10) ** (-digits)
-    make = m.make_mpf
+    prec, rnd = m._prec_rounding
     total = m.mpf(0)
     prev = None
     for level in range(MAX_LEVEL + 1):
         h = m.mpf(1) / 2**level
-        new = m.mpf(0)
-        for i, raw in enumerate(_level_nodes(m, level, semi_infinite)):
-            node = tuple(map(make, raw))
-            if level == 0 and i == 0:
-                new += node[0] * fright(node)  # midpoint t = 0, counted once
-            else:
-                new += node[0] * (fright(node) + fleft(node))
-        total = (total / 2 if level else m.mpf(0)) + new * h
+        nodes = _level_nodes(m, level, semi_infinite)
+        new = fzero
+        if level == 0:  # the midpoint t = 0, counted once
+            new = mpf_add(new, mpf_mul(nodes[0][0], fright(nodes[0]), prec, rnd), prec, rnd)
+            nodes = nodes[1:]
+        for node in nodes:
+            pair = mpf_add(fright(node), fleft(node), prec, rnd)
+            new = mpf_add(new, mpf_mul(node[0], pair, prec, rnd), prec, rnd)
+        total = (total / 2 if level else m.mpf(0)) + m.make_mpf(new) * h
         if level >= 2 and abs(total - prev) <= tol * max(m.mpf(1), abs(total)):
             return total
         prev = total
@@ -435,7 +462,9 @@ def integrate(f, a, b, ctx: PrecisionContext):
     ------
     DomainError
         If ``a`` is not finite, or ``b`` is NaN or ``-inf``; ``f`` is
-        never called then.
+        never called then.  Also if ``f`` returns a value that is not a
+        real number (an mpc, None, a string); an int or a float is taken
+        exactly.
     QuadratureError
         If the refinement ladder does not converge; the error carries the
         last two level estimates.
@@ -445,14 +474,21 @@ def integrate(f, a, b, ctx: PrecisionContext):
     b = ctx.mpf(b)
     if not m.isfinite(a) or m.isnan(b) or b == m.ninf:
         raise DomainError(f"integrate needs a finite a and a finite or +inf b, got ({a}, {b})")
+    # the evaluators make the calls of the operator forms in their
+    # comments on raw tuples; the integrand still gets and gives numbers
+    prec, rnd = m._prec_rounding
+    make = m.make_mpf
+    ra = a._mpf_
     if b == m.inf:
-        def fleft(node):  # s = d/2 near 0
+        def fleft(node):  # f(a + neg_log1m_s) / (1 - s) / 2, s = d/2 near 0
             _, s, neg_log1m_s, _ = node
-            return f(a + neg_log1m_s) / (1 - s) / 2
+            v = _real_value(f(make(mpf_add(ra, neg_log1m_s, prec, rnd))), m)
+            return mpf_shift(mpf_div(v, mpf_sub(fone, s, prec, rnd), prec, rnd), -1)
 
-        def fright(node):  # 1 - s = d/2 near 0, u large
+        def fright(node):  # f(a - ln_oms) / oms / 2, 1 - s = d/2 near 0, u large
             _, oms, _, ln_oms = node
-            return f(a - ln_oms) / oms / 2
+            v = _real_value(f(make(mpf_sub(ra, ln_oms, prec, rnd))), m)
+            return mpf_shift(mpf_div(v, oms, prec, rnd), -1)
 
         return _tanh_sinh(m, fleft, fright, ctx.digits, semi_infinite=True)
 
@@ -460,12 +496,14 @@ def integrate(f, a, b, ctx: PrecisionContext):
         return m.mpf(0)
     if b < a:
         return -integrate(f, b, a, ctx)
-    halfw = (b - a) / 2
+    rb, halfw = b._mpf_, ((b - a) / 2)._mpf_
 
-    def fleft(node):
-        return f(a + halfw * node[1]) * halfw
+    def fleft(node):  # f(a + halfw d) * halfw
+        x = mpf_add(ra, mpf_mul(halfw, node[1], prec, rnd), prec, rnd)
+        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, rnd)
 
-    def fright(node):
-        return f(b - halfw * node[1]) * halfw
+    def fright(node):  # f(b - halfw d) * halfw
+        x = mpf_sub(rb, mpf_mul(halfw, node[1], prec, rnd), prec, rnd)
+        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, rnd)
 
     return _tanh_sinh(m, fleft, fright, ctx.digits)

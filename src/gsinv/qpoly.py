@@ -13,15 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
 
 from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import (_TABLES, PrecisionContext, cached_context, fit_line, integrate,
-                       mpf_tuples, power_sum)
+from .numerics import (_TABLES, PrecisionContext, _real_value, cached_context, fit_line,
+                       integrate, mpf_tuples, power_sum)
 
 __all__ = [
     "PolyQ",
@@ -396,7 +396,8 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     ------
     DomainError
         Before any q_n, if ``epsilon`` lies outside (0, 1) or ``n_range``
-        holds fewer than 4 orders or an order outside [1, 200].
+        is not a sequence, holds fewer than 4 orders or an order outside
+        [1, 200].
     ProbeError
         If the sequence has fewer than two envelope points to fit.
     """
@@ -404,7 +405,7 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     eps = ctx.mpf(epsilon)
     if not 0 < eps < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got epsilon = {eps}")
-    ns = list(n_range)
+    ns = as_number(list, n_range, "sequence of orders")
     if len(ns) < 4:
         raise DomainError(f"n_range must span at least 4 orders, got {len(ns)}")
     for n in ns:  # every order, before the first q_n
@@ -462,13 +463,16 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     # node both compute it and store equal bits.
     table = _TABLES.get(("qn_kernel", n, m.prec), dict)
     make = m.make_mpf
+    prec, rnd = m._prec_rounding
+    rx, rln2 = x._mpf_, ln2._mpf_
 
-    def integrand(u):
+    def integrand(u):  # kernel * f(x * u / ln2), its operators' calls on raw tuples
         kernel = table.get(u._mpf_)
         if kernel is None:
             eu = m.exp(-u)
             kernel = table[u._mpf_] = qn_eval(n, 4 * eu * (1 - eu), ctx)._mpf_
-        return make(kernel) * f(x * u / ln2)
+        value = f(make(mpf_div(mpf_mul(rx, u._mpf_, prec, rnd), rln2, prec, rnd)))
+        return make(mpf_mul(kernel, _real_value(value, m), prec, rnd))
 
     lhs = integrate(integrand, 0, m.inf, ctx)
     return abs(lhs - rhs)

@@ -251,6 +251,9 @@ FINDINGS = {
         0.1, [1.5, 2.5, 3.5, 4.5], CTX),
     "decay_bound_probe n_range=['a', ...]": lambda: gsinv.decay_bound_probe(
         0.1, ["a", "b", "c", "d"], CTX),
+    "decay_bound_probe n_range=5": lambda: gsinv.decay_bound_probe(0.1, 5, CTX),
+    "decay_bound_probe n_range=None": lambda: gsinv.decay_bound_probe(0.1, None, CTX),
+    "expansion_probe k_range=5": lambda: inverter.expansion_probe(STEP.F, 1, 5, 1, CTX),
 }
 
 

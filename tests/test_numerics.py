@@ -176,6 +176,50 @@ def test_integrate_accepts_float_inf(ctx30):
         integrate(lambda u: m.exp(-u), 0, m.inf, ctx30)
 
 
+# _mpf_ of integrate over (0, 2) and over (0, inf), one integrand pair per
+# value type; the float pair returns floats only beyond u = 60, where they
+# are far below the tolerance, and the int pair truncates e^(200 - ...)
+# to integers wider than the working precision, which must not be
+# rounded before the first operation
+_VALUE_PINS = {
+    (20, "int"): ((0, 4715167891479108588894619150975, 180, 102),
+                  (0, 1841862457609026792536960605849, 188, 101)),
+    (20, "float"): ((0, 3602879701896397, -54, 52), (0, 1, 0, 1)),
+    (20, "mpf"): ((0, 2390304894924208636532562697705, -100, 101),
+                  (0, 10141204801825835211973625643007, -104, 103)),
+    (40, "int"): ((0, 21744873839671952140656380893580846574416808634113, 118, 164),
+                  (0, 543621845991798803516409522339521164360420215852827, 120, 169)),
+    (40, "float"): ((0, 3602879701896397, -54, 52),
+                    (0, 187072209578355573530071658587684226515959423193201, -167, 168)),
+    (40, "mpf"): ((0, 176373370619208312604394578603845036587024571377415, -166, 167),
+                  (0, 748288838313422294120286634350736906063837462003707, -170, 169)),
+}
+
+
+@pytest.mark.parametrize("digits, kind", sorted(_VALUE_PINS))
+def test_integrate_value_bits_are_pinned(digits, kind):
+    # an integrand may return an int, a float or an mpf; each is taken as
+    # the mpf operators take it (ints and floats exactly)
+    ctx = PrecisionContext(digits)
+    m = ctx.mp
+    finite, semi = {
+        "int": (lambda x: int(m.exp(200 - 100 * x)), lambda u: int(m.exp(200 - u))),
+        "float": (lambda x: 0.1, lambda u: m.exp(-u) if u < 60 else float(m.exp(-u))),
+        "mpf": (lambda x: m.sqrt(x), lambda u: m.exp(-u) * m.cos(u)),
+    }[kind]
+    got = (integrate(finite, 0, 2, ctx)._mpf_, integrate(semi, 0, m.inf, ctx)._mpf_)
+    assert got == _VALUE_PINS[digits, kind]
+
+
+@pytest.mark.parametrize("value", ["mpc", "complex", "None", "str"])
+def test_integrate_rejects_a_value_that_is_not_real(ctx20, value):
+    m = ctx20.mp
+    bad = {"mpc": m.mpc(1, 1), "complex": 1j, "None": None, "str": "1"}[value]
+    for b in (1, m.inf):
+        with pytest.raises(DomainError, match="integrand value"):
+            integrate(lambda x: bad, 0, b, ctx20)
+
+
 def test_fit_line_recovers_a_line_and_rejects_no_spread(ctx30):
     m = ctx30.mp
     assert fit_line([1, 2, 3, 4], [m.mpf(3 + 2 * k) for k in (1, 2, 3, 4)], m) == (3, 2, 0)
