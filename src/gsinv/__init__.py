@@ -9,9 +9,10 @@ criteria for smooth, Dini-regular and bounded-variation originals.
 
 Submodules are imported on first use (PEP 562): ``import gsinv`` loads
 none of them, and ``gsinv.gaver_stehfest_coeffs`` loads only the exact
-coefficient module, not mpmath.  A public name is read from its defining
-module on every access, never copied here, so a name patched in that
-module (a test's monkeypatch, a tracer) shows through ``gsinv.<name>``.
+coefficient module: not mpmath, and not ``dataclasses`` (its records are
+named tuples).  A public name is read from its defining module on every
+access, never copied here, so a name patched in that module (a test's
+monkeypatch, a tracer) shows through ``gsinv.<name>``.
 
 The public names are those a CLI command or a ``verify`` check reaches,
 plus the exception types behind the CLI's exit codes.  Diagnostics that

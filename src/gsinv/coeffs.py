@@ -8,11 +8,10 @@ floating shortcut is offered.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 
@@ -32,16 +31,14 @@ MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without 
 QN_MAX_ORDER = 200  # q_n orders, which the verification layer probes up to 200
 
 
-@dataclass(frozen=True)
-class StehfestWeights:
+class StehfestWeights(NamedTuple):
     """Acceleration weights c_k(n), k = 1..n, exact rationals."""
 
     n: int
     c: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GaverStehfestCoeffs:
+class GaverStehfestCoeffs(NamedTuple):
     """Collapsed summation coefficients a_k(n), k = 1..2n, exact rationals."""
 
     n: int
@@ -94,20 +91,19 @@ def gaver_stehfest_coeffs(n: int) -> GaverStehfestCoeffs:
     a_k(n) = (-1)^(n+k)/n! * sum_{j=floor((k+1)/2)}^{min(k,n)}
              j^(n+1) C(n,j) C(2j,j) C(j,k-j)
 
-    The floor bracket is integer floor division; the construction is
-    cross-checked against :func:`coeffs_from_weights` in the test suite.
+    One pass over the binomial rows j = 1..n adds j^(n+1) C(n,j) C(2j,j)
+    C(j,i) to the sum of k = j+i, which takes every (k, j) term once; the
+    cross-check against :func:`coeffs_from_weights` is in the test suite.
     """
     check_order(n)
+    s = [0] * (2 * n + 1)  # s[k], k = 1..2n
+    for j in range(1, n + 1):
+        f = j ** (n + 1) * comb(n, j) * comb(2 * j, j)
+        for i in range(j + 1):
+            s[j + i] += f * comb(j, i)
     nfact = factorial(n)
-    # the factor of each j that does not depend on k
-    jfac = [0] + [j ** (n + 1) * comb(n, j) * comb(2 * j, j) for j in range(1, n + 1)]
-    a = []
-    for k in range(1, 2 * n + 1):
-        s = 0
-        for j in range((k + 1) // 2, min(k, n) + 1):
-            s += jfac[j] * comb(j, k - j)
-        a.append(Fraction(-s if (n + k) % 2 else s, nfact))
-    return GaverStehfestCoeffs(n, tuple(a))
+    return GaverStehfestCoeffs(
+        n, tuple(Fraction(-s[k] if (n + k) % 2 else s[k], nfact) for k in range(1, 2 * n + 1)))
 
 
 def coeffs_from_weights(n: int) -> GaverStehfestCoeffs:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .inverter import InversionReport, TransformFn, _symmetrized_difference, invert_ladder
@@ -62,42 +63,51 @@ def _sq_ref(t):
 
 
 def corpus() -> tuple[TransformPair, ...]:
-    """The built-in pairs instantiating the convergence theorem's classes."""
+    """The built-in pairs instantiating the convergence theorem's classes.
+
+    Built once per ``TransformFn`` in effect in this module, so a
+    constructor patched here (a tracer's) builds the pairs it returns.
+    """
+    return _corpus(TransformFn)
+
+
+@lru_cache(maxsize=1)
+def _corpus(transform_fn) -> tuple[TransformPair, ...]:
     return (
         TransformPair(
             "constant",
-            TransformFn(lambda z: 1 / z, "1/z"),
+            transform_fn(lambda z: 1 / z, "1/z"),
             lambda t: t.context.mpf(1),
             "smooth",
         ),
         TransformPair(
             "ramp",
-            TransformFn(lambda z: 1 / z**2, "1/z^2"),
+            transform_fn(lambda z: 1 / z**2, "1/z^2"),
             lambda t: t,
             "smooth",
         ),
         TransformPair(
             "exponential",
-            TransformFn(lambda z: 1 / (z + 1), "1/(z+1)"),
+            transform_fn(lambda z: 1 / (z + 1), "1/(z+1)"),
             lambda t: t.context.exp(-t),
             "smooth",
         ),
         TransformPair(
             "root",
-            TransformFn(lambda z: z.context.sqrt(z.context.pi / z), "sqrt(pi/z)"),
+            transform_fn(lambda z: z.context.sqrt(z.context.pi / z), "sqrt(pi/z)"),
             lambda t: 1 / t.context.sqrt(t),
             "smooth",
         ),
         TransformPair(
             "step",
-            TransformFn(lambda z: z.context.exp(-z) / z, "exp(-z)/z"),
+            transform_fn(lambda z: z.context.exp(-z) / z, "exp(-z)/z"),
             lambda t: t.context.mpf(1 if t >= 1 else 0),
             "bounded-variation-jump",
             jumps=((Fraction(1), 0, 1),),
         ),
         TransformPair(
             "square-wave",
-            TransformFn(lambda z: 1 / (z * (1 + z.context.exp(-z))), "1/(z(1+exp(-z)))"),
+            transform_fn(lambda z: 1 / (z * (1 + z.context.exp(-z))), "1/(z(1+exp(-z)))"),
             _sq_ref,
             "bounded-variation-jump",
             jumps=tuple(
@@ -107,7 +117,7 @@ def corpus() -> tuple[TransformPair, ...]:
         ),
         TransformPair(
             "sine",
-            TransformFn(lambda z: 1 / (1 + z**2), "1/(1+z^2)"),
+            transform_fn(lambda z: 1 / (1 + z**2), "1/(1+z^2)"),
             lambda t: t.context.sin(t),
             "oscillatory",
         ),

@@ -4,6 +4,7 @@ import pytest
 
 from gsinv import (
     DomainError,
+    GaverStehfestCoeffs,
     StehfestWeights,
     coeffs_from_weights,
     gaver_stehfest_coeffs,
@@ -11,7 +12,7 @@ from gsinv import (
     stehfest_weights,
     vandermonde_check,
 )
-from gsinv.coeffs import gaver_kernel
+from gsinv.coeffs import MAX_ORDER, gaver_kernel
 
 
 def test_weights_small_orders():
@@ -54,8 +55,24 @@ def test_constant_sum_exact():
 
 
 def test_cross_construction_identity():
-    for n in range(1, 13):
+    for n in range(1, MAX_ORDER + 1):
         assert coeffs_from_weights(n) == gaver_stehfest_coeffs(n)
+
+
+def test_records_are_immutable_values():
+    a2, c2 = gaver_stehfest_coeffs(2), stehfest_weights(2)
+    for record, field in ((a2, "n"), (a2, "a"), (c2, "n"), (c2, "c")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    twin = GaverStehfestCoeffs(2, a2.a)
+    assert twin == a2 and hash(twin) == hash(a2)
+    assert StehfestWeights(2, c2.c) == c2 and hash(StehfestWeights(2, c2.c)) == hash(c2)
+    assert GaverStehfestCoeffs(2, a2.a[:3] + (Fraction(25),)) != a2
+    assert repr(a2) == ("GaverStehfestCoeffs(n=2, a=(Fraction(-2, 1), Fraction(26, 1), "
+                        "Fraction(-48, 1), Fraction(24, 1)))")
+    assert repr(c2) == "StehfestWeights(n=2, c=(Fraction(-1, 1), Fraction(2, 1)))"
+    with pytest.raises(DomainError, match="needs StehfestWeights"):
+        vandermonde_check((2, c2.c))
 
 
 def test_order_bounds():

@@ -37,10 +37,15 @@ PUBLIC = {
 }
 
 
+# the packages fresh_modules reports: gsinv, and what a launch pays for, mpmath
+# and dataclasses (which pulls in inspect, ast, dis and tokenize)
+WATCHED = ("gsinv", "mpmath", "dataclasses", "inspect")
+
+
 def fresh_modules(code):
-    """The gsinv and mpmath modules a fresh interpreter holds after ``code``."""
+    """The WATCHED modules a fresh interpreter holds after ``code``."""
     prog = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in ('gsinv', 'mpmath'))))")
+            f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {WATCHED!r})))")
     done = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True,
                           stdin=subprocess.DEVNULL, check=True, timeout=120)
     return set(done.stdout.split())
@@ -82,7 +87,8 @@ def test_a_patch_in_the_defining_module_shows_through(monkeypatch):
 
 
 def test_exact_coefficients_do_not_load_mpmath():
-    loaded = fresh_modules("import gsinv\nassert gsinv.gaver_stehfest_coeffs(8).n == 8")
+    loaded = fresh_modules("import gsinv\nassert gsinv.gaver_stehfest_coeffs(8).n == 8\n"
+                           "assert gsinv.stehfest_weights(8).n == 8")
     assert loaded == {"gsinv", "gsinv.coeffs", "gsinv.errors"}
 
 

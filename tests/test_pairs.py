@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import gsinv.pairs
 from gsinv import (
     DomainError,
     PrecisionContext,
@@ -32,6 +33,23 @@ def test_corpus_contents():
     assert names["constant"].klass == "smooth"
     with pytest.raises(DomainError):
         get_pair("nope")
+
+
+def test_corpus_is_built_once_per_transform_constructor(monkeypatch):
+    built = corpus()
+    assert corpus() is built
+    assert get_pair("square-wave") is built[5]
+    labels = []
+
+    def counting(eval, label=""):
+        labels.append(label)
+        return TransformFn(eval, label)
+
+    # a constructor patched into the module (as a tracer does) builds the pairs
+    monkeypatch.setattr(gsinv.pairs, "TransformFn", counting)
+    patched = corpus()
+    assert corpus() is patched and patched is not built
+    assert labels == [p.formula for p in built]
 
 
 def test_jordan_targets(ctx30):
