@@ -15,9 +15,12 @@ access, never copied here, so a name patched in that module (a test's
 monkeypatch, a tracer) shows through ``gsinv.<name>``.
 
 The public names are those a CLI command or a ``verify`` check reaches,
-plus the exception types behind the CLI's exit codes.  Diagnostics that
-only the tests call (``gaver_kernel``, ``expansion_probe``, ``g_value``,
-``qn_asymptotic`` and the like) are imported from their modules.
+plus the exception types behind the CLI's exit codes.  ``_ORIGIN`` below
+is the one declaration of them: the submodules define no ``__all__``,
+and ``_ORIGIN`` cannot be read off the submodules without importing
+them.  Diagnostics that only the tests call (``gaver_kernel``,
+``expansion_probe``, ``g_value``, ``qn_asymptotic`` and the like) are
+imported from their modules.
 """
 import importlib
 
@@ -31,12 +34,12 @@ _ORIGIN = {
                    "TransformEvaluationError"),
         "inverter": ("InversionReport", "ReportEntry", "TransformFn", "equivalence_probe",
                      "gaver_approx", "invert_ladder", "stehfest_approx", "stehfest_via_gaver"),
-        "lambertw": ("BranchSeries", "XiAlpha", "branch_series", "in_region_a", "lambert_w0",
-                     "w_of_v", "wew_residual", "xi_alpha"),
+        "lambertw": ("branch_series", "in_region_a", "lambert_w0", "w_of_v", "wew_residual",
+                     "xi_alpha"),
         "numerics": ("PrecisionContext", "context_for_order", "guard_for_order", "integrate",
                      "required_digits"),
         "pairs": ("TransformPair", "corpus", "get_pair", "jordan_target", "run_pair"),
-        "qpoly": ("DecayFit", "JumpFormCheck", "PolyQ", "decay_bound_probe",
+        "qpoly": ("DecayFit", "JumpFormCheck", "decay_bound_probe",
                   "genfun_identity_check", "integral_representation_check",
                   "qn_at_one_asymptotic", "qn_coeffs", "qn_eval", "qn_exact",
                   "qn_jump_form_check"),

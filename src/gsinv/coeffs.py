@@ -18,15 +18,6 @@ from .errors import DomainError
 if TYPE_CHECKING:  # numerics loads mpmath; the exact tables need neither
     from .numerics import PrecisionContext
 
-__all__ = [
-    "StehfestWeights",
-    "GaverStehfestCoeffs",
-    "stehfest_weights",
-    "vandermonde_check",
-    "gaver_stehfest_coeffs",
-    "coeffs_from_weights",
-]
-
 MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without benefit
 QN_MAX_ORDER = 200  # q_n orders, which the verification layer probes up to 200
 

@@ -28,17 +28,6 @@ from .numerics import (
     weighted_sum,
 )
 
-__all__ = [
-    "TransformFn",
-    "InversionReport",
-    "ReportEntry",
-    "gaver_approx",
-    "stehfest_approx",
-    "stehfest_via_gaver",
-    "invert_ladder",
-    "equivalence_probe",
-]
-
 
 @dataclass(frozen=True)
 class TransformFn:
@@ -78,7 +67,8 @@ class _AbscissaCache:
 
     Every order reads F only at the points j ln2 / x, so one cache shared
     by a whole ladder (or by the Gaver functionals of one accelerated
-    sum) evaluates F once per distinct abscissa.
+    sum) evaluates F once per distinct abscissa, and checks once that the
+    value is a number the mpf operators take.
     """
 
     def __init__(self, F, x, ctx):
@@ -92,11 +82,18 @@ class _AbscissaCache:
         if j not in self.values:
             z = j * self.base
             try:
-                self.values[j] = self.F(z)
+                value = self.F(z)
             except Exception as exc:  # attach the offending abscissa
                 raise TransformEvaluationError(
                     f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
                 ) from exc
+            if not hasattr(value, "_mpf_"):  # a check only: the value is kept as returned
+                try:
+                    self.ctx.mp.convert(value, strings=False)
+                except (TypeError, ValueError):
+                    raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is not a "
+                                      f"number: {value!r}") from None
+            self.values[j] = value
         return self.values[j]
 
 
@@ -253,7 +250,7 @@ def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
     check_order(n, QN_MAX_ORDER)
     m = ctx.mp
     g = _symmetrized_difference(f, x, c, eps, ctx)  # first: nothing is stored for a bad call
-    # {v._mpf_: (xi._mpc_, alpha._mpf_)} over the tanh-sinh nodes of (0, eps).
+    # {v._mpf_: xi._mpc_} over the tanh-sinh nodes of (0, eps); alpha is Im xi.
     # Threads that miss the same node both compute it and store equal bits.
     table = _TABLES.get(("xi", ctx.mpf(eps)._mpf_, ctx.digits, ctx.guard), dict)
 
@@ -262,9 +259,9 @@ def equivalence_probe(f, x, c, eps, n: int, ctx: PrecisionContext):
             return m.mpf(0)
         hit = table.get(v._mpf_)
         if hit is None:
-            xa = xi_alpha(v, ctx)
-            hit = table[v._mpf_] = (xa.xi._mpc_, xa.alpha._mpf_)
-        xi, alpha = m.make_mpc(hit[0]), m.make_mpf(hit[1])
+            hit = table[v._mpf_] = xi_alpha(v, ctx)[0]._mpc_
+        xi = m.make_mpc(hit)
+        alpha = xi.imag
         if alpha == 0:
             osc = m.mpf(n)  # limit of sin(n a)/a as 1 - 4v^2 rounds to 1
         else:

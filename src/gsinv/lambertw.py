@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,33 +57,6 @@ from mpmath.libmp import (finf, fnone, fone, from_int, fzero, mpc_abs, mpc_add_m
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
 from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
-
-__all__ = [
-    "BranchSeries",
-    "XiAlpha",
-    "branch_series",
-    "lambert_w0",
-    "w_of_v",
-    "xi_alpha",
-    "in_region_a",
-    "wew_residual",
-]
-
-
-@dataclass(frozen=True)
-class BranchSeries:
-    """Coefficients mu_0..mu_N of W(z) = sum mu_n p^n, p = sqrt(2(1+ez))."""
-
-    mu: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class XiAlpha:
-    """The curve xi(v) = W(-1/(e(1-4v^2))) and its phase alpha = Im xi."""
-
-    v: object
-    xi: object
-    alpha: object
 
 
 # -- exact branch-point coefficients ----------------------------------
@@ -114,11 +86,11 @@ def _extend_mu(N: int):
             _S2.append(s_next)
 
 
-def branch_series(N: int) -> BranchSeries:
-    """Exact coefficients mu_0..mu_N of the branch-point expansion."""
+def branch_series(N: int) -> tuple[Fraction, ...]:
+    """Exact coefficients mu_0..mu_N of W(z) = sum mu_n p^n, p = sqrt(2(1+ez))."""
     check_count(N)
     _extend_mu(N)
-    return BranchSeries(tuple(_MU[: N + 1]))
+    return tuple(_MU[: N + 1])
 
 
 _CZERO = (fzero, fzero)
@@ -332,7 +304,7 @@ def _w0_upper(zc, ctx: PrecisionContext):
         if p == 0:
             return (fnone, fzero)
         N = int(1.6 * m.dps) + 12
-        mu = _TABLES.get(("mu", N, prec), lambda: mpf_tuples(branch_series(N).mu, prec))
+        mu = _TABLES.get(("mu", N, prec), lambda: mpf_tuples(branch_series(N), prec))
         w = power_sum(mu, p, m)._mpc_  # |p| < 0.32: inside the |p| < sqrt(2) disk
     elif mpf_lt(aez1, K.seed_radius) or (in_disk and mpf_lt(zr, K.minus_inv_e)):
         # left of the branch point the seed z (1 - z) can lead Halley to
@@ -381,17 +353,14 @@ def w_of_v(v, ctx: PrecisionContext):
     return lambert_w0(-1 / (m.e * v), ctx)
 
 
-def xi_alpha(v, ctx: PrecisionContext) -> XiAlpha:
-    """xi(v) = W(-1/(e(1-4v^2))) and alpha(v) = Im xi(v) for v in [0, 1/2).
+def xi_alpha(v, ctx: PrecisionContext):
+    """The pair (xi(v), alpha(v)): xi = W(-1/(e(1-4v^2))) and alpha = Im xi, v in [0, 1/2).
 
     Both |xi| and alpha are smooth and strictly increasing on [0, 1/2);
     near 0, alpha(v) = 2 sqrt(2) v + (14 sqrt(2)/9) v^3 + O(v^5).
     """
-    m = ctx.mp
     v = ctx.mpf(v)
-    if not 0 <= v < m.mpf("0.5"):
+    if not 0 <= v < ctx.mp.mpf("0.5"):
         raise DomainError(f"v must be in [0, 1/2), got {v}")
-    if v == 0:
-        return XiAlpha(v, m.mpc(-1), m.mpf(0))
-    xi = w_of_v(1 - 4 * v * v, ctx)
-    return XiAlpha(v, xi, xi.imag)
+    xi = w_of_v(1 - 4 * v * v, ctx)  # w_of_v(1) = -1 at v = 0
+    return xi, xi.imag

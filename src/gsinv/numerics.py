@@ -33,6 +33,7 @@ a number per step.  The integrand itself still gets and returns numbers.
 """
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -44,14 +45,6 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
-
-__all__ = [
-    "PrecisionContext",
-    "required_digits",
-    "guard_for_order",
-    "context_for_order",
-    "integrate",
-]
 
 MIN_DIGITS = 15  # the working-precision floor of PrecisionContext
 MAX_LEVEL = 10  # tanh-sinh refinement levels before integrate gives up
@@ -89,6 +82,13 @@ def guard_for_order(n: int) -> int:
     return max(5, (7 * n + 9) // 10 + 3)
 
 
+def _check_precision(digits, guard):
+    """``digits`` and ``guard`` must be integers of at least 15 and 5, as check_order checks."""
+    for name, value, low in (("digits", digits, MIN_DIGITS), ("guard", guard, 5)):
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working precision, guard digits and derived comparison tolerance.
@@ -96,11 +96,11 @@ class PrecisionContext:
     Parameters
     ----------
     digits : int
-        Decimal digits of working precision, at least 15.  The comparison
-        tolerance ``eps`` equals ``10**-digits``.
+        Decimal digits of working precision, an integer of at least 15.
+        The comparison tolerance ``eps`` equals ``10**-digits``.
     guard : int
-        Extra digits carried internally, at least 5.  All arithmetic runs
-        at ``digits + guard`` decimal digits.
+        Extra digits carried internally, an integer of at least 5.  All
+        arithmetic runs at ``digits + guard`` decimal digits.
 
     Notes
     -----
@@ -114,10 +114,7 @@ class PrecisionContext:
     _eps: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise DomainError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.guard < 5:
-            raise DomainError(f"guard must be >= 5, got {self.guard}")
+        _check_precision(self.digits, self.guard)
         m = MPContext()
         m.dps = self.digits + self.guard
         object.__setattr__(self, "_mp", m)
@@ -191,8 +188,10 @@ def cached_context(digits: int, guard: int = 10) -> PrecisionContext:
 
     Callers that build a context per call use this one instead; the
     context must not be handed to another thread.  A direct
-    ``PrecisionContext(...)`` is never cached.
+    ``PrecisionContext(...)`` is never cached.  The arguments are checked
+    on every call, so ``30.0`` is refused even where ``30`` is cached.
     """
+    _check_precision(digits, guard)
     return _CONTEXTS.get(digits, guard)
 
 

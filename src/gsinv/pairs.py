@@ -16,14 +16,6 @@ from .errors import DomainError
 from .inverter import InversionReport, TransformFn, _symmetrized_difference, invert_ladder
 from .numerics import PrecisionContext, check_point, context_for_order, integrate
 
-__all__ = [
-    "TransformPair",
-    "corpus",
-    "get_pair",
-    "run_pair",
-    "jordan_target",
-]
-
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
 
 
@@ -57,9 +49,13 @@ class TransformPair:
 
 
 def _sq_ref(t):
-    # square wave: 1 on [2m, 2m+1), 0 on [2m+1, 2m+2)
-    fl = int(t.context.floor(t))
-    return t.context.mpf(1 if fl % 2 == 0 else 0)
+    # square wave, Jordan-normalized: 1 on (2m, 2m+1), 0 on (2m+1, 2m+2) and
+    # the midpoint 1/2 at every jump t = 1, 2, ..., not only at the listed ones
+    m = t.context
+    fl = m.floor(t)
+    if t == fl and t > 0:
+        return m.mpf(1) / 2
+    return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
 def corpus() -> tuple[TransformPair, ...]:

@@ -23,28 +23,6 @@ from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
 from .numerics import (_TABLES, PrecisionContext, _real_value, cached_context, fit_line,
                        integrate, mpf_tuples, power_sum)
 
-__all__ = [
-    "PolyQ",
-    "JumpFormCheck",
-    "DecayFit",
-    "qn_coeffs",
-    "qn_exact",
-    "qn_eval",
-    "genfun_identity_check",
-    "qn_at_one_asymptotic",
-    "qn_jump_form_check",
-    "decay_bound_probe",
-    "integral_representation_check",
-]
-
-
-@dataclass(frozen=True)
-class PolyQ:
-    """q_n(v) = sum_{k=1}^n coeffs[k-1] v^k; no constant term."""
-
-    n: int
-    coeffs: tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class JumpFormCheck:
@@ -63,8 +41,7 @@ class DecayFit:
     C: object
     b: object
     residual: object  # multiplicative rms misfit of the envelope points
-    ns: tuple[int, ...]
-    ratios: tuple  # the per-n maxima that were fitted
+    ratios: tuple  # the per-n maxima that were fitted, in the order of n_range
 
 
 def _poch_half(k: int) -> Fraction:
@@ -73,24 +50,23 @@ def _poch_half(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None, typed=True)
-def qn_coeffs(n: int) -> PolyQ:
-    """Exact coefficients of q_n: (-1)^(n+k) k^(n+1) (1/2)_k / ((n-k)! (k!)^2)."""
+def qn_coeffs(n: int) -> tuple[Fraction, ...]:
+    """Exact c_1..c_n of q_n(v) = sum c_k v^k: (-1)^(n+k) k^(n+1) (1/2)_k / ((n-k)! (k!)^2)."""
     check_order(n, QN_MAX_ORDER)
-    coeffs = tuple(
+    return tuple(
         (-1) ** (n + k)
         * Fraction(k ** (n + 1))
         * _poch_half(k)
         / (factorial(n - k) * factorial(k) ** 2)
         for k in range(1, n + 1)
     )
-    return PolyQ(n, coeffs)
 
 
 def qn_exact(n: int, v: Fraction) -> Fraction:
     """q_n at a rational point, exactly."""
     v = as_number(Fraction, v, "rational number")
     acc = Fraction(0)
-    for c in reversed(qn_coeffs(n).coeffs):
+    for c in reversed(qn_coeffs(n)):
         acc = (acc + c) * v
     return acc
 
@@ -101,7 +77,7 @@ def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
 
     D is returned as an exact raw ``_mpf_`` tuple, ready for ``mpf_div``.
     """
-    coeffs = qn_coeffs(n).coeffs
+    coeffs = qn_coeffs(n)
     D = lcm(*(c.denominator for c in coeffs))
     return tuple(c.numerator * (D // c.denominator) for c in coeffs), from_int(D)
 
@@ -180,7 +156,7 @@ def _positive_series(term, ratio, reltol, name: str):
 def _h_laurent(N: int) -> tuple[Fraction, ...]:
     # H = p^-3 (1 - p S(p)) S(p)^-3 with S = (1 + W)/p from the branch
     # series; entry i is the coefficient of p^(i-3).
-    mu = branch_series(N + 4).mu
+    mu = branch_series(N + 4)
     S = [mu[i + 1] for i in range(N + 4)]
     Sinv = fps.inverse_trunc(S, N + 3)
     S3inv = fps.mul_trunc(fps.mul_trunc(Sinv, Sinv, N + 3), Sinv, N + 3)
@@ -369,9 +345,9 @@ def qn_jump_form_check(n: int, v, ctx: PrecisionContext) -> JumpFormCheck:
     if not 0 < u <= 0.25:  # exact for a Fraction and for an mpf
         raise DomainError(f"v must lie in (0, 1/4], got v = {u}")
     q = qn_eval(n, 1 - 4 * u * u, ctx)
-    xa = xi_alpha(ctx.mpf(u), ctx)
-    decay = abs(xa.xi) ** (-n)
-    form = _sqrt2_over_pi(m) * decay * m.sin(n * xa.alpha) / xa.alpha
+    xi, alpha = xi_alpha(ctx.mpf(u), ctx)
+    decay = abs(xi) ** (-n)
+    form = _sqrt2_over_pi(m) * decay * m.sin(n * alpha) / alpha
     return JumpFormCheck(abs(q - form), decay, q, form)
 
 
@@ -390,7 +366,8 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     -------
     DecayFit
         Fitted C and b (check ``b > 1``), the multiplicative rms misfit
-        of the envelope points, and the raw sequence.
+        of the envelope points, and the raw sequence, one entry per order
+        of ``n_range``.
 
     Raises
     ------
@@ -433,7 +410,6 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
         C=m.exp(inter),
         b=m.exp(-slope),
         residual=m.exp(rms) - 1,
-        ns=tuple(ns),
         ratios=tuple(ratios),
     )
 

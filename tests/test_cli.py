@@ -216,6 +216,18 @@ def test_builtin_transforms_are_the_corpus_formulas(capsys):
     assert values("--transform", "1/(z(1+exp(-z)))") == values("--pair", "square-wave")
 
 
+def test_square_wave_error_beyond_the_listed_jumps(capsys):
+    # x = 81 is a jump past the 80 the pair lists: the target is still 1/2
+    rc, out, _ = run_cli(capsys, "invert", "--pair", "square-wave", "--x", "81", "--n", "10",
+                         "--output", "csv")
+    assert rc == 0
+    header, row = out.splitlines()
+    assert header == "n,value,abs_error,digits"
+    n, value, abs_error, _ = row.split(",")
+    assert n == "10" and value.startswith("0.5000000238")
+    assert abs_error.startswith("0.0000000238")
+
+
 def test_corpus_manifest(capsys):
     rc, out, _ = run_cli(capsys, "corpus")
     assert rc == 0

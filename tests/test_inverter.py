@@ -268,6 +268,27 @@ def test_transform_failure_carries_abscissa(ctx30):
     assert err.value.z is not None
 
 
+ROUTES = {
+    "stehfest_approx": lambda F, ctx: stehfest_approx(F, 1, 4, ctx),
+    "stehfest_via_gaver": lambda F, ctx: stehfest_via_gaver(F, 1, 4, ctx),
+    "invert_ladder": lambda F, ctx: invert_ladder(F, 1, 4, ctx=ctx),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("value", [None, "1", object()], ids=["None", "str", "object"])
+def test_transform_value_that_is_not_a_number_raises_domain_error(ctx30, route, value):
+    with pytest.raises(DomainError, match=r"transform value at z = 0\.6931.* is not a number"):
+        ROUTES[route](TransformFn(lambda z: value, "bad"), ctx30)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_transform_values_other_than_mpf_pass_unchanged(ctx30, route):
+    # an int, a Fraction or an mpc value is a number: the operators convert it
+    for value in (3, Fraction(1, 3), ctx30.mp.mpc(1, 2)):
+        ROUTES[route](TransformFn(lambda z: value, "number"), ctx30)
+
+
 def test_expansion_probe_constant_is_zero():
     ctx = context_for_order(20)
     b1 = expansion_probe(F_CONST, 1, range(8, 21), ctx.mpf(1), ctx)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial
@@ -25,7 +26,7 @@ from conftest import load_fixture
 
 
 def test_branch_series_leading_coefficients():
-    mu = branch_series(5).mu
+    mu = branch_series(5)
     assert mu == (
         Fraction(-1),
         Fraction(1),
@@ -36,11 +37,19 @@ def test_branch_series_leading_coefficients():
     )
 
 
+def test_branch_series_values_are_pinned():
+    # sha256 of the str of mu_0..mu_40, joined by spaces
+    mu = branch_series(40)
+    assert len(mu) == 41
+    assert hashlib.sha256(" ".join(map(str, mu)).encode()).hexdigest() == (
+        "4f9d2b04f9effcc74d3972d700998b47b45f074da5f3abb4635211df579e5505")
+
+
 def test_branch_series_resubstitution():
     # oracle for the generated coefficients: plugging u = W + 1 back into
     # sum_{k>=2} (k-1)/k! u^k must reproduce p^2/2 exactly through order N
     N = 40
-    mu = branch_series(N).mu
+    mu = branch_series(N)
     u = [Fraction(0)] + list(mu[1:])
     acc = [Fraction(0)] * (N + 1)
     upow = u[:]
@@ -63,7 +72,7 @@ def test_lambert_w0_mu_vector_bits_match_fraction_route(ctx30):
     stored_mu = numerics._TABLES.get(("mu", N, m.prec), lambda: pytest.fail("mu not stored"))
     for p in (m.mpf("0.05"), m.mpc("0.1", "-0.2"), m.mpc(0, "0.3")):
         acc, ppow = m.mpc(0), m.mpc(1)
-        for mu in branch_series(N).mu:
+        for mu in branch_series(N):
             acc += ctx30.mpf(mu) * ppow
             ppow *= p
         got = power_sum(stored_mu, m.mpc(p), m)
@@ -317,17 +326,37 @@ def test_w_of_v(ctx30):
 
 def test_xi_alpha_origin_and_expansion(ctx30):
     m = ctx30.mp
-    at0 = xi_alpha(0, ctx30)
-    assert at0.xi == -1 and at0.alpha == 0
+    assert xi_alpha(0, ctx30) == (-1, 0)
     # alpha(v) = 2 sqrt(2) v + (14 sqrt(2)/9) v^3 + O(v^5)
-    a3 = xi_alpha(m.mpf("1e-3"), ctx30).alpha
+    _, a3 = xi_alpha(m.mpf("1e-3"), ctx30)
     lead = 2 * m.sqrt(2) * m.mpf("1e-3")
     assert abs(a3 / (lead + 14 * m.sqrt(2) / 9 * m.mpf("1e-9")) - 1) <= m.mpf("1e-5")
-    a2 = xi_alpha(m.mpf("0.01"), ctx30).alpha
+    _, a2 = xi_alpha(m.mpf("0.01"), ctx30)
     cubic = (a2 - 2 * m.sqrt(2) * m.mpf("0.01")) / m.mpf("1e-6")
     assert abs(cubic / (14 * m.sqrt(2) / 9) - 1) <= m.mpf("0.01")
     with pytest.raises(DomainError):
         xi_alpha(ctx30.mpf("0.5"), ctx30)
+
+
+# raw _mpc_ of xi(v) at 30 digits; alpha's _mpf_ is its imaginary part
+XI_BITS = {
+    "0": ((1, 1, 0, 1), (0, 0, 0, 0)),
+    "1e-3": ((1, 21778013407961461566341229131251719923155, -134, 134),
+             (0, 31538040840404703436243060838683804039185, -143, 135)),
+    "0.01": ((1, 21772262783760898719152596968019168247801, -134, 134),
+             (0, 78851174363688943247045477998418218271407, -141, 136)),
+    "0.2": ((1, 38473647731422343746241310937398524987799, -135, 135),
+            (0, 6368031744344333259245999753326285099445, -133, 133)),
+    "0.49": ((0, 14302943299002348037932668286628270438871, -133, 134),
+             (0, 23134139302659495303385191610710233940381, -133, 135)),
+}
+
+
+@pytest.mark.parametrize("v", sorted(XI_BITS))
+def test_xi_alpha_bits_are_pinned(ctx30, v):
+    xi, alpha = xi_alpha(ctx30.mpf(v), ctx30)
+    assert xi._mpc_ == XI_BITS[v]
+    assert alpha._mpf_ == XI_BITS[v][1]
 
 
 def test_xi_alpha_strictly_increasing():
@@ -336,12 +365,12 @@ def test_xi_alpha_strictly_increasing():
     prev_mod, prev_alpha = None, None
     for i in range(1001):
         v = m.mpf("0.49") * i / 1000
-        xa = xi_alpha(v, ctx)
-        mod = abs(xa.xi)
+        xi, alpha = xi_alpha(v, ctx)
+        mod = abs(xi)
         if prev_mod is not None:
             assert mod > prev_mod
-            assert xa.alpha > prev_alpha
-        prev_mod, prev_alpha = mod, xa.alpha
+            assert alpha > prev_alpha
+        prev_mod, prev_alpha = mod, alpha
 
 
 def test_halley_fallback_outside_the_bound_raises(monkeypatch):

@@ -58,6 +58,21 @@ def test_context_invariants():
     assert finer.eps == finer.mp.mpf(10) ** -40
 
 
+@pytest.mark.parametrize("digits, guard", [
+    (20.5, 10), (30.0, 10), ("30", 10), (None, 10), (float("nan"), 10), (float("inf"), 10),
+    (20, 5.5), (20, "5"), (20, None),
+])
+def test_context_rejects_a_non_integer_digits_or_guard(monkeypatch, digits, guard):
+    def no_context():
+        raise AssertionError("mpmath context built before the check")
+
+    numerics.cached_context(30, 10)  # a cached (30, 10) must not let 30.0 through
+    monkeypatch.setattr(numerics, "MPContext", no_context)
+    for build in (PrecisionContext, numerics.cached_context):
+        with pytest.raises(DomainError, match="must be an integer >="):
+            build(digits, guard)
+
+
 def test_eps_is_built_once():
     ctx = PrecisionContext(33)
     assert ctx.eps is ctx.eps

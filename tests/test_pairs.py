@@ -61,6 +61,15 @@ def test_jordan_targets(ctx30):
     assert jordan_target(get_pair("square-wave"), ctx30.mpf("2.5"), ctx30) == 1
 
 
+@pytest.mark.parametrize("x", [81, 82, 100])
+def test_square_wave_target_is_the_midpoint_beyond_the_listed_jumps(ctx30, x):
+    # jumps lists 1..80; the reference itself must give 1/2 at a later jump
+    pair = get_pair("square-wave")
+    assert max(loc for loc, _, _ in pair.jumps) < x
+    assert jordan_target(pair, x, ctx30) == ctx30.mp.mpf(1) / 2
+    assert jordan_target(pair, ctx30.mpf(x) + ctx30.mpf("0.5"), ctx30) == (x + 1) % 2
+
+
 def test_laplace_identity_all_pairs():
     # each pair's evaluator really is the transform of its original
     ctx = PrecisionContext(18)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -27,9 +28,26 @@ from gsinv.qpoly import (_g_coeff, _g_continuation, _genfun_matches, _h_laurent,
                          g_singular_remainder, g_value, hz_branch_check, qn_asymptotic)
 
 
+# sha256 of the str of c_1..c_n of q_n, joined by spaces
+QN_COEFF_DIGESTS = {
+    1: "d939926f05444b0f4495fb9629ecbfa80d99a8ec1a20d06800ca5a3d5f4fd276",
+    2: "22cbba7ee1def8c32453f3a89345262621de9ce466362fde25267da7abe99679",
+    13: "44729a4349e0943344261f1c8f1585c60cbda2b8883f60a0484ba9442a594a14",
+    200: "4e29286e13d20e905afc367d454d6bb8b777844bfca0a3ea40222dd2bd72351c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(QN_COEFF_DIGESTS))
+def test_qn_coeffs_values_are_pinned(n):
+    coeffs = qn_coeffs(n)
+    assert type(coeffs) is tuple and len(coeffs) == n
+    assert hashlib.sha256(" ".join(map(str, coeffs)).encode()).hexdigest() == (
+        QN_COEFF_DIGESTS[n])
+
+
 def test_qn_small_orders():
-    assert qn_coeffs(1).coeffs == (Fraction(1, 2),)
-    assert qn_coeffs(2).coeffs == (Fraction(-1, 2), Fraction(3, 2))
+    assert qn_coeffs(1) == (Fraction(1, 2),)
+    assert qn_coeffs(2) == (Fraction(-1, 2), Fraction(3, 2))
     assert qn_exact(1, Fraction(1)) == Fraction(1, 2)
     assert qn_exact(2, Fraction(1)) == 1
     assert qn_exact(2, Fraction(0)) == 0
@@ -37,7 +55,7 @@ def test_qn_small_orders():
 
 def test_qn_sign_pattern():
     for n in range(1, 51):
-        for k, c in enumerate(qn_coeffs(n).coeffs, start=1):
+        for k, c in enumerate(qn_coeffs(n), start=1):
             assert (c > 0) == ((-1) ** (n + k) > 0)
 
 
@@ -63,7 +81,7 @@ def test_qn_eval_bits_match_fraction_horner(ctx30):
         for v in ("0.37", "0.999", "1e-3"):
             vv = work.mpf(ctx30.mpf(v))
             acc = work.mp.mpf(0)
-            for c in reversed(qn_coeffs(n).coeffs):
+            for c in reversed(qn_coeffs(n)):
                 acc = (acc + work.mpf(c)) * vv
             assert qn_eval(n, ctx30.mpf(v), ctx30)._mpf_ == ctx30.mpf(acc)._mpf_
 
@@ -99,7 +117,7 @@ def test_qn_eval_bits_match_boosted_horner_on_decay_grid():
     vs = [hi * m.mpf(i) / 121 for i in range(1, 122, 10)]
     for n in (10, 25, 40):
         work = PrecisionContext(ctx.digits + (45 * n + 99) // 100 + 10, ctx.guard)
-        coeffs = [work.mpf(c) for c in qn_coeffs(n).coeffs]
+        coeffs = [work.mpf(c) for c in qn_coeffs(n)]
         for v in vs:
             vv = work.mpf(v)
             acc = work.mp.mpf(0)
@@ -150,7 +168,7 @@ def test_genfun_detects_corruption():
     qvals = [qn_exact(n, v) for n in range(1, n_max + 1)]
     # flip one coefficient sign in q_2 (note q_2(1/3) itself is 0, so the
     # corruption must happen at the coefficient level)
-    c1, c2 = qn_coeffs(2).coeffs
+    c1, c2 = qn_coeffs(2)
     qvals[1] = -c1 * v + c2 * v * v
     assert not _genfun_matches(qvals, v, n_max)
 
@@ -410,11 +428,13 @@ def test_jump_form_domain(ctx30):
 
 def test_decay_bound_probe():
     ctx = PrecisionContext(25)
-    fit = decay_bound_probe(ctx.mpf("0.1"), range(10, 41), ctx)
+    ns = range(10, 41)
+    fit = decay_bound_probe(ctx.mpf("0.1"), ns, ctx)
     assert fit.b > 1
     assert fit.residual <= ctx.mpf("0.05")
     # every grid point respects the fitted envelope with small slack
-    for n, r in zip(fit.ns, fit.ratios):
+    assert len(fit.ratios) == len(ns)
+    for n, r in zip(ns, fit.ratios):
         assert r <= ctx.mpf("1.05") * fit.C * fit.b ** (-n)
     # smaller domain decays faster
     fit5 = decay_bound_probe(ctx.mpf("0.5"), range(10, 41), ctx)
