@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from mpmath.libmp import mpf_mul_int
+
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
 from .numerics import (
@@ -36,7 +38,9 @@ class TransformFn:
     ``eval`` must be deterministic and defined for every requested
     abscissa; it receives a high-precision scalar and should derive any
     constants it needs from ``z.context`` so results carry the caller's
-    precision.
+    precision.  Every library caller passes an mpf, and the corpus
+    evaluators of :mod:`gsinv.pairs` take only an mpf: they work on its
+    raw tuple at its context's precision and rounding.
     """
 
     eval: object
@@ -68,7 +72,9 @@ class _AbscissaCache:
     Every order reads F only at the points j ln2 / x, so one cache shared
     by a whole ladder (or by the Gaver functionals of one accelerated
     sum) evaluates F once per distinct abscissa, and checks once that the
-    value is a number the mpf operators take.
+    value is a number the mpf operators take.  The abscissa ``j * base``
+    is made as its operator makes it, by ``mpf_mul_int`` on the raw tuple;
+    F still gets an mpf, through ``F(z)``.
     """
 
     def __init__(self, F, x, ctx):
@@ -78,23 +84,43 @@ class _AbscissaCache:
         self.base = ctx.mp.ln(2) / x
         self.values: dict[int, object] = {}
 
-    def __call__(self, j: int):
-        if j not in self.values:
-            z = j * self.base
-            try:
-                value = self.F(z)
-            except Exception as exc:  # attach the offending abscissa
-                raise TransformEvaluationError(
-                    f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
-                ) from exc
-            if not hasattr(value, "_mpf_"):  # a check only: the value is kept as returned
+    def _values(self, js):
+        """F at the abscissas ``j * base`` for ``j`` in ``js``, each evaluated once.
+
+        The one evaluation routine: an exception from F becomes
+        TransformEvaluationError carrying z, a value that is not a number
+        DomainError naming z; any number is kept as F returned it.
+        """
+        values = self.values
+        m = self.ctx.mp
+        prec, rnd = m._prec_rounding
+        make, rbase, F = m.make_mpf, self.base._mpf_, self.F
+        out = []
+        for j in js:
+            if j not in values:
+                z = make(mpf_mul_int(rbase, j, prec, rnd))  # j * base
                 try:
-                    self.ctx.mp.convert(value, strings=False)
-                except (TypeError, ValueError):
-                    raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is not a "
-                                      f"number: {value!r}") from None
-            self.values[j] = value
-        return self.values[j]
+                    value = F(z)
+                except Exception as exc:  # attach the offending abscissa
+                    raise TransformEvaluationError(
+                        f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
+                    ) from exc
+                if not hasattr(value, "_mpf_"):  # a check only: the value is kept as returned
+                    try:
+                        m.convert(value, strings=False)
+                    except (TypeError, ValueError):
+                        raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is not a "
+                                          f"number: {value!r}") from None
+                values[j] = value
+            out.append(values[j])
+        return out
+
+    def __call__(self, j: int):
+        return self._values((j,))[0]
+
+    def first(self, count: int) -> list:
+        """F at the abscissas 1..count, in order."""
+        return self._values(range(1, count + 1))
 
 
 def _start(F, x, n: int, ctx: PrecisionContext) -> _AbscissaCache:
@@ -140,7 +166,7 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     m = ctx.mp
     # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
-    return cache.base * weighted_sum(a, [cache(k) for k in range(1, len(a) + 1)], m)
+    return cache.base * weighted_sum(a, cache.first(len(a)), m)
 
 
 def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):

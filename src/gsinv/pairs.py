@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sqrt)
+
 from .errors import DomainError
 from .inverter import InversionReport, TransformFn, _symmetrized_difference, invert_ladder
 from .numerics import PrecisionContext, check_point, context_for_order, integrate
@@ -24,7 +27,8 @@ class TransformPair:
     """A transform evaluator with its known original.
 
     ``jumps`` lists (location, left limit, right limit); locations are
-    exact rationals.
+    exact rationals.  A pair with a ``period`` has more jumps than it
+    lists: those of its last listed period recur every ``period`` on.
     """
 
     name: str
@@ -32,6 +36,7 @@ class TransformPair:
     f_ref: object
     klass: str
     jumps: tuple = ()
+    period: Fraction | None = None
 
     def __post_init__(self):
         if self.klass not in CLASSES:
@@ -58,6 +63,57 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
+# The transform F of each corpus pair, named after the pair.  Each makes,
+# on ``z._mpf_`` at ``z.context``'s precision and rounding, the libmp calls
+# of the operator form in its comment, in the same order, so the bits are
+# those of the operator form.
+
+def _constant(z):  # 1/z
+    m = z.context
+    prec, rnd = m._prec_rounding
+    return m.make_mpf(mpf_rdiv_int(1, z._mpf_, prec, rnd))
+
+
+def _ramp(z):  # 1/z**2
+    m = z.context
+    prec, rnd = m._prec_rounding
+    return m.make_mpf(mpf_rdiv_int(1, mpf_pow_int(z._mpf_, 2, prec, rnd), prec, rnd))
+
+
+def _exponential(z):  # 1/(z+1)
+    m = z.context
+    prec, rnd = m._prec_rounding
+    return m.make_mpf(mpf_rdiv_int(1, mpf_add(z._mpf_, fone, prec, rnd), prec, rnd))
+
+
+def _root(z):  # sqrt(pi/z)
+    m = z.context
+    prec, rnd = m._prec_rounding
+    return m.make_mpf(mpf_sqrt(mpf_div(mpf_pi(prec, rnd), z._mpf_, prec, rnd), prec, rnd))
+
+
+def _step(z):  # exp(-z)/z
+    m = z.context
+    prec, rnd = m._prec_rounding
+    r = z._mpf_
+    return m.make_mpf(mpf_div(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), r, prec, rnd))
+
+
+def _square_wave(z):  # 1/(z*(1+exp(-z)))
+    m = z.context
+    prec, rnd = m._prec_rounding
+    r = z._mpf_
+    denom = mpf_add(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), fone, prec, rnd)
+    return m.make_mpf(mpf_rdiv_int(1, mpf_mul(r, denom, prec, rnd), prec, rnd))
+
+
+def _sine(z):  # 1/(1+z**2)
+    m = z.context
+    prec, rnd = m._prec_rounding
+    square = mpf_pow_int(z._mpf_, 2, prec, rnd)
+    return m.make_mpf(mpf_rdiv_int(1, mpf_add(square, fone, prec, rnd), prec, rnd))
+
+
 def corpus() -> tuple[TransformPair, ...]:
     """The built-in pairs instantiating the convergence theorem's classes.
 
@@ -72,48 +128,49 @@ def _corpus(transform_fn) -> tuple[TransformPair, ...]:
     return (
         TransformPair(
             "constant",
-            transform_fn(lambda z: 1 / z, "1/z"),
+            transform_fn(_constant, "1/z"),
             lambda t: t.context.mpf(1),
             "smooth",
         ),
         TransformPair(
             "ramp",
-            transform_fn(lambda z: 1 / z**2, "1/z^2"),
+            transform_fn(_ramp, "1/z^2"),
             lambda t: t,
             "smooth",
         ),
         TransformPair(
             "exponential",
-            transform_fn(lambda z: 1 / (z + 1), "1/(z+1)"),
+            transform_fn(_exponential, "1/(z+1)"),
             lambda t: t.context.exp(-t),
             "smooth",
         ),
         TransformPair(
             "root",
-            transform_fn(lambda z: z.context.sqrt(z.context.pi / z), "sqrt(pi/z)"),
+            transform_fn(_root, "sqrt(pi/z)"),
             lambda t: 1 / t.context.sqrt(t),
             "smooth",
         ),
         TransformPair(
             "step",
-            transform_fn(lambda z: z.context.exp(-z) / z, "exp(-z)/z"),
+            transform_fn(_step, "exp(-z)/z"),
             lambda t: t.context.mpf(1 if t >= 1 else 0),
             "bounded-variation-jump",
             jumps=((Fraction(1), 0, 1),),
         ),
         TransformPair(
             "square-wave",
-            transform_fn(lambda z: 1 / (z * (1 + z.context.exp(-z))), "1/(z(1+exp(-z)))"),
+            transform_fn(_square_wave, "1/(z(1+exp(-z)))"),
             _sq_ref,
             "bounded-variation-jump",
             jumps=tuple(
                 (Fraction(k), 1 if k % 2 == 1 else 0, 0 if k % 2 == 1 else 1)
                 for k in range(1, 81)
             ),
+            period=Fraction(2),
         ),
         TransformPair(
             "sine",
-            transform_fn(lambda z: 1 / (1 + z**2), "1/(1+z^2)"),
+            transform_fn(_sine, "1/(1+z^2)"),
             lambda t: t.context.sin(t),
             "oscillatory",
         ),
@@ -177,12 +234,30 @@ def dini_integral_estimate(pair: TransformPair, x, c, epsilon, ctx: PrecisionCon
     return DiniEstimate(value=base, divergent=bool(extended > threshold), increment=extended)
 
 
+def _jump_locations(pair: TransformPair, stop, ctx: PrecisionContext) -> list:
+    """Every jump location of ``pair`` below ``stop``, ascending, as mpf of ``ctx``.
+
+    The listed ones first, then for a periodic pair the jumps of its last
+    listed period shifted by whole periods.
+    """
+    listed = [loc for loc, _l, _r in pair.jumps]
+    shifted = []
+    if pair.period and listed:
+        window = [loc for loc in listed if loc > listed[-1] - pair.period]
+        k = 1
+        while ctx.mpf(window[0] + k * pair.period) < stop:
+            shifted += [loc + k * pair.period for loc in window]
+            k += 1
+    return [s for s in map(ctx.mpf, listed + shifted) if s < stop]
+
+
 def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     """|integral_0^inf e^(-z t) f_ref(t) dt - F(z)|, split at the jumps.
 
     The quadrature is piecewise between consecutive jump locations (plus
     a semi-infinite tail), since the double-exponential rule assumes
-    smoothness away from the endpoints.
+    smoothness away from the endpoints.  A periodic pair is split at
+    every jump below the span, not only at the listed ones.
     """
     m = ctx.mp
     z = check_point(z, ctx, "z")
@@ -193,10 +268,9 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
 
     # keep enough pieces that the tail beyond the last split is negligible
     span = (ctx.digits + ctx.guard + 5) * m.ln(10) / z
-    splits = [ctx.mpf(loc) for loc, _l, _r in pair.jumps if ctx.mpf(loc) < span]
     total = m.mpf(0)
     lo = m.mpf(0)
-    for s in splits:
+    for s in _jump_locations(pair, span, ctx):
         total += integrate(integrand, lo, s, ctx)
         lo = s
     total += integrate(integrand, lo, m.inf, ctx)

@@ -1,3 +1,5 @@
+import functools
+import os
 import warnings
 from fractions import Fraction
 
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gsinv.cli as cli
 import gsinv.inverter as inverter
 import gsinv.numerics as numerics
+import gsinv.pairs
 from gsinv import (
     DomainError,
     PrecisionContext,
@@ -170,11 +174,90 @@ def counting(F):
     return TransformFn(counted, F.label), seen
 
 
+def _abscissa_bits(x, count, ctx):
+    # j * (ln2/x) through the mpf operators
+    base = ctx.mp.ln(2) / ctx.mpf(x)
+    return [(j * base)._mpf_ for j in range(1, count + 1)]
+
+
 @pytest.mark.parametrize("n_max", [1, 3, 16])
 def test_ladder_calls_transform_once_per_abscissa(n_max):
     F, seen = counting(F_EXP)
-    invert_ladder(F, 1, n_max)
+    invert_ladder(F, "0.7", n_max)
     assert len(seen) == len(set(seen)) == 2 * n_max
+    assert [z._mpf_ for z in seen] == _abscissa_bits("0.7", 2 * n_max, context_for_order(n_max))
+
+
+@pytest.mark.parametrize("n", [1, 7, 48])
+@pytest.mark.parametrize("x", ["0.3", "1", "2.75"])
+def test_stehfest_calls_transform_at_each_abscissa_once(n, x):
+    ctx = context_for_order(n)
+    F, seen = counting(F_EXP)
+    stehfest_approx(F, x, n, ctx)
+    assert [z._mpf_ for z in seen] == _abscissa_bits(x, 2 * n, ctx)
+    assert all(type(z) is ctx.mp.mpf for z in seen)
+
+
+def test_transform_subclass_and_wrapped_eval_see_every_call(monkeypatch):
+    calls = []
+
+    class CountingCall(TransformFn):  # its own __call__ must see every evaluation
+        def __call__(self, z):
+            calls.append(z)
+            return super().__call__(z)
+
+    stehfest_approx(CountingCall(F_EXP.eval, "1/(z+1)"), 1, 9, context_for_order(9))
+    assert len(calls) == 18
+    # the benchmark's tracer wraps each corpus eval through the module's constructor
+    seen = []
+
+    def traced_transform_fn(eval, label=""):
+        @functools.wraps(eval)
+        def traced(z):
+            seen.append(z)
+            return eval(z)
+
+        return TransformFn(traced, label)
+
+    monkeypatch.setattr(gsinv.pairs, "TransformFn", traced_transform_fn)
+    pair = get_pair("exponential")
+    stehfest_approx(pair.F, 1, 8, context_for_order(8))
+    assert len(seen) == 16
+    invert_ladder(pair.F, 1, 6)
+    assert len(seen) == 16 + 12
+    assert cli.main(["invert", "--pair", "step", "--x", "0.5,2", "--n", "5",
+                     "--out", os.devnull]) == 0
+    assert len(seen) == 16 + 12 + 2 * 10
+
+
+_ENTRY_ROUTES = {  # the single-order path and the ladder to order 4: {order: value}
+    "stehfest_approx": lambda F, ctx: {4: stehfest_approx(F, "0.8", 4, ctx)},
+    "invert_ladder": lambda F, ctx: {e.n: e.value
+                                     for e in invert_ladder(F, "0.8", 4, ctx=ctx).entries},
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ENTRY_ROUTES))
+def test_single_order_and_ladder_share_error_semantics(ctx30, route):
+    run = _ENTRY_ROUTES[route]
+    base = ctx30.mp.ln(2) / ctx30.mpf("0.8")
+
+    def fragile(z):
+        if z > 2.5 * base:  # fails from the abscissa j = 3 on
+            raise ValueError("boom")
+        return 1 / z
+
+    with pytest.raises(TransformEvaluationError) as err:
+        run(TransformFn(fragile, "fragile"), ctx30)
+    assert err.value.z._mpf_ == (3 * base)._mpf_
+    assert isinstance(err.value.__cause__, ValueError)
+    for value in (None, "0.5"):
+        with pytest.raises(DomainError, match=r"transform value at z = 0\.866.* is not a number"):
+            run(TransformFn(lambda z: value, "bad"), ctx30)
+    for f in (lambda z: 2, lambda z: 1 / (float(z) + 1), lambda z: 1 if z < 2 else 1 / z):
+        got = run(TransformFn(f, "number"), ctx30)
+        assert {n: _raw(v) for n, v in got.items()} == {
+            n: _raw(_operator_loop(f, "0.8", n, ctx30)) for n in got}
 
 
 def test_ladder_entries_equal_standalone_approximants():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import gsinv.pairs
 from gsinv import (
@@ -14,7 +16,7 @@ from gsinv import (
     jordan_target,
     run_pair,
 )
-from gsinv.pairs import dini_integral_estimate, laplace_identity_residual
+from gsinv.pairs import _jump_locations, dini_integral_estimate, laplace_identity_residual
 
 
 def test_corpus_contents():
@@ -78,6 +80,62 @@ def test_laplace_identity_all_pairs():
         for z in (1, 2, 5):
             resid = laplace_identity_residual(pair, ctx.mpf(z), ctx)
             assert resid <= tol, (pair.name, z, ctx.nstr(resid, 4))
+
+
+@pytest.mark.parametrize("z", [0.2, 0.5])
+def test_laplace_identity_square_wave_past_the_listed_jumps(z):
+    # the span (digits + guard + 5) ln 10 / z is about 380 at z = 0.2, past the
+    # last listed jump (80), so the pieces must follow the wave's later jumps
+    ctx = PrecisionContext(18)
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard + 2))  # as in the all-pairs test
+    resid = laplace_identity_residual(get_pair("square-wave"), z, ctx)
+    assert resid <= tol, ctx.nstr(resid, 4)
+
+
+def test_jump_locations_continue_a_periodic_pair(ctx30):
+    wave = get_pair("square-wave")
+    assert len(wave.jumps) == 80 and wave.period == 2
+    assert _jump_locations(wave, ctx30.mpf("100.5"), ctx30) == list(range(1, 101))
+    assert _jump_locations(wave, ctx30.mpf(40), ctx30) == list(range(1, 40))
+    assert _jump_locations(get_pair("step"), ctx30.mpf(1000), ctx30) == [1]
+    assert _jump_locations(get_pair("sine"), ctx30.mpf(1000), ctx30) == []
+
+
+# the operator form of every corpus formula, as the evaluators were written
+# before they ran on raw tuples
+OPERATOR_FORMS = {
+    "1/z": lambda z: 1 / z,
+    "1/z^2": lambda z: 1 / z**2,
+    "1/(z+1)": lambda z: 1 / (z + 1),
+    "sqrt(pi/z)": lambda z: z.context.sqrt(z.context.pi / z),
+    "exp(-z)/z": lambda z: z.context.exp(-z) / z,
+    "1/(z(1+exp(-z)))": lambda z: 1 / (z * (1 + z.context.exp(-z))),
+    "1/(1+z^2)": lambda z: 1 / (1 + z**2),
+}
+
+
+def test_every_corpus_formula_has_an_operator_form():
+    assert sorted(p.formula for p in corpus()) == sorted(OPERATOR_FORMS)
+
+
+@given(st.integers(15, 300), st.integers(15, 300), st.integers(-6, 5), st.integers(1, 10**6),
+       st.integers(1, 10**6))
+def test_corpus_evaluators_match_their_operator_forms_bit_for_bit(d1, d2, decade, p, q):
+    assume(d1 != d2)
+    own, other = PrecisionContext(d1), PrecisionContext(d2)
+    # 10 to a power that is no integer: a full mantissa in (1e-6, 1e6), even for small p, q
+    z = own.mpf(10) ** (decade + own.mpf(p) / (p + q))
+    points = (
+        z,
+        other.mpf(z),  # a point of a second context at a different precision
+        other.mp.make_mpf(z._mpf_),  # own's bits in the second context, rounded on use
+    )
+    for pair in corpus():
+        form = OPERATOR_FORMS[pair.formula]
+        for w in points:
+            got = pair.F(w)
+            assert type(got) is type(w), pair.name  # computed in z's own context
+            assert got._mpf_ == form(w)._mpf_, (pair.name, d1, d2, w)
 
 
 def test_dini_constant_zero(ctx20):
