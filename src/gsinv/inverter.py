@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath.libmp import mpf_mul_int
+from mpmath.libmp import ftwo, mpf_div, mpf_log, mpf_mul_int
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
@@ -38,9 +38,12 @@ class TransformFn:
     ``eval`` must be deterministic and defined for every requested
     abscissa; it receives a high-precision scalar and should derive any
     constants it needs from ``z.context`` so results carry the caller's
-    precision.  Every library caller passes an mpf, and the corpus
-    evaluators of :mod:`gsinv.pairs` take only an mpf: they work on its
-    raw tuple at its context's precision and rounding.
+    precision.  Every library caller passes an mpf.  The corpus
+    evaluators of :mod:`gsinv.pairs` are raw kernels behind ``_Kernel``:
+    they take only an mpf, and work on its raw tuple at its context's
+    precision and rounding.  The inverter runs the kernel itself on raw
+    abscissas when F is a ``TransformFn`` (no subclass) whose ``eval`` is
+    one; it calls every other F, a wrapped kernel included, per abscissa.
     """
 
     eval: object
@@ -48,6 +51,20 @@ class TransformFn:
 
     def __call__(self, z):
         return self.eval(z)
+
+
+class _Kernel:
+    """The mpf evaluator F(z) of a raw kernel ``raw(r, prec, rnd) -> raw``: it runs
+    the kernel on ``z._mpf_`` at ``z.context``'s precision and rounding."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def __call__(self, z):
+        m = z.context
+        return m.make_mpf(self.raw(z._mpf_, *m._prec_rounding))
 
 
 @dataclass(frozen=True)
@@ -73,53 +90,64 @@ class _AbscissaCache:
     by a whole ladder (or by the Gaver functionals of one accelerated
     sum) evaluates F once per distinct abscissa, and checks once that the
     value is a number the mpf operators take.  The abscissa ``j * base``
-    is made as its operator makes it, by ``mpf_mul_int`` on the raw tuple;
-    F still gets an mpf, through ``F(z)``.
+    is made as its operator makes it, by ``mpf_mul_int`` on the raw tuple.
+    A library kernel (``kernel``, see :class:`TransformFn`) gets it raw
+    and its values stay raw; any other F gets an mpf, through ``F(z)``.
     """
 
     def __init__(self, F, x, ctx):
         self.F = F
         self.x = x
         self.ctx = ctx
-        self.base = ctx.mp.ln(2) / x
+        prec, rnd = ctx.mp._prec_rounding  # ln(2) / x: the calls of m.ln(2) and the operator
+        self.base = ctx.mp.make_mpf(mpf_div(mpf_log(ftwo, prec, rnd), x._mpf_, prec, rnd))
+        # exact types: a subclass's __call__ or a wrapper (functools.wraps
+        # copies attributes) must see every evaluation
+        kernel = F.eval if type(F) is TransformFn else None
+        self.kernel = kernel.raw if type(kernel) is _Kernel else None
         self.values: dict[int, object] = {}
 
     def _values(self, js):
         """F at the abscissas ``j * base`` for ``j`` in ``js``, each evaluated once.
 
-        The one evaluation routine: an exception from F becomes
-        TransformEvaluationError carrying z, a value that is not a number
-        DomainError naming z; any number is kept as F returned it.
+        The one evaluation routine: an exception from F or its kernel
+        becomes TransformEvaluationError carrying z, a value that is not a
+        number DomainError naming z; any number is kept as F returned it,
+        a kernel's as its raw tuple.
         """
         values = self.values
         m = self.ctx.mp
         prec, rnd = m._prec_rounding
-        make, rbase, F = m.make_mpf, self.base._mpf_, self.F
+        make, rbase, F, kernel = m.make_mpf, self.base._mpf_, self.F, self.kernel
         out = []
         for j in js:
-            if j not in values:
-                z = make(mpf_mul_int(rbase, j, prec, rnd))  # j * base
+            value = values.get(j)  # a stored value is never None: None is no number
+            if value is None:
+                rz = mpf_mul_int(rbase, j, prec, rnd)  # j * base
                 try:
-                    value = F(z)
+                    value = kernel(rz, prec, rnd) if kernel else F(make(rz))
                 except Exception as exc:  # attach the offending abscissa
+                    z = make(rz)
                     raise TransformEvaluationError(
                         f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
                     ) from exc
-                if not hasattr(value, "_mpf_"):  # a check only: the value is kept as returned
+                if not (kernel or hasattr(value, "_mpf_")):  # a check only: the value is kept
                     try:
                         m.convert(value, strings=False)
                     except (TypeError, ValueError):
-                        raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is not a "
-                                          f"number: {value!r}") from None
+                        raise DomainError(f"transform value at z = {self.ctx.nstr(make(rz))} is "
+                                          f"not a number: {value!r}") from None
                 values[j] = value
-            out.append(values[j])
+            out.append(value)
         return out
 
     def __call__(self, j: int):
-        return self._values((j,))[0]
+        """F at the abscissa ``j * base``, as a value of the mpf operators."""
+        value = self._values((j,))[0]
+        return self.ctx.mp.make_mpf(value) if self.kernel else value
 
     def first(self, count: int) -> list:
-        """F at the abscissas 1..count, in order."""
+        """F at the abscissas 1..count, in order; raw tuples if ``kernel`` is set."""
         return self._values(range(1, count + 1))
 
 
@@ -166,7 +194,8 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     m = ctx.mp
     # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
-    return cache.base * weighted_sum(a, cache.first(len(a)), m)
+    raw = cache.kernel is not None  # the values are raw tuples
+    return cache.base * weighted_sum(a, cache.first(len(a)), m, raw)
 
 
 def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):

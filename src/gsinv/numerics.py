@@ -230,18 +230,19 @@ def mpf_tuples(values, prec: int) -> tuple:
     )
 
 
-def weighted_sum(coeffs, values, m):
+def weighted_sum(coeffs, values, m, raw=False):
     """``c_1 v_1 + c_2 v_2 + ...`` in ``m``; ``coeffs`` are raw tuples (see :func:`mpf_tuples`).
 
     The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``: mpf
-    values run the calls of ``mpf.__mul__``/``__add__`` on raw tuples,
-    ints, floats or mpc values that operator loop itself.
+    values, or raw tuples if ``raw`` is set, run the calls of
+    ``mpf.__mul__``/``__add__`` on raw tuples, ints, floats or mpc values
+    that operator loop itself.
     """
-    if all(hasattr(v, "_mpf_") for v in values):
+    if raw or all(hasattr(v, "_mpf_") for v in values):
         prec, rnd = m._prec_rounding
         acc = fzero
-        for c, v in zip(coeffs, values):
-            acc = mpf_add(acc, mpf_mul(c, v._mpf_, prec, rnd), prec, rnd)
+        for c, v in zip(coeffs, values if raw else [v._mpf_ for v in values]):
+            acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
         return m.make_mpf(acc)
     make = m.make_mpf
     acc = m.mpf(0)

@@ -16,7 +16,8 @@ from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf
                           mpf_rdiv_int, mpf_sqrt)
 
 from .errors import DomainError
-from .inverter import InversionReport, TransformFn, _symmetrized_difference, invert_ladder
+from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
+                       invert_ladder)
 from .numerics import PrecisionContext, check_point, context_for_order, integrate
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
@@ -63,55 +64,47 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
-# The transform F of each corpus pair, named after the pair.  Each makes,
-# on ``z._mpf_`` at ``z.context``'s precision and rounding, the libmp calls
-# of the operator form in its comment, in the same order, so the bits are
-# those of the operator form.
+# The transform F of each corpus pair, named after the pair.  Each is a raw
+# kernel: on the raw tuple r of z, at precision prec and rounding rnd, it
+# makes the libmp calls of the operator form in its comment, in the same
+# order, so the bits are those of the operator form.  _Kernel makes it the
+# mpf evaluator F.eval (at z.context's precision and rounding), and lets
+# the inverter call the kernel itself on raw abscissas.
 
-def _constant(z):  # 1/z
-    m = z.context
-    prec, rnd = m._prec_rounding
-    return m.make_mpf(mpf_rdiv_int(1, z._mpf_, prec, rnd))
-
-
-def _ramp(z):  # 1/z**2
-    m = z.context
-    prec, rnd = m._prec_rounding
-    return m.make_mpf(mpf_rdiv_int(1, mpf_pow_int(z._mpf_, 2, prec, rnd), prec, rnd))
+@_Kernel
+def _constant(r, prec, rnd):  # 1/z
+    return mpf_rdiv_int(1, r, prec, rnd)
 
 
-def _exponential(z):  # 1/(z+1)
-    m = z.context
-    prec, rnd = m._prec_rounding
-    return m.make_mpf(mpf_rdiv_int(1, mpf_add(z._mpf_, fone, prec, rnd), prec, rnd))
+@_Kernel
+def _ramp(r, prec, rnd):  # 1/z**2
+    return mpf_rdiv_int(1, mpf_pow_int(r, 2, prec, rnd), prec, rnd)
 
 
-def _root(z):  # sqrt(pi/z)
-    m = z.context
-    prec, rnd = m._prec_rounding
-    return m.make_mpf(mpf_sqrt(mpf_div(mpf_pi(prec, rnd), z._mpf_, prec, rnd), prec, rnd))
+@_Kernel
+def _exponential(r, prec, rnd):  # 1/(z+1)
+    return mpf_rdiv_int(1, mpf_add(r, fone, prec, rnd), prec, rnd)
 
 
-def _step(z):  # exp(-z)/z
-    m = z.context
-    prec, rnd = m._prec_rounding
-    r = z._mpf_
-    return m.make_mpf(mpf_div(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), r, prec, rnd))
+@_Kernel
+def _root(r, prec, rnd):  # sqrt(pi/z)
+    return mpf_sqrt(mpf_div(mpf_pi(prec, rnd), r, prec, rnd), prec, rnd)
 
 
-def _square_wave(z):  # 1/(z*(1+exp(-z)))
-    m = z.context
-    prec, rnd = m._prec_rounding
-    r = z._mpf_
+@_Kernel
+def _step(r, prec, rnd):  # exp(-z)/z
+    return mpf_div(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), r, prec, rnd)
+
+
+@_Kernel
+def _square_wave(r, prec, rnd):  # 1/(z*(1+exp(-z)))
     denom = mpf_add(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), fone, prec, rnd)
-    return m.make_mpf(mpf_rdiv_int(1, mpf_mul(r, denom, prec, rnd), prec, rnd))
+    return mpf_rdiv_int(1, mpf_mul(r, denom, prec, rnd), prec, rnd)
 
 
-def _sine(z):  # 1/(1+z**2)
-    m = z.context
-    prec, rnd = m._prec_rounding
-    square = mpf_pow_int(z._mpf_, 2, prec, rnd)
-    return m.make_mpf(mpf_rdiv_int(1, mpf_add(square, fone, prec, rnd), prec, rnd))
+@_Kernel
+def _sine(r, prec, rnd):  # 1/(1+z**2)
+    return mpf_rdiv_int(1, mpf_add(mpf_pow_int(r, 2, prec, rnd), fone, prec, rnd), prec, rnd)
 
 
 def corpus() -> tuple[TransformPair, ...]:

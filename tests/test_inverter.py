@@ -174,6 +174,12 @@ def counting(F):
     return TransformFn(counted, F.label), seen
 
 
+def _wrapped(F):
+    # F's eval behind a functools.wraps wrapper, as the benchmark's tracer
+    # wraps it: the inverter calls it once per abscissa with an mpf
+    return TransformFn(functools.wraps(F.eval)(lambda z: F.eval(z)), F.label)
+
+
 def _abscissa_bits(x, count, ctx):
     # j * (ln2/x) through the mpf operators
     base = ctx.mp.ln(2) / ctx.mpf(x)
@@ -199,6 +205,7 @@ def test_stehfest_calls_transform_at_each_abscissa_once(n, x):
 
 
 def test_transform_subclass_and_wrapped_eval_see_every_call(monkeypatch):
+    assert cli.BUILTIN_TRANSFORMS["exp(-z)/z"] is get_pair("step").F.eval
     calls = []
 
     class CountingCall(TransformFn):  # its own __call__ must see every evaluation
@@ -208,6 +215,10 @@ def test_transform_subclass_and_wrapped_eval_see_every_call(monkeypatch):
 
     stehfest_approx(CountingCall(F_EXP.eval, "1/(z+1)"), 1, 9, context_for_order(9))
     assert len(calls) == 18
+    # also around a corpus kernel, which a TransformFn itself runs on raw tuples
+    stehfest_approx(CountingCall(get_pair("exponential").F.eval, "1/(z+1)"), 1, 9,
+                    context_for_order(9))
+    assert len(calls) == 18 + 18
     # the benchmark's tracer wraps each corpus eval through the module's constructor
     seen = []
 
@@ -228,6 +239,12 @@ def test_transform_subclass_and_wrapped_eval_see_every_call(monkeypatch):
     assert cli.main(["invert", "--pair", "step", "--x", "0.5,2", "--n", "5",
                      "--out", os.devnull]) == 0
     assert len(seen) == 16 + 12 + 2 * 10
+    # --transform builds F from BUILTIN_TRANSFORMS (the unwrapped corpus evals,
+    # resolved before the patch) through the CLI's own constructor
+    monkeypatch.setattr(cli, "TransformFn", traced_transform_fn)
+    assert cli.main(["invert", "--transform", "exp(-z)/z", "--x", "0.5,2", "--n", "5",
+                     "--out", os.devnull]) == 0
+    assert len(seen) == 16 + 12 + 2 * 10 + 2 * 10
 
 
 _ENTRY_ROUTES = {  # the single-order path and the ladder to order 4: {order: value}
@@ -237,8 +254,21 @@ _ENTRY_ROUTES = {  # the single-order path and the ladder to order 4: {order: va
 }
 
 
+def test_corpus_transform_runs_its_kernel_without_its_eval(monkeypatch):
+    ctx = context_for_order(6)
+    expected = {p.name: (stehfest_approx(p.F, 1, 6, ctx), gaver_approx(p.F, 1, 6, ctx))
+                for p in corpus()}
+
+    def forbidden(self, z):
+        raise AssertionError("a corpus eval called on the inverter's path")
+
+    monkeypatch.setattr(inverter._Kernel, "__call__", forbidden)
+    for p in corpus():  # the gaver_approx witness gets mpf values, made from the raw ones
+        assert (stehfest_approx(p.F, 1, 6, ctx), gaver_approx(p.F, 1, 6, ctx)) == expected[p.name]
+
+
 @pytest.mark.parametrize("route", sorted(_ENTRY_ROUTES))
-def test_single_order_and_ladder_share_error_semantics(ctx30, route):
+def test_single_order_and_ladder_share_error_semantics(ctx30, route, monkeypatch):
     run = _ENTRY_ROUTES[route]
     base = ctx30.mp.ln(2) / ctx30.mpf("0.8")
 
@@ -251,6 +281,25 @@ def test_single_order_and_ladder_share_error_semantics(ctx30, route):
         run(TransformFn(fragile, "fragile"), ctx30)
     assert err.value.z._mpf_ == (3 * base)._mpf_
     assert isinstance(err.value.__cause__, ValueError)
+    # a corpus kernel failing from j = 3 on: its raw path and the generic path
+    # through a wrapped eval raise the same error at the same abscissa
+    pair = get_pair("exponential")
+    exponential = pair.F.eval.raw
+
+    def fragile_raw(r, prec, rnd):
+        if ctx30.mp.make_mpf(r) > 2.5 * base:
+            raise ValueError("boom")
+        return exponential(r, prec, rnd)
+
+    monkeypatch.setattr(pair.F.eval, "raw", fragile_raw)
+    reported = []
+    for F in (pair.F, _wrapped(pair.F)):
+        with pytest.raises(TransformEvaluationError) as err:
+            run(F, ctx30)
+        assert isinstance(err.value.__cause__, ValueError)
+        reported.append((str(err.value), err.value.z._mpf_))
+    assert reported[0] == reported[1] and reported[0][1] == (3 * base)._mpf_
+    monkeypatch.undo()
     for value in (None, "0.5"):
         with pytest.raises(DomainError, match=r"transform value at z = 0\.866.* is not a number"):
             run(TransformFn(lambda z: value, "bad"), ctx30)
@@ -267,6 +316,9 @@ def test_ladder_entries_equal_standalone_approximants():
             rep = invert_ladder(pair.F, x, 12, ctx=ctx)
             for e in rep.entries:
                 assert e.value == stehfest_approx(pair.F, x, e.n, ctx), (pair.name, e.n)
+            generic = invert_ladder(_wrapped(pair.F), x, 12, ctx=ctx)
+            assert [_raw(e.value) for e in rep.entries] == [
+                _raw(e.value) for e in generic.entries], pair.name
 
 
 def test_coefficient_vector_rounds_like_context_mpf():
@@ -616,6 +668,8 @@ def test_stehfest_sum_bits_match_operator_loop(n):
         "int and mpf": lambda z: 1 if z < 1 else 1 / z,
         "mpc": lambda z: 1 / (z + m.mpc(1, 2)),
         "complex": lambda z: 1 / (complex(z) + 1j),
+        # the corpus evaluators: stehfest_approx runs their raw kernels
+        **{pair.name: pair.F.eval for pair in corpus()},
     }
     for label, f in transforms.items():
         for x in ("0.3", "1", "2.75"):

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Mutation gate: each listed fault must fail the tests named with it.
+
+For each mutant, copies ``src/`` to a temporary directory, replaces one
+exact piece of source text (it must occur exactly once), runs the named
+tests against the copy and prints ``caught`` or ``missed``.  The named
+tests are first run against an unmutated copy, where they must pass.
+Exits 1 if any mutant is missed or its text is no longer in the source,
+2 if a test run errors out (collection error, interrupt).  Run from
+anywhere; the repository is found from this file:
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named mutants only
+
+It takes about a minute and is not part of the test suite.
+"""
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+T_INV = "tests/test_inverter.py::"
+T_PAIRS = "tests/test_pairs.py::"
+T_W = "tests/test_lambertw.py::"
+
+# name -> (file under src/gsinv, source text, mutated text, tests that must fail)
+MUTANTS = {
+    "corpus-rounding-mode": (
+        "pairs.py",
+        "    return mpf_rdiv_int(1, r, prec, rnd)\n",
+        "    return mpf_rdiv_int(1, r, prec, 'f')\n",
+        [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit"],
+    ),
+    "corpus-extra-precision-constant": (
+        "pairs.py",
+        "mpf_pi(prec, rnd)",
+        "mpf_pi(prec + 5, rnd)",
+        [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit"],
+    ),
+    "halley-shift-dropped": (
+        "lambertw.py",
+        "w1x2 = (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1))",
+        "w1x2 = (mpf_shift(w1[0], 1), w1[1])",
+        [T_W + "test_w_bits_match_pinned_fixture",
+         T_W + "test_halley_on_tuples_matches_mpc_arithmetic"],
+    ),
+    "final-conjugation-dropped": (
+        "lambertw.py",
+        "return m.make_mpc(mpc_conjugate(w, prec, rnd))",
+        "return m.make_mpc(w)",
+        [T_W + "test_w_bits_match_pinned_fixture", T_W + "test_w_conjugate_symmetry"],
+    ),
+    "eval-in-place-of-call": (
+        "inverter.py",
+        "else F(make(rz))",
+        "else F.eval(make(rz))",
+        [T_INV + "test_transform_subclass_and_wrapped_eval_see_every_call"],
+    ),
+    "periodic-split-one-period": (
+        "pairs.py",
+        "        while ctx.mpf(window[0] + k * pair.period) < stop:",
+        "        if ctx.mpf(window[0] + k * pair.period) < stop:",
+        [T_PAIRS + "test_jump_locations_continue_a_periodic_pair",
+         T_PAIRS + "test_laplace_identity_square_wave_past_the_listed_jumps"],
+    ),
+    "fast-path-for-wrapped-eval": (
+        "inverter.py",
+        "kernel = F.eval if type(F) is TransformFn else None",
+        "kernel = getattr(F.eval, '__wrapped__', F.eval) if type(F) is TransformFn else None",
+        [T_INV + "test_transform_subclass_and_wrapped_eval_see_every_call"],
+    ),
+    "fast-path-for-subclass": (
+        "inverter.py",
+        "kernel = F.eval if type(F) is TransformFn else None",
+        "kernel = F.eval if isinstance(F, TransformFn) else None",
+        [T_INV + "test_transform_subclass_and_wrapped_eval_see_every_call"],
+    ),
+    "fast-path-never-taken": (
+        "inverter.py",
+        "self.kernel = kernel.raw if type(kernel) is _Kernel else None",
+        "self.kernel = None",
+        [T_INV + "test_corpus_transform_runs_its_kernel_without_its_eval"],
+    ),
+    "kernel-round-down": (
+        "inverter.py",
+        "value = kernel(rz, prec, rnd)",
+        "value = kernel(rz, prec, 'd')",
+        [T_INV + "test_stehfest_sum_bits_match_operator_loop"],
+    ),
+    "raw-sum-drops-last-term": (
+        "numerics.py",
+        "zip(coeffs, values if raw else",
+        "zip(coeffs, values[:-1] if raw else",
+        [T_INV + "test_stehfest_sum_bits_match_operator_loop"],
+    ),
+}
+
+
+def run_tests(src: pathlib.Path, tests) -> int:
+    # no bytecode: a mutant of the same size within the same second as the
+    # source would otherwise load the source's cached bytecode, or it the mutant's
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    unknown = sorted(set(names) - set(MUTANTS))
+    if unknown:
+        print(f"unknown mutants: {unknown}; known: {sorted(MUTANTS)}", file=sys.stderr)
+        return 2
+    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pathlib.Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = sorted({t for *_, ts in chosen.values() for t in ts})
+        rc = run_tests(src, tests)
+        if rc != 0:
+            print(f"the named tests fail on the unmutated source (pytest exit {rc})")
+            return 2
+        for name, (file, old, new, tests) in chosen.items():
+            path = src / "gsinv" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name:34s} stale: its text occurs {text.count(old)} times in {file}")
+                status = max(status, 1)
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                rc = run_tests(src, tests)
+            finally:
+                path.write_text(text)
+            verdict = {0: "missed", 1: "caught"}.get(rc, f"error (pytest exit {rc})")
+            print(f"{name:34s} {verdict}")
+            status = max(status, {0: 1, 1: 0}.get(rc, 2))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
