@@ -26,21 +26,31 @@ if TYPE_CHECKING:
 # Each command imports the modules it uses, so that coeffs loads no
 # mpmath, and invert, ladder and corpus load no verification layer.
 # BUILTIN_TRANSFORMS and TransformFn are module attributes resolved on
-# first use (see __getattr__); the commands read them through _module so
-# that a value set on the module shows through.
+# use (see __getattr__); the commands read them through _module so that
+# a value set on the module shows through.
 _module = sys.modules[__name__]
 
 
 def __getattr__(name):
     if name == "BUILTIN_TRANSFORMS":  # --transform takes a corpus pair by its transform formula
-        from .pairs import corpus
+        from . import pairs
 
-        value = {p.formula: p.F.eval for p in corpus()}
-    elif name == "TransformFn":
-        from .inverter import TransformFn as value
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, value)  # one object from the first use on
+        return _builtin_transforms(pairs.TransformFn)
+    if name == "TransformFn":
+        from .inverter import TransformFn
+
+        return globals().setdefault(name, TransformFn)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _builtin_transforms(transform_fn) -> dict:
+    """{formula: eval} of the corpus built by ``transform_fn``, the constructor in effect in
+    :mod:`gsinv.pairs`: one dict while it stays, a new one when it changes (a tracer's
+    wrappers come and go with it)."""
+    from .pairs import corpus
+
+    return {p.formula: p.F.eval for p in corpus()}
 
 
 # Largest --digits of invert, ladder and weval; the smallest is the

@@ -26,10 +26,14 @@ and the results are bit-identical to building them afresh.
 
 The per-node arithmetic of :func:`integrate` (the abscissa, the scaling
 of the integrand's value and the node sum ``w (f(x_right) + f(x_left))``)
-and that of :func:`weighted_sum` run on raw tuples: each makes the libmp
-calls the mpf operators would make, in the same order and at the same
-precision, so the bits are those of the operator forms without building
-a number per step.  The integrand itself still gets and returns numbers.
+runs on raw tuples: it makes the libmp calls the mpf operators would
+make, in the same order and at the same precision, so the bits are those
+of the operator forms without building a number per step.  The integrand
+itself still gets and returns numbers.  :func:`weighted_sum` goes one
+step further: at round-to-nearest it runs correctly rounded steps on
+integer mantissas.  Each libmp multiply and add rounds its exact result
+correctly, so a step that does the same gives the same value, and the
+sum keeps the bits of the libmp loop without its per-call overhead.
 """
 from __future__ import annotations
 
@@ -38,10 +42,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_shift, mpf_sub, round_nearest)
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
@@ -233,15 +238,22 @@ def mpf_tuples(values, prec: int) -> tuple:
 def weighted_sum(coeffs, values, m, raw=False):
     """``c_1 v_1 + c_2 v_2 + ...`` in ``m``; ``coeffs`` are raw tuples (see :func:`mpf_tuples`).
 
-    The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``: mpf
-    values, or raw tuples if ``raw`` is set, run the calls of
-    ``mpf.__mul__``/``__add__`` on raw tuples, ints, floats or mpc values
-    that operator loop itself.
+    The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``.
+    For mpf values, or raw tuples if ``raw`` is set, the operators make
+    ``mpf_mul``/``mpf_add`` calls, and each rounds its exact result
+    correctly; so at round-to-nearest the sum runs correctly rounded steps
+    on integer mantissas instead (:func:`_nearest_sum`), which give the
+    same values.  At another rounding, and from an infinite or nan factor
+    on, it makes the calls themselves.  ints, floats or mpc values run
+    the operator loop itself.
     """
     if raw or all(hasattr(v, "_mpf_") for v in values):
         prec, rnd = m._prec_rounding
+        terms = zip(coeffs, values if raw else [v._mpf_ for v in values])
         acc = fzero
-        for c, v in zip(coeffs, values if raw else [v._mpf_ for v in values]):
+        if rnd == round_nearest:
+            acc, terms = _nearest_sum(terms, prec)
+        for c, v in terms:
             acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
         return m.make_mpf(acc)
     make = m.make_mpf
@@ -249,6 +261,64 @@ def weighted_sum(coeffs, values, m, raw=False):
     for c, v in zip(coeffs, values):
         acc += make(c) * v
     return acc
+
+
+def _nearest_sum(terms, prec):
+    """``acc = mpf_add(acc, mpf_mul(c, v))`` at ``prec`` bits, round-to-nearest, on integers.
+
+    Returns the raw sum and the terms left for the libmp loop: none, or
+    those from the first infinite or nan factor on.  Each product
+    ``c_man * v_man`` is formed exactly and rounded to ``prec`` bits half
+    to even, as ``normalize1`` rounds it; it is then added exactly to the
+    accumulator, a signed mantissa and an exponent, and the sum is
+    rounded the same way.  ``mpf_mul`` and ``mpf_add`` round their exact
+    results correctly too (``mpf_add``'s sticky shortcut for far operands
+    included), so every step gives the value the libmp calls give, and
+    only the final tuple needs canonical form.  An operand more than
+    ``2 prec + 2`` bits of exponent below the other is under a quarter
+    ulp of it: the sum is the larger operand, and nothing is shifted.
+    """
+    acc = aexp = 0
+    far = 2 * prec + 2
+    for (cs, cm, ce, cb), (vs, vm, ve, vb) in terms:
+        man = cm * vm
+        if not man:
+            if (ce and not cm) or (ve and not vm):  # inf or nan: libmp goes on from here
+                return from_man_exp(acc, aexp), chain((((cs, cm, ce, cb), (vs, vm, ve, vb)),),
+                                                      terms)
+            continue
+        exp = ce + ve
+        n = man.bit_length() - prec
+        if n > 0:  # round to prec bits, half to even, as normalize1
+            t = man >> (n - 1)
+            man = (t >> 1) + 1 if t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1)) else t >> 1
+            exp += n
+        if cs != vs:
+            man = -man
+        if not acc:
+            acc, aexp = man, exp
+            continue
+        gap = aexp - exp
+        if gap > far:  # the product is under a quarter ulp of acc
+            continue
+        if gap < -far:  # acc is under a quarter ulp of the product
+            acc, aexp = man, exp
+            continue
+        if gap >= 0:
+            s = (acc << gap) + man
+        else:
+            s = acc + (man << -gap)
+            exp = aexp
+        neg = s < 0
+        if neg:
+            s = -s
+        n = s.bit_length() - prec
+        if n > 0:
+            t = s >> (n - 1)
+            s = (t >> 1) + 1 if t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1)) else t >> 1
+            exp += n
+        acc, aexp = -s if neg else s, exp
+    return from_man_exp(acc, aexp), ()
 
 
 def power_sum(coeffs, p, m):

@@ -8,7 +8,7 @@ midpoint targets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +18,8 @@ from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .numerics import PrecisionContext, check_point, context_for_order, integrate
+from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
+                       mpf_tuples)
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
 
@@ -38,10 +39,14 @@ class TransformPair:
     klass: str
     jumps: tuple = ()
     period: Fraction | None = None
+    # (numerator, denominator) of each listed location: a key that hashes fast
+    _locations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.klass not in CLASSES:
             raise DomainError(f"unknown regularity class {self.klass!r}")
+        exact = [Fraction(loc) for loc, _l, _r in self.jumps]
+        object.__setattr__(self, "_locations", tuple((q.numerator, q.denominator) for q in exact))
 
     @property
     def formula(self) -> str:
@@ -87,8 +92,9 @@ def _exponential(r, prec, rnd):  # 1/(z+1)
 
 
 @_Kernel
-def _root(r, prec, rnd):  # sqrt(pi/z)
-    return mpf_sqrt(mpf_div(mpf_pi(prec, rnd), r, prec, rnd), prec, rnd)
+def _root(r, prec, rnd):  # sqrt(pi/z), with pi rounded once per precision
+    pi = _TABLES.get(("pi", prec, rnd), lambda: mpf_pi(prec, rnd))
+    return mpf_sqrt(mpf_div(pi, r, prec, rnd), prec, rnd)
 
 
 @_Kernel
@@ -180,9 +186,14 @@ def get_pair(name: str) -> TransformPair:
 def jordan_target(pair: TransformPair, x, ctx: PrecisionContext):
     """Reference value at ``x``: f_ref(x), or the jump midpoint at a jump."""
     x = check_point(x, ctx)
-    for loc, left, right in pair.jumps:
-        if x == ctx.mpf(loc):
-            return (ctx.mpf(left) + ctx.mpf(right)) / 2
+    if pair.jumps:
+        # the locations rounded as ctx.mpf rounds them, once per precision
+        prec, exact = ctx.mp.prec, pair._locations
+        rounded = _TABLES.get(("jumps", exact, prec),
+                              lambda: mpf_tuples([Fraction(*q) for q in exact], prec))
+        for loc, (_, left, right) in zip(rounded, pair.jumps):
+            if x._mpf_ == loc:  # x == ctx.mpf(location)
+                return (ctx.mpf(left) + ctx.mpf(right)) / 2
     return ctx.mpf(pair.f_ref(x))
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import warnings
 
 import pytest
@@ -13,7 +14,9 @@ from gsinv import (
     ProbeError,
     QuadratureError,
     TransformEvaluationError,
+    TransformFn,
     corpus,
+    get_pair,
 )
 from gsinv import numerics
 from gsinv.cli import BUILTIN_TRANSFORMS, MAX_DIGITS, main
@@ -200,6 +203,30 @@ def test_invert_low_digits_prints_only_the_cli_warning(capsys, order):
     assert err == f"warning: digits=20 below required_digits({n})={need}; cancellation will dominate\n"
     assert err == "warning: " + low_digits_note(20, int(n)) + "\n"  # the library's verdict
     assert caught == []
+
+
+def test_builtin_transforms_follow_the_corpus_in_effect(monkeypatch):
+    import gsinv.cli as cli
+    import gsinv.pairs
+
+    seen = []
+
+    def traced_transform_fn(eval, label=""):  # as a tracer patches the corpus constructor
+        def traced(z):
+            seen.append(z)
+            return eval(z)
+
+        return TransformFn(traced, label)
+
+    invert = ["invert", "--transform", "1/(z+1)", "--x", "1", "--n", "4", "--out", os.devnull]
+    with monkeypatch.context() as patch:
+        patch.setattr(gsinv.pairs, "TransformFn", traced_transform_fn)
+        assert cli.BUILTIN_TRANSFORMS["exp(-z)/z"] is get_pair("step").F.eval
+        assert main(invert) == 0
+        assert len(seen) == 8
+    assert cli.BUILTIN_TRANSFORMS["exp(-z)/z"] is get_pair("step").F.eval
+    assert main(invert) == 0
+    assert len(seen) == 8  # the restored corpus's own kernel ran
 
 
 def test_builtin_transforms_are_the_corpus_formulas(capsys):

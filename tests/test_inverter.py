@@ -239,12 +239,16 @@ def test_transform_subclass_and_wrapped_eval_see_every_call(monkeypatch):
     assert cli.main(["invert", "--pair", "step", "--x", "0.5,2", "--n", "5",
                      "--out", os.devnull]) == 0
     assert len(seen) == 16 + 12 + 2 * 10
-    # --transform builds F from BUILTIN_TRANSFORMS (the unwrapped corpus evals,
-    # resolved before the patch) through the CLI's own constructor
-    monkeypatch.setattr(cli, "TransformFn", traced_transform_fn)
+    # --transform takes its eval from BUILTIN_TRANSFORMS, which follows the corpus in effect
     assert cli.main(["invert", "--transform", "exp(-z)/z", "--x", "0.5,2", "--n", "5",
                      "--out", os.devnull]) == 0
     assert len(seen) == 16 + 12 + 2 * 10 + 2 * 10
+    # and builds F through the CLI's own constructor, here around the unwrapped eval
+    monkeypatch.setattr(gsinv.pairs, "TransformFn", TransformFn)
+    monkeypatch.setattr(cli, "TransformFn", traced_transform_fn)
+    assert cli.main(["invert", "--transform", "exp(-z)/z", "--x", "0.5,2", "--n", "5",
+                     "--out", os.devnull]) == 0
+    assert len(seen) == 16 + 12 + 2 * 10 + 2 * 10 + 2 * 10
 
 
 _ENTRY_ROUTES = {  # the single-order path and the ladder to order 4: {order: value}
@@ -652,6 +656,25 @@ def _operator_loop(F, x, n, ctx):
 
 def _raw(v):
     return (type(v).__name__, v._mpc_ if hasattr(v, "_mpc_") else v._mpf_)
+
+
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan", "inf and -inf"])
+@pytest.mark.parametrize("where", [1, 3, 16])
+def test_stehfest_sum_with_infinite_or_nan_values_matches_operator_loop(special, where):
+    # an mpf user transform that is special at abscissa `where` (of 16) and finite elsewhere
+    ctx = context_for_order(8)
+    m = ctx.mp
+    base = m.ln(2)
+    values = {"inf": [m.inf], "-inf": [m.ninf], "nan": [m.nan], "inf and -inf": [m.inf, m.ninf]}
+    at = dict(zip((where, where % 16 + 1), values[special]))  # abscissa k -> its value
+
+    def f(z):
+        k = int(m.nint(z / base))
+        return at[k] if k in at else 1 / (z + 1)
+
+    got = stehfest_approx(TransformFn(f), 1, 8, ctx)
+    assert not m.isfinite(got)
+    assert _raw(got) == _raw(_operator_loop(f, 1, 8, ctx))
 
 
 @pytest.mark.parametrize("n", [1, 7, 16, 48])

@@ -6,7 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from mpmath.libmp import MPZ
+from hypothesis import given
+from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_add, mpf_mul, mpf_neg, mpf_shift,
+                          round_nearest)
 
 from gsinv import (
     DomainError,
@@ -25,7 +29,7 @@ from gsinv import (
     required_digits,
 )
 from gsinv import numerics, qpoly
-from gsinv.numerics import fit_line, mpf_tuples, power_sum
+from gsinv.numerics import fit_line, mpf_tuples, power_sum, weighted_sum
 
 
 def test_required_digits_examples():
@@ -280,6 +284,109 @@ def test_power_sum_matches_mpf_loop(ctx30):
             assert type(got) is m.mpc
             assert (_bits(got.real), _bits(got.imag)) == (_bits(acc.real), _bits(acc.imag))
             assert type(power_sum(raw[:1], p, m)) is m.mpc  # the type follows p from c_0 on
+
+
+@st.composite
+def _factor(draw, prec, top):
+    """A raw tuple of either sign below ``2**top``, or zero.  Its mantissa is
+    random or all ones (often of ``prec`` bits), small and odd (its products
+    with full ones tie), a power of two, halfway between two ``prec``-bit
+    ones, or wider than ``prec`` bits."""
+    kind = draw(st.sampled_from(["random", "ones", "small", "one", "tie", "wide", "zero"]))
+    if kind == "zero":
+        return fzero
+    bits = draw(st.one_of(st.sampled_from([prec, prec - 1, 2]), st.integers(1, prec)))
+    man = {
+        "random": lambda: draw(st.integers(1 << (bits - 1), (1 << bits) - 1)),
+        "ones": lambda: (1 << bits) - 1,
+        "small": lambda: draw(st.sampled_from([3, 5, 7, 11, 13])),
+        "one": lambda: 1,
+        "tie": lambda: ((draw(st.integers(1 << (prec - 1), (1 << prec) - 1)) | draw(st.booleans()))
+                        << 70 | 1 << 69),  # the kept prec bits of either parity
+        "wide": lambda: draw(st.integers(1 << prec, 1 << (prec + 64))),
+    }[kind]()
+    return from_man_exp(man * draw(st.sampled_from([1, -1])), top - man.bit_length())
+
+
+@st.composite
+def _sum_cases(draw):
+    """``(prec, terms)``: a term is ``(c, v)``, or None to cancel the running sum exactly.
+
+    The magnitude of each value is moved by a gap of 0 to 10**5 bits,
+    both ways: next to the others (so sums round, and tie), around the
+    precision, and past the ``2 prec + 2`` bits the far-operand rule
+    starts at.
+    """
+    prec = draw(st.integers(53, 1000))
+    gaps = st.one_of(
+        st.integers(0, 4),
+        st.sampled_from([prec - 1, prec, prec + 1, 2 * prec + 2, 2 * prec + 3]),
+        st.integers(0, 3 * prec),
+        st.integers(0, 10**5),
+    )
+    terms = []
+    for _ in range(draw(st.integers(1, 10))):
+        if terms and draw(st.integers(0, 5)) == 0:
+            terms.append(None)
+            continue
+        top = draw(gaps) * draw(st.sampled_from([1, -1]))
+        terms.append((draw(_factor(prec, draw(st.integers(-2, 2)))), draw(_factor(prec, top))))
+    return prec, terms
+
+
+@given(_sum_cases())
+def test_weighted_sum_bits_match_the_libmp_loop(case):
+    prec, terms = case
+    m = MPContext()
+    m.prec = prec
+    coeffs, values, acc = [], [], fzero
+    for term in terms:
+        c, v = term or (fone, mpf_neg(acc))  # None: cancel to exact zero, mid-sum or at the end
+        coeffs.append(c)
+        values.append(v)
+        acc = mpf_add(acc, mpf_mul(c, v, prec, round_nearest), prec, round_nearest)
+    assert terms[-1] is not None or acc == fzero
+    assert weighted_sum(coeffs, values, m, raw=True)._mpf_ == acc
+    assert weighted_sum(coeffs, [m.make_mpf(v) for v in values], m)._mpf_ == acc
+
+
+def _libmp_sum(coeffs, values, prec):
+    acc = fzero
+    for c, v in zip(coeffs, values):
+        acc = mpf_add(acc, mpf_mul(c, v, prec, round_nearest), prec, round_nearest)
+    return acc
+
+
+_LOW_BITS = {  # the k bits a rounding to prec drops, as a function of k
+    "tie": lambda k: 1 << (k - 1),
+    "above tie": lambda k: 3 << (k - 2),  # the sticky bit next to the half bit
+    "below tie": lambda k: (1 << (k - 1)) - 1,
+    "all ones": lambda k: (1 << k) - 1,
+}
+
+
+@pytest.mark.parametrize("low", sorted(_LOW_BITS))
+@pytest.mark.parametrize("kept", ["even", "odd", "all ones"])
+@pytest.mark.parametrize("k", [2, 3, 40, 301])
+@pytest.mark.parametrize("prec", [53, 200, 1000])
+def test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp(prec, k, kept, low):
+    # prec kept bits and k dropped ones, rounded once: as the product of 1 and
+    # a value of prec + k bits, and as the sum of a prec-bit accumulator and
+    # a product k bits lower
+    rng = random.Random(prec * k)
+    high = {"even": rng.getrandbits(prec - 2) << 1 | 1 << (prec - 1),
+            "odd": rng.getrandbits(prec - 2) << 1 | 1 << (prec - 1) | 1,
+            "all ones": (1 << prec) - 1}[kept]
+    m = MPContext()
+    m.prec = prec
+    for sign in (1, -1):
+        cases = [([fone], [from_man_exp(sign * (high << k | _LOW_BITS[low](k)), 0)])]
+        if k <= prec:  # the lower product has at most prec bits
+            cases.append(([fone, fone], [from_man_exp(sign * high, k),
+                                         from_man_exp(sign * _LOW_BITS[low](k), 0)]))
+        for coeffs, values in cases:
+            want = _libmp_sum(coeffs, values, prec)
+            assert weighted_sum(coeffs, values, m, raw=True)._mpf_ == want
 
 
 def _sample_integrals(ctx, wrap=lambda g: g):

@@ -63,6 +63,25 @@ def test_jordan_targets(ctx30):
     assert jordan_target(get_pair("square-wave"), ctx30.mpf("2.5"), ctx30) == 1
 
 
+def test_jordan_target_rounds_the_jump_locations_once_per_precision(monkeypatch):
+    ctx = PrecisionContext(33, 9)
+    pair = get_pair("square-wave")
+    first = [jordan_target(pair, x, ctx) for x in (3, "2.5", 80, 81)]
+    converted = []
+    mpf = PrecisionContext.mpf
+
+    def counting(self, x):
+        if isinstance(x, Fraction):
+            converted.append(x)
+        return mpf(self, x)
+
+    monkeypatch.setattr(PrecisionContext, "mpf", counting)
+    monkeypatch.setattr(gsinv.pairs, "mpf_tuples", lambda *args: converted.append(args),
+                        raising=False)
+    assert [jordan_target(pair, x, ctx) for x in (3, "2.5", 80, 81)] == first
+    assert converted == []
+
+
 @pytest.mark.parametrize("x", [81, 82, 100])
 def test_square_wave_target_is_the_midpoint_beyond_the_listed_jumps(ctx30, x):
     # jumps lists 1..80; the reference itself must give 1/2 at a later jump

@@ -12,7 +12,7 @@ anywhere; the repository is found from this file:
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named mutants only
 
-It takes about a minute and is not part of the test suite.
+It takes a few minutes and is not part of the test suite.
 """
 import os
 import pathlib
@@ -26,6 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 T_INV = "tests/test_inverter.py::"
 T_PAIRS = "tests/test_pairs.py::"
 T_W = "tests/test_lambertw.py::"
+T_NUM = "tests/test_numerics.py::"
 
 # name -> (file under src/gsinv, source text, mutated text, tests that must fail)
 MUTANTS = {
@@ -90,6 +91,40 @@ MUTANTS = {
         "value = kernel(rz, prec, rnd)",
         "value = kernel(rz, prec, 'd')",
         [T_INV + "test_stehfest_sum_bits_match_operator_loop"],
+    ),
+    "sum-product-tie-to-even-dropped": (
+        "numerics.py",
+        "t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1))",
+        "t & 1 and (man & ((1 << (n - 1)) - 1))",
+        [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
+         T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
+    ),
+    "sum-addition-tie-to-even-dropped": (
+        "numerics.py",
+        "t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1))",
+        "t & 1 and (s & ((1 << (n - 1)) - 1))",
+        [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
+         T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
+    ),
+    "sum-sticky-mask-one-bit-short": (
+        "numerics.py",
+        "s & ((1 << (n - 1)) - 1)",
+        "s & ((1 << (n - 2)) - 1)",
+        [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
+         T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
+    ),
+    "sum-product-sign-ignored": (
+        "numerics.py",
+        "        if cs != vs:\n            man = -man\n",
+        "",
+        [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
+         T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
+    ),
+    "sum-far-gap-added-unrounded": (
+        "numerics.py",
+        "quarter ulp of acc\n            continue\n",
+        "quarter ulp of acc\n            acc, aexp = (acc << gap) + man, exp\n            continue\n",
+        [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop"],
     ),
     "raw-sum-drops-last-term": (
         "numerics.py",
