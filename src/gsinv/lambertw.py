@@ -17,20 +17,24 @@ Algorithm selection per region:
   for ``|z| < 0.2/e``, ``z (1 - z)`` in the rest of ``|z| <= 1.2``, and
   ``ln z - ln ln z`` (or the linearization at W(1) near z = 1) beyond.
 
-Every region finishes with Halley's iteration.  It runs on raw ``_mpc_``
-tuples through the libmpc calls the mpc operators make, so it skips the
-number objects but not one rounding: the bits are those of the plain mpc
-arithmetic.  What depends only on the precision (the branch point, the
-tolerances, the region radii, the seed constants and the rounded branch
-series) is built once per binary precision, with the caller's context,
-and kept as raw tuples in ``numerics._TABLES``, the one store of
-per-precision tables, bounded at 256 entries.  The two stop tests
-``|f| <= rtol`` and ``|dw| <= 10**-dps (1 + |w|)`` are screened on
-exponents first: a nonzero finite part c of a raw number lies in
-``[2**(exp+bc-1), 2**(exp+bc))``, so when those bounds alone show a
-test false, its ``hypot`` is skipped.
-A test the bounds cannot decide, or one on a zero, infinite or NaN
-value, is made exactly.
+Every region finishes with Halley's iteration.  Its step keeps w, e^w
+and the residual as signed integer mantissas with exponents.  Only
+``mpc_exp``'s ``mpf_exp`` and ``mpf_cos_sin`` stay libmp calls; every
+product is exact and every sum, product or quotient the mpc operators
+would round is rounded once by a step of ``numerics`` that rounds as the
+libmp call does: half to even at the working precision, toward zero at
+10 more bits inside ``mpc_div``, and with ``mpf_add``'s shortcut for far
+operands.  So the bits are those of the plain mpc arithmetic.  What
+depends only on the precision (the branch point, the tolerances, the
+region radii, the seed constants and the rounded branch series) is built
+once per binary precision, with the caller's context, and kept as raw
+tuples in ``numerics._TABLES``, the one store of per-precision tables,
+bounded at 256 entries.  The two stop tests ``|f| <= rtol`` and
+``|dw| <= 10**-dps (1 + |w|)`` are screened on the integers first: a
+nonzero part ``man 2**exp`` lies in ``[2**(top-1), 2**top)`` with
+``top = exp + man.bit_length()``, so when those bounds alone show a test
+false, its ``hypot`` is skipped.  A test the bounds cannot decide, or
+one on zero, is made exactly on raw tuples.
 
 The prologue that picks the region runs on raw tuples too: ``1 + e z``,
 the log seed ``ln z - ln ln z`` and the residual of
@@ -50,13 +54,15 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath.libmp import (finf, fnone, fone, from_int, fzero, mpc_abs, mpc_add_mpf,
-                          mpc_conjugate, mpc_div, mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub,
-                          mpc_to_str, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_shift, to_str)
+from mpmath.libmp import (finf, fnone, fone, from_man_exp, fzero, mpc_abs, mpc_add_mpf,
+                          mpc_conjugate, mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub,
+                          mpc_to_str, mpf_add, mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
-from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
+from .numerics import (_TABLES, PrecisionContext, _add, _quotient, _round_down, _round_even,
+                       mpf_tuples, power_sum)
 
 
 # -- exact branch-point coefficients ----------------------------------
@@ -94,7 +100,6 @@ def branch_series(N: int) -> tuple[Fraction, ...]:
 
 
 _CZERO = (fzero, fzero)
-_FTWO = from_int(2)
 
 
 def in_region_a(w, tol=0) -> bool:
@@ -153,44 +158,44 @@ def _build_w_constants(m) -> _WConstants:
 
 
 def _top(v):
-    """``exp + bc`` of the larger part of the raw mpc ``v``.
+    """``exp + bit length`` of the larger part of ``v``, a pair of ``(man, exp)`` parts.
 
-    A nonzero finite part c has ``2**(top - 1) <= |c| < 2**top``.  None
-    when a part is inf or nan or both parts are zero.
+    A nonzero part c has ``2**(top - 1) <= |c| < 2**top``.  None when
+    both parts are zero.
     """
-    re, im = v
-    if re[1]:
-        if im[1]:
-            return max(re[2] + re[3], im[2] + im[3])
-        return re[2] + re[3] if im == fzero else None
-    if im[1] and re == fzero:
-        return im[2] + im[3]
-    return None
+    (rm, re), (im, ie) = v
+    if rm:
+        return max(re + rm.bit_length(), ie + im.bit_length()) if im else re + rm.bit_length()
+    return ie + im.bit_length() if im else None
 
 
 def _screened_abs(v, top_min, prec, rnd):
-    """``|v|`` of the raw mpc ``v``, or inf once a part has ``_top >= top_min``.
+    """``|v|`` of the finite raw mpc ``v``, or inf once a part has ``_top >= top_min``.
 
     Such a part alone gives ``|v| >= 2**(top_min - 1)``, so the inf
     stands in for ``|v|`` in a comparison with a smaller radius.
     """
-    top = _top(v)
+    top = _top(_mantissas(v))
     if top is not None and top >= top_min:
         return finf
     return mpc_abs(v, prec, rnd)
 
 
 def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
-    """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
+    """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples, at round-to-nearest.
 
-    Each step makes the libmpc calls the mpc operators of
-    ``w * e^w - z`` and ``ew (w+1) - (w+2) f / (2 (w+1))`` make, in the
-    same order and rounding, so the bits are those of the mpc arithmetic.
-    The stop tests ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are
-    first screened on exponents (see :func:`_top`): when the bounds alone
-    show a test false, its ``hypot`` is skipped.  After 100 steps the
-    stored residuals are replayed with strict ``<``, which returns the
-    first w of least residual, as tracking it on every step would.
+    Each step computes ``w * e^w - z`` and ``ew (w+1) - (w+2) f / (2 (w+1))``
+    with the bits of the mpc operators.  ``mpc_exp``'s ``mpf_exp`` and
+    ``mpf_cos_sin`` are libmp calls; every other operation runs on signed
+    integer mantissas as exact products and one rounding step of
+    ``numerics`` (:func:`_add` and :func:`_quotient`), which rounds as the
+    libmp call does, so the bits are those of the mpc arithmetic.  The
+    stop tests ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are
+    first screened on the integers' exponents (see :func:`_top`): when the
+    bounds alone show a test false, its ``hypot`` is skipped.  After 100
+    steps the stored residuals are replayed with strict ``<``, which
+    returns the first w of least residual, as tracking it on every step
+    would.
 
     ``max_residual()`` is called only on that fallback and returns the
     raw bound the best ``|f|`` must meet; a w that misses it raises
@@ -198,33 +203,41 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
     """
     f_screen = rtol[2] + rtol[3] + 2  # _top(f) >= f_screen: |f| >= 2**(f_screen - 1) > rtol
     step_screen = step_tol[2] + step_tol[3] + 3
+    mz, (wr, wi) = _mantissas(z), _mantissas(w)
     steps = []
     for _ in range(100):
-        ew = mpc_exp(w, prec, rnd)
-        f = mpc_sub(mpc_mul(w, ew, prec, rnd), z, prec, rnd)
+        if not wr[0]:  # mpc_exp: cos and sin at prec when Re w = 0, exp when Im w = 0
+            ew = _mantissas(mpf_cos_sin(w[1], prec, rnd))
+        elif not wi[0]:
+            ew = (_mantissa(mpf_exp(w[0], prec, rnd)), (0, 0))
+        else:
+            mm, me = _mantissa(mpf_exp(w[0], prec + 4, rnd))
+            (cm, ce), (sm, se) = _mantissas(mpf_cos_sin(w[1], prec + 4, rnd))
+            ew = (_round_even(mm * cm, me + ce, prec), _round_even(mm * sm, me + se, prec))
+        f = _csub(_cmul((wr, wi), ew, prec), mz, prec)
         steps.append((w, f))
         top_f = _top(f)
-        if (top_f is None or top_f < f_screen) and mpf_le(mpc_abs(f, prec, rnd), rtol):
+        if (top_f is None or top_f < f_screen) and mpf_le(mpc_abs(_raw(f), prec, rnd), rtol):
             return w
-        w1 = mpc_add_mpf(w, fone, prec, rnd)
-        if w1 == _CZERO:
+        w1r = _add(*wr, 1, 0, prec)  # Re (w + 1)
+        if not (w1r[0] or wi[0]):
             return w  # branch point: iteration map is singular there
-        ew_w1 = mpc_mul(ew, w1, prec, rnd)
-        w1x2 = (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1))  # 2 (w + 1): exact, as mpc_mul_int
-        denom = mpc_sub(ew_w1, mpc_div(mpc_mul(mpc_add_mpf(w, _FTWO, prec, rnd), f, prec, rnd),
-                                       w1x2, prec, rnd), prec, rnd)
-        if denom == _CZERO:
+        ew_w1 = _cmul(ew, (w1r, wi), prec)
+        w1x2 = ((w1r[0], w1r[1] + 1), (wi[0], wi[1] + 1))  # 2 (w + 1): exact
+        denom = _csub(ew_w1, _cdiv(_cmul((_add(*wr, 1, 1, prec), wi), f, prec), w1x2, prec), prec)
+        if not (denom[0][0] or denom[1][0]):
             denom = ew_w1
-        dw = mpc_div(f, denom, prec, rnd)
-        w = mpc_sub(w, dw, prec, rnd)
-        top_dw, top_w = _top(dw), _top(w)
+        dw = _cdiv(f, denom, prec)
+        wr, wi = _csub((wr, wi), dw, prec)
+        w = _raw((wr, wi))
+        top_dw, top_w = _top(dw), _top((wr, wi))
         if top_dw is None or top_w is None or top_dw < step_screen + max(top_w + 1, 0):
             bound = mpf_mul(step_tol, mpf_add(mpc_abs(w, prec, rnd), fone, prec, rnd), prec, rnd)
-            if mpf_le(mpc_abs(dw, prec, rnd), bound):
+            if mpf_le(mpc_abs(_raw(dw), prec, rnd), bound):
                 return w
     best_w, best_f = steps[0][0], finf
     for w, f in steps:
-        af = mpc_abs(f, prec, rnd)
+        af = mpc_abs(_raw(f), prec, rnd)
         if mpf_lt(af, best_f):
             best_w, best_f = w, af
     bound = max_residual()
@@ -236,16 +249,60 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
     return best_w
 
 
+# Halley's step on pairs of ``(man, exp)`` parts (see numerics._add): the
+# conversions from and to raw tuples, and the complex operations, each
+# with the bits of its libmpc call at round-to-nearest.
+
+def _mantissa(x):
+    return -x[1] if x[0] else x[1], x[2]
+
+
+def _mantissas(v):
+    return _mantissa(v[0]), _mantissa(v[1])
+
+
+def _raw(v):
+    return from_man_exp(*v[0]), from_man_exp(*v[1])
+
+
+def _cmul(x, y, prec):
+    """``mpc_mul``: the four products are exact, each part is one rounded sum."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec),
+            _add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _csub(x, y, prec):
+    """``mpc_sub``."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return _add(am, ae, -cm, ce, prec), _add(bm, be, -dm, de, prec)
+
+
+def _cdiv(x, y, prec):
+    """``mpc_div``: ``c^2 + d^2``, ``ac + bd`` and ``bc - ad`` rounded toward zero
+    at ``prec + 10`` (libmp's default rounding), then two correctly rounded quotients."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    wp = prec + 10
+    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)
+    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)
+    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)
+    return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)
+
+
 def _taylor_w(m, z, tol):
-    # W(z) = sum (-n)^(n-1) z^n / n!; term ratio -((n+1)/n)^(n-1) * z
-    acc = m.mpc(0)
-    term = m.mpc(z)
-    n = 1
-    while abs(term) > tol:
+    # W(z) = sum (-n)^(n-1) z^n / n!; term ratio -((n+1)/n)^(n-1) * z.
+    # The sum starts at z, so a z below the cut-off is its own W.
+    acc = term = m.mpc(z)
+    n = 2
+    while True:
+        term = term * z * (-((1 + m.mpf(1) / (n - 1)) ** (n - 2)))
+        if abs(term) <= tol:
+            return acc
         acc += term
         n += 1
-        term = term * z * (-((1 + m.mpf(1) / (n - 1)) ** (n - 2)))
-    return acc
 
 
 def lambert_w0(z, ctx: PrecisionContext):

@@ -34,6 +34,9 @@ step further: at round-to-nearest it runs correctly rounded steps on
 integer mantissas.  Each libmp multiply and add rounds its exact result
 correctly, so a step that does the same gives the same value, and the
 sum keeps the bits of the libmp loop without its per-call overhead.
+The same kind of steps, one rounding each (:func:`_round_even`,
+:func:`_round_down`, :func:`_add`, :func:`_quotient`), run Lambert W's
+Halley step.
 """
 from __future__ import annotations
 
@@ -289,7 +292,7 @@ def _nearest_sum(terms, prec):
             continue
         exp = ce + ve
         n = man.bit_length() - prec
-        if n > 0:  # round to prec bits, half to even, as normalize1
+        if n > 0:  # _round_even, inlined here and below: the calls would cost ~30% per term
             t = man >> (n - 1)
             man = (t >> 1) + 1 if t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1)) else t >> 1
             exp += n
@@ -319,6 +322,76 @@ def _nearest_sum(terms, prec):
             exp += n
         acc, aexp = -s if neg else s, exp
     return from_man_exp(acc, aexp), ()
+
+
+# Correctly rounded steps on signed integer mantissas: a value is
+# ``(man, exp)`` for ``man * 2**exp``, zero when ``man`` is 0, with any
+# number of trailing zero bits.  Each step gives the value of the libmp
+# call it names, which callers turn into a tuple with ``from_man_exp``.
+
+def _round_even(man, exp, prec):
+    """``man 2**exp`` rounded to ``prec`` bits half to even, as ``normalize1`` at round_nearest."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    a = -man if man < 0 else man
+    t = a >> (n - 1)
+    a = (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1
+    return -a if man < 0 else a, exp + n
+
+
+def _round_down(man, exp, prec):
+    """``man 2**exp`` rounded to ``prec`` bits toward zero, as ``normalize1`` at round_down."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    return -(-man >> n) if man < 0 else man >> n, exp + n
+
+
+def _quotient(nman, nexp, dman, dexp, prec):
+    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman > 0``, as ``mpf_div`` at round_nearest.
+
+    ``mpf_div`` rounds the exact quotient correctly; so does this: the
+    integer quotient keeps at least ``prec + 2`` bits and a sticky bit
+    for the remainder before :func:`_round_even`.
+    """
+    if not nman:
+        return 0, 0
+    a = -nman if nman < 0 else nman
+    k = prec + 2 + dman.bit_length() - a.bit_length()
+    q, r = divmod(a << k, dman) if k >= 0 else divmod(a, dman << -k)
+    q = q << 1 | (r != 0)
+    return _round_even(-q if nman < 0 else q, nexp - dexp - k - 1, prec)
+
+
+def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
+    """``x + y`` as ``mpf_add(x, y, prec)`` at the rounding of ``rnd`` (:func:`_round_even`
+    or :func:`_round_down`).
+
+    ``mpf_add`` rounds the exact sum, except for far operands: when x
+    lies more than ``prec + 4`` bits above y and its lowest set bit more
+    than 100 above y's, it rounds ``x 2**(prec + 4)`` perturbed by one
+    toward y's sign.  That differs from the exact sum's rounding only
+    when x has more than ``prec`` bits (an exact product), and it is
+    reproduced here, so no shift is wider than the far rule allows.
+    """
+    if not xman:
+        return rnd(yman, yexp, prec)
+    if not yman:
+        return rnd(xman, xexp, prec)
+    gap = xexp + xman.bit_length() - yexp - yman.bit_length()
+    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:
+        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)
+    if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:
+        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4, prec)
+    if xexp >= yexp:
+        return rnd((xman << xexp - yexp) + yman, yexp, prec)
+    return rnd(xman + (yman << yexp - xexp), xexp, prec)
+
+
+def _low(man, exp):
+    """The exponent of the lowest set bit of nonzero ``man 2**exp``: the libmp tuple's exponent."""
+    return exp + (man & -man).bit_length() - 1
 
 
 def power_sum(coeffs, p, m):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_add, mpf_mul, mpf_neg, mpf_shift,
-                          round_nearest)
+from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul,
+                          mpf_neg, mpf_pos, mpf_shift, round_down, round_nearest)
 
 from gsinv import (
     DomainError,
@@ -387,6 +387,65 @@ def test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp(prec, k, kept, low
         for coeffs, values in cases:
             want = _libmp_sum(coeffs, values, prec)
             assert weighted_sum(coeffs, values, m, raw=True)._mpf_ == want
+
+
+def _signed(x):
+    return -x[1] if x[0] else x[1], x[2]
+
+
+_STEPS = ((round_nearest, numerics._round_even), (round_down, numerics._round_down))
+
+
+@st.composite
+def _step_operands(draw):
+    """``(prec, x, y)``: each a :func:`_factor` or the exact product of two
+    (up to twice as wide), y 0 to 10**5 bits away from x either way, past
+    mpf_add's far-operand rule (more than ``prec + 4`` bits) included."""
+    prec = draw(st.integers(53, 600))
+
+    def operand(top):
+        x = draw(_factor(prec, top))
+        return mpf_mul(x, draw(_factor(prec, 0))) if draw(st.booleans()) else x
+
+    gap = st.one_of(
+        st.integers(0, 4),
+        st.sampled_from([prec + 4, prec + 5, prec + 14, prec + 15, 2 * prec, 2 * prec + 1]),
+        st.integers(0, 3 * prec),
+        st.integers(0, 10**5),
+    )
+    return prec, operand(0), operand(draw(gap) * draw(st.sampled_from([1, -1])))
+
+
+@given(_step_operands())
+def test_mantissa_steps_match_libmp(case):
+    # numerics' rounding, sum and quotient steps give libmp's bits at
+    # round-to-nearest and toward zero (the default of libmpc's mpc_div)
+    prec, x, y = case
+    for rnd, step in _STEPS:
+        assert from_man_exp(*step(*_signed(x), prec)) == mpf_pos(x, prec, rnd)
+        assert from_man_exp(*numerics._add(*_signed(x), *_signed(y), prec, step)) == mpf_add(
+            x, y, prec, rnd)
+    if y != fzero:
+        quotient = numerics._quotient(*_signed(x), *_signed(mpf_abs(y)), prec)
+        assert from_man_exp(*quotient) == mpf_div(x, mpf_abs(y), prec, round_nearest)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("rnd, step", _STEPS)
+@pytest.mark.parametrize("prec", [53, 200])
+def test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit(prec, rnd, step, sign):
+    # x has 2 prec bits: below its kept prec bits lie a bit under a tie
+    # (round-to-nearest) or all ones (toward zero).  y is one unit of x's
+    # last bit plus a bit 101 lower, so the exact sum rounds up; mpf_add
+    # rounds x perturbed by one instead, which rounds down
+    below = (1 << (prec - 1)) - 1 if rnd == round_nearest else (1 << prec) - 1
+    x = from_man_exp(sign * ((1 << (prec - 1) | 1) << prec | below), 0)
+    y = from_man_exp(sign * ((1 << 101) + 1), -101)
+    exact = mpf_pos(mpf_add(x, y), prec, rnd)
+    for a, b in ((x, y), (y, x)):
+        want = mpf_add(a, b, prec, rnd)
+        assert want != exact
+        assert from_man_exp(*numerics._add(*_signed(a), *_signed(b), prec, step)) == want
 
 
 def _sample_integrals(ctx, wrap=lambda g: g):

@@ -44,10 +44,58 @@ MUTANTS = {
     ),
     "halley-shift-dropped": (
         "lambertw.py",
-        "w1x2 = (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1))",
-        "w1x2 = (mpf_shift(w1[0], 1), w1[1])",
+        "(wi[0], wi[1] + 1))  # 2 (w + 1)",
+        "(wi[0], wi[1]))  # 2 (w + 1)",
         [T_W + "test_w_bits_match_pinned_fixture",
          T_W + "test_halley_on_tuples_matches_mpc_arithmetic"],
+    ),
+    "halley-exp-magnitude-at-prec": (
+        "lambertw.py",
+        "mpf_exp(w[0], prec + 4, rnd)",
+        "mpf_exp(w[0], prec, rnd)",
+        [T_W + "test_w_bits_match_pinned_fixture",
+         T_W + "test_integer_halley_matches_mpc_arithmetic"],
+    ),
+    "halley-div-sums-to-nearest": (
+        "lambertw.py",
+        "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)\n"
+        "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)\n"
+        "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)\n",
+        "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp)\n"
+        "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp)\n"
+        "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp)\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    ),
+    "step-tie-to-even-dropped": (
+        "numerics.py",
+        "t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1))",
+        "t & 1 and (a & ((1 << (n - 1)) - 1))",
+        [T_NUM + "test_mantissa_steps_match_libmp", T_W + "test_w_bits_match_pinned_fixture"],
+    ),
+    "step-quotient-sticky-dropped": (
+        "numerics.py",
+        "q = q << 1 | (r != 0)",
+        "q = q << 1",
+        [T_NUM + "test_mantissa_steps_match_libmp"],
+    ),
+    "step-far-gap-exact": (
+        "numerics.py",
+        "    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:\n"
+        "        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), "
+        "xexp - prec - 4, prec)\n"
+        "    if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:\n"
+        "        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), "
+        "yexp - prec - 4, prec)\n",
+        "",
+        [T_NUM + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
+         T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    ),
+    "step-far-gap-unrounded": (
+        "numerics.py",
+        "return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)",
+        "return (xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4",
+        [T_NUM + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
+         T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
     "final-conjugation-dropped": (
         "lambertw.py",
