@@ -320,6 +320,8 @@ def lambert_w0(z, ctx: PrecisionContext):
     mpc
         ``w`` with ``|w e^w - z| <= max(|z|, 1) * 10**(-digits + guard)``
         and ``w`` inside the region A (boundary curve included on the cut).
+        For ``|z| < 1`` the bound is absolute, not relative: ``w`` for
+        ``z = 1e-46`` at 60 digits agrees with W to about 46 digits.
 
     Raises
     ------

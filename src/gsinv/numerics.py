@@ -13,7 +13,7 @@ freely.  :func:`context_for_order` keeps one context per
 between threads.
 
 Quantities that depend only on the working precision (the rounded a_k,
-branch-series and Laurent coefficient vectors, Lambert W's constants,
+branch-series coefficient vectors, Lambert W's constants,
 the integral-representation kernel tables, the tanh-sinh node tables,
 the equivalence probe's xi(v) at its nodes) are built once per process
 and kept in one store, ``_TABLES``, an LRU map bounded at 256 entries.

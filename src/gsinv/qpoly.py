@@ -19,9 +19,9 @@ from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
-from .lambertw import branch_series, lambert_w0, w_of_v, xi_alpha
-from .numerics import (_TABLES, PrecisionContext, _real_value, cached_context, fit_line,
-                       integrate, mpf_tuples, power_sum)
+from .lambertw import branch_series, w_of_v, xi_alpha
+from .numerics import (_TABLES, PrecisionContext, _real_value, fit_line, integrate,
+                       mpf_tuples, power_sum)
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ def _g_coeff(n: int) -> Fraction:
 _MAX_SERIES_TERMS = 5_000_000
 
 
-def _too_long(name: str) -> PrecisionError:
-    return PrecisionError(f"{name} series needs more than {_MAX_SERIES_TERMS} terms")
+def _too_long() -> PrecisionError:
+    return PrecisionError(f"H series needs more than {_MAX_SERIES_TERMS} terms")
 
 
-def _positive_series(term, ratio, reltol, name: str):
+def _positive_series(term, ratio, reltol):
     # Sum of positive terms term_n = term_{n-1} * ratio(n), starting from
     # term_1 = term, until a term falls to reltol times the running sum
     # (a NaN term never does).
@@ -146,7 +146,7 @@ def _positive_series(term, ratio, reltol, name: str):
     while not term <= reltol * acc:
         n += 1
         if n > _MAX_SERIES_TERMS:
-            raise _too_long(name)
+            raise _too_long()
         term *= ratio(n)
         acc += term
     return acc
@@ -162,83 +162,6 @@ def _h_laurent(N: int) -> tuple[Fraction, ...]:
     S3inv = fps.mul_trunc(fps.mul_trunc(Sinv, Sinv, N + 3), Sinv, N + 3)
     one_minus_pS = [Fraction(1)] + [-S[i - 1] for i in range(1, N + 4)]
     return tuple(fps.mul_trunc(one_minus_pS, S3inv, N + 3)[: N + 4])
-
-
-def _htilde(y, work: PrecisionContext):
-    # h~(y) = H(y) - p^-3 + (11/24) p^-1, bounded through the branch point
-    m = work.mp
-    ez1 = 1 + m.e * y
-    p = m.sqrt(2 * ez1)
-    if p < m.mpf("0.3"):
-        # Laurent tail, the coefficients of p^0..p^N: no cancellation for small p
-        N, prec = int(1.5 * work.dps) + 8, m.prec
-        tail = _TABLES.get(("h_laurent", N, prec), lambda: mpf_tuples(_h_laurent(N)[3:], prec))
-        return power_sum(tail, p, m)
-    w = lambert_w0(m.mpc(y), work)
-    H = (-w / (1 + w) ** 3).real
-    return H - p ** (-3) + m.mpf(11) / 24 / p
-
-
-def _g_continuation(z, work: PrecisionContext):
-    # G via the paper's decomposition: the two singular pieces integrate
-    # to complete elliptic integrals, the bounded piece by quadrature.
-    m = work.mp
-    mm = -m.e * m.mpf(z)
-    two_over_pi = 2 / m.pi
-    sing3 = 2 ** m.mpf("-1.5") * two_over_pi * m.ellipe(mm) / (1 - mm)
-    sing1 = m.mpf(11) / 24 * 2 ** m.mpf("-0.5") * two_over_pi * m.ellipk(mm)
-    zz = m.mpf(z)
-    bounded = two_over_pi * integrate(
-        lambda t: _htilde(zz * m.sin(t) ** 2, work), 0, m.pi / 2, work
-    )
-    return sing3 - sing1 + bounded
-
-
-def g_value(z, ctx: PrecisionContext):
-    """G(z) for real z in (-1/e, 0).
-
-    Sums the defining series at the caller's precision while
-    ``1 + ez >= 0.1``, where its term ratio tends to ``-ez <= 0.9``;
-    closer to the branch point it takes the analytic continuation
-    (elliptic integrals plus a bounded remainder), which the tests pin
-    against the series on their overlap.
-    """
-    m = ctx.mp
-    z = ctx.mpf(z)
-    if not (-m.exp(-1) < z < 0):
-        raise DomainError(f"g_value requires -1/e < z < 0, got z = {z}")
-    ez1 = 1 + m.e * z
-    if ez1 >= m.mpf("0.1"):
-        # every term is positive; term_n / term_(n-1) = (-z)(n - 1/2)/(n - 1) (1 + 1/(n-1))^(n-1)
-        one = m.mpf(1)
-        return _positive_series(
-            -z / 2, lambda n: (-z) * (n - one / 2) / (n - 1) * (1 + one / (n - 1)) ** (n - 1),
-            m.mpf(10) ** (-(ctx.digits + 10)), "G")
-    extra = int(-m.log10(ez1)) + 8
-    work = cached_context(ctx.digits + extra, ctx.guard)
-    return ctx.mpf(_g_continuation(z, work))
-
-
-def g_singular_remainder(z, ctx: PrecisionContext):
-    """G(z) minus its singular part near z = -1/e.
-
-    Returns ``G(z) - (1/(sqrt(2) pi)) [(1+ez)^-1 + (5/24) ln(1+ez)]`` for
-    real ``z`` in ``(-1/e, -1/e + 0.02]``; the remainder extends
-    continuously to the branch point, which the tests probe via Cauchy
-    differences along ``z_j -> -1/e``.
-    """
-    m = ctx.mp
-    z = ctx.mpf(z)
-    ez1_coarse = 1 + m.e * z
-    if not (0 < ez1_coarse <= m.mpf("0.02") * m.e + ctx.eps):
-        raise DomainError(f"z must lie in (-1/e, -1/e + 0.02], got z = {z}")
-    extra = int(-m.log10(ez1_coarse)) + 8
-    work = cached_context(ctx.digits + extra, ctx.guard)
-    mw = work.mp
-    zz = mw.mpf(z)
-    ez1 = 1 + mw.e * zz
-    sing = (1 / ez1 + mw.mpf(5) / 24 * mw.ln(ez1)) / (mw.sqrt(2) * mw.pi)
-    return ctx.mpf(_g_continuation(zz, work) - sing)
 
 
 def hz_branch_check(z, ctx: PrecisionContext):
@@ -264,8 +187,8 @@ def hz_branch_check(z, ctx: PrecisionContext):
     # the sum stays below 2 lval (H p^3 < 1): when that term bound at the cap
     # is still above reltol * 2 lval, no term within the cap stops the sum.
     if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:
-        raise _too_long("H")
-    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n, reltol, "H")
+        raise _too_long()
+    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n, reltol)
     return abs(series - lval)
 
 

@@ -120,8 +120,6 @@ DIAGNOSTICS = {
     "dini_integral_estimate": pairs,
     "DiniEstimate": pairs,
     "laplace_identity_residual": pairs,
-    "g_value": qpoly,
-    "g_singular_remainder": qpoly,
     "hz_branch_check": qpoly,
     "qn_asymptotic": qpoly,
 }
@@ -171,12 +169,9 @@ CONTRACT = {
     "qn_coeffs": (lambda count: dict(n=4), {"n": QN_ORDER}),
     "qn_eval": (lambda count: dict(n=4, v=0.5, ctx=CTX), {"n": QN_ORDER, "v": REAL}),
     "qn_exact": (lambda count: dict(n=4, v=Fraction(1, 2)), {"n": QN_ORDER, "v": REAL}),
-    "g_value": (lambda count: dict(z=-0.1, ctx=CTX), {"z": Point(-1 / E - MARGIN, 0)}),
     "genfun_identity_check": (lambda count: dict(n_max=4, v=Fraction(1, 3)),
                               {"n_max": Order(30),
                                "v": Point(0, 1, lo_closed=True, hi_closed=True)}),
-    "g_singular_remainder": (lambda count: dict(z=-1 / E + 0.01, ctx=CTX),
-                             {"z": Point(-1 / E - MARGIN, -1 / E + 0.02 + MARGIN)}),
     "hz_branch_check": (lambda count: dict(z=-0.9 / E, ctx=CTX),
                         {"z": Point(-1 / E - MARGIN, -0.875 / E + MARGIN)}),
     "qn_asymptotic": (lambda count: dict(n=4, v=0.75, ctx=CTX),
@@ -289,14 +284,11 @@ def test_shared_messages():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: qpoly.g_value("0.5", CTX), "g_value requires -1/e < z < 0, got z = 0.5"),
-    (lambda: qpoly.g_singular_remainder(0, CTX),
-     "z must lie in (-1/e, -1/e + 0.02], got z = 0.0"),
     (lambda: qpoly.qn_asymptotic(4, "0.3", CTX),
      "v must lie in [1/2, 1), got v = 0.3; v = 1 has its own formula"),
     (lambda: gsinv.decay_bound_probe(2, range(10, 14), CTX),
      "epsilon must lie in (0, 1), got epsilon = 2.0"),
-], ids=["g_value", "g_singular_remainder", "qn_asymptotic", "decay_bound_probe"])
+], ids=["qn_asymptotic", "decay_bound_probe"])
 def test_interval_messages_name_the_bad_value(call, message):
     with pytest.raises(DomainError) as bad:
         call()

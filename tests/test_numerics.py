@@ -574,17 +574,17 @@ def test_thread_safety_of_precision_caches():
 
 def test_thread_safety_of_special_function_paths():
     # the W constants and branch-series vectors are process-wide, and
-    # g_value near -1/e reaches ellipk, ellipe and W (through _htilde) in
-    # boosted contexts, one per thread
+    # hz_branch_check fills the H Laurent vector cold and converts it with
+    # mpf_tuples for power_sum while the W jobs run
     def w_jobs(ctx):
         zs = ("0.03+0.02j", "-0.3668794411714423", "-0.33+0.01j", "0.5-0.5j", "5+3j", "-3")
         return [lambda z=z: lambert_w0(ctx.mp.mpc(complex(z)), ctx) for z in zs]
 
-    g_ctx = PrecisionContext(20)
-    g_job = lambda: qpoly.g_value(-1 / g_ctx.mp.e + g_ctx.mpf("1e-4"), g_ctx)
+    h_ctx = PrecisionContext(20)
+    h_job = lambda: qpoly.hz_branch_check(-1 / h_ctx.mp.e + h_ctx.mpf("1e-2"), h_ctx)
     per_ctx = [w_jobs(PrecisionContext(d)) for d in (20, 30, 45)]
     jobs = [job for group in zip(*per_ctx) for job in group]
-    jobs.insert(len(jobs) // 2, g_job)
+    jobs.insert(len(jobs) // 2, h_job)
 
     def bits(v):
         return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_

@@ -24,8 +24,7 @@ from gsinv import (
 )
 from gsinv import numerics, qpoly
 from gsinv.numerics import cached_context, integrate
-from gsinv.qpoly import (_g_coeff, _g_continuation, _genfun_matches, _h_laurent,
-                         g_singular_remainder, g_value, hz_branch_check, qn_asymptotic)
+from gsinv.qpoly import _g_coeff, _genfun_matches, _h_laurent, hz_branch_check, qn_asymptotic
 
 
 # sha256 of the str of c_1..c_n of q_n, joined by spaces
@@ -180,96 +179,6 @@ def test_genfun_domain():
         genfun_identity_check(5, Fraction(3, 2))
 
 
-def test_g_value_routes_agree(ctx30):
-    # series route vs analytic continuation on their overlap
-    m = ctx30.mp
-    for d in ("0.04", "0.1"):
-        z = -m.exp(-1) + m.mpf(d)
-        via_series = g_value(z, ctx30)
-        work = cached_context(ctx30.digits + 10, ctx30.guard)
-        via_cont = ctx30.mpf(_g_continuation(work.mpf(z), work))
-        assert abs(via_series - via_cont) <= m.mpf(10) ** (-(ctx30.digits - 5)) * abs(via_series)
-
-
-@pytest.mark.parametrize("digits, z, bits", [
-    (20, "-0.2", (0, 4766939888342122728580057361643, -104, 102)),
-    (20, "-0.3", (0, 9347816335921204855070103732079, -103, 103)),
-    (30, "-0.2", (0, 40947701844854617556939261772159922304079, -137, 135)),
-    (30, "-0.3", (0, 40148565451796124885442515316799253675191, -135, 135)),
-])
-def test_g_value_series_route_bits(digits, z, bits):
-    # the series route (1 + ez >= 0.1) sums at the caller's precision
-    ctx = PrecisionContext(digits)
-    assert g_value(ctx.mpf(z), ctx)._mpf_ == bits
-
-
-@pytest.mark.parametrize("digits, ez1, bits", [
-    (20, "0.05", (0, 656659483951035083063402840151, -97, 100)),
-    (20, "0.003", (0, 5905503228648090240714259946605, -96, 103)),
-    (30, "0.05", (0, 2820331008177932547105958692978162112757, -129, 132)),
-    (30, "0.003", (0, 25363943233465957876724514160136291928401, -128, 135)),
-])
-def test_g_value_continuation_matches_series_values(digits, ez1, bits):
-    # points with 1 + ez < 0.1 take the continuation; the bits are those
-    # of the defining series summed at 4 x digits, to which the
-    # continuation must agree within 10^-digits relative
-    ctx = PrecisionContext(digits)
-    m = ctx.mp
-    series = m.make_mpf(bits)
-    value = g_value((m.mpf(ez1) - 1) / m.e, ctx)
-    assert abs(value - series) <= m.mpf(10) ** -digits * series
-
-
-def test_htilde_warm_call_converts_no_laurent_vector(ctx20, monkeypatch):
-    # the small-p branch of _htilde keeps one raw H Laurent vector per
-    # (N, prec); the bits are those of converting it on every call
-    m = ctx20.mp
-    z = -m.exp(-1) + m.mpf("1e-4")
-    assert g_value(z, ctx20)._mpf_ == (0, 512147384504115410076787000409, -89, 99)
-    conversions = []
-    real = qpoly.mpf_tuples
-    monkeypatch.setattr(qpoly, "mpf_tuples", lambda *a: conversions.append(1) or real(*a))
-    assert g_value(z, ctx20)._mpf_ == (0, 512147384504115410076787000409, -89, 99)
-    assert conversions == []
-
-
-def test_g_singular_remainder_cauchy(ctx30):
-    m = ctx30.mp
-    rems = []
-    for j in (2, 3, 4, 5):
-        z = -m.exp(-1) + m.mpf(10) ** (-j)
-        rems.append(g_singular_remainder(z, ctx30))
-    diffs = [abs(b - a) for a, b in zip(rems, rems[1:])]
-    # remainder extends continuously to the branch point: differences
-    # collapse, each at least twice smaller than the previous
-    assert diffs[1] <= diffs[0] / 2
-    assert diffs[2] <= diffs[1] / 2
-
-
-def test_g_singular_remainder_dominance(ctx30):
-    m = ctx30.mp
-    z = -m.exp(-1) + m.mpf("0.02")
-    rem = g_singular_remainder(z, ctx30)
-    assert abs(rem) < abs(g_value(z, ctx30))
-
-
-def test_g_singular_remainder_precision_consistency():
-    coarse = PrecisionContext(20)
-    fine = PrecisionContext(40)
-    z = coarse.mp.exp(-1) * -1 + coarse.mp.mpf("1e-3")  # same point bit-for-bit
-    a = g_singular_remainder(z, coarse)
-    b = g_singular_remainder(fine.mpf(z), fine)
-    assert abs(fine.mpf(a) - b) <= coarse.eps
-
-
-def test_g_singular_remainder_domain(ctx30):
-    m = ctx30.mp
-    with pytest.raises(DomainError):
-        g_singular_remainder(-m.exp(-1) + m.mpf("0.05"), ctx30)
-    with pytest.raises(DomainError):
-        g_singular_remainder(-m.exp(-1) - m.mpf("1e-4"), ctx30)
-
-
 def test_h_laurent_paper_coefficients():
     cs = _h_laurent(3)
     assert cs[0] == 1  # p^-3
@@ -299,8 +208,8 @@ def _count_ratios(monkeypatch):
     # every ratio the H series evaluates, through qpoly._positive_series
     calls = []
     real = qpoly._positive_series
-    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol, name: real(
-        term, lambda n: calls.append(n) or ratio(n), reltol, name))
+    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol: real(
+        term, lambda n: calls.append(n) or ratio(n), reltol))
     return calls
 
 
@@ -316,14 +225,20 @@ def test_hz_branch_check_fails_fast_past_the_cap(offset, cap, ctx20, monkeypatch
     assert calls == []
 
 
-def test_hz_branch_check_runs_to_a_cap_it_fits(ctx20, monkeypatch):
-    # the series at 1 + ez = 0.027 stops at its 1446th term, so that cap keeps the bits
+@pytest.mark.parametrize("cap", [1446, 1445])
+def test_hz_branch_check_runs_to_a_cap_it_fits(cap, ctx20, monkeypatch):
+    # the series at 1 + ez = 0.027 stops at its 1446th term, so that cap keeps
+    # the bits and one less raises inside the loop, before the 1446th ratio
     m = ctx20.mp
-    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", 1446)
+    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", cap)
     calls = _count_ratios(monkeypatch)
-    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-2"), ctx20)
-    assert diff._mpf_ == (0, 22077667916732017965, -92, 65)
-    assert len(calls) == 1445
+    z = -m.exp(-1) + m.mpf("1e-2")
+    if cap == 1446:
+        assert hz_branch_check(z, ctx20)._mpf_ == (0, 22077667916732017965, -92, 65)
+    else:
+        with pytest.raises(PrecisionError, match="^H series needs more than 1445 terms$"):
+            hz_branch_check(z, ctx20)
+    assert len(calls) == cap - 1
 
 
 def test_hz_branch_check_domain(ctx20):

@@ -27,6 +27,7 @@ T_INV = "tests/test_inverter.py::"
 T_PAIRS = "tests/test_pairs.py::"
 T_W = "tests/test_lambertw.py::"
 T_NUM = "tests/test_numerics.py::"
+T_Q = "tests/test_qpoly.py::"
 
 # name -> (file under src/gsinv, source text, mutated text, tests that must fail)
 MUTANTS = {
@@ -179,6 +180,20 @@ MUTANTS = {
         "zip(coeffs, values if raw else",
         "zip(coeffs, values[:-1] if raw else",
         [T_INV + "test_stehfest_sum_bits_match_operator_loop"],
+    ),
+    "h-series-cap-dropped": (
+        "qpoly.py",
+        "        if n > _MAX_SERIES_TERMS:\n            raise _too_long()\n",
+        "",
+        [T_Q + "test_hz_branch_check_runs_to_a_cap_it_fits[1445]"],
+    ),
+    "h-fail-fast-dropped": (
+        "qpoly.py",
+        "    if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:\n"
+        "        raise _too_long()\n",
+        "",
+        # not the 1e-7 case: under this mutant it sums 5,000,000 terms, about 200 s
+        [T_Q + "test_hz_branch_check_fails_fast_past_the_cap[1e-2-1000]"],
     ),
 }
 
