@@ -363,6 +363,18 @@ def test_w_of_z_under_the_taylor_cut_off_is_z(digits, re, im):
     assert lambert_w0(z, ctx)._mpc_ == z._mpc_
 
 
+@pytest.mark.parametrize("z", ["1e-46", "1e-30", "1e-12"])
+def test_w_of_small_z_meets_its_bound_absolutely(z):
+    # for |z| < 1 the bound max(|z|, 1) 10**(-digits + guard) is absolute:
+    # at 60 digits W(1e-46) is right to about 46 significant digits
+    ctx = PrecisionContext(60)
+    w = lambert_w0(ctx.mpf(z), ctx)
+    with mpmath.mp.workdps(120):
+        err = abs(mpmath.mpc(w) - mpmath.lambertw(mpmath.mpf(z)))
+        assert err <= mpmath.mpf(10) ** (-ctx.digits + ctx.guard)
+        assert err <= mpmath.mpf("1e-45") * mpmath.mpf(z)
+
+
 _CTX = {d: PrecisionContext(d) for d in (15, 20, 30)}
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 

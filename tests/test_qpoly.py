@@ -155,6 +155,16 @@ def test_g_coefficients():
     assert _g_coeff(2) == Fraction(3, 2) * Fraction(8, 1) / 4 / Fraction(2)  # (3/4)/4 * 8
 
 
+@pytest.mark.parametrize("n", [10, 25, 50, 100, 200, 400])
+def test_g_coefficients_carry_the_singular_part_of_g(n, ctx30):
+    # G = ((1 + ez)^-1 + (5/24) ln(1 + ez)) / (pi sqrt 2) + milder terms, so
+    # pi sqrt(2) g_n (-e)^-n = 1 - 5/(24n) + 25/(1152 n^2) + c/n^3, c about 0.0065
+    m = ctx30.mp
+    ratio = m.pi * m.sqrt(2) * ctx30.mpf(_g_coeff(n)) / (-m.e) ** n
+    rest = ratio - 1 + m.mpf(5) / (24 * n) - m.mpf(25) / (1152 * n**2)
+    assert 0 < rest * n**3 < m.mpf("0.0066")
+
+
 def test_genfun_identity_exact():
     assert genfun_identity_check(2, Fraction(1, 3))
     for v in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
@@ -257,6 +267,29 @@ def test_hz_branch_check_rejects_non_finite_before_summing(z, ctx20, monkeypatch
         hz_branch_check(ctx20.mpf(z), ctx20)
 
 
+@pytest.mark.parametrize("ez1", ["0.125", "0.1", "0.05", "0.027", "0.01"])
+def test_hz_branch_check_residual_is_the_dropped_laurent_tail(ez1, ctx20):
+    # truncating H at p^6 leaves its p^7..p^12 terms, to within 1.1e-3 relative
+    # at p = 0.5; nearer -1/e the series side's own tail, about
+    # 1e-18 p^-3 / (1 + ez), grows (2.5e-4 of the residual at 1 + ez = 0.01)
+    m = ctx20.mp
+    z = (m.mpf(ez1) - 1) / m.e
+    p = m.sqrt(2 * (1 + m.e * z))
+    tail = sum(ctx20.mpf(c) * p ** (i - 3) for i, c in enumerate(_h_laurent(12)) if i >= 10)
+    assert abs(hz_branch_check(z, ctx20) / abs(tail) - 1) < m.mpf("2e-3")
+
+
+@pytest.mark.parametrize("ez1", ["0.1", "0.027", "0.01"])
+def test_hz_branch_check_precision_consistency(ez1):
+    # one point at 20 and at 40 digits: the residuals agree to the coarse
+    # resolution of H, whose size is about p^-3
+    coarse, fine = PrecisionContext(20), PrecisionContext(40)
+    z = (coarse.mpf(ez1) - 1) / coarse.mp.e
+    a = hz_branch_check(z, coarse)
+    b = hz_branch_check(fine.mpf(z), fine)
+    assert abs(fine.mpf(a) - b) <= fine.mpf(coarse.eps) * (2 * fine.mpf(ez1)) ** -1.5
+
+
 def test_qn_asymptotic_relative_error(ctx30):
     rels = []
     for n in (50, 100, 200):
@@ -308,6 +341,16 @@ def test_qn_at_one_residual_scaled(ctx30):
     # the O(n^-3) coefficient is ~0.0098 and flat in n
     assert all(s < ctx30.mpf("0.02") for s in scaled)
     assert max(scaled) <= 2 * scaled[0]
+
+
+@pytest.mark.parametrize("n", [25, 50, 100, 200])
+def test_qn_at_one_carries_the_log_term_of_g(n, ctx30):
+    # the (5/24) ln(1 + ez) part of G gives the -5/(24n) of q_n(1) pi/sqrt(2);
+    # past it, -(25/1152) n^-2 + O(n^-3) is left
+    m = ctx30.mp
+    s = ctx30.mpf(qn_exact(n, Fraction(1))) * m.pi / m.sqrt(2)
+    log_term = n * (s - n - m.mpf(1) / 3)
+    assert abs(log_term + m.mpf(5) / 24) * n**2 < m.mpf("0.025")
 
 
 def test_jump_form_bound_and_stability(ctx30):
