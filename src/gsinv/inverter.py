@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath.libmp import ftwo, mpf_div, mpf_log, mpf_mul_int
+from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
 from .numerics import (
     _TABLES,
     PrecisionContext,
+    _nearest_sum,
+    _round_even,
     check_point,
     context_for_order,
     fit_line,
@@ -39,11 +41,13 @@ class TransformFn:
     abscissa; it receives a high-precision scalar and should derive any
     constants it needs from ``z.context`` so results carry the caller's
     precision.  Every library caller passes an mpf.  The corpus
-    evaluators of :mod:`gsinv.pairs` are raw kernels behind ``_Kernel``:
-    they take only an mpf, and work on its raw tuple at its context's
-    precision and rounding.  The inverter runs the kernel itself on raw
-    abscissas when F is a ``TransformFn`` (no subclass) whose ``eval`` is
-    one; it calls every other F, a wrapped kernel included, per abscissa.
+    evaluators of :mod:`gsinv.pairs` are kernels on signed ``(man, exp)``
+    pairs behind ``_Kernel``: they take only a finite mpf, and work on its
+    pair at its context's precision, round-to-nearest only (the one
+    rounding of mpmath contexts).  The inverter runs the kernel itself on
+    the abscissas' pairs when F is a ``TransformFn`` (no subclass) whose
+    ``eval`` is one; it calls every other F, a wrapped kernel included,
+    per abscissa.
     """
 
     eval: object
@@ -54,8 +58,9 @@ class TransformFn:
 
 
 class _Kernel:
-    """The mpf evaluator F(z) of a raw kernel ``raw(r, prec, rnd) -> raw``: it runs
-    the kernel on ``z._mpf_`` at ``z.context``'s precision and rounding."""
+    """The mpf evaluator F(z) of a kernel ``raw(man, exp, prec) -> (man, exp)`` on
+    signed pairs, at round-to-nearest: it runs the kernel on the pair of a finite
+    ``z`` at ``z.context``'s precision and makes the result an mpf of that context."""
 
     __slots__ = ("raw",)
 
@@ -63,8 +68,11 @@ class _Kernel:
         self.raw = raw
 
     def __call__(self, z):
+        sign, man, exp, _ = z._mpf_
+        if exp and not man:
+            raise DomainError(f"a corpus transform needs a finite z, got z = {z}")
         m = z.context
-        return m.make_mpf(self.raw(z._mpf_, *m._prec_rounding))
+        return m.make_mpf(from_man_exp(*self.raw(-man if sign else man, exp, m.prec)))
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,10 @@ class _AbscissaCache:
     by a whole ladder (or by the Gaver functionals of one accelerated
     sum) evaluates F once per distinct abscissa, and checks once that the
     value is a number the mpf operators take.  The abscissa ``j * base``
-    is made as its operator makes it, by ``mpf_mul_int`` on the raw tuple.
-    A library kernel (``kernel``, see :class:`TransformFn`) gets it raw
-    and its values stay raw; any other F gets an mpf, through ``F(z)``.
+    is rounded as its operator (``mpf_mul_int``) rounds it, as a signed
+    pair.  A library kernel (``kernel``, see :class:`TransformFn`) gets
+    the pair and its values stay pairs; any other F gets an mpf, through
+    ``F(z)``.
     """
 
     def __init__(self, F, x, ctx):
@@ -113,21 +122,23 @@ class _AbscissaCache:
         The one evaluation routine: an exception from F or its kernel
         becomes TransformEvaluationError carrying z, a value that is not a
         number DomainError naming z; any number is kept as F returned it,
-        a kernel's as its raw tuple.
+        a kernel's as its pair.
         """
         values = self.values
         m = self.ctx.mp
-        prec, rnd = m._prec_rounding
-        make, rbase, F, kernel = m.make_mpf, self.base._mpf_, self.F, self.kernel
+        prec = m.prec
+        _, bman, bexp, _ = self.base._mpf_  # base > 0
+        make, F, kernel = m.make_mpf, self.F, self.kernel
         out = []
         for j in js:
             value = values.get(j)  # a stored value is never None: None is no number
             if value is None:
-                rz = mpf_mul_int(rbase, j, prec, rnd)  # j * base
+                zman, zexp = _round_even(bman * j, bexp, prec)  # j * base
                 try:
-                    value = kernel(rz, prec, rnd) if kernel else F(make(rz))
+                    value = (kernel(zman, zexp, prec) if kernel
+                             else F(make(from_man_exp(zman, zexp))))
                 except Exception as exc:  # attach the offending abscissa
-                    z = make(rz)
+                    z = make(from_man_exp(zman, zexp))
                     raise TransformEvaluationError(
                         f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
                     ) from exc
@@ -135,7 +146,8 @@ class _AbscissaCache:
                     try:
                         m.convert(value, strings=False)
                     except (TypeError, ValueError):
-                        raise DomainError(f"transform value at z = {self.ctx.nstr(make(rz))} is "
+                        z = make(from_man_exp(zman, zexp))
+                        raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is "
                                           f"not a number: {value!r}") from None
                 values[j] = value
             out.append(value)
@@ -144,10 +156,10 @@ class _AbscissaCache:
     def __call__(self, j: int):
         """F at the abscissa ``j * base``, as a value of the mpf operators."""
         value = self._values((j,))[0]
-        return self.ctx.mp.make_mpf(value) if self.kernel else value
+        return self.ctx.mp.make_mpf(from_man_exp(*value)) if self.kernel else value
 
     def first(self, count: int) -> list:
-        """F at the abscissas 1..count, in order; raw tuples if ``kernel`` is set."""
+        """F at the abscissas 1..count, in order; pairs if ``kernel`` is set."""
         return self._values(range(1, count + 1))
 
 
@@ -194,8 +206,10 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     m = ctx.mp
     # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
-    raw = cache.kernel is not None  # the values are raw tuples
-    return cache.base * weighted_sum(a, cache.first(len(a)), m, raw)
+    values = cache.first(len(a))
+    if cache.kernel:  # the values are a kernel's pairs: weighted_sum's steps, called directly
+        return cache.base * m.make_mpf(_nearest_sum(a, values, m.prec))
+    return cache.base * weighted_sum(a, values, m)
 
 
 def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):

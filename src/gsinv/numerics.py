@@ -19,10 +19,11 @@ the equivalence probe's xi(v) at its nodes) are built once per process
 and kept in one store, ``_TABLES``, an LRU map bounded at 256 entries.
 Each key names its table and carries the binary precision, e.g.
 ``("a_k", n, prec)``, or the digits and guard it follows from, e.g.
-``("xi", eps, digits, guard)``.  The store holds raw
-``_mpf_`` tuples, never mpmath numbers, so no mpmath context is shared
-through it: each caller rebuilds the values with its own ``make_mpf``,
-and the results are bit-identical to building them afresh.
+``("xi", eps, digits, guard)``.  The store holds raw ``_mpf_`` tuples
+(the root kernel's pi as a signed pair, see below), never mpmath
+numbers, so no mpmath context is shared through it: each caller
+rebuilds the values with its own ``make_mpf``, and the results are
+bit-identical to building them afresh.
 
 The per-node arithmetic of :func:`integrate` (the abscissa, the scaling
 of the integrand's value and the node sum ``w (f(x_right) + f(x_left))``)
@@ -35,8 +36,9 @@ integer mantissas.  Each libmp multiply and add rounds its exact result
 correctly, so a step that does the same gives the same value, and the
 sum keeps the bits of the libmp loop without its per-call overhead.
 The same kind of steps, one rounding each (:func:`_round_even`,
-:func:`_round_down`, :func:`_add`, :func:`_quotient`), run Lambert W's
-Halley step.
+:func:`_round_down`, :func:`_add`, :func:`_quotient`, :func:`_sqrt`),
+run Lambert W's Halley step, the corpus kernels of :mod:`gsinv.pairs`
+and the inverter's abscissas.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from math import isqrt
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
@@ -238,25 +240,30 @@ def mpf_tuples(values, prec: int) -> tuple:
     )
 
 
-def weighted_sum(coeffs, values, m, raw=False):
+def weighted_sum(coeffs, values, m):
     """``c_1 v_1 + c_2 v_2 + ...`` in ``m``; ``coeffs`` are raw tuples (see :func:`mpf_tuples`).
 
     The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``.
-    For mpf values, or raw tuples if ``raw`` is set, the operators make
-    ``mpf_mul``/``mpf_add`` calls, and each rounds its exact result
-    correctly; so at round-to-nearest the sum runs correctly rounded steps
-    on integer mantissas instead (:func:`_nearest_sum`), which give the
+    For mpf values the operators make ``mpf_mul``/``mpf_add`` calls, and
+    each rounds its exact result correctly; so at round-to-nearest the sum
+    runs correctly rounded steps on integer mantissas instead
+    (:func:`_nearest_sum`, on the values as signed pairs), which give the
     same values.  At another rounding, and from an infinite or nan factor
     on, it makes the calls themselves.  ints, floats or mpc values run
     the operator loop itself.
     """
-    if raw or all(hasattr(v, "_mpf_") for v in values):
+    if all(hasattr(v, "_mpf_") for v in values):
         prec, rnd = m._prec_rounding
-        terms = zip(coeffs, values if raw else [v._mpf_ for v in values])
-        acc = fzero
+        terms = [(c, v._mpf_) for c, v in zip(coeffs, values)]
+        acc, rest = fzero, terms
         if rnd == round_nearest:
-            acc, terms = _nearest_sum(terms, prec)
-        for c, v in terms:
+            pairs = []  # the signed values before the first infinite or nan factor
+            for (_, cm, ce, _), (vs, vm, ve, _) in terms:
+                if (ce and not cm) or (ve and not vm):  # libmp goes on from here
+                    break
+                pairs.append((-vm if vs else vm, ve))
+            acc, rest = _nearest_sum(coeffs, pairs, prec), terms[len(pairs):]
+        for c, v in rest:
             acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
         return m.make_mpf(acc)
     make = m.make_mpf
@@ -266,11 +273,11 @@ def weighted_sum(coeffs, values, m, raw=False):
     return acc
 
 
-def _nearest_sum(terms, prec):
+def _nearest_sum(coeffs, values, prec):
     """``acc = mpf_add(acc, mpf_mul(c, v))`` at ``prec`` bits, round-to-nearest, on integers.
 
-    Returns the raw sum and the terms left for the libmp loop: none, or
-    those from the first infinite or nan factor on.  Each product
+    ``coeffs`` are finite raw tuples and ``values`` finite signed pairs
+    ``(man, exp)`` (see below); returns the raw sum.  Each product
     ``c_man * v_man`` is formed exactly and rounded to ``prec`` bits half
     to even, as ``normalize1`` rounds it; it is then added exactly to the
     accumulator, a signed mantissa and an exponent, and the sum is
@@ -283,20 +290,20 @@ def _nearest_sum(terms, prec):
     """
     acc = aexp = 0
     far = 2 * prec + 2
-    for (cs, cm, ce, cb), (vs, vm, ve, vb) in terms:
-        man = cm * vm
+    for (cs, cm, ce, _), (man, exp) in zip(coeffs, values):
+        if man < 0:
+            man = -man
+            cs ^= 1
+        man *= cm
         if not man:
-            if (ce and not cm) or (ve and not vm):  # inf or nan: libmp goes on from here
-                return from_man_exp(acc, aexp), chain((((cs, cm, ce, cb), (vs, vm, ve, vb)),),
-                                                      terms)
             continue
-        exp = ce + ve
+        exp += ce
         n = man.bit_length() - prec
         if n > 0:  # _round_even, inlined here and below: the calls would cost ~30% per term
             t = man >> (n - 1)
             man = (t >> 1) + 1 if t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1)) else t >> 1
             exp += n
-        if cs != vs:
+        if cs:
             man = -man
         if not acc:
             acc, aexp = man, exp
@@ -321,7 +328,7 @@ def _nearest_sum(terms, prec):
             s = (t >> 1) + 1 if t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1)) else t >> 1
             exp += n
         acc, aexp = -s if neg else s, exp
-    return from_man_exp(acc, aexp), ()
+    return from_man_exp(acc, aexp)
 
 
 # Correctly rounded steps on signed integer mantissas: a value is
@@ -349,7 +356,7 @@ def _round_down(man, exp, prec):
 
 
 def _quotient(nman, nexp, dman, dexp, prec):
-    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman > 0``, as ``mpf_div`` at round_nearest.
+    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman != 0``, as ``mpf_div`` at round_nearest.
 
     ``mpf_div`` rounds the exact quotient correctly; so does this: the
     integer quotient keeps at least ``prec + 2`` bits and a sticky bit
@@ -357,11 +364,33 @@ def _quotient(nman, nexp, dman, dexp, prec):
     """
     if not nman:
         return 0, 0
+    if dman < 0:
+        nman, dman = -nman, -dman
     a = -nman if nman < 0 else nman
     k = prec + 2 + dman.bit_length() - a.bit_length()
     q, r = divmod(a << k, dman) if k >= 0 else divmod(a, dman << -k)
     q = q << 1 | (r != 0)
     return _round_even(-q if nman < 0 else q, nexp - dexp - k - 1, prec)
+
+
+def _sqrt(man, exp, prec):
+    """The square root of ``man 2**exp`` for ``man >= 0``, as ``mpf_sqrt`` at round_nearest.
+
+    ``mpf_sqrt`` rounds the exact floor root of the shifted mantissa, with
+    a sticky bit for a nonzero remainder, and so does this: the root keeps
+    at least ``prec + 2`` bits, so the rounding is correct.
+    """
+    if exp & 1:
+        man <<= 1
+        exp -= 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
+    shift += shift & 1
+    man <<= shift
+    root = isqrt(man)
+    if root * root != man:
+        root = root << 1 | 1
+        shift += 2
+    return _round_even(root, (exp - shift) // 2, prec)
 
 
 def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sqrt)
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_pi, round_nearest
 
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
-                       mpf_tuples)
+from .numerics import (_TABLES, PrecisionContext, _add, _quotient, _round_even, _sqrt,
+                       check_point, context_for_order, integrate, mpf_tuples)
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
 
@@ -69,48 +68,57 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
-# The transform F of each corpus pair, named after the pair.  Each is a raw
-# kernel: on the raw tuple r of z, at precision prec and rounding rnd, it
-# makes the libmp calls of the operator form in its comment, in the same
-# order, so the bits are those of the operator form.  _Kernel makes it the
-# mpf evaluator F.eval (at z.context's precision and rounding), and lets
-# the inverter call the kernel itself on raw abscissas.
+# The transform F of each corpus pair, named after the pair.  Each is a
+# kernel on signed pairs: it maps z = man 2**exp to F(z) as a pair
+# (man, exp) at precision prec and round-to-nearest, the only rounding of
+# mpmath contexts.  It rounds where the operator form in its comment
+# rounds, once per operator, through numerics' correctly rounded steps,
+# so the bits are those of the operator form.  Per value its only libmp
+# call is mpf_exp (the root's pi is rounded once per precision).
+# _Kernel makes it the mpf evaluator F.eval, and lets the inverter call
+# the kernel itself on the pairs of its abscissas.
 
 @_Kernel
-def _constant(r, prec, rnd):  # 1/z
-    return mpf_rdiv_int(1, r, prec, rnd)
-
-
-@_Kernel
-def _ramp(r, prec, rnd):  # 1/z**2
-    return mpf_rdiv_int(1, mpf_pow_int(r, 2, prec, rnd), prec, rnd)
+def _constant(man, exp, prec):  # 1/z
+    return _quotient(1, 0, man, exp, prec)
 
 
 @_Kernel
-def _exponential(r, prec, rnd):  # 1/(z+1)
-    return mpf_rdiv_int(1, mpf_add(r, fone, prec, rnd), prec, rnd)
+def _ramp(man, exp, prec):  # 1/z**2
+    return _quotient(1, 0, *_round_even(man * man, exp + exp, prec), prec)
 
 
 @_Kernel
-def _root(r, prec, rnd):  # sqrt(pi/z), with pi rounded once per precision
-    pi = _TABLES.get(("pi", prec, rnd), lambda: mpf_pi(prec, rnd))
-    return mpf_sqrt(mpf_div(pi, r, prec, rnd), prec, rnd)
+def _exponential(man, exp, prec):  # 1/(z+1)
+    return _quotient(1, 0, *_add(man, exp, 1, 0, prec), prec)
 
 
 @_Kernel
-def _step(r, prec, rnd):  # exp(-z)/z
-    return mpf_div(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), r, prec, rnd)
+def _root(man, exp, prec):  # sqrt(pi/z), with pi rounded once per precision
+    pi = _TABLES.get(("pi", prec), lambda: mpf_pi(prec, round_nearest)[1:3])
+    return _sqrt(*_quotient(*pi, man, exp, prec), prec)
 
 
 @_Kernel
-def _square_wave(r, prec, rnd):  # 1/(z*(1+exp(-z)))
-    denom = mpf_add(mpf_exp(mpf_neg(r, prec, rnd), prec, rnd), fone, prec, rnd)
-    return mpf_rdiv_int(1, mpf_mul(r, denom, prec, rnd), prec, rnd)
+def _step(man, exp, prec):  # exp(-z)/z
+    return _quotient(*_exp_neg(man, exp, prec), man, exp, prec)
 
 
 @_Kernel
-def _sine(r, prec, rnd):  # 1/(1+z**2)
-    return mpf_rdiv_int(1, mpf_add(mpf_pow_int(r, 2, prec, rnd), fone, prec, rnd), prec, rnd)
+def _square_wave(man, exp, prec):  # 1/(z*(1+exp(-z)))
+    dman, dexp = _add(*_exp_neg(man, exp, prec), 1, 0, prec)
+    return _quotient(1, 0, *_round_even(man * dman, exp + dexp, prec), prec)
+
+
+@_Kernel
+def _sine(man, exp, prec):  # 1/(1+z**2)
+    return _quotient(1, 0, *_add(*_round_even(man * man, exp + exp, prec), 1, 0, prec), prec)
+
+
+def _exp_neg(man, exp, prec):
+    """exp(-z) as its operators give it: -z rounded to prec, then libmp's exp, a pair."""
+    _, eman, eexp, _ = mpf_exp(from_man_exp(*_round_even(-man, exp, prec)), prec, round_nearest)
+    return eman, eexp
 
 
 def corpus() -> tuple[TransformPair, ...]:

@@ -13,14 +13,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul
 
 from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, w_of_v, xi_alpha
-from .numerics import (_TABLES, PrecisionContext, _real_value, fit_line, integrate,
+from .numerics import (_TABLES, PrecisionContext, _quotient, _real_value, fit_line, integrate,
                        mpf_tuples, power_sum)
 
 
@@ -72,14 +72,11 @@ def qn_exact(n: int, v: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _qn_integer_form(n: int) -> tuple[tuple[int, ...], tuple]:
-    """Numerators N_1..N_n of the q_n coefficients over their common denominator D.
-
-    D is returned as an exact raw ``_mpf_`` tuple, ready for ``mpf_div``.
-    """
+def _qn_integer_form(n: int) -> tuple[tuple[int, ...], int]:
+    """Numerators N_1..N_n of the q_n coefficients over their common denominator D."""
     coeffs = qn_coeffs(n)
     D = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (D // c.denominator) for c in coeffs), from_int(D)
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
 
 
 def qn_eval(n: int, v, ctx: PrecisionContext):
@@ -118,7 +115,7 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
         acc = acc * M + (c << shift)
         shift += s
     acc *= M
-    return m.make_mpf(mpf_div(from_man_exp(acc, -s * n), D, m.prec, round_nearest))
+    return m.make_mpf(from_man_exp(*_quotient(acc, -s * n, D, 0, m.prec)))
 
 
 # ---------------------------------------------------------------------

@@ -285,15 +285,15 @@ def test_single_order_and_ladder_share_error_semantics(ctx30, route, monkeypatch
         run(TransformFn(fragile, "fragile"), ctx30)
     assert err.value.z._mpf_ == (3 * base)._mpf_
     assert isinstance(err.value.__cause__, ValueError)
-    # a corpus kernel failing from j = 3 on: its raw path and the generic path
-    # through a wrapped eval raise the same error at the same abscissa
+    # a corpus kernel failing from j = 3 on: its path on pairs and the generic
+    # path through a wrapped eval raise the same error at the same abscissa
     pair = get_pair("exponential")
     exponential = pair.F.eval.raw
 
-    def fragile_raw(r, prec, rnd):
-        if ctx30.mp.make_mpf(r) > 2.5 * base:
+    def fragile_raw(man, exp, prec):
+        if ctx30.mp.ldexp(man, exp) > 2.5 * base:
             raise ValueError("boom")
-        return exponential(r, prec, rnd)
+        return exponential(man, exp, prec)
 
     monkeypatch.setattr(pair.F.eval, "raw", fragile_raw)
     reported = []

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul,
-                          mpf_neg, mpf_pos, mpf_shift, round_down, round_nearest)
+                          mpf_neg, mpf_pos, mpf_shift, mpf_sqrt, round_down, round_nearest)
 
 from gsinv import (
     DomainError,
@@ -346,7 +346,6 @@ def test_weighted_sum_bits_match_the_libmp_loop(case):
         values.append(v)
         acc = mpf_add(acc, mpf_mul(c, v, prec, round_nearest), prec, round_nearest)
     assert terms[-1] is not None or acc == fzero
-    assert weighted_sum(coeffs, values, m, raw=True)._mpf_ == acc
     assert weighted_sum(coeffs, [m.make_mpf(v) for v in values], m)._mpf_ == acc
 
 
@@ -386,7 +385,7 @@ def test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp(prec, k, kept, low
                                          from_man_exp(sign * _LOW_BITS[low](k), 0)]))
         for coeffs, values in cases:
             want = _libmp_sum(coeffs, values, prec)
-            assert weighted_sum(coeffs, values, m, raw=True)._mpf_ == want
+            assert weighted_sum(coeffs, [m.make_mpf(v) for v in values], m)._mpf_ == want
 
 
 def _signed(x):
@@ -418,16 +417,22 @@ def _step_operands(draw):
 
 @given(_step_operands())
 def test_mantissa_steps_match_libmp(case):
-    # numerics' rounding, sum and quotient steps give libmp's bits at
-    # round-to-nearest and toward zero (the default of libmpc's mpc_div)
+    # numerics' rounding, sum, quotient and root steps give libmp's bits at
+    # round-to-nearest, the first two also toward zero (the default of
+    # libmpc's mpc_div)
     prec, x, y = case
     for rnd, step in _STEPS:
         assert from_man_exp(*step(*_signed(x), prec)) == mpf_pos(x, prec, rnd)
         assert from_man_exp(*numerics._add(*_signed(x), *_signed(y), prec, step)) == mpf_add(
             x, y, prec, rnd)
     if y != fzero:
-        quotient = numerics._quotient(*_signed(x), *_signed(mpf_abs(y)), prec)
-        assert from_man_exp(*quotient) == mpf_div(x, mpf_abs(y), prec, round_nearest)
+        for d in (y, mpf_neg(y)):
+            quotient = numerics._quotient(*_signed(x), *_signed(d), prec)
+            assert from_man_exp(*quotient) == mpf_div(x, d, prec, round_nearest)
+    man, exp = _signed(mpf_abs(x))
+    for low in (0, 3):  # a pair may carry trailing zero bits
+        root = numerics._sqrt(man << low, exp - low, prec)
+        assert from_man_exp(*root) == mpf_sqrt(mpf_abs(x), prec, round_nearest)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -15,7 +15,10 @@ from gsinv import (
     invert_ladder,
     jordan_target,
     run_pair,
+    stehfest_approx,
 )
+from gsinv.cli import MAX_DIGITS
+from gsinv.inverter import _AbscissaCache
 from gsinv.pairs import _jump_locations, dini_integral_estimate, laplace_identity_residual
 
 
@@ -155,6 +158,59 @@ def test_corpus_evaluators_match_their_operator_forms_bit_for_bit(d1, d2, decade
             got = pair.F(w)
             assert type(got) is type(w), pair.name  # computed in z's own context
             assert got._mpf_ == form(w)._mpf_, (pair.name, d1, d2, w)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 300])
+def test_root_on_exact_squares_matches_its_operator_form(digits):
+    # pi/z is 4**k exactly, so the square root has no remainder
+    m = PrecisionContext(digits).mp
+    root = get_pair("root").F
+    for k in range(-3, 4):
+        z = m.pi * m.mpf(4) ** -k
+        assert root(z)._mpf_ == OPERATOR_FORMS["sqrt(pi/z)"](z)._mpf_ == (m.mpf(2) ** k)._mpf_
+
+
+@pytest.mark.parametrize("x", ["1e-30", "0.75", "1e30"])
+@pytest.mark.parametrize("digits", [15, MAX_DIGITS])
+def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(x, digits):
+    # outside the hypothesis draws: abscissas j ln2/x near 1e30 and 1e-30,
+    # the CLI's digits cap, integers (mpf_exp's own route above 600 bits)
+    # and negative points (no real root there)
+    ctx = PrecisionContext(digits)
+    m = ctx.mp
+    base = m.ln(2) / ctx.mpf(x)
+    for pair in corpus():
+        form = OPERATOR_FORMS[pair.formula]
+        cache = _AbscissaCache(pair.F, ctx.mpf(x), ctx)  # the inverter's path on pairs
+        assert cache.kernel is not None
+        assert [cache(j)._mpf_ for j in range(1, 17)] == [
+            form(j * base)._mpf_ for j in range(1, 17)], pair.name
+        for z in (1, 2, 7, 10**30, -0.5, -7):
+            z = ctx.mpf(z)
+            if z > 0 or pair.name != "root":
+                assert pair.F(z)._mpf_ == form(z)._mpf_, (pair.name, z)
+
+
+@pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
+def test_corpus_evaluators_refuse_a_non_finite_point(ctx30, z):
+    for pair in corpus():
+        with pytest.raises(DomainError, match="finite z"):
+            pair.F(ctx30.mpf(z))
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_mpf_exp_is_the_only_libmp_call_per_abscissa(monkeypatch, n):
+    calls = []
+    exp = gsinv.pairs.mpf_exp
+    monkeypatch.setattr(gsinv.pairs, "mpf_exp", lambda *args: calls.append(args) or exp(*args))
+    ctx = context_for_order(n)
+    for pair in corpus():
+        calls.clear()
+        stehfest_approx(pair.F, "0.7", n, ctx)
+        assert len(calls) == (2 * n if pair.name in ("step", "square-wave") else 0), pair.name
+    # the kernels reach the other libmp operations only through numerics' steps
+    assert not {"mpf_add", "mpf_div", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt"} & set(
+        vars(gsinv.pairs))
 
 
 def test_dini_constant_zero(ctx20):

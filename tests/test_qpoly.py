@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
 from gsinv import (
@@ -99,6 +101,18 @@ def test_qn_eval_is_correctly_rounded_at_high_order():
                 q = qn_exact(n, Fraction(man) * Fraction(2) ** exp)
                 want = from_rational(q.numerator, q.denominator, ctx.mp.prec, round_nearest)
                 assert qn_eval(n, v, ctx)._mpf_ == want, (n, digits, v)
+
+
+@given(st.integers(1, 200), st.integers(15, 60), st.fractions(-2, 2), st.integers(-40, 0))
+def test_qn_eval_is_q_n_of_its_dyadic_point_rounded_once(n, digits, r, scale):
+    # against the exact q_n rounded once (ctx.mpf of a Fraction rounds twice:
+    # the numerator, then the quotient)
+    ctx = PrecisionContext(digits)
+    v = ctx.mpf(r) * ctx.mp.mpf(2) ** scale
+    sign, man, exp, _ = v._mpf_
+    q = qn_exact(n, Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+    want = from_rational(q.numerator, q.denominator, ctx.mp.prec, round_nearest)
+    assert qn_eval(n, v, ctx)._mpf_ == want
 
 
 @pytest.mark.parametrize("v", ["inf", "-inf", "nan"])
