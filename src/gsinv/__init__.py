@@ -47,8 +47,8 @@ _ORIGIN = {
     for name in names
 }
 _SUBMODULES = frozenset(
-    ("cli", "coeffs", "errors", "inverter", "lambertw", "numerics", "pairs", "qpoly",
-     "series", "verify")
+    ("cli", "coeffs", "errors", "inverter", "lambertw", "mantissa", "numerics", "pairs",
+     "qpoly", "series", "verify")
 )
 
 __all__ = list(_ORIGIN)

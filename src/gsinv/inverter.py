@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log
+from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log, round_nearest
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
+from .mantissa import _nearest_sum, _round_even, _signed
 from .numerics import (
     _TABLES,
     PrecisionContext,
-    _nearest_sum,
-    _round_even,
     check_point,
     context_for_order,
     fit_line,
@@ -41,13 +40,11 @@ class TransformFn:
     abscissa; it receives a high-precision scalar and should derive any
     constants it needs from ``z.context`` so results carry the caller's
     precision.  Every library caller passes an mpf.  The corpus
-    evaluators of :mod:`gsinv.pairs` are kernels on signed ``(man, exp)``
-    pairs behind ``_Kernel``: they take only a finite mpf, and work on its
-    pair at its context's precision, round-to-nearest only (the one
-    rounding of mpmath contexts).  The inverter runs the kernel itself on
-    the abscissas' pairs when F is a ``TransformFn`` (no subclass) whose
-    ``eval`` is one; it calls every other F, a wrapped kernel included,
-    per abscissa.
+    evaluators of :mod:`gsinv.pairs` are kernels on the pairs of
+    :mod:`gsinv.mantissa` behind ``_Kernel``, and take only a finite mpf.
+    The inverter runs the kernel itself on the abscissas' pairs when F is
+    a ``TransformFn`` (no subclass) whose ``eval`` is one; it calls every
+    other F, a wrapped kernel included, per abscissa.
     """
 
     eval: object
@@ -58,9 +55,9 @@ class TransformFn:
 
 
 class _Kernel:
-    """The mpf evaluator F(z) of a kernel ``raw(man, exp, prec) -> (man, exp)`` on
-    signed pairs, at round-to-nearest: it runs the kernel on the pair of a finite
-    ``z`` at ``z.context``'s precision and makes the result an mpf of that context."""
+    """The mpf evaluator F(z) of a kernel ``raw(man, exp, prec) -> (man, exp)``: it
+    runs the kernel on the pair of a finite ``z`` at ``z.context``'s precision and
+    makes the result an mpf of that context."""
 
     __slots__ = ("raw",)
 
@@ -68,11 +65,11 @@ class _Kernel:
         self.raw = raw
 
     def __call__(self, z):
-        sign, man, exp, _ = z._mpf_
+        man, exp = _signed(z._mpf_)
         if exp and not man:
             raise DomainError(f"a corpus transform needs a finite z, got z = {z}")
         m = z.context
-        return m.make_mpf(from_man_exp(*self.raw(-man if sign else man, exp, m.prec)))
+        return m.make_mpf(from_man_exp(*self.raw(man, exp, m.prec)))
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,9 @@ class _AbscissaCache:
         self.F = F
         self.x = x
         self.ctx = ctx
-        prec, rnd = ctx.mp._prec_rounding  # ln(2) / x: the calls of m.ln(2) and the operator
-        self.base = ctx.mp.make_mpf(mpf_div(mpf_log(ftwo, prec, rnd), x._mpf_, prec, rnd))
+        prec = ctx.mp.prec  # ln(2) / x: the calls of m.ln(2) and the operator
+        ln2 = mpf_log(ftwo, prec, round_nearest)
+        self.base = ctx.mp.make_mpf(mpf_div(ln2, x._mpf_, prec, round_nearest))
         # exact types: a subclass's __call__ or a wrapper (functools.wraps
         # copies attributes) must see every evaluation
         kernel = F.eval if type(F) is TransformFn else None

@@ -17,23 +17,18 @@ Algorithm selection per region:
   for ``|z| < 0.2/e``, ``z (1 - z)`` in the rest of ``|z| <= 1.2``, and
   ``ln z - ln ln z`` (or the linearization at W(1) near z = 1) beyond.
 
-Every region finishes with Halley's iteration.  Its step keeps w, e^w
-and the residual as signed integer mantissas with exponents.  Only
-``mpc_exp``'s ``mpf_exp`` and ``mpf_cos_sin`` stay libmp calls; every
-product is exact and every sum, product or quotient the mpc operators
-would round is rounded once by a step of ``numerics`` that rounds as the
-libmp call does: half to even at the working precision, toward zero at
-10 more bits inside ``mpc_div``, and with ``mpf_add``'s shortcut for far
-operands.  So the bits are those of the plain mpc arithmetic.  What
-depends only on the precision (the branch point, the tolerances, the
-region radii, the seed constants and the rounded branch series) is built
-once per binary precision, with the caller's context, and kept as raw
-tuples in ``numerics._TABLES``, the one store of per-precision tables,
-bounded at 256 entries.  The two stop tests ``|f| <= rtol`` and
-``|dw| <= 10**-dps (1 + |w|)`` are screened on the integers first: a
-nonzero part ``man 2**exp`` lies in ``[2**(top-1), 2**top)`` with
-``top = exp + man.bit_length()``, so when those bounds alone show a test
-false, its ``hypot`` is skipped.  A test the bounds cannot decide, or
+Every region finishes with Halley's iteration, which runs on the
+integer steps of :mod:`gsinv.mantissa`; only ``mpc_exp``'s ``mpf_exp``
+and ``mpf_cos_sin`` stay libmp calls.  What depends only on the
+precision (the branch point, the tolerances, the region radii, the seed
+constants and the rounded branch series) is built once per binary
+precision, with the caller's context, and kept as raw tuples in
+``numerics._TABLES``, the one store of per-precision tables, bounded at
+256 entries.  The two stop tests ``|f| <= rtol`` and ``|dw| <= 10**-dps
+(1 + |w|)`` are screened on the integers first: a nonzero part
+``man 2**exp`` lies in ``[2**(top-1), 2**top)`` with ``top = exp +
+man.bit_length()``, so when those bounds alone show a test false, its
+``hypot`` is skipped.  A test the bounds cannot decide, or
 one on zero, is made exactly on raw tuples.
 
 The prologue that picks the region runs on raw tuples too: ``1 + e z``,
@@ -54,15 +49,15 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath.libmp import (finf, fnone, fone, from_man_exp, fzero, mpc_abs, mpc_add_mpf,
-                          mpc_conjugate, mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub,
-                          mpc_to_str, mpf_add, mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt,
-                          mpf_mul, to_str)
+from mpmath.libmp import (finf, fnone, fone, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate,
+                          mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add,
+                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest,
+                          to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
-from .numerics import (_TABLES, PrecisionContext, _add, _quotient, _round_down, _round_even,
-                       mpf_tuples, power_sum)
+from .mantissa import _add, _cdiv, _cmul, _csub, _raw, _round_even, _signed
+from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
 
 
 # -- exact branch-point coefficients ----------------------------------
@@ -123,9 +118,10 @@ def in_region_a(w, tol=0) -> bool:
 def wew_residual(w, z, ctx: PrecisionContext):
     """|w e^w - z| at working precision."""
     m = ctx.mp
-    wc, prec, rnd = m.mpc(w)._mpc_, *m._prec_rounding
-    f = mpc_sub(mpc_mul(wc, mpc_exp(wc, prec, rnd), prec, rnd), m.mpc(z)._mpc_, prec, rnd)
-    return m.make_mpf(mpc_abs(f, prec, rnd))
+    wc, prec = m.mpc(w)._mpc_, m.prec
+    ewc = mpc_exp(wc, prec, round_nearest)
+    f = mpc_sub(mpc_mul(wc, ewc, prec, round_nearest), m.mpc(z)._mpc_, prec, round_nearest)
+    return m.make_mpf(mpc_abs(f, prec, round_nearest))
 
 
 class _WConstants(NamedTuple):
@@ -169,30 +165,28 @@ def _top(v):
     return ie + im.bit_length() if im else None
 
 
-def _screened_abs(v, top_min, prec, rnd):
+def _screened_abs(v, top_min, prec):
     """``|v|`` of the finite raw mpc ``v``, or inf once a part has ``_top >= top_min``.
 
     Such a part alone gives ``|v| >= 2**(top_min - 1)``, so the inf
     stands in for ``|v|`` in a comparison with a smaller radius.
     """
-    top = _top(_mantissas(v))
+    top = _top(_signed(v))
     if top is not None and top >= top_min:
         return finf
-    return mpc_abs(v, prec, rnd)
+    return mpc_abs(v, prec, round_nearest)
 
 
-def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
-    """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples, at round-to-nearest.
+def _halley(z, w, rtol, step_tol, prec, max_residual):
+    """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
 
     Each step computes ``w * e^w - z`` and ``ew (w+1) - (w+2) f / (2 (w+1))``
-    with the bits of the mpc operators.  ``mpc_exp``'s ``mpf_exp`` and
-    ``mpf_cos_sin`` are libmp calls; every other operation runs on signed
-    integer mantissas as exact products and one rounding step of
-    ``numerics`` (:func:`_add` and :func:`_quotient`), which rounds as the
-    libmp call does, so the bits are those of the mpc arithmetic.  The
-    stop tests ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are
-    first screened on the integers' exponents (see :func:`_top`): when the
-    bounds alone show a test false, its ``hypot`` is skipped.  After 100
+    with the bits of the mpc operators: ``mpc_exp``'s ``mpf_exp`` and
+    ``mpf_cos_sin`` are libmp calls, every other operation an exact
+    product or a step of :mod:`gsinv.mantissa`.  The stop tests
+    ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are first screened
+    on the integers' exponents (see :func:`_top`): when the bounds alone
+    show a test false, its ``hypot`` is skipped.  After 100
     steps the stored residuals are replayed with strict ``<``, which
     returns the first w of least residual, as tracking it on every step
     would.
@@ -203,22 +197,23 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
     """
     f_screen = rtol[2] + rtol[3] + 2  # _top(f) >= f_screen: |f| >= 2**(f_screen - 1) > rtol
     step_screen = step_tol[2] + step_tol[3] + 3
-    mz, (wr, wi) = _mantissas(z), _mantissas(w)
+    mz, (wr, wi) = _signed(z), _signed(w)
     steps = []
     for _ in range(100):
         if not wr[0]:  # mpc_exp: cos and sin at prec when Re w = 0, exp when Im w = 0
-            ew = _mantissas(mpf_cos_sin(w[1], prec, rnd))
+            ew = _signed(mpf_cos_sin(w[1], prec, round_nearest))
         elif not wi[0]:
-            ew = (_mantissa(mpf_exp(w[0], prec, rnd)), (0, 0))
+            ew = (_signed(mpf_exp(w[0], prec, round_nearest)), (0, 0))
         else:
-            mm, me = _mantissa(mpf_exp(w[0], prec + 4, rnd))
-            (cm, ce), (sm, se) = _mantissas(mpf_cos_sin(w[1], prec + 4, rnd))
+            mm, me = _signed(mpf_exp(w[0], prec + 4, round_nearest))
+            (cm, ce), (sm, se) = _signed(mpf_cos_sin(w[1], prec + 4, round_nearest))
             ew = (_round_even(mm * cm, me + ce, prec), _round_even(mm * sm, me + se, prec))
         f = _csub(_cmul((wr, wi), ew, prec), mz, prec)
         steps.append((w, f))
         top_f = _top(f)
-        if (top_f is None or top_f < f_screen) and mpf_le(mpc_abs(_raw(f), prec, rnd), rtol):
-            return w
+        if top_f is None or top_f < f_screen:
+            if mpf_le(mpc_abs(_raw(f), prec, round_nearest), rtol):
+                return w
         w1r = _add(*wr, 1, 0, prec)  # Re (w + 1)
         if not (w1r[0] or wi[0]):
             return w  # branch point: iteration map is singular there
@@ -232,12 +227,13 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
         w = _raw((wr, wi))
         top_dw, top_w = _top(dw), _top((wr, wi))
         if top_dw is None or top_w is None or top_dw < step_screen + max(top_w + 1, 0):
-            bound = mpf_mul(step_tol, mpf_add(mpc_abs(w, prec, rnd), fone, prec, rnd), prec, rnd)
-            if mpf_le(mpc_abs(_raw(dw), prec, rnd), bound):
+            aw1 = mpf_add(mpc_abs(w, prec, round_nearest), fone, prec, round_nearest)  # |w| + 1
+            bound = mpf_mul(step_tol, aw1, prec, round_nearest)
+            if mpf_le(mpc_abs(_raw(dw), prec, round_nearest), bound):
                 return w
     best_w, best_f = steps[0][0], finf
     for w, f in steps:
-        af = mpc_abs(_raw(f), prec, rnd)
+        af = mpc_abs(_raw(f), prec, round_nearest)
         if mpf_lt(af, best_f):
             best_w, best_f = w, af
     bound = max_residual()
@@ -247,49 +243,6 @@ def _halley(z, w, rtol, step_tol, prec, rnd, max_residual):
             f"residual {to_str(best_f, 6)} exceeds {to_str(bound, 3)}"
         )
     return best_w
-
-
-# Halley's step on pairs of ``(man, exp)`` parts (see numerics._add): the
-# conversions from and to raw tuples, and the complex operations, each
-# with the bits of its libmpc call at round-to-nearest.
-
-def _mantissa(x):
-    return -x[1] if x[0] else x[1], x[2]
-
-
-def _mantissas(v):
-    return _mantissa(v[0]), _mantissa(v[1])
-
-
-def _raw(v):
-    return from_man_exp(*v[0]), from_man_exp(*v[1])
-
-
-def _cmul(x, y, prec):
-    """``mpc_mul``: the four products are exact, each part is one rounded sum."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec),
-            _add(am * dm, ae + de, bm * cm, be + ce, prec))
-
-
-def _csub(x, y, prec):
-    """``mpc_sub``."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    return _add(am, ae, -cm, ce, prec), _add(bm, be, -dm, de, prec)
-
-
-def _cdiv(x, y, prec):
-    """``mpc_div``: ``c^2 + d^2``, ``ac + bd`` and ``bc - ad`` rounded toward zero
-    at ``prec + 10`` (libmp's default rounding), then two correctly rounded quotients."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    wp = prec + 10
-    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)
-    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)
-    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)
-    return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)
 
 
 def _taylor_w(m, z, tol):
@@ -337,10 +290,10 @@ def lambert_w0(z, ctx: PrecisionContext):
     zc = z._mpc_
     if zc == _CZERO:
         return m.mpc(0)
-    prec, rnd = m._prec_rounding
+    prec = m.prec
     if mpf_lt(zc[1], fzero):  # W(conj z) = conj W(z)
-        w = _w0_upper(mpc_conjugate(zc, prec, rnd), ctx)
-        return m.make_mpc(mpc_conjugate(w, prec, rnd))
+        w = _w0_upper(mpc_conjugate(zc, prec, round_nearest), ctx)
+        return m.make_mpc(mpc_conjugate(w, prec, round_nearest))
     return m.make_mpc(_w0_upper(zc, ctx))
 
 
@@ -348,14 +301,16 @@ def _w0_upper(zc, ctx: PrecisionContext):
     """Raw W of the nonzero finite raw ``zc`` with ``Im z >= 0``; see :func:`lambert_w0`."""
     m = ctx.mp
     z, (zr, zi) = m.make_mpc(zc), zc
-    K = _TABLES.get(("w", m.prec), lambda: _build_w_constants(m))
-    prec, rnd = m._prec_rounding
+    prec = m.prec
+    K = _TABLES.get(("w", prec), lambda: _build_w_constants(m))
     on_cut = zi == fzero and mpf_lt(zr, K.minus_inv_e)
-    az = mpc_abs(zc, prec, rnd)
+    az = mpc_abs(zc, prec, round_nearest)
     scale = az if mpf_gt(az, fone) else fone  # max(|z|, 1)
-    rtol = mpf_mul(mpf_mul(K.rtol_scale, scale, prec, rnd), K.rtol_factor, prec, rnd)
-    ez1 = mpc_add_mpf(mpc_mul_mpf(zc, K.e, prec, rnd), fone, prec, rnd)  # 1 + e z
-    aez1 = _screened_abs(ez1, 0, prec, rnd)  # a part >= 1/2: beyond 0.05 and 0.45
+    rtol = mpf_mul(K.rtol_scale, scale, prec, round_nearest)
+    rtol = mpf_mul(rtol, K.rtol_factor, prec, round_nearest)
+    ez1 = mpc_add_mpf(mpc_mul_mpf(zc, K.e, prec, round_nearest), fone, prec,
+                      round_nearest)  # 1 + e z
+    aez1 = _screened_abs(ez1, 0, prec)  # a part >= 1/2: beyond 0.05 and 0.45
     in_disk = mpf_le(az, K.disk_radius) and not on_cut
 
     if mpf_lt(aez1, K.branch_radius):
@@ -376,23 +331,23 @@ def _w0_upper(zc, ctx: PrecisionContext):
     elif in_disk:
         w = (z * (1 - z))._mpc_
     else:
-        lz = mpc_log(zc, prec, rnd)  # principal log; Im = pi on the cut
-        if mpf_lt(_screened_abs(lz, -1, prec, rnd), K.omega_radius):  # a part >= 1/4: beyond 0.2
+        lz = mpc_log(zc, prec, round_nearest)  # principal log; Im = pi on the cut
+        if mpf_lt(_screened_abs(lz, -1, prec), K.omega_radius):  # a part >= 1/4: beyond 0.2
             # near z = 1 the log seed degenerates; linearize at W(1)
             omega = m.make_mpf(K.omega)
             w = (omega + (z - 1) * omega / (1 + omega))._mpc_
         else:
-            w = mpc_sub(lz, mpc_log(lz, prec, rnd), prec, rnd)
+            w = mpc_sub(lz, mpc_log(lz, prec, round_nearest), prec, round_nearest)
         if on_cut and mpf_lt(w[1], fzero):
-            w = mpc_conjugate(w, prec, rnd)
+            w = mpc_conjugate(w, prec, round_nearest)
 
     def max_residual():  # the documented max(|z|, 1) 10**(-digits + guard)
-        return mpf_mul(scale, (m.mpf(10) ** (ctx.guard - ctx.digits))._mpf_, prec, rnd)
+        return mpf_mul(scale, (m.mpf(10) ** (ctx.guard - ctx.digits))._mpf_, prec, round_nearest)
 
-    w = _halley(zc, w, rtol, K.step_tol, prec, rnd, max_residual)
+    w = _halley(zc, w, rtol, K.step_tol, prec, max_residual)
 
     if on_cut and mpf_lt(w[1], fzero):
-        w = mpc_conjugate(w, prec, rnd)
+        w = mpc_conjugate(w, prec, round_nearest)
     return w
 
 

@@ -1,0 +1,195 @@
+"""Correctly rounded steps on signed integer mantissas.
+
+A real value is a pair ``(man, exp)`` for ``man * 2**exp``: zero when
+``man`` is 0, with any number of trailing zero bits.  A complex value is
+a pair of such pairs.  Each step gives the value of the libmp or libmpc
+call it names, at round-to-nearest unless it says otherwise: libmp
+rounds the exact result of each call correctly, and so does the step,
+so a chain of steps has the bits of the chain of calls without building
+a tuple per call.  :func:`_signed` turns a raw ``_mpf_`` or ``_mpc_``
+tuple into a pair, and :func:`_raw` turns a complex pair back.
+"""
+from __future__ import annotations
+
+from math import isqrt
+
+from mpmath.libmp import from_man_exp
+
+
+def _signed(x):
+    """The pair of the raw ``_mpf_`` tuple ``x``, or the pair of pairs of a raw ``_mpc_``."""
+    if len(x) == 2:
+        return _signed(x[0]), _signed(x[1])
+    return -x[1] if x[0] else x[1], x[2]
+
+
+def _raw(v):
+    """The raw ``_mpc_`` tuple of the pair of pairs ``v``: the inverse of :func:`_signed`."""
+    return from_man_exp(*v[0]), from_man_exp(*v[1])
+
+
+def _round_even(man, exp, prec):
+    """``man 2**exp`` rounded to ``prec`` bits half to even, as ``normalize1`` at round_nearest."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    a = -man if man < 0 else man
+    t = a >> (n - 1)
+    a = (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1
+    return -a if man < 0 else a, exp + n
+
+
+def _round_down(man, exp, prec):
+    """``man 2**exp`` rounded to ``prec`` bits toward zero, as ``normalize1`` at round_down."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    return -(-man >> n) if man < 0 else man >> n, exp + n
+
+
+def _quotient(nman, nexp, dman, dexp, prec):
+    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman != 0``, as ``mpf_div``.
+
+    The integer quotient keeps at least ``prec + 2`` bits and a sticky
+    bit for the remainder before :func:`_round_even`.
+    """
+    if not nman:
+        return 0, 0
+    if dman < 0:
+        nman, dman = -nman, -dman
+    a = -nman if nman < 0 else nman
+    k = prec + 2 + dman.bit_length() - a.bit_length()
+    q, r = divmod(a << k, dman) if k >= 0 else divmod(a, dman << -k)
+    q = q << 1 | (r != 0)
+    return _round_even(-q if nman < 0 else q, nexp - dexp - k - 1, prec)
+
+
+def _sqrt(man, exp, prec):
+    """The square root of ``man 2**exp`` for ``man >= 0``, as ``mpf_sqrt``.
+
+    Like ``mpf_sqrt``, it rounds the exact floor root of the shifted
+    mantissa, of at least ``prec + 2`` bits, with a sticky bit for a
+    nonzero remainder.
+    """
+    if exp & 1:
+        man <<= 1
+        exp -= 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
+    shift += shift & 1
+    man <<= shift
+    root = isqrt(man)
+    if root * root != man:
+        root = root << 1 | 1
+        shift += 2
+    return _round_even(root, (exp - shift) // 2, prec)
+
+
+def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
+    """``x + y`` as ``mpf_add(x, y, prec)`` at the rounding of ``rnd`` (:func:`_round_even`
+    or :func:`_round_down`).
+
+    ``mpf_add`` rounds the exact sum, except for far operands: when x
+    lies more than ``prec + 4`` bits above y and its lowest set bit more
+    than 100 above y's, it rounds ``x 2**(prec + 4)`` perturbed by one
+    toward y's sign.  That differs from the exact sum's rounding only
+    when x has more than ``prec`` bits (an exact product), and it is
+    reproduced here, so no shift is wider than the far rule allows.
+    """
+    if not xman:
+        return rnd(yman, yexp, prec)
+    if not yman:
+        return rnd(xman, xexp, prec)
+    gap = xexp + xman.bit_length() - yexp - yman.bit_length()
+    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:
+        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)
+    if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:
+        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4, prec)
+    if xexp >= yexp:
+        return rnd((xman << xexp - yexp) + yman, yexp, prec)
+    return rnd(xman + (yman << yexp - xexp), xexp, prec)
+
+
+def _low(man, exp):
+    """The exponent of the lowest set bit of nonzero ``man 2**exp``: the libmp tuple's exponent."""
+    return exp + (man & -man).bit_length() - 1
+
+
+def _nearest_sum(coeffs, values, prec):
+    """``acc = mpf_add(acc, mpf_mul(c, v))`` from ``acc = 0`` at ``prec`` bits; the raw sum.
+
+    ``coeffs`` are finite raw tuples and ``values`` finite pairs.  Each
+    product is formed exactly and rounded as :func:`_round_even` rounds,
+    then added exactly to the accumulator, which is rounded the same way
+    (``mpf_add``'s far-operand shortcut gives the same value here); only
+    the final tuple is put in canonical form.  An operand more than
+    ``2 prec + 2`` bits of exponent below the other is under a quarter
+    ulp of it: the sum is the larger operand, and nothing is shifted.
+    """
+    acc = aexp = 0
+    far = 2 * prec + 2
+    for (cs, cm, ce, _), (man, exp) in zip(coeffs, values):
+        if man < 0:
+            man = -man
+            cs ^= 1
+        man *= cm
+        if not man:
+            continue
+        exp += ce
+        n = man.bit_length() - prec
+        if n > 0:  # _round_even, inlined here and below: the calls would cost ~30% per term
+            t = man >> (n - 1)
+            man = (t >> 1) + 1 if t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1)) else t >> 1
+            exp += n
+        if cs:
+            man = -man
+        if not acc:
+            acc, aexp = man, exp
+            continue
+        gap = aexp - exp
+        if gap > far:  # the product is under a quarter ulp of acc
+            continue
+        if gap < -far:  # acc is under a quarter ulp of the product
+            acc, aexp = man, exp
+            continue
+        if gap >= 0:
+            s = (acc << gap) + man
+        else:
+            s = acc + (man << -gap)
+            exp = aexp
+        neg = s < 0
+        if neg:
+            s = -s
+        n = s.bit_length() - prec
+        if n > 0:
+            t = s >> (n - 1)
+            s = (t >> 1) + 1 if t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1)) else t >> 1
+            exp += n
+        acc, aexp = -s if neg else s, exp
+    return from_man_exp(acc, aexp)
+
+
+def _cmul(x, y, prec):
+    """``mpc_mul``: the four products are exact, each part is one rounded sum."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec),
+            _add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _csub(x, y, prec):
+    """``mpc_sub``."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return _add(am, ae, -cm, ce, prec), _add(bm, be, -dm, de, prec)
+
+
+def _cdiv(x, y, prec):
+    """``mpc_div``: ``c^2 + d^2``, ``ac + bd`` and ``bc - ad`` rounded toward zero
+    at ``prec + 10`` (libmp's default rounding), then two correctly rounded quotients."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    wp = prec + 10
+    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)
+    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)
+    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)
+    return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)

@@ -30,15 +30,9 @@ of the integrand's value and the node sum ``w (f(x_right) + f(x_left))``)
 runs on raw tuples: it makes the libmp calls the mpf operators would
 make, in the same order and at the same precision, so the bits are those
 of the operator forms without building a number per step.  The integrand
-itself still gets and returns numbers.  :func:`weighted_sum` goes one
-step further: at round-to-nearest it runs correctly rounded steps on
-integer mantissas.  Each libmp multiply and add rounds its exact result
-correctly, so a step that does the same gives the same value, and the
-sum keeps the bits of the libmp loop without its per-call overhead.
-The same kind of steps, one rounding each (:func:`_round_even`,
-:func:`_round_down`, :func:`_add`, :func:`_quotient`, :func:`_sqrt`),
-run Lambert W's Halley step, the corpus kernels of :mod:`gsinv.pairs`
-and the inverter's abscissas.
+itself still gets and returns numbers.  :func:`weighted_sum` runs on the
+integer steps of :mod:`gsinv.mantissa`.  Every context rounds to nearest:
+an ``MPContext`` has no rounding setting.
 """
 from __future__ import annotations
 
@@ -47,14 +41,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
-                          mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
+from .mantissa import _nearest_sum, _signed
 
 MIN_DIGITS = 15  # the working-precision floor of PrecisionContext
 MAX_LEVEL = 10  # tanh-sinh refinement levels before integrate gives up
@@ -244,183 +238,20 @@ def weighted_sum(coeffs, values, m):
     """``c_1 v_1 + c_2 v_2 + ...`` in ``m``; ``coeffs`` are raw tuples (see :func:`mpf_tuples`).
 
     The bits are those of ``acc += c_k * v_k`` from ``acc = mpf(0)``.
-    For mpf values the operators make ``mpf_mul``/``mpf_add`` calls, and
-    each rounds its exact result correctly; so at round-to-nearest the sum
-    runs correctly rounded steps on integer mantissas instead
-    (:func:`_nearest_sum`, on the values as signed pairs), which give the
-    same values.  At another rounding, and from an infinite or nan factor
-    on, it makes the calls themselves.  ints, floats or mpc values run
-    the operator loop itself.
+    Finite mpf values run :func:`~gsinv.mantissa._nearest_sum` on their
+    pairs, which gives the values of the operators' libmp calls; any
+    other values (an infinite or nan mpf, ints, floats, mpc) run that
+    operator loop itself.
     """
     if all(hasattr(v, "_mpf_") for v in values):
-        prec, rnd = m._prec_rounding
-        terms = [(c, v._mpf_) for c, v in zip(coeffs, values)]
-        acc, rest = fzero, terms
-        if rnd == round_nearest:
-            pairs = []  # the signed values before the first infinite or nan factor
-            for (_, cm, ce, _), (vs, vm, ve, _) in terms:
-                if (ce and not cm) or (ve and not vm):  # libmp goes on from here
-                    break
-                pairs.append((-vm if vs else vm, ve))
-            acc, rest = _nearest_sum(coeffs, pairs, prec), terms[len(pairs):]
-        for c, v in rest:
-            acc = mpf_add(acc, mpf_mul(c, v, prec, rnd), prec, rnd)
-        return m.make_mpf(acc)
+        pairs = [_signed(v._mpf_) for v in values]
+        if all(man or not exp for man, exp in pairs):  # no inf or nan
+            return m.make_mpf(_nearest_sum(coeffs, pairs, m.prec))
     make = m.make_mpf
     acc = m.mpf(0)
     for c, v in zip(coeffs, values):
         acc += make(c) * v
     return acc
-
-
-def _nearest_sum(coeffs, values, prec):
-    """``acc = mpf_add(acc, mpf_mul(c, v))`` at ``prec`` bits, round-to-nearest, on integers.
-
-    ``coeffs`` are finite raw tuples and ``values`` finite signed pairs
-    ``(man, exp)`` (see below); returns the raw sum.  Each product
-    ``c_man * v_man`` is formed exactly and rounded to ``prec`` bits half
-    to even, as ``normalize1`` rounds it; it is then added exactly to the
-    accumulator, a signed mantissa and an exponent, and the sum is
-    rounded the same way.  ``mpf_mul`` and ``mpf_add`` round their exact
-    results correctly too (``mpf_add``'s sticky shortcut for far operands
-    included), so every step gives the value the libmp calls give, and
-    only the final tuple needs canonical form.  An operand more than
-    ``2 prec + 2`` bits of exponent below the other is under a quarter
-    ulp of it: the sum is the larger operand, and nothing is shifted.
-    """
-    acc = aexp = 0
-    far = 2 * prec + 2
-    for (cs, cm, ce, _), (man, exp) in zip(coeffs, values):
-        if man < 0:
-            man = -man
-            cs ^= 1
-        man *= cm
-        if not man:
-            continue
-        exp += ce
-        n = man.bit_length() - prec
-        if n > 0:  # _round_even, inlined here and below: the calls would cost ~30% per term
-            t = man >> (n - 1)
-            man = (t >> 1) + 1 if t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1)) else t >> 1
-            exp += n
-        if cs:
-            man = -man
-        if not acc:
-            acc, aexp = man, exp
-            continue
-        gap = aexp - exp
-        if gap > far:  # the product is under a quarter ulp of acc
-            continue
-        if gap < -far:  # acc is under a quarter ulp of the product
-            acc, aexp = man, exp
-            continue
-        if gap >= 0:
-            s = (acc << gap) + man
-        else:
-            s = acc + (man << -gap)
-            exp = aexp
-        neg = s < 0
-        if neg:
-            s = -s
-        n = s.bit_length() - prec
-        if n > 0:
-            t = s >> (n - 1)
-            s = (t >> 1) + 1 if t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1)) else t >> 1
-            exp += n
-        acc, aexp = -s if neg else s, exp
-    return from_man_exp(acc, aexp)
-
-
-# Correctly rounded steps on signed integer mantissas: a value is
-# ``(man, exp)`` for ``man * 2**exp``, zero when ``man`` is 0, with any
-# number of trailing zero bits.  Each step gives the value of the libmp
-# call it names, which callers turn into a tuple with ``from_man_exp``.
-
-def _round_even(man, exp, prec):
-    """``man 2**exp`` rounded to ``prec`` bits half to even, as ``normalize1`` at round_nearest."""
-    n = man.bit_length() - prec
-    if n <= 0:
-        return man, exp
-    a = -man if man < 0 else man
-    t = a >> (n - 1)
-    a = (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1
-    return -a if man < 0 else a, exp + n
-
-
-def _round_down(man, exp, prec):
-    """``man 2**exp`` rounded to ``prec`` bits toward zero, as ``normalize1`` at round_down."""
-    n = man.bit_length() - prec
-    if n <= 0:
-        return man, exp
-    return -(-man >> n) if man < 0 else man >> n, exp + n
-
-
-def _quotient(nman, nexp, dman, dexp, prec):
-    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman != 0``, as ``mpf_div`` at round_nearest.
-
-    ``mpf_div`` rounds the exact quotient correctly; so does this: the
-    integer quotient keeps at least ``prec + 2`` bits and a sticky bit
-    for the remainder before :func:`_round_even`.
-    """
-    if not nman:
-        return 0, 0
-    if dman < 0:
-        nman, dman = -nman, -dman
-    a = -nman if nman < 0 else nman
-    k = prec + 2 + dman.bit_length() - a.bit_length()
-    q, r = divmod(a << k, dman) if k >= 0 else divmod(a, dman << -k)
-    q = q << 1 | (r != 0)
-    return _round_even(-q if nman < 0 else q, nexp - dexp - k - 1, prec)
-
-
-def _sqrt(man, exp, prec):
-    """The square root of ``man 2**exp`` for ``man >= 0``, as ``mpf_sqrt`` at round_nearest.
-
-    ``mpf_sqrt`` rounds the exact floor root of the shifted mantissa, with
-    a sticky bit for a nonzero remainder, and so does this: the root keeps
-    at least ``prec + 2`` bits, so the rounding is correct.
-    """
-    if exp & 1:
-        man <<= 1
-        exp -= 1
-    shift = max(4, 2 * prec - man.bit_length() + 4)
-    shift += shift & 1
-    man <<= shift
-    root = isqrt(man)
-    if root * root != man:
-        root = root << 1 | 1
-        shift += 2
-    return _round_even(root, (exp - shift) // 2, prec)
-
-
-def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
-    """``x + y`` as ``mpf_add(x, y, prec)`` at the rounding of ``rnd`` (:func:`_round_even`
-    or :func:`_round_down`).
-
-    ``mpf_add`` rounds the exact sum, except for far operands: when x
-    lies more than ``prec + 4`` bits above y and its lowest set bit more
-    than 100 above y's, it rounds ``x 2**(prec + 4)`` perturbed by one
-    toward y's sign.  That differs from the exact sum's rounding only
-    when x has more than ``prec`` bits (an exact product), and it is
-    reproduced here, so no shift is wider than the far rule allows.
-    """
-    if not xman:
-        return rnd(yman, yexp, prec)
-    if not yman:
-        return rnd(xman, xexp, prec)
-    gap = xexp + xman.bit_length() - yexp - yman.bit_length()
-    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:
-        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)
-    if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:
-        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4, prec)
-    if xexp >= yexp:
-        return rnd((xman << xexp - yexp) + yman, yexp, prec)
-    return rnd(xman + (yman << yexp - xexp), xexp, prec)
-
-
-def _low(man, exp):
-    """The exponent of the lowest set bit of nonzero ``man 2**exp``: the libmp tuple's exponent."""
-    return exp + (man & -man).bit_length() - 1
 
 
 def power_sum(coeffs, p, m):
@@ -590,7 +421,7 @@ def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
     level totals and the stop test run on numbers.
     """
     tol = m.mpf(10) ** (-digits)
-    prec, rnd = m._prec_rounding
+    prec = m.prec
     total = m.mpf(0)
     prev = None
     for level in range(MAX_LEVEL + 1):
@@ -598,11 +429,12 @@ def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
         nodes = _level_nodes(m, level, semi_infinite)
         new = fzero
         if level == 0:  # the midpoint t = 0, counted once
-            new = mpf_add(new, mpf_mul(nodes[0][0], fright(nodes[0]), prec, rnd), prec, rnd)
+            new = mpf_add(new, mpf_mul(nodes[0][0], fright(nodes[0]), prec, round_nearest),
+                          prec, round_nearest)
             nodes = nodes[1:]
         for node in nodes:
-            pair = mpf_add(fright(node), fleft(node), prec, rnd)
-            new = mpf_add(new, mpf_mul(node[0], pair, prec, rnd), prec, rnd)
+            pair = mpf_add(fright(node), fleft(node), prec, round_nearest)
+            new = mpf_add(new, mpf_mul(node[0], pair, prec, round_nearest), prec, round_nearest)
         total = (total / 2 if level else m.mpf(0)) + m.make_mpf(new) * h
         if level >= 2 and abs(total - prev) <= tol * max(m.mpf(1), abs(total)):
             return total
@@ -648,19 +480,20 @@ def integrate(f, a, b, ctx: PrecisionContext):
         raise DomainError(f"integrate needs a finite a and a finite or +inf b, got ({a}, {b})")
     # the evaluators make the calls of the operator forms in their
     # comments on raw tuples; the integrand still gets and gives numbers
-    prec, rnd = m._prec_rounding
+    prec = m.prec
     make = m.make_mpf
     ra = a._mpf_
     if b == m.inf:
         def fleft(node):  # f(a + neg_log1m_s) / (1 - s) / 2, s = d/2 near 0
             _, s, neg_log1m_s, _ = node
-            v = _real_value(f(make(mpf_add(ra, neg_log1m_s, prec, rnd))), m)
-            return mpf_shift(mpf_div(v, mpf_sub(fone, s, prec, rnd), prec, rnd), -1)
+            v = _real_value(f(make(mpf_add(ra, neg_log1m_s, prec, round_nearest))), m)
+            oms = mpf_sub(fone, s, prec, round_nearest)
+            return mpf_shift(mpf_div(v, oms, prec, round_nearest), -1)
 
         def fright(node):  # f(a - ln_oms) / oms / 2, 1 - s = d/2 near 0, u large
             _, oms, _, ln_oms = node
-            v = _real_value(f(make(mpf_sub(ra, ln_oms, prec, rnd))), m)
-            return mpf_shift(mpf_div(v, oms, prec, rnd), -1)
+            v = _real_value(f(make(mpf_sub(ra, ln_oms, prec, round_nearest))), m)
+            return mpf_shift(mpf_div(v, oms, prec, round_nearest), -1)
 
         return _tanh_sinh(m, fleft, fright, ctx.digits, semi_infinite=True)
 
@@ -671,11 +504,11 @@ def integrate(f, a, b, ctx: PrecisionContext):
     rb, halfw = b._mpf_, ((b - a) / 2)._mpf_
 
     def fleft(node):  # f(a + halfw d) * halfw
-        x = mpf_add(ra, mpf_mul(halfw, node[1], prec, rnd), prec, rnd)
-        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, rnd)
+        x = mpf_add(ra, mpf_mul(halfw, node[1], prec, round_nearest), prec, round_nearest)
+        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, round_nearest)
 
     def fright(node):  # f(b - halfw d) * halfw
-        x = mpf_sub(rb, mpf_mul(halfw, node[1], prec, rnd), prec, rnd)
-        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, rnd)
+        x = mpf_sub(rb, mpf_mul(halfw, node[1], prec, round_nearest), prec, round_nearest)
+        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, round_nearest)
 
     return _tanh_sinh(m, fleft, fright, ctx.digits)

@@ -4,7 +4,8 @@ Each pair stores an exact transform expression evaluated at arbitrary
 precision (the abscissas k ln2/x are irrational and precision-dependent,
 so tabulated values would be useless), a reference original, a regularity
 class asserted by construction, and the jump data needed to form Jordan
-midpoint targets.
+midpoint targets.  The corpus transforms are kernels on the integer
+steps of :mod:`gsinv.mantissa`.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from mpmath.libmp import from_man_exp, mpf_exp, mpf_pi, round_nearest
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .numerics import (_TABLES, PrecisionContext, _add, _quotient, _round_even, _sqrt,
-                       check_point, context_for_order, integrate, mpf_tuples)
+from .mantissa import _add, _quotient, _round_even, _sqrt
+from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
+                       mpf_tuples)
 
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
 
@@ -68,15 +70,12 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
-# The transform F of each corpus pair, named after the pair.  Each is a
-# kernel on signed pairs: it maps z = man 2**exp to F(z) as a pair
-# (man, exp) at precision prec and round-to-nearest, the only rounding of
-# mpmath contexts.  It rounds where the operator form in its comment
-# rounds, once per operator, through numerics' correctly rounded steps,
-# so the bits are those of the operator form.  Per value its only libmp
-# call is mpf_exp (the root's pi is rounded once per precision).
-# _Kernel makes it the mpf evaluator F.eval, and lets the inverter call
-# the kernel itself on the pairs of its abscissas.
+# The transform F of each corpus pair, named after the pair: a kernel
+# z = (man, exp) -> F(z) at precision prec that rounds where the operator
+# form in its comment rounds, so the bits are those of the operator form.
+# Per value its only libmp call is mpf_exp (the root's pi is rounded once
+# per precision).  _Kernel makes it the mpf evaluator F.eval, and lets
+# the inverter call the kernel itself on the pairs of its abscissas.
 
 @_Kernel
 def _constant(man, exp, prec):  # 1/z

@@ -13,15 +13,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
 
 from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
 from .errors import DomainError, PrecisionError, ProbeError, as_number
 from .inverter import stehfest_approx
 from .lambertw import branch_series, w_of_v, xi_alpha
-from .numerics import (_TABLES, PrecisionContext, _quotient, _real_value, fit_line, integrate,
-                       mpf_tuples, power_sum)
+from .mantissa import _quotient, _signed
+from .numerics import (_TABLES, PrecisionContext, _real_value, fit_line, integrate, mpf_tuples,
+                       power_sum)
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,13 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
     if isinstance(v, (Fraction, int)):
         return ctx.mpf(qn_exact(n, v))
     m = ctx.mp
-    sign, man, exp, _ = raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
+    raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
+    M, exp = _signed(raw)
     numerators, D = _qn_integer_form(n)  # checks the order, even at v = 0
-    if not man:
+    if not M:
         if raw != fzero:
             raise DomainError(f"qn_eval needs a finite v, got {ctx.nstr(m.make_mpf(raw))}")
         return m.mpf(0)
-    M = -man if sign else man
     s = -exp
     if s < 0:
         M, s = M << exp, 0
@@ -359,16 +360,16 @@ def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
     # node both compute it and store equal bits.
     table = _TABLES.get(("qn_kernel", n, m.prec), dict)
     make = m.make_mpf
-    prec, rnd = m._prec_rounding
-    rx, rln2 = x._mpf_, ln2._mpf_
+    prec, rx, rln2 = m.prec, x._mpf_, ln2._mpf_
 
     def integrand(u):  # kernel * f(x * u / ln2), its operators' calls on raw tuples
         kernel = table.get(u._mpf_)
         if kernel is None:
             eu = m.exp(-u)
             kernel = table[u._mpf_] = qn_eval(n, 4 * eu * (1 - eu), ctx)._mpf_
-        value = f(make(mpf_div(mpf_mul(rx, u._mpf_, prec, rnd), rln2, prec, rnd)))
-        return make(mpf_mul(kernel, _real_value(value, m), prec, rnd))
+        xu = mpf_mul(rx, u._mpf_, prec, round_nearest)
+        value = f(make(mpf_div(xu, rln2, prec, round_nearest)))
+        return make(mpf_mul(kernel, _real_value(value, m), prec, round_nearest))
 
     lhs = integrate(integrand, 0, m.inf, ctx)
     return abs(lhs - rhs)

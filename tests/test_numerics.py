@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (MPZ, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul,
-                          mpf_neg, mpf_pos, mpf_shift, mpf_sqrt, round_down, round_nearest)
+from mpmath.libmp import (MPZ, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_mul,
+                          mpf_neg, round_nearest)
 
 from gsinv import (
     DomainError,
@@ -30,6 +30,7 @@ from gsinv import (
 )
 from gsinv import numerics, qpoly
 from gsinv.numerics import fit_line, mpf_tuples, power_sum, weighted_sum
+from conftest import _factor
 
 
 def test_required_digits_examples():
@@ -287,35 +288,14 @@ def test_power_sum_matches_mpf_loop(ctx30):
 
 
 @st.composite
-def _factor(draw, prec, top):
-    """A raw tuple of either sign below ``2**top``, or zero.  Its mantissa is
-    random or all ones (often of ``prec`` bits), small and odd (its products
-    with full ones tie), a power of two, halfway between two ``prec``-bit
-    ones, or wider than ``prec`` bits."""
-    kind = draw(st.sampled_from(["random", "ones", "small", "one", "tie", "wide", "zero"]))
-    if kind == "zero":
-        return fzero
-    bits = draw(st.one_of(st.sampled_from([prec, prec - 1, 2]), st.integers(1, prec)))
-    man = {
-        "random": lambda: draw(st.integers(1 << (bits - 1), (1 << bits) - 1)),
-        "ones": lambda: (1 << bits) - 1,
-        "small": lambda: draw(st.sampled_from([3, 5, 7, 11, 13])),
-        "one": lambda: 1,
-        "tie": lambda: ((draw(st.integers(1 << (prec - 1), (1 << prec) - 1)) | draw(st.booleans()))
-                        << 70 | 1 << 69),  # the kept prec bits of either parity
-        "wide": lambda: draw(st.integers(1 << prec, 1 << (prec + 64))),
-    }[kind]()
-    return from_man_exp(man * draw(st.sampled_from([1, -1])), top - man.bit_length())
-
-
-@st.composite
-def _sum_cases(draw):
+def _sum_cases(draw, special=False):
     """``(prec, terms)``: a term is ``(c, v)``, or None to cancel the running sum exactly.
 
     The magnitude of each value is moved by a gap of 0 to 10**5 bits,
     both ways: next to the others (so sums round, and tie), around the
     precision, and past the ``2 prec + 2`` bits the far-operand rule
-    starts at.
+    starts at.  With ``special``, about one value in five is inf, -inf
+    or nan; without, every value is finite.
     """
     prec = draw(st.integers(53, 1000))
     gaps = st.one_of(
@@ -330,13 +310,16 @@ def _sum_cases(draw):
             terms.append(None)
             continue
         top = draw(gaps) * draw(st.sampled_from([1, -1]))
-        terms.append((draw(_factor(prec, draw(st.integers(-2, 2)))), draw(_factor(prec, top))))
+        c = draw(_factor(prec, draw(st.integers(-2, 2))))
+        v = draw(_factor(prec, top))
+        if special and draw(st.integers(0, 4)) == 0:
+            v = draw(st.sampled_from([finf, fninf, fnan]))
+        terms.append((c, v))
     return prec, terms
 
 
-@given(_sum_cases())
-def test_weighted_sum_bits_match_the_libmp_loop(case):
-    prec, terms = case
+def _check_weighted_sum(prec, terms):
+    """weighted_sum of the terms has the bits of the mpf_mul/mpf_add loop at prec."""
     m = MPContext()
     m.prec = prec
     coeffs, values, acc = [], [], fzero
@@ -345,8 +328,19 @@ def test_weighted_sum_bits_match_the_libmp_loop(case):
         coeffs.append(c)
         values.append(v)
         acc = mpf_add(acc, mpf_mul(c, v, prec, round_nearest), prec, round_nearest)
-    assert terms[-1] is not None or acc == fzero
+    special = any(term and term[1] in (finf, fninf, fnan) for term in terms)
+    assert terms[-1] is not None or acc == (fnan if special else fzero)
     assert weighted_sum(coeffs, [m.make_mpf(v) for v in values], m)._mpf_ == acc
+
+
+@given(_sum_cases())
+def test_weighted_sum_bits_match_the_libmp_loop(case):
+    _check_weighted_sum(*case)
+
+
+@given(_sum_cases(special=True))
+def test_weighted_sum_with_infinite_or_nan_values_matches_the_libmp_loop(case):
+    _check_weighted_sum(*case)
 
 
 def _libmp_sum(coeffs, values, prec):
@@ -386,71 +380,6 @@ def test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp(prec, k, kept, low
         for coeffs, values in cases:
             want = _libmp_sum(coeffs, values, prec)
             assert weighted_sum(coeffs, [m.make_mpf(v) for v in values], m)._mpf_ == want
-
-
-def _signed(x):
-    return -x[1] if x[0] else x[1], x[2]
-
-
-_STEPS = ((round_nearest, numerics._round_even), (round_down, numerics._round_down))
-
-
-@st.composite
-def _step_operands(draw):
-    """``(prec, x, y)``: each a :func:`_factor` or the exact product of two
-    (up to twice as wide), y 0 to 10**5 bits away from x either way, past
-    mpf_add's far-operand rule (more than ``prec + 4`` bits) included."""
-    prec = draw(st.integers(53, 600))
-
-    def operand(top):
-        x = draw(_factor(prec, top))
-        return mpf_mul(x, draw(_factor(prec, 0))) if draw(st.booleans()) else x
-
-    gap = st.one_of(
-        st.integers(0, 4),
-        st.sampled_from([prec + 4, prec + 5, prec + 14, prec + 15, 2 * prec, 2 * prec + 1]),
-        st.integers(0, 3 * prec),
-        st.integers(0, 10**5),
-    )
-    return prec, operand(0), operand(draw(gap) * draw(st.sampled_from([1, -1])))
-
-
-@given(_step_operands())
-def test_mantissa_steps_match_libmp(case):
-    # numerics' rounding, sum, quotient and root steps give libmp's bits at
-    # round-to-nearest, the first two also toward zero (the default of
-    # libmpc's mpc_div)
-    prec, x, y = case
-    for rnd, step in _STEPS:
-        assert from_man_exp(*step(*_signed(x), prec)) == mpf_pos(x, prec, rnd)
-        assert from_man_exp(*numerics._add(*_signed(x), *_signed(y), prec, step)) == mpf_add(
-            x, y, prec, rnd)
-    if y != fzero:
-        for d in (y, mpf_neg(y)):
-            quotient = numerics._quotient(*_signed(x), *_signed(d), prec)
-            assert from_man_exp(*quotient) == mpf_div(x, d, prec, round_nearest)
-    man, exp = _signed(mpf_abs(x))
-    for low in (0, 3):  # a pair may carry trailing zero bits
-        root = numerics._sqrt(man << low, exp - low, prec)
-        assert from_man_exp(*root) == mpf_sqrt(mpf_abs(x), prec, round_nearest)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("rnd, step", _STEPS)
-@pytest.mark.parametrize("prec", [53, 200])
-def test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit(prec, rnd, step, sign):
-    # x has 2 prec bits: below its kept prec bits lie a bit under a tie
-    # (round-to-nearest) or all ones (toward zero).  y is one unit of x's
-    # last bit plus a bit 101 lower, so the exact sum rounds up; mpf_add
-    # rounds x perturbed by one instead, which rounds down
-    below = (1 << (prec - 1)) - 1 if rnd == round_nearest else (1 << prec) - 1
-    x = from_man_exp(sign * ((1 << (prec - 1) | 1) << prec | below), 0)
-    y = from_man_exp(sign * ((1 << 101) + 1), -101)
-    exact = mpf_pos(mpf_add(x, y), prec, rnd)
-    for a, b in ((x, y), (y, x)):
-        want = mpf_add(a, b, prec, rnd)
-        assert want != exact
-        assert from_man_exp(*numerics._add(*_signed(a), *_signed(b), prec, step)) == want
 
 
 def _sample_integrals(ctx, wrap=lambda g: g):
@@ -615,6 +544,19 @@ def test_context_for_order_is_one_context_per_thread():
     assert seen[0] is not mine and seen[0] == mine  # equal settings, its own context
     assert seen[0].mp is not mine.mp
     assert context_for_order(12) is mine  # the other thread left this one's cache alone
+
+
+def test_every_context_rounds_to_nearest():
+    # the libmp calls and the integer steps take round_nearest as a
+    # constant: an MPContext has no rounding setting, and besselk, which
+    # raises the precision and restores it, leaves the rounding alone
+    numerics._CONTEXTS.cache_clear()
+    fresh, cached = PrecisionContext(30), numerics.cached_context(30)
+    for ctx in (fresh, cached):
+        assert ctx.mp._prec_rounding[1] == round_nearest
+        prec = ctx.mp.prec
+        ctx.mp.besselk(0, ctx.mp.sqrt(ctx.mpf(3)))
+        assert ctx.mp._prec_rounding == [prec, round_nearest]
 
 
 def test_cached_context_left_at_raised_precision_is_rebuilt():

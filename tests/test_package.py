@@ -104,6 +104,11 @@ def test_exact_coefficients_do_not_load_mpmath():
     assert loaded == {"gsinv", "gsinv.coeffs", "gsinv.errors"}
 
 
+def test_submodules_are_the_package_files():
+    files = {path.stem for path in (SRC / "gsinv").glob("*.py")}
+    assert gsinv._SUBMODULES == files - {"__init__"}
+
+
 def test_submodules_resolve_as_attributes():
     loaded = fresh_modules("import gsinv\nassert gsinv.series.__name__ == 'gsinv.series'")
     assert loaded == {"gsinv", "gsinv.series"}

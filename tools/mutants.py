@@ -24,6 +24,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 T_INV = "tests/test_inverter.py::"
+T_MAN = "tests/test_mantissa.py::"
 T_PAIRS = "tests/test_pairs.py::"
 T_W = "tests/test_lambertw.py::"
 T_NUM = "tests/test_numerics.py::"
@@ -34,7 +35,7 @@ MUTANTS = {
     "corpus-rounding-mode": (
         "pairs.py",
         "    return _quotient(1, 0, man, exp, prec)\n",
-        "    from .numerics import _round_down\n"
+        "    from .mantissa import _round_down\n"
         "    return _round_down(*_quotient(1, 0, man, exp, prec + 4), prec)\n",
         [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit"],
     ),
@@ -46,8 +47,8 @@ MUTANTS = {
     ),
     "kernel-round-down": (
         "pairs.py",
-        "_quotient, _round_even, _sqrt,",
-        "_quotient, _round_down as _round_even, _sqrt,",
+        "from .mantissa import _add, _quotient, _round_even, _sqrt\n",
+        "from .mantissa import _add, _quotient, _round_down as _round_even, _sqrt\n",
         [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -60,42 +61,42 @@ MUTANTS = {
     ),
     "halley-exp-magnitude-at-prec": (
         "lambertw.py",
-        "mpf_exp(w[0], prec + 4, rnd)",
-        "mpf_exp(w[0], prec, rnd)",
+        "mpf_exp(w[0], prec + 4, round_nearest)",
+        "mpf_exp(w[0], prec, round_nearest)",
         [T_W + "test_w_bits_match_pinned_fixture",
          T_W + "test_integer_halley_matches_mpc_arithmetic"],
     ),
     "halley-div-sums-to-nearest": (
-        "lambertw.py",
+        "mantissa.py",
         "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)\n"
         "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)\n"
         "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)\n",
         "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp)\n"
         "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp)\n"
         "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp)\n",
-        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+        [T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
     "step-tie-to-even-dropped": (
-        "numerics.py",
+        "mantissa.py",
         "t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1))",
         "t & 1 and (a & ((1 << (n - 1)) - 1))",
-        [T_NUM + "test_mantissa_steps_match_libmp", T_W + "test_w_bits_match_pinned_fixture"],
+        [T_MAN + "test_mantissa_steps_match_libmp", T_W + "test_w_bits_match_pinned_fixture"],
     ),
     "step-quotient-sticky-dropped": (
-        "numerics.py",
+        "mantissa.py",
         "q = q << 1 | (r != 0)",
         "q = q << 1",
-        [T_NUM + "test_mantissa_steps_match_libmp"],
+        [T_MAN + "test_mantissa_steps_match_libmp"],
     ),
     "step-sqrt-sticky-dropped": (
-        "numerics.py",
+        "mantissa.py",
         "root = root << 1 | 1",
         "root = root << 1",
-        [T_NUM + "test_mantissa_steps_match_libmp",
+        [T_MAN + "test_mantissa_steps_match_libmp",
          T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit"],
     ),
     "step-far-gap-exact": (
-        "numerics.py",
+        "mantissa.py",
         "    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:\n"
         "        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), "
         "xexp - prec - 4, prec)\n"
@@ -103,19 +104,19 @@ MUTANTS = {
         "        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), "
         "yexp - prec - 4, prec)\n",
         "",
-        [T_NUM + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
-         T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+        [T_MAN + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
+         T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
     "step-far-gap-unrounded": (
-        "numerics.py",
+        "mantissa.py",
         "return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)",
         "return (xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4",
-        [T_NUM + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
-         T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+        [T_MAN + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
+         T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
     "final-conjugation-dropped": (
         "lambertw.py",
-        "return m.make_mpc(mpc_conjugate(w, prec, rnd))",
+        "return m.make_mpc(mpc_conjugate(w, prec, round_nearest))",
         "return m.make_mpc(w)",
         [T_W + "test_w_bits_match_pinned_fixture", T_W + "test_w_conjugate_symmetry"],
     ),
@@ -127,8 +128,8 @@ MUTANTS = {
     ),
     "abscissa-round-down": (
         "inverter.py",
-        "    _round_even,\n",
-        "    _round_down as _round_even,\n",
+        "from .mantissa import _nearest_sum, _round_even, _signed\n",
+        "from .mantissa import _nearest_sum, _round_down as _round_even, _signed\n",
         [T_INV + "test_stehfest_calls_transform_at_each_abscissa_once",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -158,38 +159,45 @@ MUTANTS = {
         [T_INV + "test_corpus_transform_runs_its_kernel_without_its_eval"],
     ),
     "sum-product-tie-to-even-dropped": (
-        "numerics.py",
+        "mantissa.py",
         "t & 1 and ((t & 2) or man & ((1 << (n - 1)) - 1))",
         "t & 1 and (man & ((1 << (n - 1)) - 1))",
         [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
          T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
     ),
     "sum-addition-tie-to-even-dropped": (
-        "numerics.py",
+        "mantissa.py",
         "t & 1 and ((t & 2) or s & ((1 << (n - 1)) - 1))",
         "t & 1 and (s & ((1 << (n - 1)) - 1))",
         [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
          T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
     ),
     "sum-sticky-mask-one-bit-short": (
-        "numerics.py",
+        "mantissa.py",
         "s & ((1 << (n - 1)) - 1)",
         "s & ((1 << (n - 2)) - 1)",
         [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
          T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
     ),
     "sum-product-sign-ignored": (
-        "numerics.py",
+        "mantissa.py",
         "        if cs:\n            man = -man\n",
         "",
         [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop",
          T_NUM + "test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp"],
     ),
     "sum-far-gap-added-unrounded": (
-        "numerics.py",
+        "mantissa.py",
         "quarter ulp of acc\n            continue\n",
         "quarter ulp of acc\n            acc, aexp = (acc << gap) + man, exp\n            continue\n",
         [T_NUM + "test_weighted_sum_bits_match_the_libmp_loop"],
+    ),
+    "sum-infinite-value-let-in": (
+        "numerics.py",
+        "if all(man or not exp for man, exp in pairs):",
+        "if True:",
+        [T_INV + "test_stehfest_sum_with_infinite_or_nan_values_matches_operator_loop",
+         T_NUM + "test_weighted_sum_with_infinite_or_nan_values_matches_the_libmp_loop"],
     ),
     "kernel-sum-drops-last-term": (
         "inverter.py",
