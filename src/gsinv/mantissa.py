@@ -8,12 +8,21 @@ rounds the exact result of each call correctly, and so does the step,
 so a chain of steps has the bits of the chain of calls without building
 a tuple per call.  :func:`_signed` turns a raw ``_mpf_`` or ``_mpc_``
 tuple into a pair, and :func:`_raw` turns a complex pair back.
+
+One step is no correctly rounded operation: ``mpf_exp`` rounds a
+``prec + 14``-bit approximation of the exponential, whose error,
+measured over 12,000 samples at prec 206-664, is at most 17.4 ulp at
+``prec + 14``, about 2**-9.8 ulp at ``prec``.  Its result is the
+correctly rounded value wherever that value lies farther than this
+error from a rounding midpoint.  :class:`_ExpProgression` rounds its
+own approximation only where it lies more than 2**-6 ulp from one, an
+eightfold margin, and calls ``mpf_exp`` everywhere else.
 """
 from __future__ import annotations
 
 from math import isqrt
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_exp, round_nearest
 
 
 def _signed(x):
@@ -193,3 +202,70 @@ def _cdiv(x, y, prec):
     t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)
     u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)
     return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)
+
+
+def _exp_neg(man, exp, prec):
+    """exp(-z) as its operators give it: -z rounded to prec, then libmp's exp, a pair."""
+    _, eman, eexp, _ = mpf_exp(from_man_exp(*_round_even(-man, exp, prec)), prec, round_nearest)
+    return eman, eexp
+
+
+_EXP_GUARD = 64  # bits the powers of the progression carry beyond prec
+_EXP_BAND = 6  # the progression rounds only more than 2**-_EXP_BAND ulp from a midpoint
+
+
+class _ExpProgression:
+    """exp(-z_j) for the abscissas ``z_j = j * base`` rounded to ``prec`` bits, as
+    ``_exp_neg(z_j)`` gives it, for ``base = bman 2**bexp > 0`` and any ``j >= 1``.
+
+    The abscissas are an arithmetic progression, so their exponentials are
+    nearly the geometric one ``P_j = Q**j``, ``Q = exp(-base)``.  ``Q`` is
+    one ``mpf_exp`` at ``wp = prec + _EXP_GUARD`` bits, taken on first
+    use; the powers are kept truncated to ``wp`` bits and extended on
+    demand, so ``j`` may come in any order.  The rounding of the abscissa
+    leaves the exact ``delta_j = j base - z_j``, and ``exp(-z_j) =
+    P_j exp(delta_j)`` is taken as ``P_j (1 + delta_j)``.  For ``j <= 128``
+    the result is within about 2**-55 ulp of exp(-z_j) at ``prec``; it is
+    rounded half to even when it lies more than 2**-_EXP_BAND ulp from a
+    rounding midpoint, where ``mpf_exp`` rounds to the same bits (see the
+    module docstring).  Near a power of two the two roundings agree as
+    well, since both values lie far under half an ulp from it.
+    ``_exp_neg`` gives every other value: within the band, where
+    ``delta_j**2`` is not negligible at ``wp`` (huge abscissas), and at an
+    integer z_j, which ``mpf_exp`` takes to ``mpf_pow_int`` above 600 bits.
+    """
+
+    __slots__ = ("bman", "bexp", "prec", "powers")
+
+    def __init__(self, bman, bexp, prec):
+        self.bman, self.bexp, self.prec = bman, bexp, prec
+        self.powers = None  # [P_0, P_1, ...] as wp-bit (man, exp) pairs, from the first use
+
+    def __call__(self, j, zman, zexp):
+        """exp(-z_j) as a pair, where ``(zman, zexp)`` is z_j, ``j * base`` rounded."""
+        prec, bexp = self.prec, self.bexp
+        wp = prec + _EXP_GUARD
+        if _low(zman, zexp) < 0:  # z_j is no integer; nor is base, so bexp < 0
+            d = j * self.bman - (zman << zexp - bexp)  # delta_j = d 2**bexp, exactly
+            if not d or 2 * (d.bit_length() + bexp) < -wp:  # delta_j**2 / 2 is under 2**-wp
+                pman, pexp = self._power(j, wp)
+                man = pman + (pman * d >> -bexp)
+                n = man.bit_length() - prec
+                if abs((man & (1 << n) - 1) - (1 << n - 1)) << _EXP_BAND > 1 << n:
+                    return _round_even(man, pexp, prec)
+        return _exp_neg(zman, zexp, prec)
+
+    def _power(self, j, wp):
+        """``P_j`` as a pair with a ``wp``-bit mantissa, each power truncated from the last."""
+        powers = self.powers
+        if powers is None:
+            _, qman, qexp, _ = mpf_exp(from_man_exp(-self.bman, self.bexp), wp, round_nearest)
+            n = qman.bit_length() - wp
+            powers = self.powers = [(1 << wp - 1, 1 - wp), (qman << -n, qexp + n)]
+        qman, qexp = powers[1]
+        while len(powers) <= j:
+            man, exp = powers[-1]
+            man *= qman
+            n = man.bit_length() - wp
+            powers.append((man >> n, exp + qexp + n))
+        return powers[j]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from mpmath.libmp import from_man_exp, mpf_exp, mpf_pi, round_nearest
+from mpmath.libmp import mpf_pi, round_nearest
 
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
@@ -73,9 +73,11 @@ def _sq_ref(t):
 # The transform F of each corpus pair, named after the pair: a kernel
 # z = (man, exp) -> F(z) at precision prec that rounds where the operator
 # form in its comment rounds, so the bits are those of the operator form.
-# Per value its only libmp call is mpf_exp (the root's pi is rounded once
-# per precision).  _Kernel makes it the mpf evaluator F.eval, and lets
-# the inverter call the kernel itself on the pairs of its abscissas.
+# A kernel makes no libmp call (the root's pi is rounded once per
+# precision); step and square wave also take e = exp(-z) as a pair, with
+# the bits of mpf_exp.  _Kernel makes it the mpf evaluator F.eval, which
+# gives e by mpf_exp, and lets the inverter call the kernel itself on the
+# pairs of its abscissas, with e from one geometric progression per x.
 
 @_Kernel
 def _constant(man, exp, prec):  # 1/z
@@ -98,26 +100,20 @@ def _root(man, exp, prec):  # sqrt(pi/z), with pi rounded once per precision
     return _sqrt(*_quotient(*pi, man, exp, prec), prec)
 
 
-@_Kernel
-def _step(man, exp, prec):  # exp(-z)/z
-    return _quotient(*_exp_neg(man, exp, prec), man, exp, prec)
+@partial(_Kernel, exp_neg=True)
+def _step(man, exp, prec, e):  # exp(-z)/z
+    return _quotient(*e, man, exp, prec)
 
 
-@_Kernel
-def _square_wave(man, exp, prec):  # 1/(z*(1+exp(-z)))
-    dman, dexp = _add(*_exp_neg(man, exp, prec), 1, 0, prec)
+@partial(_Kernel, exp_neg=True)
+def _square_wave(man, exp, prec, e):  # 1/(z*(1+exp(-z)))
+    dman, dexp = _add(*e, 1, 0, prec)
     return _quotient(1, 0, *_round_even(man * dman, exp + dexp, prec), prec)
 
 
 @_Kernel
 def _sine(man, exp, prec):  # 1/(1+z**2)
     return _quotient(1, 0, *_add(*_round_even(man * man, exp + exp, prec), 1, 0, prec), prec)
-
-
-def _exp_neg(man, exp, prec):
-    """exp(-z) as its operators give it: -z rounded to prec, then libmp's exp, a pair."""
-    _, eman, eexp, _ = mpf_exp(from_man_exp(*_round_even(-man, exp, prec)), prec, round_nearest)
-    return eman, eexp
 
 
 def corpus() -> tuple[TransformPair, ...]:

@@ -538,10 +538,16 @@ def test_equivalence_probe_tables_are_keyed_by_digits_and_guard():
                                   ("xi", b.mpf("0.2")._mpf_, 35, 5)]
 
 
+def _ladder_values(F, x, n, ctx):
+    return [e.value for e in invert_ladder(F, x, n, ctx=ctx).entries]
+
+
 def test_thread_safety_across_contexts():
     # operations are pure given an explicit context; concurrent ladders on
     # distinct contexts must reproduce the serial results exactly, also
-    # when the threads race to fill the process-wide coefficient cache
+    # when the threads race to fill the process-wide coefficient cache.
+    # Step and square wave keep their exp(-z) progression in each call's
+    # abscissa cache: their ladders at n = 48 race as well
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = []
@@ -549,11 +555,15 @@ def test_thread_safety_across_contexts():
         ctx = PrecisionContext(digits)
         for pair in corpus()[:4]:
             for n in (4, 6):
-                jobs.append((pair.F, n, ctx))
-    serial = [stehfest_approx(F, 1, n, ctx) for F, n, ctx in jobs]
+                jobs.append(functools.partial(stehfest_approx, pair.F, 1, n, ctx))
+    ctx = PrecisionContext(context_for_order(48).digits)
+    for name in ("step", "square-wave"):
+        for x in ("0.7", "3"):
+            jobs.append(functools.partial(_ladder_values, get_pair(name).F, x, 48, ctx))
+    serial = [job() for job in jobs]
     numerics._TABLES.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda j: stehfest_approx(j[0], 1, j[1], j[2]), jobs))
+        threaded = list(pool.map(lambda job: job(), jobs))
     assert serial == threaded
 
 

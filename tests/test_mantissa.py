@@ -2,11 +2,14 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import (from_man_exp, fzero, mpc_div, mpc_mul, mpc_sub, mpf_abs, mpf_add,
-                          mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, round_down, round_nearest)
+from mpmath.libmp import (from_man_exp, from_rational, ftwo, fzero, mpc_div, mpc_mul, mpc_sub,
+                          mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_sqrt, round_down, round_nearest)
 
-from gsinv.mantissa import (_add, _cdiv, _cmul, _csub, _quotient, _raw, _round_down, _round_even,
-                            _signed, _sqrt)
+import gsinv.mantissa as mantissa
+from gsinv import context_for_order
+from gsinv.mantissa import (_add, _cdiv, _cmul, _csub, _ExpProgression, _quotient, _raw,
+                            _round_down, _round_even, _signed, _sqrt)
 from conftest import _factor
 
 
@@ -174,3 +177,73 @@ def test_halley_steps_match_libmpc(case):
     assert _raw(_csub(x, y, prec)) == mpc_sub(rx, ry, prec, round_nearest)
     if y[0][0] or y[1][0]:
         assert _raw(_cdiv(x, y, prec)) == mpc_div(rx, ry, prec, round_nearest)
+
+
+def _base(x, prec):
+    """``ln2 / x`` for a raw tuple ``x > 0``, rounded as the abscissa cache rounds it, a pair."""
+    _, bman, bexp, _ = mpf_div(mpf_log(ftwo, prec, round_nearest), x, prec, round_nearest)
+    return bman, bexp
+
+
+def _check_progression(bman, bexp, prec, js):
+    """The progression of ``base = bman 2**bexp`` read at ``js``: each value is
+    ``mpf_exp(-z_j, prec)``; returns the progression."""
+    exps = _ExpProgression(bman, bexp, prec)
+    for j in js:
+        z = _round_even(bman * j, bexp, prec)  # z_j as the abscissa cache rounds it
+        want = mpf_exp(mpf_neg(from_man_exp(*z)), prec, round_nearest)
+        assert from_man_exp(*exps(j, *z)) == want, (bman, bexp, prec, j)
+    return exps
+
+
+@st.composite
+def _progressions(draw):
+    """``(x, n, js)``: x log-uniform in [1e-6, 1e6], an order n and every
+    abscissa index j <= 2n in a random order."""
+    n = draw(st.integers(1, 64))
+    return 10.0 ** draw(st.floats(-6, 6)), n, draw(st.permutations(range(1, 2 * n + 1)))
+
+
+@given(_progressions())
+def test_exp_progression_has_the_bits_of_mpf_exp(case):
+    x, n, js = case
+    ctx = context_for_order(n)
+    prec = ctx.mp.prec
+    _check_progression(*_base(ctx.mpf(x)._mpf_, prec), prec, js)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("x", ["1e-30", "1e30"])
+def test_exp_progression_at_far_abscissas(x, n):
+    # abscissas near 1e30, where delta_j**2 is negligible only at the
+    # higher precisions, and near 1e-30, where exp(-z) is just under 1
+    ctx = context_for_order(n)
+    prec = ctx.mp.prec
+    _check_progression(*_base(ctx.mpf(x)._mpf_, prec), prec, range(2 * n, 0, -1))
+
+
+@pytest.mark.parametrize("prec", [70, 664])
+@pytest.mark.parametrize("base", [(3, 0), (1, -1)])
+def test_exp_progression_at_integer_abscissas(base, prec):
+    # mpf_exp takes an integer to mpf_pow_int above 600 bits: an integer
+    # base makes every abscissa one and needs no ratio, base 1/2 every other
+    exps = _check_progression(*base, prec, range(1, 129))
+    assert (exps.powers is None) == (base[1] >= 0)
+
+
+def test_exp_progression_takes_mpf_exp_in_the_band(monkeypatch):
+    # x = 153577/37043 at 70 bits: exp(-z_2) lies 2**-19 ulp from a rounding
+    # midpoint, and mpf_exp rounds it to the other side than the exact value
+    prec = 70
+    bman, bexp = _base(from_rational(153577, 37043, prec, round_nearest), prec)
+    z = _round_even(2 * bman, bexp, prec)
+    minus_z = mpf_neg(from_man_exp(*z))
+    want = mpf_exp(minus_z, prec, round_nearest)
+    assert want != mpf_pos(mpf_exp(minus_z, prec + 60, round_nearest), prec, round_nearest)
+    calls = []
+    monkeypatch.setattr(mantissa, "mpf_exp",
+                        lambda x, wp, rnd: calls.append((x, wp)) or mpf_exp(x, wp, rnd))
+    got = _ExpProgression(bman, bexp, prec)(2, *z)
+    # the ratio exp(-base), then libmp's own call for the value in the band
+    assert calls == [(mpf_neg(from_man_exp(bman, bexp)), prec + 64), (minus_z, prec)]
+    assert from_man_exp(*got) == want

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from mpmath import MPContext
 
+import gsinv.mantissa
 import gsinv.pairs
 from gsinv import (
     DomainError,
@@ -175,16 +177,20 @@ def test_root_on_exact_squares_matches_its_operator_form(digits):
 def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(x, digits):
     # outside the hypothesis draws: abscissas j ln2/x near 1e30 and 1e-30,
     # the CLI's digits cap, integers (mpf_exp's own route above 600 bits)
-    # and negative points (no real root there)
+    # and negative points (no real root there).  The abscissas j = 1..128
+    # are read ascending, as stehfest_approx reads them, and descending,
+    # so step's and square wave's progression is extended from any j
     ctx = PrecisionContext(digits)
     m = ctx.mp
     base = m.ln(2) / ctx.mpf(x)
+    js = range(1, 129)
     for pair in corpus():
         form = OPERATOR_FORMS[pair.formula]
-        cache = _AbscissaCache(pair.F, ctx.mpf(x), ctx)  # the inverter's path on pairs
-        assert cache.kernel is not None
-        assert [cache(j)._mpf_ for j in range(1, 17)] == [
-            form(j * base)._mpf_ for j in range(1, 17)], pair.name
+        expected = [form(j * base)._mpf_ for j in js]
+        for order in (js, js[::-1]):
+            cache = _AbscissaCache(pair.F, ctx.mpf(x), ctx)  # the inverter's path on pairs
+            assert cache.kernel is not None
+            assert [cache(j)._mpf_ for j in order] == [expected[j - 1] for j in order], pair.name
         for z in (1, 2, 7, 10**30, -0.5, -7):
             z = ctx.mpf(z)
             if z > 0 or pair.name != "root":
@@ -198,18 +204,40 @@ def test_corpus_evaluators_refuse_a_non_finite_point(ctx30, z):
             pair.F(ctx30.mpf(z))
 
 
-@pytest.mark.parametrize("n", [1, 8])
+def _ulps_from_midpoint(x, prec):
+    """How far exp(x) lies from the nearest rounding midpoint at prec bits, in ulps."""
+    m = MPContext()
+    m.prec = prec + 80
+    e = m.exp(m.make_mpf(x))
+    units = m.ldexp(e, prec - int(m.floor(m.log(e, 2))) - 1)  # e in ulps at prec
+    return abs(units - m.floor(units) - m.mpf(1) / 2)
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 48])
 def test_mpf_exp_is_the_only_libmp_call_per_abscissa(monkeypatch, n):
+    # step and square wave take exp(-z) from one progression per x on the
+    # inverter's path: one mpf_exp for its ratio at prec + 64 bits, and
+    # mpf_exp itself only for an abscissa whose exp(-z) lies within
+    # 2**-6 ulp of a rounding midpoint.  F.eval of one z is one mpf_exp
     calls = []
-    exp = gsinv.pairs.mpf_exp
-    monkeypatch.setattr(gsinv.pairs, "mpf_exp", lambda *args: calls.append(args) or exp(*args))
+    exp = gsinv.mantissa.mpf_exp
+    monkeypatch.setattr(gsinv.mantissa, "mpf_exp", lambda *args: calls.append(args) or exp(*args))
     ctx = context_for_order(n)
+    prec = ctx.mp.prec
     for pair in corpus():
+        takes_exp = pair.name in ("step", "square-wave")
         calls.clear()
         stehfest_approx(pair.F, "0.7", n, ctx)
-        assert len(calls) == (2 * n if pair.name in ("step", "square-wave") else 0), pair.name
-    # the kernels reach the other libmp operations only through numerics' steps
-    assert not {"mpf_add", "mpf_div", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt"} & set(
+        assert [c[1] for c in calls[:1]] == ([prec + 64] if takes_exp else []), pair.name
+        for x, wp, _ in calls[1:]:
+            assert wp == prec and _ulps_from_midpoint(x, prec) < 2**-6, pair.name
+        assert len(calls) <= 1 + n // 8, pair.name
+        calls.clear()
+        for z in ("0.7", "3", "1e-30", "1e30"):
+            pair.F(ctx.mpf(z))
+        assert [c[1] for c in calls] == ([prec] * 4 if takes_exp else []), pair.name
+    # the kernels reach libmp only through numerics' and mantissa's steps
+    assert not {"mpf_add", "mpf_div", "mpf_exp", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt"} & set(
         vars(gsinv.pairs))
 
 

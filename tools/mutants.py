@@ -128,8 +128,9 @@ MUTANTS = {
     ),
     "abscissa-round-down": (
         "inverter.py",
-        "from .mantissa import _nearest_sum, _round_even, _signed\n",
-        "from .mantissa import _nearest_sum, _round_down as _round_even, _signed\n",
+        "from .mantissa import _ExpProgression, _exp_neg, _nearest_sum, _round_even, _signed\n",
+        "from .mantissa import _ExpProgression, _exp_neg, _nearest_sum, _round_down as _round_even,"
+        " _signed\n",
         [T_INV + "test_stehfest_calls_transform_at_each_abscissa_once",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -204,6 +205,24 @@ MUTANTS = {
         "_nearest_sum(a, values, m.prec)",
         "_nearest_sum(a, values[:-1], m.prec)",
         [T_INV + "test_stehfest_sum_bits_match_operator_loop"],
+    ),
+    "progression-delta-dropped": (
+        "mantissa.py",
+        "man = pman + (pman * d >> -bexp)",
+        "man = pman",
+        [T_MAN + "test_exp_progression_has_the_bits_of_mpf_exp"],
+    ),
+    "progression-guard-cut-to-4": (
+        "mantissa.py",
+        "_EXP_GUARD = 64",
+        "_EXP_GUARD = 4",
+        [T_MAN + "test_exp_progression_has_the_bits_of_mpf_exp"],
+    ),
+    "progression-band-bypassed": (
+        "mantissa.py",
+        "if abs((man & (1 << n) - 1) - (1 << n - 1)) << _EXP_BAND > 1 << n:",
+        "if True:",
+        [T_MAN + "test_exp_progression_takes_mpf_exp_in_the_band"],
     ),
     "qn-eval-rounds-a-bit-short": (
         "qpoly.py",
