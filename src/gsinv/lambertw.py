@@ -138,8 +138,6 @@ class _WConstants(NamedTuple):
     taylor_radius: tuple  # |z| < 0.2/e: Taylor series
     disk_radius: tuple  # |z| <= 1.2: seed z (1 - z)
     omega_radius: tuple  # |ln z| < 0.2: linearization at W(1)
-    mu3: tuple  # 11/72
-    mu4: tuple  # 43/540
     omega: tuple  # W(1)
 
 
@@ -148,8 +146,7 @@ def _build_w_constants(m) -> _WConstants:
     return _WConstants(*(x._mpf_ for x in (
         -m.exp(-1), e, m.mpf(10) ** (-m.dps + 2), m.mpf("1e-4"), m.mpf(10) ** (-m.dps),
         m.mpf(10) ** (-m.dps - 5), m.mpf("0.05"), m.mpf("0.45"), m.mpf("0.2") / e,
-        m.mpf("1.2"), m.mpf("0.2"), m.mpf(11) / 72, m.mpf(43) / 540,
-        m.mpf("0.5671432904097838729999686622103555497538"),
+        m.mpf("1.2"), m.mpf("0.2"), m.mpf("0.5671432904097838729999686622103555497538"),
     )))
 
 
@@ -324,8 +321,9 @@ def _w0_upper(zc, ctx: PrecisionContext):
         # left of the branch point the seed z (1 - z) can lead Halley to
         # another branch, or next to the cut to no root at all
         p = m.sqrt(2 * m.make_mpc(ez1))
+        mu = _TABLES.get(("mu", 4, prec), lambda: mpf_tuples(branch_series(4), prec))
         mk = m.make_mpf
-        w = (-1 + p - p**2 / 3 + mk(K.mu3) * p**3 - mk(K.mu4) * p**4)._mpc_
+        w = (-1 + p - p**2 / 3 + mk(mu[3]) * p**3 + mk(mu[4]) * p**4)._mpc_
     elif mpf_lt(az, K.taylor_radius):
         w = _taylor_w(m, z, m.make_mpf(K.taylor_tol))._mpc_
     elif in_disk:

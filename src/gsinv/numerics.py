@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
@@ -140,8 +140,10 @@ class PrecisionContext:
         return self._eps
 
     def mpf(self, x):
+        """``x`` as an mpf of this context; a Fraction rounded once, by ``from_rational``."""
         if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / x.denominator
+            m = self._mp
+            return m.make_mpf(from_rational(x.numerator, x.denominator, m.prec, round_nearest))
         return as_number(self._mp.mpf, x, "real number")
 
     def mpc(self, re, im=0):
@@ -222,16 +224,12 @@ def check_point(x, ctx: PrecisionContext, name: str = "x"):
 def mpf_tuples(values, prec: int) -> tuple:
     """Raw ``_mpf_`` tuples of the Fractions ``values`` at ``prec`` bits.
 
-    Rounded as :meth:`PrecisionContext.mpf` rounds a Fraction (numerator
-    to ``prec`` bits, then one division by the exact denominator), so a
-    caller at binary precision ``prec`` that rebuilds them with its own
+    Each exact quotient is rounded once to nearest by ``from_rational``,
+    as :meth:`PrecisionContext.mpf` rounds a Fraction, so a caller at
+    binary precision ``prec`` that rebuilds them with its own
     ``make_mpf`` gets the same bits as converting each Fraction itself.
     """
-    return tuple(
-        mpf_div(from_int(q.numerator, prec, round_nearest), from_int(q.denominator),
-                prec, round_nearest)
-        for q in values
-    )
+    return tuple(from_rational(q.numerator, q.denominator, prec, round_nearest) for q in values)
 
 
 def weighted_sum(coeffs, values, m):

@@ -83,39 +83,43 @@ def _qn_integer_form(n: int) -> tuple[tuple[int, ...], int]:
 def qn_eval(n: int, v, ctx: PrecisionContext):
     """Evaluate q_n(v) at working precision, rounded once.
 
-    Rational ``v`` routes through exact rational arithmetic.  Floating
-    ``v`` (an mpf of any context, or anything ``ctx.mpf`` converts) is a
-    dyadic M 2^-s, so Horner runs exactly in integers over the cached
-    numerators N_k and common denominator D of the coefficients:
-    ``sum N_k M^k 2^(s(n-k))`` is divided by ``D 2^(sn)`` in one correctly
-    rounded division.  The alternating terms peak near e^n while q_n may
-    be near e^-n; the exact route loses nothing to that cancellation,
-    where a floating Horner has to guess how many digits it will lose
-    (the former 0.44 n boost fell short from about n = 120).
+    Every point is an exact rational p/q with q = odd 2^s: a Fraction or
+    an int as it is, a floating ``v`` (an mpf of any context, or anything
+    ``ctx.mpf`` converts) as the dyadic it stores.  Horner runs exactly in
+    integers over the cached numerators N_k and common denominator D of
+    the coefficients: ``sum N_k p^k (odd 2^s)^(n-k)`` is divided by ``D
+    odd^n 2^(sn)`` in one correctly rounded division, as ``from_rational``
+    rounds the exact q_n(v).  The alternating terms peak near e^n while
+    q_n may be near e^-n; the exact route loses nothing to that
+    cancellation (a floating Horner's 0.44 n boost fell short from n = 120).
 
     Raises
     ------
     DomainError
         If ``v`` is infinite or NaN.
     """
-    if isinstance(v, (Fraction, int)):
-        return ctx.mpf(qn_exact(n, v))
     m = ctx.mp
-    raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
-    M, exp = _signed(raw)
     numerators, D = _qn_integer_form(n)  # checks the order, even at v = 0
-    if not M:
-        if raw != fzero:
+    if isinstance(v, (Fraction, int)):
+        p, q = Fraction(v).as_integer_ratio()
+        s = (q & -q).bit_length() - 1
+        odd = q >> s
+    else:
+        raw = getattr(v, "_mpf_", None) or ctx.mpf(v)._mpf_
+        p, exp = _signed(raw)
+        if not p and raw != fzero:
             raise DomainError(f"qn_eval needs a finite v, got {ctx.nstr(m.make_mpf(raw))}")
+        p, s, odd = (p << exp, 0, 1) if exp > 0 else (p, -exp, 1)
+    if not p:
         return m.mpf(0)
-    s = -exp
-    if s < 0:
-        M, s = M << exp, 0
+    if odd > 1:  # N_k odd^(n-k) over D odd^n; a dyadic point skips this
+        numerators = [c * odd ** (n - k) for k, c in enumerate(numerators, 1)]
+        D *= odd**n
     acc = shift = 0
     for c in reversed(numerators):  # N_k is scaled by 2^(s(n-k))
-        acc = acc * M + (c << shift)
+        acc = acc * p + (c << shift)
         shift += s
-    acc *= M
+    acc *= p
     return m.make_mpf(from_man_exp(*_quotient(acc, -s * n, D, 0, m.prec)))
 
 

@@ -22,7 +22,7 @@ from .lambertw import in_region_a, lambert_w0, wew_residual, xi_alpha
 from .numerics import cached_context, context_for_order
 from .pairs import corpus, get_pair, run_pair
 from .qpoly import (decay_bound_probe, genfun_identity_check, integral_representation_check,
-                    qn_at_one_asymptotic, qn_exact, qn_jump_form_check)
+                    qn_at_one_asymptotic, qn_eval, qn_jump_form_check)
 
 
 def _check(name):
@@ -115,7 +115,7 @@ def check_lambertw_branch_values():
 def check_qn_at_one_refined():
     """n^3-scaled residuals of the refined q_n(1) asymptotic stay bounded."""
     ctx = cached_context(40)
-    resid = {n: abs(ctx.mpf(qn_exact(n, Fraction(1))) - qn_at_one_asymptotic(n, ctx)) * n**3
+    resid = {n: abs(qn_eval(n, 1, ctx) - qn_at_one_asymptotic(n, ctx)) * n**3
              for n in (50, 100, 150, 200)}
     return (max(resid.values()) <= 2 * resid[50],
             {str(n): ctx.nstr(r, 8) for n, r in resid.items()}, {"n": [50, 100, 150, 200]})

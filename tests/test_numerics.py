@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (MPZ, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_mul,
-                          mpf_neg, round_nearest)
+from mpmath.libmp import (MPZ, finf, fnan, fninf, fone, from_man_exp, from_rational, fzero,
+                          mpf_add, mpf_mul, mpf_neg, round_nearest)
 
 from gsinv import (
     DomainError,
@@ -266,6 +266,28 @@ def test_mpf_tuples_round_like_context():
         ctx = PrecisionContext(digits)
         raw = mpf_tuples(values, ctx.mp.prec)
         assert raw == tuple(_bits(ctx.mpf(q)) for q in values)
+
+
+@st.composite
+def _wide_fractions(draw):
+    # a context of 15-80 digits and a Fraction whose numerator is wider
+    # than its precision, so rounding the numerator first would lose bits;
+    # the low bits are drawn at random (hypothesis favours simple integers,
+    # whose quotients rarely lie near a rounding midpoint)
+    ctx = PrecisionContext(draw(st.integers(15, 80)))
+    rng = draw(st.randoms(use_true_random=False))
+    width = ctx.mp.prec + draw(st.integers(1, 200))
+    num = (rng.getrandbits(width) | 1 << (width - 1)) * rng.choice((1, -1))
+    return ctx, Fraction(num, rng.getrandbits(draw(st.integers(1, 300))) or 1)
+
+
+@given(_wide_fractions())
+def test_fractions_are_rounded_once_as_from_rational(case):
+    ctx, q = case
+    prec = ctx.mp.prec
+    want = from_rational(q.numerator, q.denominator, prec, round_nearest)
+    assert _bits(ctx.mpf(q)) == want
+    assert mpf_tuples([q], prec) == (want,)
 
 
 def test_power_sum_matches_mpf_loop(ctx30):

@@ -105,14 +105,34 @@ def test_qn_eval_is_correctly_rounded_at_high_order():
 
 @given(st.integers(1, 200), st.integers(15, 60), st.fractions(-2, 2), st.integers(-40, 0))
 def test_qn_eval_is_q_n_of_its_dyadic_point_rounded_once(n, digits, r, scale):
-    # against the exact q_n rounded once (ctx.mpf of a Fraction rounds twice:
-    # the numerator, then the quotient)
+    # against the exact q_n as from_rational rounds it, once, at the mpf v
+    # and at the Fraction it stores
     ctx = PrecisionContext(digits)
     v = ctx.mpf(r) * ctx.mp.mpf(2) ** scale
     sign, man, exp, _ = v._mpf_
-    q = qn_exact(n, Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+    exact = Fraction((-1) ** sign * man) * Fraction(2) ** exp
+    q = qn_exact(n, exact)
     want = from_rational(q.numerator, q.denominator, ctx.mp.prec, round_nearest)
     assert qn_eval(n, v, ctx)._mpf_ == want
+    assert qn_eval(n, exact, ctx)._mpf_ == want
+
+
+@given(st.integers(1, 200), st.integers(15, 60), st.integers(-10**6, 10**6),
+       st.integers(1, 10**5), st.integers(0, 40))
+def test_qn_eval_of_a_fraction_with_an_odd_denominator_part_is_rounded_once(n, digits, num, k, s):
+    ctx = PrecisionContext(digits)
+    v = Fraction(num, (2 * k + 1) << s)  # an odd part times 2^s
+    q = qn_exact(n, v)
+    assert qn_eval(n, v, ctx)._mpf_ == from_rational(q.numerator, q.denominator, ctx.mp.prec,
+                                                     round_nearest)
+
+
+@pytest.mark.parametrize("n", [1, 13, 200])
+@pytest.mark.parametrize("v", [-3, 0, 1, 2])
+def test_qn_eval_of_an_int_is_rounded_once(ctx30, n, v):
+    q = qn_exact(n, Fraction(v))
+    got = qn_eval(n, v, ctx30)._mpf_
+    assert got == from_rational(q.numerator, q.denominator, ctx30.mp.prec, round_nearest)
 
 
 @pytest.mark.parametrize("v", ["inf", "-inf", "nan"])

@@ -51,6 +51,16 @@ def matrix():
     yield ["verify", "--suite", "vandermonde", "--suite", "genfun"]
     yield ["invert", "--pair", "constant", "--x", "0", "--n", "4"]  # a domain error
     yield ["coeffs", "--n", "65"]
+    # below required_digits at larger n: the a_k(n) are rounded from their
+    # exact Fractions once, so these pin the last bits that rounding decides
+    yield ["invert", "--pair", "step", "--x", "1", "--n", "32", "--digits", "15",
+           "--output", "json"]
+    yield ["ladder", "--pair", "root", "--x", "2", "--n-max", "24", "--digits", "20",
+           "--output", "csv"]
+    yield ["invert", "--pair", "sine", "--x", "1", "--n", "40", "--digits", "30",
+           "--output", "csv"]
+    yield ["invert", "--transform", "1/(z+1)", "--x", "1", "--n", "32", "--digits", "20",
+           "--output", "csv"]
 
 
 def run(argv):

@@ -230,6 +230,24 @@ MUTANTS = {
         "_quotient(acc, -s * n, D, 0, m.prec - 1)",
         [T_Q + "test_qn_eval_is_q_n_of_its_dyadic_point_rounded_once"],
     ),
+    "qn-odd-part-dropped": (
+        "qpoly.py",
+        "        D *= odd**n\n",
+        "",
+        [T_Q + "test_qn_eval_of_a_fraction_with_an_odd_denominator_part_is_rounded_once"],
+    ),
+    "fraction-rounded-twice": (
+        "numerics.py",
+        "    return tuple(from_rational(q.numerator, q.denominator, prec, round_nearest) "
+        "for q in values)\n",
+        "    from mpmath.libmp import from_int\n"
+        "    return tuple(mpf_div(from_int(q.numerator, prec, round_nearest), "
+        "from_int(q.denominator),\n"
+        "                         prec, round_nearest) for q in values)\n",
+        [T_NUM + "test_fractions_are_rounded_once_as_from_rational",
+         T_NUM + "test_mpf_tuples_round_like_context",
+         T_INV + "test_coefficient_vector_rounds_like_context_mpf"],
+    ),
     "h-series-cap-dropped": (
         "qpoly.py",
         "        if n > _MAX_SERIES_TERMS:\n            raise _too_long()\n",
