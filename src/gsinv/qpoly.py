@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_le, mpf_mul,
+                          mpf_pow_int, round_nearest)
 
 from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
@@ -139,18 +140,20 @@ def _too_long() -> PrecisionError:
     return PrecisionError(f"H series needs more than {_MAX_SERIES_TERMS} terms")
 
 
-def _positive_series(term, ratio, reltol):
+def _positive_series(term, ratio, reltol, prec):
     # Sum of positive terms term_n = term_{n-1} * ratio(n), starting from
     # term_1 = term, until a term falls to reltol times the running sum
-    # (a NaN term never does).
+    # (a NaN term never does).  Raw tuples at prec bits: the libmp calls of
+    # the operator loop ``while not term <= reltol * acc: term *= ratio(n);
+    # acc += term``.
     acc = term
     n = 1
-    while not term <= reltol * acc:
+    while not mpf_le(term, mpf_mul(reltol, acc, prec, round_nearest)):
         n += 1
         if n > _MAX_SERIES_TERMS:
             raise _too_long()
-        term *= ratio(n)
-        acc += term
+        term = mpf_mul(term, ratio(n), prec, round_nearest)
+        acc = mpf_add(acc, term, prec, round_nearest)
     return acc
 
 
@@ -190,7 +193,13 @@ def hz_branch_check(z, ctx: PrecisionContext):
     # is still above reltol * 2 lval, no term within the cap stops the sum.
     if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:
         raise _too_long()
-    series = _positive_series(-z, lambda n: (-z) * (1 + m.mpf(1) / (n - 1)) ** n, reltol)
+    prec, mz = m.prec, (-z)._mpf_
+
+    def ratio(n):  # (-z) (1 + 1/(n-1))^n, the libmp calls of its operators
+        r = mpf_add(mpf_div(fone, from_int(n - 1), prec, round_nearest), fone, prec, round_nearest)
+        return mpf_mul(mz, mpf_pow_int(r, n, prec, round_nearest), prec, round_nearest)
+
+    series = m.make_mpf(_positive_series(mz, ratio, reltol._mpf_, prec))
     return abs(series - lval)
 
 
@@ -276,10 +285,55 @@ def qn_jump_form_check(n: int, v, ctx: PrecisionContext) -> JumpFormCheck:
     return JumpFormCheck(abs(q - form), decay, q, form)
 
 
+_SCREEN_GUARD = 16  # bits the fixed-point screen of _max_ratio carries beyond prec
+
+
+def _max_ratio(n: int, vs, ctx: PrecisionContext):
+    """The largest ``abs(qn_eval(n, v, ctx)) / v`` over the mpfs ``vs`` in (0, 1), its bits.
+
+    A fixed-point Horner screens every point: with ``W = prec +
+    _SCREEN_GUARD`` and ``v = p 2^-s``, ``acc <- C_k + floor(acc p / 2^s)``
+    from k = n down to 1 over ``C_k = round(N_k 2^W / D)``.  Each step
+    adds under 1.5 units of 2^-W and v < 1 shrinks what came before, so
+    ``|acc|`` lies within 1.5n < ``err = 2n + 2`` units of ``2^W |q_n(v)|/v``.
+    The exact ratio is computed only at the points with ``|acc| >= top -
+    2 err - top 2^-(prec-4)``, ``top`` the largest ``|acc|``: any other
+    point lies below the screen's top point by more than the errors of
+    both screens and the two roundings of ``round(round(|q|)/v)``, which
+    need not follow the exact order within about 2 ulp.  So the maximum,
+    taken with a strict ``>`` from 0 in the order of ``vs``, has the bits
+    of the loop over every point.
+    """
+    m = ctx.mp
+    numerators, D = _qn_integer_form(n)
+    W = m.prec + _SCREEN_GUARD
+    scaled = [((c << W + 1) + D) // (2 * D) for c in reversed(numerators)]
+    screen = []
+    for v in vs:
+        _, p, e, _ = v._mpf_
+        s, acc = -e, 0
+        for c in scaled:
+            acc = c + (acc * p >> s)
+        screen.append(abs(acc))
+    top, err = max(screen), 2 * n + 2
+    cut = top - 2 * err - (top >> m.prec - 4)
+    best = m.mpf(0)
+    for v, a in zip(vs, screen):
+        if a >= cut:
+            r = abs(qn_eval(n, v, ctx)) / v
+            if r > best:
+                best = r
+    return best
+
+
 def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     """Fit max over v in [0, 1-eps] of |q_n(v)|/v against C b^-n.
 
     The maximum is taken over the 121 equally spaced points of (0, 1-eps].
+    It has the bits of the exhaustive loop of ``abs(qn_eval(n, v, ctx)) /
+    v`` over those points, but the exact q_n is computed only where a
+    fixed-point screen with a proven error bound cannot exclude the
+    point (see ``_max_ratio``): once per order on the ``decay-bound`` check's grid.
 
     The per-n maxima oscillate around their geometric envelope (the
     nearest sin(n alpha) peak moves relative to the grid edge), so the
@@ -314,14 +368,7 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
         check_order(n, QN_MAX_ORDER)
     hi = 1 - eps
     vs = [hi * m.mpf(i) / 121 for i in range(1, 122)]
-    ratios = []
-    for n in ns:
-        best = m.mpf(0)
-        for v in vs:
-            r = abs(qn_eval(n, v, ctx)) / v
-            if r > best:
-                best = r
-        ratios.append(best)
+    ratios = [_max_ratio(n, vs, ctx) for n in ns]
     logs = [m.ln(r) for r in ratios]
     peaks = [
         i

@@ -252,8 +252,8 @@ def _count_ratios(monkeypatch):
     # every ratio the H series evaluates, through qpoly._positive_series
     calls = []
     real = qpoly._positive_series
-    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol: real(
-        term, lambda n: calls.append(n) or ratio(n), reltol))
+    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol, prec: real(
+        term, lambda n: calls.append(n) or ratio(n), reltol, prec))
     return calls
 
 
@@ -431,6 +431,86 @@ def test_decay_bound_probe():
     # smaller domain decays faster
     fit5 = decay_bound_probe(ctx.mpf("0.5"), range(10, 41), ctx)
     assert fit5.b > fit.b > 1
+
+
+def _exhaustive_max_ratio(n, vs, ctx):
+    # the oracle: the exact ratio at every point, kept with a strict > from 0
+    best = ctx.mp.mpf(0)
+    for v in vs:
+        r = abs(qn_eval(n, v, ctx)) / v
+        if r > best:
+            best = r
+    return best
+
+
+def _probe_grid(ctx, epsilon):
+    # the 121 points of (0, 1 - epsilon] that decay_bound_probe takes
+    hi = 1 - ctx.mpf(epsilon)
+    return [hi * ctx.mp.mpf(i) / 121 for i in range(1, 122)]
+
+
+def _count_qn_evals(monkeypatch):
+    # the order of every exact q_n the screen asks for, through qpoly.qn_eval
+    calls = []
+    real = qpoly.qn_eval
+    monkeypatch.setattr(qpoly, "qn_eval", lambda n, v, ctx: calls.append(n) or real(n, v, ctx))
+    return calls
+
+
+def test_decay_bound_probe_evaluates_q_n_once_per_order_with_the_exhaustive_bits(monkeypatch):
+    # the decay-bound check's grid: 31 exact q_n instead of 3,751
+    ctx = PrecisionContext(25)
+    ns = range(10, 41)
+    calls = _count_qn_evals(monkeypatch)
+    fit = decay_bound_probe(ctx.mpf("0.1"), ns, ctx)
+    assert calls == list(ns)
+    vs = _probe_grid(ctx, "0.1")
+    assert [r._mpf_ for r in fit.ratios] == [_exhaustive_max_ratio(n, vs, ctx)._mpf_ for n in ns]
+
+
+@pytest.mark.parametrize("digits, epsilon, ns, copies", [
+    (25, "0.5", range(10, 41), 1),
+    (20, "0.1", (10, 20, 40, 80), 1),
+    (40, "0.1", range(150, 201, 10), 1),
+    (25, "0.1", range(10, 41, 3), 2),  # every point twice: both copies of the top are evaluated
+])
+def test_max_ratio_has_the_bits_of_the_exhaustive_loop(digits, epsilon, ns, copies, monkeypatch):
+    ctx = PrecisionContext(digits)
+    vs = [v for v in _probe_grid(ctx, epsilon) for _ in range(copies)]
+    calls = _count_qn_evals(monkeypatch)
+    for n in ns:
+        assert qpoly._max_ratio(n, vs, ctx)._mpf_ == _exhaustive_max_ratio(n, vs, ctx)._mpf_
+    assert calls == [n for n in ns for _ in range(copies)]
+
+
+def test_max_ratio_with_a_screen_of_a_few_bits_evaluates_every_point(monkeypatch):
+    # W = 4 bits: every |acc| lies within 2 err of the top, so every point is a candidate
+    ctx = PrecisionContext(25)
+    monkeypatch.setattr(qpoly, "_SCREEN_GUARD", 4 - ctx.mp.prec)
+    vs = _probe_grid(ctx, "0.1")
+    ns = range(10, 41, 5)
+    calls = _count_qn_evals(monkeypatch)
+    for n in ns:
+        assert qpoly._max_ratio(n, vs, ctx)._mpf_ == _exhaustive_max_ratio(n, vs, ctx)._mpf_
+    assert calls == [n for n in ns for _ in vs]
+
+
+def test_max_ratio_keeps_the_rounded_maximum_where_it_leaves_the_exact_order(monkeypatch):
+    # 121 points spaced 1e-21 around a peak of |q_10(v)|/v, 0.80 at v = 0.9124...:
+    # their exact ratios lie within 3 ulp, and the point of the exact maximum does
+    # not carry the largest rounded ratio, so the screen's margin for the two
+    # roundings has to admit the others
+    ctx = PrecisionContext(25)
+    n = 10
+    peak, step = ctx.mpf("0.91241768337260223376"), ctx.mpf("1e-21")
+    vs = [peak + i * step for i in range(-60, 61)]
+    points = [Fraction(v.man, 2 ** -v.exp) for v in vs]
+    exact = [abs(qn_exact(n, v)) / v for v in points]
+    rounded = [abs(qn_eval(n, v, ctx)) / v for v in vs]
+    assert rounded[exact.index(max(exact))] < max(rounded)
+    calls = _count_qn_evals(monkeypatch)
+    assert qpoly._max_ratio(n, vs, ctx)._mpf_ == _exhaustive_max_ratio(n, vs, ctx)._mpf_
+    assert 1 < len(calls) <= len(vs)
 
 
 def test_decay_bound_degenerate():

@@ -248,6 +248,31 @@ MUTANTS = {
          T_NUM + "test_mpf_tuples_round_like_context",
          T_INV + "test_coefficient_vector_rounds_like_context_mpf"],
     ),
+    "screen-error-margin-dropped": (
+        "qpoly.py",
+        "    cut = top - 2 * err - (top >> m.prec - 4)\n",
+        "    cut = top - (top >> m.prec - 4)\n",
+        [T_Q + "test_max_ratio_with_a_screen_of_a_few_bits_evaluates_every_point"],
+    ),
+    "screen-error-not-scaled-by-order": (
+        "qpoly.py",
+        "top, err = max(screen), 2 * n + 2",
+        "top, err = max(screen), 4",
+        [T_Q + "test_max_ratio_with_a_screen_of_a_few_bits_evaluates_every_point"],
+    ),
+    "screen-rounding-margin-dropped": (
+        "qpoly.py",
+        "    cut = top - 2 * err - (top >> m.prec - 4)\n",
+        "    cut = top - 2 * err\n",
+        [T_Q + "test_max_ratio_keeps_the_rounded_maximum_where_it_leaves_the_exact_order"],
+    ),
+    "screen-point-doubled": (
+        "qpoly.py",
+        "acc = c + (acc * p >> s)",
+        "acc = c + (acc * p >> s - 1)",
+        [T_Q + "test_decay_bound_probe_evaluates_q_n_once_per_order_with_the_exhaustive_bits",
+         T_Q + "test_max_ratio_has_the_bits_of_the_exhaustive_loop"],
+    ),
     "h-series-cap-dropped": (
         "qpoly.py",
         "        if n > _MAX_SERIES_TERMS:\n            raise _too_long()\n",
