@@ -19,8 +19,8 @@ plus the exception types behind the CLI's exit codes.  ``_ORIGIN`` below
 is the one declaration of them: the submodules define no ``__all__``,
 and ``_ORIGIN`` cannot be read off the submodules without importing
 them.  Diagnostics that only the tests call (``gaver_kernel``,
-``expansion_probe``, ``hz_branch_check``, ``qn_asymptotic`` and the
-like) are imported from their modules.
+``expansion_probe``, ``qn_asymptotic`` and the like) are imported from
+their modules.
 """
 import importlib
 

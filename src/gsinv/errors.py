@@ -30,7 +30,7 @@ class ProbeError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """A series or refinement cannot reach the requested precision."""
+    """Raised only by Halley's fallback in ``lambertw._halley``: no w meets its bound."""
 
 
 def as_number(convert, value, kind: str):

@@ -1,9 +1,8 @@
 """The polynomial kernel q_n(v), its generating function and asymptotics.
 
-Everything structural (coefficients, generating-function identity,
-branch-expansion coefficients) is exact rational; floating point enters
-only when evaluating at a point or summing a series numerically.  The
-asymptotic checks compare exact values of q_n against closed forms built
+Everything structural (coefficients, generating-function identity) is
+exact rational; floating point enters only when evaluating at a point.
+The asymptotic checks compare exact values of q_n against closed forms built
 from the Lambert W branch structure.
 """
 from __future__ import annotations
@@ -13,17 +12,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_le, mpf_mul,
-                          mpf_pow_int, round_nearest)
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
 
 from . import series as fps
 from .coeffs import QN_MAX_ORDER, check_order
-from .errors import DomainError, PrecisionError, ProbeError, as_number
+from .errors import DomainError, ProbeError, as_number
 from .inverter import stehfest_approx
-from .lambertw import branch_series, w_of_v, xi_alpha
+from .lambertw import w_of_v, xi_alpha
 from .mantissa import _quotient, _signed
-from .numerics import (_TABLES, PrecisionContext, _real_value, fit_line, integrate, mpf_tuples,
-                       power_sum)
+from .numerics import _TABLES, PrecisionContext, _real_value, fit_line, integrate
 
 
 @dataclass(frozen=True)
@@ -125,82 +122,12 @@ def qn_eval(n: int, v, ctx: PrecisionContext):
 
 
 # ---------------------------------------------------------------------
-# the series G and H
+# the series G
 # ---------------------------------------------------------------------
 
 def _g_coeff(n: int) -> Fraction:
     """Coefficient of z^n in G(z), n >= 1; the series converges for |z| < 1/e."""
     return (-1) ** n * _poch_half(n) * Fraction(n ** (n + 1)) / factorial(n) ** 2
-
-
-_MAX_SERIES_TERMS = 5_000_000
-
-
-def _too_long() -> PrecisionError:
-    return PrecisionError(f"H series needs more than {_MAX_SERIES_TERMS} terms")
-
-
-def _positive_series(term, ratio, reltol, prec):
-    # Sum of positive terms term_n = term_{n-1} * ratio(n), starting from
-    # term_1 = term, until a term falls to reltol times the running sum
-    # (a NaN term never does).  Raw tuples at prec bits: the libmp calls of
-    # the operator loop ``while not term <= reltol * acc: term *= ratio(n);
-    # acc += term``.
-    acc = term
-    n = 1
-    while not mpf_le(term, mpf_mul(reltol, acc, prec, round_nearest)):
-        n += 1
-        if n > _MAX_SERIES_TERMS:
-            raise _too_long()
-        term = mpf_mul(term, ratio(n), prec, round_nearest)
-        acc = mpf_add(acc, term, prec, round_nearest)
-    return acc
-
-
-@lru_cache(maxsize=8)
-def _h_laurent(N: int) -> tuple[Fraction, ...]:
-    # H = p^-3 (1 - p S(p)) S(p)^-3 with S = (1 + W)/p from the branch
-    # series; entry i is the coefficient of p^(i-3).
-    mu = branch_series(N + 4)
-    S = [mu[i + 1] for i in range(N + 4)]
-    Sinv = fps.inverse_trunc(S, N + 3)
-    S3inv = fps.mul_trunc(fps.mul_trunc(Sinv, Sinv, N + 3), Sinv, N + 3)
-    one_minus_pS = [Fraction(1)] + [-S[i - 1] for i in range(1, N + 4)]
-    return tuple(fps.mul_trunc(one_minus_pS, S3inv, N + 3)[: N + 4])
-
-
-def hz_branch_check(z, ctx: PrecisionContext):
-    """|H summed from its series - branch expansion truncated at p^6|.
-
-    The leading expansion coefficients (1, -11/24, -4/135, -1/1152) are
-    fixed; higher ones come from the exact branch-series algebra.  The
-    series side converges slowly near the branch point, so its relative
-    resolution is capped around 1e-16; requires real ``p(z)`` with
-    ``|p| <= 0.5``.  Where the series provably cannot stop within
-    ``_MAX_SERIES_TERMS`` terms (1 + ez below about 4.5e-6) it raises
-    ``PrecisionError`` before the first term.
-    """
-    m = ctx.mp
-    z = ctx.mpf(z)
-    ez1 = 1 + m.e * z
-    if not 0 < ez1 <= m.mpf("0.125"):  # p(z) = sqrt(2 (1 + ez)) real, at most 0.5
-        raise DomainError(f"z must lie in (-1/e, -0.875/e], got z = {z}")
-    p = m.sqrt(2 * ez1)
-    lval = power_sum(mpf_tuples(_h_laurent(6), m.prec), p, m) / p**3
-    reltol = m.mpf("1e-18")
-    # Each ratio (-z)(n/(n-1))^n exceeds -ez, so term_n > (-z)(-ez)^(n-1), and
-    # the sum stays below 2 lval (H p^3 < 1): when that term bound at the cap
-    # is still above reltol * 2 lval, no term within the cap stops the sum.
-    if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:
-        raise _too_long()
-    prec, mz = m.prec, (-z)._mpf_
-
-    def ratio(n):  # (-z) (1 + 1/(n-1))^n, the libmp calls of its operators
-        r = mpf_add(mpf_div(fone, from_int(n - 1), prec, round_nearest), fone, prec, round_nearest)
-        return mpf_mul(mz, mpf_pow_int(r, n, prec, round_nearest), prec, round_nearest)
-
-    series = m.make_mpf(_positive_series(mz, ratio, reltol._mpf_, prec))
-    return abs(series - lval)
 
 
 # ---------------------------------------------------------------------

@@ -21,20 +21,6 @@ def mul_trunc(a, b, order):
     return out
 
 
-def inverse_trunc(a, order):
-    """Multiplicative inverse of a series with ``a[0] != 0``."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / Fraction(a[0])
-    for i in range(1, order + 1):
-        s = Fraction(0)
-        for j in range(1, min(i, len(a) - 1) + 1):
-            s += Fraction(a[j]) * out[i - j]
-        out[i] = -s / a[0]
-    return out
-
-
 def compose_outer(coeff_of, inner, order):
     """Series of ``sum_{n>=1} coeff_of(n) * inner(t)**n`` truncated at ``order``.
 

@@ -26,8 +26,7 @@ from gsinv.coeffs import MAX_ORDER, QN_MAX_ORDER
 
 CTX = PrecisionContext(20)
 CTX40 = PrecisionContext(40)  # above required_digits(8), the highest order the table runs
-NAN, INF, E = math.nan, math.inf, math.e
-MARGIN = 1e-9  # keeps drawn points clear of the irrational bounds at -1/e
+NAN, INF = math.nan, math.inf
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ DIAGNOSTICS = {
     "dini_integral_estimate": pairs,
     "DiniEstimate": pairs,
     "laplace_identity_residual": pairs,
-    "hz_branch_check": qpoly,
     "qn_asymptotic": qpoly,
 }
 
@@ -172,8 +170,6 @@ CONTRACT = {
     "genfun_identity_check": (lambda count: dict(n_max=4, v=Fraction(1, 3)),
                               {"n_max": Order(30),
                                "v": Point(0, 1, lo_closed=True, hi_closed=True)}),
-    "hz_branch_check": (lambda count: dict(z=-0.9 / E, ctx=CTX),
-                        {"z": Point(-1 / E - MARGIN, -0.875 / E + MARGIN)}),
     "qn_asymptotic": (lambda count: dict(n=4, v=0.75, ctx=CTX),
                       {"n": QN_ORDER, "v": Point(0.5, 1, lo_closed=True)}),
     "qn_at_one_asymptotic": (lambda count: dict(n=4, ctx=CTX), {"n": QN_ORDER}),

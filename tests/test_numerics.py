@@ -27,6 +27,7 @@ from gsinv import (
     lambert_w0,
     qn_eval,
     required_digits,
+    stehfest_approx,
 )
 from gsinv import numerics, qpoly
 from gsinv.numerics import fit_line, mpf_tuples, power_sum, weighted_sum
@@ -251,7 +252,6 @@ def _clear_precision_caches():
     numerics._TABLES.cache_clear()
     qpoly._qn_integer_form.cache_clear()
     numerics._CONTEXTS.cache_clear()
-    qpoly._h_laurent.cache_clear()
 
 
 def _bits(x):
@@ -529,18 +529,18 @@ def test_thread_safety_of_precision_caches():
 
 
 def test_thread_safety_of_special_function_paths():
-    # the W constants and branch-series vectors are process-wide, and
-    # hz_branch_check fills the H Laurent vector cold and converts it with
-    # mpf_tuples for power_sum while the W jobs run
+    # the W constants and branch-series vectors are process-wide, and a
+    # Stehfest sum at an order no other job uses fills its a_k table cold
+    # through mpf_tuples while the W jobs run
     def w_jobs(ctx):
         zs = ("0.03+0.02j", "-0.3668794411714423", "-0.33+0.01j", "0.5-0.5j", "5+3j", "-3")
         return [lambda z=z: lambert_w0(ctx.mp.mpc(complex(z)), ctx) for z in zs]
 
-    h_ctx = PrecisionContext(20)
-    h_job = lambda: qpoly.hz_branch_check(-1 / h_ctx.mp.e + h_ctx.mpf("1e-2"), h_ctx)
+    a_ctx = PrecisionContext(required_digits(9))
+    a_job = lambda: stehfest_approx(get_pair("exponential").F, 1, 9, a_ctx)
     per_ctx = [w_jobs(PrecisionContext(d)) for d in (20, 30, 45)]
     jobs = [job for group in zip(*per_ctx) for job in group]
-    jobs.insert(len(jobs) // 2, h_job)
+    jobs.insert(len(jobs) // 2, a_job)
 
     def bits(v):
         return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_

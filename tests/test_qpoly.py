@@ -10,7 +10,6 @@ from mpmath.libmp import from_rational, round_nearest
 from gsinv import (
     DomainError,
     PrecisionContext,
-    PrecisionError,
     ProbeError,
     context_for_order,
     decay_bound_probe,
@@ -26,7 +25,7 @@ from gsinv import (
 )
 from gsinv import numerics, qpoly
 from gsinv.numerics import cached_context, integrate
-from gsinv.qpoly import _g_coeff, _genfun_matches, _h_laurent, hz_branch_check, qn_asymptotic
+from gsinv.qpoly import _g_coeff, _genfun_matches, qn_asymptotic
 
 
 # sha256 of the str of c_1..c_n of q_n, joined by spaces
@@ -221,107 +220,6 @@ def test_genfun_domain():
         genfun_identity_check(31, Fraction(1, 3))
     with pytest.raises(DomainError):
         genfun_identity_check(5, Fraction(3, 2))
-
-
-def test_h_laurent_paper_coefficients():
-    cs = _h_laurent(3)
-    assert cs[0] == 1  # p^-3
-    assert cs[1] == 0
-    assert cs[2] == Fraction(-11, 24)
-    assert cs[3] == Fraction(-4, 135)
-    assert cs[4] == Fraction(-1, 1152)
-
-
-def test_hz_branch_check_fast(ctx20):
-    m = ctx20.mp
-    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-3"), ctx20)
-    assert diff < m.mpf("1e-5")
-    assert diff._mpf_ == (0, 6111836298365035, -91, 53)
-    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-2"), ctx20)
-    assert diff._mpf_ == (0, 22077667916732017965, -92, 65)
-
-
-@pytest.mark.slow
-def test_hz_branch_check_example(ctx20):
-    m = ctx20.mp
-    diff = hz_branch_check(-m.exp(-1) + m.mpf("1e-4"), ctx20)
-    assert diff < m.mpf("1e-6")
-
-
-def _count_ratios(monkeypatch):
-    # every ratio the H series evaluates, through qpoly._positive_series
-    calls = []
-    real = qpoly._positive_series
-    monkeypatch.setattr(qpoly, "_positive_series", lambda term, ratio, reltol, prec: real(
-        term, lambda n: calls.append(n) or ratio(n), reltol, prec))
-    return calls
-
-
-@pytest.mark.parametrize("offset, cap", [("1e-7", None), ("1e-2", 1000)])
-def test_hz_branch_check_fails_fast_past_the_cap(offset, cap, ctx20, monkeypatch):
-    # 1 + ez = 2.7e-7 needs about 10^8 terms: it ran 5,000,000 (about 200 s) before it raised
-    m = ctx20.mp
-    if cap:
-        monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", cap)
-    calls = _count_ratios(monkeypatch)
-    with pytest.raises(PrecisionError, match="H series needs more than"):
-        hz_branch_check(-m.exp(-1) + m.mpf(offset), ctx20)
-    assert calls == []
-
-
-@pytest.mark.parametrize("cap", [1446, 1445])
-def test_hz_branch_check_runs_to_a_cap_it_fits(cap, ctx20, monkeypatch):
-    # the series at 1 + ez = 0.027 stops at its 1446th term, so that cap keeps
-    # the bits and one less raises inside the loop, before the 1446th ratio
-    m = ctx20.mp
-    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", cap)
-    calls = _count_ratios(monkeypatch)
-    z = -m.exp(-1) + m.mpf("1e-2")
-    if cap == 1446:
-        assert hz_branch_check(z, ctx20)._mpf_ == (0, 22077667916732017965, -92, 65)
-    else:
-        with pytest.raises(PrecisionError, match="^H series needs more than 1445 terms$"):
-            hz_branch_check(z, ctx20)
-    assert len(calls) == cap - 1
-
-
-def test_hz_branch_check_domain(ctx20):
-    m = ctx20.mp
-    with pytest.raises(DomainError):
-        hz_branch_check(-m.exp(-1) - m.mpf("1e-4"), ctx20)  # p imaginary
-    with pytest.raises(DomainError):
-        hz_branch_check(-m.mpf("0.05"), ctx20)  # |p| > 0.5
-
-
-@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
-def test_hz_branch_check_rejects_non_finite_before_summing(z, ctx20, monkeypatch):
-    # a series that ran would hit the lowered cap and raise PrecisionError
-    monkeypatch.setattr(qpoly, "_MAX_SERIES_TERMS", 10)
-    with pytest.raises(DomainError):
-        hz_branch_check(ctx20.mpf(z), ctx20)
-
-
-@pytest.mark.parametrize("ez1", ["0.125", "0.1", "0.05", "0.027", "0.01"])
-def test_hz_branch_check_residual_is_the_dropped_laurent_tail(ez1, ctx20):
-    # truncating H at p^6 leaves its p^7..p^12 terms, to within 1.1e-3 relative
-    # at p = 0.5; nearer -1/e the series side's own tail, about
-    # 1e-18 p^-3 / (1 + ez), grows (2.5e-4 of the residual at 1 + ez = 0.01)
-    m = ctx20.mp
-    z = (m.mpf(ez1) - 1) / m.e
-    p = m.sqrt(2 * (1 + m.e * z))
-    tail = sum(ctx20.mpf(c) * p ** (i - 3) for i, c in enumerate(_h_laurent(12)) if i >= 10)
-    assert abs(hz_branch_check(z, ctx20) / abs(tail) - 1) < m.mpf("2e-3")
-
-
-@pytest.mark.parametrize("ez1", ["0.1", "0.027", "0.01"])
-def test_hz_branch_check_precision_consistency(ez1):
-    # one point at 20 and at 40 digits: the residuals agree to the coarse
-    # resolution of H, whose size is about p^-3
-    coarse, fine = PrecisionContext(20), PrecisionContext(40)
-    z = (coarse.mpf(ez1) - 1) / coarse.mp.e
-    a = hz_branch_check(z, coarse)
-    b = hz_branch_check(fine.mpf(z), fine)
-    assert abs(fine.mpf(a) - b) <= fine.mpf(coarse.eps) * (2 * fine.mpf(ez1)) ** -1.5
 
 
 def test_qn_asymptotic_relative_error(ctx30):

@@ -273,20 +273,6 @@ MUTANTS = {
         [T_Q + "test_decay_bound_probe_evaluates_q_n_once_per_order_with_the_exhaustive_bits",
          T_Q + "test_max_ratio_has_the_bits_of_the_exhaustive_loop"],
     ),
-    "h-series-cap-dropped": (
-        "qpoly.py",
-        "        if n > _MAX_SERIES_TERMS:\n            raise _too_long()\n",
-        "",
-        [T_Q + "test_hz_branch_check_runs_to_a_cap_it_fits[1445]"],
-    ),
-    "h-fail-fast-dropped": (
-        "qpoly.py",
-        "    if -z * (-m.e * z) ** (_MAX_SERIES_TERMS - 1) > reltol * 2 * lval:\n"
-        "        raise _too_long()\n",
-        "",
-        # not the 1e-7 case: under this mutant it sums 5,000,000 terms, about 200 s
-        [T_Q + "test_hz_branch_check_fails_fast_past_the_cap[1e-2-1000]"],
-    ),
 }
 
 
