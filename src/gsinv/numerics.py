@@ -13,12 +13,11 @@ freely.  :func:`context_for_order` keeps one context per
 between threads.
 
 Quantities that depend only on the working precision (the rounded a_k,
-branch-series coefficient vectors, Lambert W's constants,
-the integral-representation kernel tables, the tanh-sinh node tables,
-the equivalence probe's xi(v) at its nodes) are built once per process
-and kept in one store, ``_TABLES``, an LRU map bounded at 256 entries.
-Each key names its table and carries the binary precision, e.g.
-``("a_k", n, prec)``, or the digits and guard it follows from, e.g.
+branch-series coefficient vectors, Lambert W's constants, the tanh-sinh
+node tables, the equivalence probe's xi(v) at its nodes) are built once
+per process and kept in one store, ``_TABLES``, an LRU map bounded at
+256 entries.  Each key names its table and carries the binary precision,
+e.g. ``("a_k", n, prec)``, or the digits and guard it follows from, e.g.
 ``("xi", eps, digits, guard)``.  The store holds raw ``_mpf_`` tuples
 (the root kernel's pi as a signed pair, see below), never mpmath
 numbers, so no mpmath context is shared through it: each caller
@@ -321,7 +320,7 @@ class _BoundedCache:
 # order and m.prec (m.dps is a function of m.prec for every context),
 # or digits and guard where the table depends on them.
 # verify --suite all, the cli-single-order mix and four Theis ladders to
-# n_max = 16 in one process hold 87 entries, so nothing is evicted.
+# n_max = 16 in one process hold 81 entries, so nothing is evicted.
 _TABLES = _BoundedCache(maxsize=256)
 
 

@@ -1,26 +1,26 @@
 """The polynomial kernel q_n(v), its generating function and asymptotics.
 
-Everything structural (coefficients, generating-function identity) is
-exact rational; floating point enters only when evaluating at a point.
-The asymptotic checks compare exact values of q_n against closed forms built
-from the Lambert W branch structure.
+Everything structural (coefficients, the generating-function identity,
+the integral representation's kernel identity q_n(4y(1 - y)) =
+sum a_k(n) y^k) is exact rational; floating point enters only when
+evaluating at a point.  The asymptotic checks compare exact values of q_n
+against closed forms built from the Lambert W branch structure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, fzero
 
 from . import series as fps
-from .coeffs import QN_MAX_ORDER, check_order
+from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs
 from .errors import DomainError, ProbeError, as_number
-from .inverter import stehfest_approx
 from .lambertw import w_of_v, xi_alpha
 from .mantissa import _quotient, _signed
-from .numerics import _TABLES, PrecisionContext, _real_value, fit_line, integrate
+from .numerics import PrecisionContext, fit_line
 
 
 @dataclass(frozen=True)
@@ -313,41 +313,25 @@ def decay_bound_probe(epsilon, n_range, ctx: PrecisionContext) -> DecayFit:
     )
 
 
-def integral_representation_check(f, F, x, n: int, ctx: PrecisionContext):
-    """|integral form of f_n(x) - summation form of f_n(x)|.
+def integral_representation_check(n: int) -> bool:
+    """Exact check of q_n(4y(1 - y)) = sum_{k=1}^{2n} a_k(n) y^k.
 
-    Left side: integral over u in (0, inf) of
-    ``q_n(4 e^-u (1 - e^-u)) f(x u / ln 2)``; right side:
-    :func:`stehfest_approx` applied to the exact transform ``F`` of ``f``.
-    Both sides are computed independently, so the discrepancy bounds the
-    combined quadrature and evaluation error.
-
-    The kernel factor depends only on (n, precision, u), and the
-    quadrature nodes u only on the precision, so it is kept per
-    ``(n, prec)`` as raw tuples keyed by ``u`` and computed once per node.
-    A miss evaluates q_n with the exact :func:`qn_eval` at ``v = 4 e^-u
-    (1 - e^-u)``, so the kernel is q_n of that rounded ``v``, correctly
-    rounded; a warm table reads the same bits.
+    This is the kernel statement of the integral representation
+    ``f_n(x) = int_0^inf q_n(4 e^-u (1 - e^-u)) f(x u / ln 2) du``: with
+    y = e^-u the summation form ``(ln 2 / x) sum a_k F(k ln 2 / x)`` is
+    the same integral over ``sum a_k y^k``, so the two forms agree for
+    every original exactly when the polynomials do.  ``D q_n(4y(1 - y))``
+    is expanded in integers from the numerators N_i of
+    ``_qn_integer_form`` as ``sum N_i 4^i y^i (1 - y)^i``, and each
+    coefficient is compared with a_k(n) over D by cross-multiplying.
+    ``n`` is an approximant order, 1..64.
     """
-    m = ctx.mp
-    rhs = stehfest_approx(F, x, n, ctx)  # first: it checks x and n before F or f is called
-    x = ctx.mpf(x)
-    ln2 = m.ln(2)
-    # {u._mpf_: q_n(4 e^-u (1 - e^-u))._mpf_}; every (f, x) of one order
-    # and precision reads the same entries.  Threads that miss the same
-    # node both compute it and store equal bits.
-    table = _TABLES.get(("qn_kernel", n, m.prec), dict)
-    make = m.make_mpf
-    prec, rx, rln2 = m.prec, x._mpf_, ln2._mpf_
-
-    def integrand(u):  # kernel * f(x * u / ln2), its operators' calls on raw tuples
-        kernel = table.get(u._mpf_)
-        if kernel is None:
-            eu = m.exp(-u)
-            kernel = table[u._mpf_] = qn_eval(n, 4 * eu * (1 - eu), ctx)._mpf_
-        xu = mpf_mul(rx, u._mpf_, prec, round_nearest)
-        value = f(make(mpf_div(xu, rln2, prec, round_nearest)))
-        return make(mpf_mul(kernel, _real_value(value, m), prec, round_nearest))
-
-    lhs = integrate(integrand, 0, m.inf, ctx)
-    return abs(lhs - rhs)
+    check_order(n)
+    numerators, D = _qn_integer_form(n)
+    poly = [0] * (2 * n + 1)  # D q_n(4y(1 - y)) = sum poly[k] y^k
+    for i, N in enumerate(numerators, 1):
+        c = N << 2 * i  # N_i 4^i
+        for j in range(i + 1):  # y^i (1 - y)^i = sum_j (-1)^j C(i, j) y^(i+j)
+            poly[i + j] += (-1) ** j * comb(i, j) * c
+    a = gaver_stehfest_coeffs(n).a
+    return all(p * ak.denominator == ak.numerator * D for p, ak in zip(poly[1:], a))

@@ -120,7 +120,7 @@ def test_criterion_09_lambert_w():
 
 
 def test_criterion_10_integral_representation():
-    assert _accept(10, verify.check_integral_representation(ns=(2, 4, 6, 8)))
+    assert _accept(10, verify.check_integral_representation())
 
 
 def test_criterion_11_decay_bound():

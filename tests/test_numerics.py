@@ -483,7 +483,7 @@ def test_precision_tables_hold_raw_tuples_and_stay_under_their_bound():
     assert verify.run_suites("all")[1]
     invert_ladder(F, 3, 16)
     entries = dict(numerics._TABLES._data)
-    assert {key[0] for key in entries} >= {"a_k", "mu", "w", "qn_kernel", "nodes", "xi"}
+    assert {key[0] for key in entries} >= {"a_k", "mu", "w", "nodes", "xi"}
     bad = [key for key, value in entries.items() if not _raw(value)]
     assert bad == []
     assert len(entries) < numerics._TABLES.maxsize  # nothing was evicted
@@ -491,7 +491,6 @@ def test_precision_tables_hold_raw_tuples_and_stay_under_their_bound():
 
 def _mixed_jobs(ctx):
     m = ctx.mp
-    exp_F = get_pair("exponential").F
     v = ctx.mpf("0.37")
     return [
         lambda: qn_eval(6, v, ctx),
@@ -499,8 +498,8 @@ def _mixed_jobs(ctx):
         lambda: qn_eval(17, v, ctx),
         lambda: integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx),
         lambda: qn_eval(30, v, ctx),
-        lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 2, ctx),
-        lambda: qpoly.integral_representation_check(lambda t: m.exp(-t), exp_F, 1, 4, ctx),
+        lambda: qpoly.integral_representation_check(23),
+        lambda: qpoly.integral_representation_check(41),
         lambda: equivalence_probe(lambda t: m.exp(-t), 1, m.exp(-1), "0.2", 20, ctx),
     ]
 
@@ -515,16 +514,22 @@ def _run_threaded(jobs, repeat=2):
         sys.setswitchinterval(interval)
 
 
+def _bits_or_verdict(x):
+    return x if isinstance(x, bool) else x._mpf_
+
+
 def test_thread_safety_of_precision_caches():
-    # the node tables, q_n integer forms, kernel tables and xi tables
-    # are process-wide; threads racing to fill them cold must reproduce
-    # the serial bits
+    # the node tables, q_n integer forms and xi tables are process-wide;
+    # threads racing to fill them cold must reproduce the serial bits,
+    # and the kernel identity, which reads the q_n integer forms, its
+    # serial verdict
     per_ctx = [_mixed_jobs(PrecisionContext(d)) for d in (20, 35)]
     jobs = [job for pair in zip(*per_ctx) for job in pair]  # alternate precisions
     _clear_precision_caches()
-    serial = [_bits(job()) for job in jobs]
+    serial = [_bits_or_verdict(job()) for job in jobs]
+    assert [v for v in serial if isinstance(v, bool)] == [True] * 4
     _clear_precision_caches()
-    threaded = [_bits(v) for v in _run_threaded(jobs)]
+    threaded = [_bits_or_verdict(v) for v in _run_threaded(jobs)]
     assert threaded == serial * 2
 
 

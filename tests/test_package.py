@@ -124,6 +124,13 @@ def test_invert_loads_no_verification_layer(tmp_path):
     assert loaded.isdisjoint({"gsinv.verify", "gsinv.qpoly", "gsinv.series", "gsinv.lambertw"})
 
 
+def test_kernel_polynomial_module_loads_no_inverter():
+    # the integral representation is checked as an exact kernel identity,
+    # so the q_n module needs nothing of the inverter
+    loaded = fresh_modules("import gsinv.qpoly")
+    assert "gsinv.qpoly" in loaded and "gsinv.inverter" not in loaded
+
+
 def test_coeffs_command_loads_no_mpmath(tmp_path):
     out = tmp_path / "coeffs.json"
     loaded = fresh_modules(

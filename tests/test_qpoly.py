@@ -424,57 +424,50 @@ def test_decay_bound_needs_two_envelope_points():
         decay_bound_probe(ctx.mpf("0.1"), [10, 20, 40, 80], ctx)
 
 
-def test_integral_representation(ctx30):
-    m = ctx30.mp
+def test_integral_representation_identity_holds_at_every_order():
+    # q_n(4y(1 - y)) = sum a_k(n) y^k at every order the inverter accepts
+    assert [n for n in range(1, 65) if not integral_representation_check(n)] == []
+
+
+def _position(where, seq):
+    return {"first": 0, "middle": len(seq) // 2, "last": len(seq) - 1}[where]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [1, 2, 13, 64])
+def test_integral_representation_fails_with_one_a_k_sign_flipped(n, where, monkeypatch):
+    coeffs = qpoly.gaver_stehfest_coeffs(n)
+    a = list(coeffs.a)
+    k = _position(where, a)
+    assert a[k] != 0
+    a[k] = -a[k]
+    monkeypatch.setattr(qpoly, "gaver_stehfest_coeffs", lambda order: coeffs._replace(a=tuple(a)))
+    assert not integral_representation_check(n)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", [1, 2, 13, 64])
+def test_integral_representation_fails_with_one_q_n_numerator_off_by_one(n, where, monkeypatch):
+    numerators, D = qpoly._qn_integer_form(n)
+    bad = list(numerators)
+    bad[_position(where, bad)] += 1
+    monkeypatch.setattr(qpoly, "_qn_integer_form", lambda order: (tuple(bad), D))
+    assert not integral_representation_check(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_integral_form_of_the_approximant_matches_its_summation_form(n):
+    # a numerical witness of the lemma whose kernel the identity states
+    # exactly: tanh-sinh of q_n(4 e^-u (1 - e^-u)) f(x u / ln 2) over
+    # (0, inf) against the a_k(n) summation f_n(x)
     ctx = context_for_order(8)
-    tol = ctx.mp.mpf(10) ** (-(ctx.digits // 2))
-    one = lambda t: t.context.mpf(1)
-    expd = lambda t: t.context.exp(-t)
-    ident = lambda t: t
-
-    d = integral_representation_check(one, get_pair("constant").F, 1, 3, ctx)
-    assert d <= tol
-    for n in (2, 4, 8):
-        d = integral_representation_check(expd, get_pair("exponential").F, 1, n, ctx)
-        assert d <= tol
-    d = integral_representation_check(ident, get_pair("ramp").F, 2, 4, ctx)
-    assert d <= tol
-
-
-def _exp_case(ctx):
     m = ctx.mp
-    return lambda t: m.exp(-t), get_pair("exponential").F
-
-
-def test_integral_representation_kernel_table_matches_direct_integrand():
-    # the kernel read from the table has the bits of the integrand that
-    # computes q_n(4 e^-u (1 - e^-u)) at every node, cold or warm
-    ctx = context_for_order(8)
-    m = ctx.mp
-    f, F = _exp_case(ctx)
+    pair = get_pair("exponential")
     x, ln2 = ctx.mpf(1), m.ln(2)
-    for n in (2, 8):
-        def direct(u):
-            eu = m.exp(-u)
-            return qn_eval(n, 4 * eu * (1 - eu), ctx) * f(x * u / ln2)
 
-        want = abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(F, 1, n, ctx))
-        numerics._TABLES.cache_clear()
-        cold = integral_representation_check(f, F, 1, n, ctx)
-        warm = integral_representation_check(f, F, 1, n, ctx)
-        assert cold._mpf_ == warm._mpf_ == want._mpf_
+    def direct(u):
+        eu = m.exp(-u)
+        return qn_eval(n, 4 * eu * (1 - eu), ctx) * pair.f_ref(x * u / ln2)
 
-
-def test_integral_representation_warm_kernel_needs_no_exp_or_context(monkeypatch):
-    ctx = context_for_order(8)
-    m = ctx.mp
-    one = lambda t: m.mpf(1)
-    F = get_pair("constant").F
-    first = integral_representation_check(one, F, 2, 4, ctx)
-    exp_calls, built = [], []
-    real_exp, real_context = m.exp, numerics.MPContext
-    monkeypatch.setattr(m, "exp", lambda *a: exp_calls.append(1) or real_exp(*a), raising=False)
-    monkeypatch.setattr(numerics, "MPContext", lambda: built.append(1) or real_context())
-    again = integral_representation_check(one, F, 2, 4, ctx)
-    assert exp_calls == [] and built == []
-    assert again._mpf_ == first._mpf_
+    tol = m.mpf(10) ** (-(ctx.digits // 2))
+    assert abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(pair.F, x, n, ctx)) <= tol

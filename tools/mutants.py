@@ -248,6 +248,18 @@ MUTANTS = {
          T_NUM + "test_mpf_tuples_round_like_context",
          T_INV + "test_coefficient_vector_rounds_like_context_mpf"],
     ),
+    "poch-half-off-by-one": (
+        "qpoly.py",
+        "Fraction(factorial(2 * k), 4**k * factorial(k))",
+        "Fraction(factorial(2 * k + 1), 4**k * factorial(k))",
+        [T_Q + "test_integral_representation_identity_holds_at_every_order"],
+    ),
+    "a-k-sign-flipped": (
+        "coeffs.py",
+        "Fraction(-s[k] if (n + k) % 2 else s[k], nfact)",
+        "Fraction(-s[k] if (n + k + (k == 1)) % 2 else s[k], nfact)",
+        [T_Q + "test_integral_representation_identity_holds_at_every_order"],
+    ),
     "screen-error-margin-dropped": (
         "qpoly.py",
         "    cut = top - 2 * err - (top >> m.prec - 4)\n",
