@@ -18,7 +18,7 @@ from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log, round_nearest
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
-from .mantissa import _ExpProgression, _exp_neg, _nearest_sum, _round_even, _signed
+from .mantissa import _nearest_sum, _round_even, _signed
 from .numerics import (
     _TABLES,
     PrecisionContext,
@@ -43,9 +43,11 @@ class TransformFn:
     evaluators of :mod:`gsinv.pairs` are kernels on the pairs of
     :mod:`gsinv.mantissa` behind ``_Kernel``, and take only a finite mpf.
     The inverter runs the kernel itself on the abscissas' pairs when F is
-    a ``TransformFn`` (no subclass) whose ``eval`` is one, and hands a
-    kernel that takes exp(-z) the value of one geometric progression per
-    x; it calls every other F, a wrapped kernel included, per abscissa.
+    a ``TransformFn`` (no subclass) whose ``eval`` is one, through the
+    kernel's progression per x where it has one (step and square wave
+    take exp(-z) from a geometric progression, the root its value from a
+    Newton step); it calls every other F, a wrapped kernel included, per
+    abscissa.
     """
 
     eval: object
@@ -60,25 +62,25 @@ class _Kernel:
     runs the kernel on the pair of a finite ``z`` at ``z.context``'s precision and
     makes the result an mpf of that context.
 
-    A kernel built with ``exp_neg`` takes exp(-z) as a fourth argument, a
-    pair with the bits of ``mpf_exp``; here it is that one ``mpf_exp`` call.
+    ``progression``, where the library sets it, is the kernel on the
+    abscissas of one x: ``progression(bman, bexp, prec)``, for ``base =
+    bman 2**bexp``, returns a function ``(j, zman, zexp) -> (man, exp)``
+    of z_j, ``j * base`` rounded, with the bits of ``raw`` at z_j and
+    state shared across the j of that x.
     """
 
-    __slots__ = ("raw", "exp_neg")
+    __slots__ = ("raw", "progression")
 
-    def __init__(self, raw, exp_neg=False):
+    def __init__(self, raw, progression=None):
         self.raw = raw
-        self.exp_neg = exp_neg
+        self.progression = progression
 
     def __call__(self, z):
         man, exp = _signed(z._mpf_)
         if exp and not man:
             raise DomainError(f"a corpus transform needs a finite z, got z = {z}")
         m = z.context
-        prec = m.prec
-        if self.exp_neg:
-            return m.make_mpf(from_man_exp(*self.raw(man, exp, prec, _exp_neg(man, exp, prec))))
-        return m.make_mpf(from_man_exp(*self.raw(man, exp, prec)))
+        return m.make_mpf(from_man_exp(*self.raw(man, exp, m.prec)))
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,10 @@ class _AbscissaCache:
     value is a number the mpf operators take.  The abscissa ``j * base``
     is rounded as its operator (``mpf_mul_int``) rounds it, as a signed
     pair.  A library kernel (``kernel``, see :class:`TransformFn`) gets
-    the pair and its values stay pairs; one that takes exp(-z) gets it
-    from the cache's :class:`~gsinv.mantissa._ExpProgression`
-    (``exp_neg``).  Any other F gets an mpf, through ``F(z)``.
+    the pair and its values stay pairs; one with a progression (see
+    :class:`_Kernel`) is read through the progression of this x
+    (``at_x``), whose state lives and dies with the cache.  Any other F gets
+    an mpf, through ``F(z)``.
     """
 
     def __init__(self, F, x, ctx):
@@ -122,8 +125,8 @@ class _AbscissaCache:
         # copies attributes) must see every evaluation
         kernel = F.eval if type(F) is TransformFn else None
         self.kernel = kernel.raw if type(kernel) is _Kernel else None
-        self.exp_neg = (_ExpProgression(*self.base._mpf_[1:3], prec)
-                        if self.kernel and kernel.exp_neg else None)
+        self.at_x = (kernel.progression(*self.base._mpf_[1:3], prec)
+                     if self.kernel and kernel.progression else None)
         self.values: dict[int, object] = {}
 
     def _values(self, js):
@@ -138,18 +141,19 @@ class _AbscissaCache:
         m = self.ctx.mp
         prec = m.prec
         _, bman, bexp, _ = self.base._mpf_  # base > 0
-        make, F, kernel, exp_neg = m.make_mpf, self.F, self.kernel, self.exp_neg
+        make, F, kernel, at_x = m.make_mpf, self.F, self.kernel, self.at_x
         out = []
         for j in js:
             value = values.get(j)  # a stored value is never None: None is no number
             if value is None:
                 zman, zexp = _round_even(bman * j, bexp, prec)  # j * base
                 try:
-                    if exp_neg:
-                        value = kernel(zman, zexp, prec, exp_neg(j, zman, zexp))
+                    if at_x:
+                        value = at_x(j, zman, zexp)
+                    elif kernel:
+                        value = kernel(zman, zexp, prec)
                     else:
-                        value = (kernel(zman, zexp, prec) if kernel
-                                 else F(make(from_man_exp(zman, zexp))))
+                        value = F(make(from_man_exp(zman, zexp)))
                 except Exception as exc:  # attach the offending abscissa
                     z = make(from_man_exp(zman, zexp))
                     raise TransformEvaluationError(

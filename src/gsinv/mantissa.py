@@ -17,6 +17,8 @@ correctly rounded value wherever that value lies farther than this
 error from a rounding midpoint.  :class:`_ExpProgression` rounds its
 own approximation only where it lies more than 2**-6 ulp from one, an
 eightfold margin, and calls ``mpf_exp`` everywhere else.
+:class:`_RootProgression` does the same for ``sqrt(pi/z)`` with a band
+it proves from exact steps alone; both round through :func:`_round_clear`.
 """
 from __future__ import annotations
 
@@ -204,6 +206,21 @@ def _cdiv(x, y, prec):
     return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)
 
 
+def _round_clear(man, exp, prec, band):
+    """``man 2**exp`` for ``man > 0`` of more than ``prec`` bits, rounded to nearest at
+    ``prec`` bits where the bits it drops lie more than 2**-band ulp at ``prec`` from a
+    rounding midpoint, as :func:`_round_even` rounds it; None within that band.
+
+    A progression passes the band its error bound allows: outside it, an
+    exact value within the bound of ``man 2**exp`` rounds to the same bits.
+    """
+    n = man.bit_length() - prec
+    low, half = man & (1 << n) - 1, 1 << n - 1
+    if abs(low - half) << band > 1 << n:  # no tie, so no rule to break one
+        return (man >> n) + (low > half), exp + n
+    return None
+
+
 def _exp_neg(man, exp, prec):
     """exp(-z) as its operators give it: -z rounded to prec, then libmp's exp, a pair."""
     _, eman, eexp, _ = mpf_exp(from_man_exp(*_round_even(-man, exp, prec)), prec, round_nearest)
@@ -250,9 +267,9 @@ class _ExpProgression:
             if not d or 2 * (d.bit_length() + bexp) < -wp:  # delta_j**2 / 2 is under 2**-wp
                 pman, pexp = self._power(j, wp)
                 man = pman + (pman * d >> -bexp)
-                n = man.bit_length() - prec
-                if abs((man & (1 << n) - 1) - (1 << n - 1)) << _EXP_BAND > 1 << n:
-                    return _round_even(man, pexp, prec)
+                rounded = _round_clear(man, pexp, prec, _EXP_BAND)
+                if rounded:
+                    return rounded
         return _exp_neg(zman, zexp, prec)
 
     def _power(self, j, wp):
@@ -269,3 +286,81 @@ class _ExpProgression:
             n = man.bit_length() - wp
             powers.append((man >> n, exp + qexp + n))
         return powers[j]
+
+
+_ROOT_GUARD = 64  # W = prec + _ROOT_GUARD: the bits of A and of the table's 2**W / sqrt(j)
+_ROOT_TERMS = 128  # the table covers j = 1..128, every abscissa of an order up to 64
+_ROOT_MIN_PREC = 73  # the least precision at which the root progression's bound holds
+_ROOT_BAND = 59  # its proven error, under one unit of s, is under 2**-59 ulp
+
+
+def _root_table(prec):
+    """``floor(2**W / sqrt(j))`` for ``j = 1.._ROOT_TERMS``, ``W = prec + _ROOT_GUARD``: the
+    factors of :class:`_RootProgression` at ``prec``, and empty below ``_ROOT_MIN_PREC``."""
+    if prec < _ROOT_MIN_PREC:
+        return ()
+    top = 1 << 2 * (prec + _ROOT_GUARD)
+    return tuple(isqrt(top // j) for j in range(1, _ROOT_TERMS + 1))
+
+
+class _RootProgression:
+    """sqrt(pi/z_j) for the abscissas ``z_j = j * base`` rounded to ``prec`` bits, as
+    ``_sqrt(*_quotient(*pi, *z_j, prec), prec)`` gives it, for ``pi = pman 2**pexp`` and
+    ``base = bman 2**bexp``, both positive, ``table = _root_table(prec)`` and any ``j >= 1``.
+
+    Per x it takes ``A = floor(2**F sqrt(pi/base))`` with one division and
+    one ``isqrt``, for the F that gives A ``W - 1`` or ``W`` bits, ``W =
+    prec + _ROOT_GUARD``.  Per abscissa it keeps the exact quotient ``q =
+    _quotient(pi, z_j)`` and, for ``j`` in the table, forms ``Y = A R_j >>
+    W`` with ``R_j = table[j - 1]`` and takes one Newton step ``s = Y +
+    (q 2**2F - Y**2) // 2Y`` towards ``T = 2**F sqrt(q)``, whose rounding
+    to ``prec`` bits is the one wanted (a square root of a ``prec``-bit
+    value never lies on a midpoint).  The bound, with ``u = 2**-prec``:
+
+    - A and R_j are floors of ``a = 2**F sqrt(pi/base) < 2**W`` and
+      ``r = 2**W / sqrt(j) <= 2**W``, so for ``X = a r 2**-W = 2**F
+      sqrt(pi/(j base))``, ``X - A R_j 2**-W = (a - A) R_j 2**-W + (r -
+      R_j) a 2**-W`` lies in [0, 2), and ``0 <= X - Y < 3``.
+    - z_j and q are correctly rounded: ``z_j = j base (1 + e1)`` and ``q =
+      (pi/z_j)(1 + e2)`` with ``|e1|, |e2| <= u``, so ``T / X = sqrt((1 +
+      e2)/(1 + e1))`` lies in ``[1 - u, 1 + 2u]``, and ``|X - T| <= 2uX <
+      2**(W - prec + 1) = 2**65``.  With the above, ``|Y - T| < 2**66``.
+    - ``a >= 2**(W - 1.5)`` and ``j <= 128`` give ``X >= 2**(W - 5)``, so
+      ``2Y > 2**(W - 5)``; q 2**2F is an integer, since ``T**2 >=
+      2**(2W - 11)`` and q has at most ``prec + 1`` bits.
+    - Y and q 2**2F are integers, so ``s = floor(T + (Y - T)**2 / 2Y)``,
+      and ``-1 < s - T < 2**132 / 2**(W - 5) <= 1`` for ``prec >=
+      _ROOT_MIN_PREC``.
+
+    So s lies within one unit of T, and ``s > 2**(W - 6)`` has at least
+    ``prec + 59`` bits: the error is under 2**-59 ulp at ``prec``.  Where
+    s lies more than that from a rounding midpoint, s and T round to the
+    same bits, and s is rounded to nearest; near a power of two the
+    midpoints of the binade below lie farther still.  ``_sqrt(q)`` gives
+    every other value: within the band, at ``j`` beyond the table and at
+    a precision whose table is empty.  No bound is measured: every step
+    above is exact integer arithmetic or a correct rounding.
+    """
+
+    __slots__ = ("pi", "prec", "table", "a", "f")
+
+    def __init__(self, pman, pexp, bman, bexp, prec, table):
+        self.pi, self.prec, self.table = (pman, pexp), prec, table
+        # pman / bman lies within a factor 2 of 2**k: the shift gives the
+        # radicand 2W - 2 or 2W - 1 bits, plus one for an even 2F
+        shift = 2 * (prec + _ROOT_GUARD) - 2 - pman.bit_length() + bman.bit_length()
+        shift += (shift - pexp + bexp) & 1
+        self.f = (shift - pexp + bexp) >> 1
+        self.a = isqrt((pman << shift) // bman)
+
+    def __call__(self, j, zman, zexp):
+        """sqrt(pi/z_j) as a pair, where ``(zman, zexp)`` is z_j, ``j * base`` rounded."""
+        prec, table, f = self.prec, self.table, self.f
+        qman, qexp = _quotient(*self.pi, zman, zexp, prec)
+        if j <= len(table):
+            y = self.a * table[j - 1] >> prec + _ROOT_GUARD
+            s = y + ((qman << qexp + 2 * f) - y * y) // (y << 1)
+            rounded = _round_clear(s, -f, prec, _ROOT_BAND)
+            if rounded:
+                return rounded
+        return _sqrt(qman, qexp, prec)

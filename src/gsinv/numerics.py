@@ -320,7 +320,7 @@ class _BoundedCache:
 # order and m.prec (m.dps is a function of m.prec for every context),
 # or digits and guard where the table depends on them.
 # verify --suite all, the cli-single-order mix and four Theis ladders to
-# n_max = 16 in one process hold 81 entries, so nothing is evicted.
+# n_max = 16 in one process hold 85 entries, so nothing is evicted.
 _TABLES = _BoundedCache(maxsize=256)
 
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from mpmath.libmp import mpf_pi, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pi, prec_to_dps, round_nearest, to_str
 
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .mantissa import _add, _quotient, _round_even, _sqrt
+from .mantissa import (_add, _ExpProgression, _exp_neg, _quotient, _RootProgression, _round_even,
+                       _root_table, _sqrt)
 from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
                        mpf_tuples)
 
@@ -73,11 +74,12 @@ def _sq_ref(t):
 # The transform F of each corpus pair, named after the pair: a kernel
 # z = (man, exp) -> F(z) at precision prec that rounds where the operator
 # form in its comment rounds, so the bits are those of the operator form.
-# A kernel makes no libmp call (the root's pi is rounded once per
-# precision); step and square wave also take e = exp(-z) as a pair, with
-# the bits of mpf_exp.  _Kernel makes it the mpf evaluator F.eval, which
-# gives e by mpf_exp, and lets the inverter call the kernel itself on the
-# pairs of its abscissas, with e from one geometric progression per x.
+# _Kernel makes it the mpf evaluator F.eval, and lets the inverter call the
+# kernel itself on the pairs of its abscissas.  Step and square wave also
+# take e = exp(-z) as a pair with the bits of mpf_exp: one mpf_exp per z,
+# one geometric progression per x on the abscissas.  The root rounds pi
+# once per precision, and on the abscissas takes one Newton step from a
+# progression per x.  No other kernel makes a libmp call.
 
 @_Kernel
 def _constant(man, exp, prec):  # 1/z
@@ -94,18 +96,42 @@ def _exponential(man, exp, prec):  # 1/(z+1)
     return _quotient(1, 0, *_add(man, exp, 1, 0, prec), prec)
 
 
-@_Kernel
-def _root(man, exp, prec):  # sqrt(pi/z), with pi rounded once per precision
-    pi = _TABLES.get(("pi", prec), lambda: mpf_pi(prec, round_nearest)[1:3])
-    return _sqrt(*_quotient(*pi, man, exp, prec), prec)
+def _pi(prec):
+    """pi rounded to ``prec`` bits, a pair, rounded once per precision."""
+    return _TABLES.get(("pi", prec), lambda: mpf_pi(prec, round_nearest)[1:3])
 
 
-@partial(_Kernel, exp_neg=True)
+def _root_progression(bman, bexp, prec):
+    """The root's kernel on the abscissas of ``base = bman 2**bexp``; pi and the table
+    are taken once per precision."""
+    table = _TABLES.get(("root", prec), lambda: _root_table(prec))
+    return _RootProgression(*_pi(prec), bman, bexp, prec, table)
+
+
+@partial(_Kernel, progression=_root_progression)
+def _root(man, exp, prec):  # sqrt(pi/z)
+    if man < 0:
+        z = to_str(from_man_exp(man, exp), prec_to_dps(prec))
+        raise DomainError(f"sqrt(pi/z) needs z > 0, got z = {z}")
+    return _sqrt(*_quotient(*_pi(prec), man, exp, prec), prec)
+
+
+def _takes_exp(kernel):
+    """The _Kernel of ``kernel(man, exp, prec, e)``, which also takes e = exp(-z)."""
+    def progression(bman, bexp, prec):
+        exps = _ExpProgression(bman, bexp, prec)
+        return lambda j, man, exp: kernel(man, exp, prec, exps(j, man, exp))
+
+    return _Kernel(lambda man, exp, prec: kernel(man, exp, prec, _exp_neg(man, exp, prec)),
+                   progression)
+
+
+@_takes_exp
 def _step(man, exp, prec, e):  # exp(-z)/z
     return _quotient(*e, man, exp, prec)
 
 
-@partial(_Kernel, exp_neg=True)
+@_takes_exp
 def _square_wave(man, exp, prec, e):  # 1/(z*(1+exp(-z)))
     dman, dexp = _add(*e, 1, 0, prec)
     return _quotient(1, 0, *_round_even(man * dman, exp + dexp, prec), prec)

@@ -547,7 +547,8 @@ def test_thread_safety_across_contexts():
     # distinct contexts must reproduce the serial results exactly, also
     # when the threads race to fill the process-wide coefficient cache.
     # Step and square wave keep their exp(-z) progression in each call's
-    # abscissa cache: their ladders at n = 48 race as well
+    # abscissa cache, and the root its progression, whose table is built
+    # once per precision: their ladders at n = 48 race as well
     from concurrent.futures import ThreadPoolExecutor
 
     jobs = []
@@ -557,7 +558,7 @@ def test_thread_safety_across_contexts():
             for n in (4, 6):
                 jobs.append(functools.partial(stehfest_approx, pair.F, 1, n, ctx))
     ctx = PrecisionContext(context_for_order(48).digits)
-    for name in ("step", "square-wave"):
+    for name in ("step", "square-wave", "root"):
         for x in ("0.7", "3"):
             jobs.append(functools.partial(_ladder_values, get_pair(name).F, x, 48, ctx))
     serial = [job() for job in jobs]

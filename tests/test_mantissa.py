@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath.libmp import (from_man_exp, from_rational, ftwo, fzero, mpc_div, mpc_mul, mpc_sub,
-                          mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_sqrt, round_down, round_nearest)
+                          mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_sqrt, round_down, round_nearest)
 
 import gsinv.mantissa as mantissa
-from gsinv import context_for_order
+from gsinv import PrecisionContext, context_for_order
 from gsinv.mantissa import (_add, _cdiv, _cmul, _csub, _ExpProgression, _quotient, _raw,
-                            _round_down, _round_even, _signed, _sqrt)
+                            _RootProgression, _root_table, _round_down, _round_even, _signed,
+                            _sqrt)
 from conftest import _factor
 
 
@@ -247,3 +248,48 @@ def test_exp_progression_takes_mpf_exp_in_the_band(monkeypatch):
     # the ratio exp(-base), then libmp's own call for the value in the band
     assert calls == [(mpf_neg(from_man_exp(bman, bexp)), prec + 64), (minus_z, prec)]
     assert from_man_exp(*got) == want
+
+
+def _check_roots(bman, bexp, prec, js):
+    """The root progression of ``base = bman 2**bexp`` read at ``js``: each value
+    is the exact kernel's ``_sqrt(*_quotient(pi, z_j))``, as a pair."""
+    pi = mpf_pi(prec, round_nearest)[1:3]
+    roots = _RootProgression(*pi, bman, bexp, prec, _root_table(prec))
+    for j in js:
+        z = _round_even(bman * j, bexp, prec)  # z_j as the abscissa cache rounds it
+        assert roots(j, *z) == _sqrt(*_quotient(*pi, *z, prec), prec), (bman, bexp, prec, j)
+
+
+@given(_progressions(), st.integers(15, 300))
+def test_root_progression_has_the_bits_of_the_exact_root(case, digits):
+    x, _, js = case
+    ctx = PrecisionContext(digits)
+    prec = ctx.mp.prec
+    _check_roots(*_base(ctx.mpf(x)._mpf_, prec), prec, js)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("x", ["1e-30", "1e30"])
+def test_root_progression_at_far_abscissas(x, n):
+    # n = 1 runs at 70 bits, below the precision of the bound: an empty table
+    ctx = context_for_order(n)
+    prec = ctx.mp.prec
+    assert (_root_table(prec) == ()) == (n == 1)
+    _check_roots(*_base(ctx.mpf(x)._mpf_, prec), prec, range(2 * n, 0, -1))
+
+
+def test_root_progression_past_its_table():
+    prec = context_for_order(64).mp.prec
+    assert len(_root_table(prec)) == 128
+    _check_roots(*_base(from_rational(7, 10, prec, round_nearest), prec), prec, range(129, 161))
+
+
+def test_root_progression_takes_the_exact_root_in_the_band(monkeypatch):
+    # a band of a whole ulp holds every value: each is _sqrt's, none the Newton step's
+    prec = context_for_order(16).mp.prec
+    calls = []
+    monkeypatch.setattr(mantissa, "_ROOT_BAND", 0)
+    monkeypatch.setattr(mantissa, "_sqrt", lambda *q: calls.append(q) or _sqrt(*q))
+    _check_roots(*_base(from_rational(153577, 37043, prec, round_nearest), prec), prec,
+                 range(1, 33))
+    assert len(calls) == 32

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from mpmath import MPContext
 
 import gsinv.mantissa
 import gsinv.pairs
+from gsinv import numerics
 from gsinv import (
     DomainError,
     PrecisionContext,
@@ -21,6 +23,7 @@ from gsinv import (
 )
 from gsinv.cli import MAX_DIGITS
 from gsinv.inverter import _AbscissaCache
+from gsinv.mantissa import _root_table
 from gsinv.pairs import _jump_locations, dini_integral_estimate, laplace_identity_residual
 
 
@@ -177,7 +180,7 @@ def test_root_on_exact_squares_matches_its_operator_form(digits):
 def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(x, digits):
     # outside the hypothesis draws: abscissas j ln2/x near 1e30 and 1e-30,
     # the CLI's digits cap, integers (mpf_exp's own route above 600 bits)
-    # and negative points (no real root there).  The abscissas j = 1..128
+    # and negative points, where the root has no real value and says so.  The abscissas j = 1..128
     # are read ascending, as stehfest_approx reads them, and descending,
     # so step's and square wave's progression is extended from any j
     ctx = PrecisionContext(digits)
@@ -195,6 +198,9 @@ def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(
             z = ctx.mpf(z)
             if z > 0 or pair.name != "root":
                 assert pair.F(z)._mpf_ == form(z)._mpf_, (pair.name, z)
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"got z = {z}")):
+                    pair.F(z)
 
 
 @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
@@ -239,6 +245,30 @@ def test_mpf_exp_is_the_only_libmp_call_per_abscissa(monkeypatch, n):
     # the kernels reach libmp only through numerics' and mantissa's steps
     assert not {"mpf_add", "mpf_div", "mpf_exp", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt"} & set(
         vars(gsinv.pairs))
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 48])
+def test_isqrt_runs_once_per_x_on_the_root_progression(monkeypatch, n):
+    # the root takes sqrt(pi/z) at the abscissas from one progression per x:
+    # one isqrt for its scale, plus the precision's table when it is built.
+    # Below the precision of its bound (n = 1) the table is empty and each
+    # abscissa takes the exact root.  F.eval of one z is one isqrt
+    ctx = context_for_order(n)
+    built = len(_root_table(ctx.mp.prec))
+    per_abscissa = 0 if built else 1
+    calls = []
+    isqrt = gsinv.mantissa.isqrt
+    monkeypatch.setattr(gsinv.mantissa, "isqrt", lambda a: calls.append(a) or isqrt(a))
+    F = get_pair("root").F
+    numerics._TABLES.cache_clear()
+    for x, table in (("0.7", built), ("3", 0)):
+        calls.clear()
+        stehfest_approx(F, x, n, ctx)
+        assert len(calls) == table + 1 + 2 * n * per_abscissa, x
+    calls.clear()
+    for z in ("0.7", "3", "1e-30", "1e30"):
+        F(ctx.mpf(z))
+    assert len(calls) == 4
 
 
 def test_dini_constant_zero(ctx20):

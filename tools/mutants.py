@@ -47,8 +47,8 @@ MUTANTS = {
     ),
     "kernel-round-down": (
         "pairs.py",
-        "from .mantissa import _add, _quotient, _round_even, _sqrt\n",
-        "from .mantissa import _add, _quotient, _round_down as _round_even, _sqrt\n",
+        "_quotient, _RootProgression, _round_even,\n",
+        "_quotient, _RootProgression, _round_down as _round_even,\n",
         [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -122,15 +122,14 @@ MUTANTS = {
     ),
     "eval-in-place-of-call": (
         "inverter.py",
-        "else F(make(from_man_exp(zman, zexp)))",
-        "else F.eval(make(from_man_exp(zman, zexp)))",
+        "value = F(make(from_man_exp(zman, zexp)))",
+        "value = F.eval(make(from_man_exp(zman, zexp)))",
         [T_INV + "test_transform_subclass_and_wrapped_eval_see_every_call"],
     ),
     "abscissa-round-down": (
         "inverter.py",
-        "from .mantissa import _ExpProgression, _exp_neg, _nearest_sum, _round_even, _signed\n",
-        "from .mantissa import _ExpProgression, _exp_neg, _nearest_sum, _round_down as _round_even,"
-        " _signed\n",
+        "from .mantissa import _nearest_sum, _round_even, _signed\n",
+        "from .mantissa import _nearest_sum, _round_down as _round_even, _signed\n",
         [T_INV + "test_stehfest_calls_transform_at_each_abscissa_once",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -220,9 +219,22 @@ MUTANTS = {
     ),
     "progression-band-bypassed": (
         "mantissa.py",
-        "if abs((man & (1 << n) - 1) - (1 << n - 1)) << _EXP_BAND > 1 << n:",
+        "if abs(low - half) << band > 1 << n:",
         "if True:",
-        [T_MAN + "test_exp_progression_takes_mpf_exp_in_the_band"],
+        [T_MAN + "test_exp_progression_takes_mpf_exp_in_the_band",
+         T_MAN + "test_root_progression_takes_the_exact_root_in_the_band"],
+    ),
+    "root-band-dropped": (
+        "mantissa.py",
+        "rounded = _round_clear(s, -f, prec, _ROOT_BAND)",
+        "rounded = _round_even(s, -f, prec)",
+        [T_MAN + "test_root_progression_takes_the_exact_root_in_the_band"],
+    ),
+    "root-table-read-at-j-plus-1": (
+        "mantissa.py",
+        "y = self.a * table[j - 1] >>",
+        "y = self.a * table[j] >>",
+        [T_MAN + "test_root_progression_has_the_bits_of_the_exact_root"],
     ),
     "qn-eval-rounds-a-bit-short": (
         "qpoly.py",
