@@ -60,7 +60,8 @@ class TransformFn:
 class _Kernel:
     """The mpf evaluator F(z) of a kernel ``raw(man, exp, prec) -> (man, exp)``: it
     runs the kernel on the pair of a finite ``z`` at ``z.context``'s precision and
-    makes the result an mpf of that context.
+    makes the result an mpf of that context.  A ``z`` at a pole, where the kernel
+    divides by zero, raises DomainError naming z.
 
     ``progression``, where the library sets it, is the kernel on the
     abscissas of one x: ``progression(bman, bexp, prec)``, for ``base =
@@ -80,7 +81,10 @@ class _Kernel:
         if exp and not man:
             raise DomainError(f"a corpus transform needs a finite z, got z = {z}")
         m = z.context
-        return m.make_mpf(from_man_exp(*self.raw(man, exp, m.prec)))
+        try:
+            return m.make_mpf(from_man_exp(*self.raw(man, exp, m.prec)))
+        except ZeroDivisionError:  # a kernel's divisor is zero: abscissas never get here
+            raise DomainError(f"a corpus transform has a pole at z = {z}") from None
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,16 @@ man.bit_length()``, so when those bounds alone show a test false, its
 ``hypot`` is skipped.  A test the bounds cannot decide, or
 one on zero, is made exactly on raw tuples.
 
-The prologue that picks the region runs on raw tuples too: ``1 + e z``,
-the log seed ``ln z - ln ln z`` and the residual of
-:func:`wew_residual` make the libmpc calls of their operator forms.  The
-region tests ``|1 + e z| < 0.05``, ``|1 + e z| < 0.45`` and
-``|ln z| < 0.2`` are screened on exponents in the same way: a part of
-``1 + e z`` of at least 1/2, or a part of ``ln z`` of at least 1/4,
-settles them as false without a ``hypot``.  ``|z|``, which sets the
+The prologue that picks the region runs on raw tuples too: ``1 + e z``
+and the log seed ``ln z - ln ln z`` make the libmpc calls of their
+operator forms.  The region tests ``|1 + e z| < 0.05``, ``|1 + e z| <
+0.45`` and ``|ln z| < 0.2`` are screened on exponents in the same way:
+a part of ``1 + e z`` of at least 1/2, or a part of ``ln z`` of at least
+1/4, settles them as false without a ``hypot``.  ``|z|``, which sets the
 tolerances, is always exact.  An argument with ``Im z < 0`` is solved
 at its conjugate and the result conjugated, as
 ``conj(W(conj z))``.  The bits are those of the plain mpc arithmetic.
+:func:`wew_residual`, which only checks a result, is that arithmetic.
 """
 from __future__ import annotations
 
@@ -50,9 +50,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath.libmp import (finf, fnone, fone, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate,
-                          mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add,
-                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest,
-                          to_str)
+                          mpc_log, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add, mpf_cos_sin,
+                          mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest, to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
@@ -118,10 +117,8 @@ def in_region_a(w, tol=0) -> bool:
 def wew_residual(w, z, ctx: PrecisionContext):
     """|w e^w - z| at working precision."""
     m = ctx.mp
-    wc, prec = m.mpc(w)._mpc_, m.prec
-    ewc = mpc_exp(wc, prec, round_nearest)
-    f = mpc_sub(mpc_mul(wc, ewc, prec, round_nearest), m.mpc(z)._mpc_, prec, round_nearest)
-    return m.make_mpf(mpc_abs(f, prec, round_nearest))
+    w = m.mpc(w)  # an mpc of any context keeps its bits; the operators round at m.prec
+    return abs(w * m.exp(w) - m.mpc(z))
 
 
 class _WConstants(NamedTuple):

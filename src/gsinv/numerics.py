@@ -24,14 +24,13 @@ numbers, so no mpmath context is shared through it: each caller
 rebuilds the values with its own ``make_mpf``, and the results are
 bit-identical to building them afresh.
 
-The per-node arithmetic of :func:`integrate` (the abscissa, the scaling
-of the integrand's value and the node sum ``w (f(x_right) + f(x_left))``)
-runs on raw tuples: it makes the libmp calls the mpf operators would
-make, in the same order and at the same precision, so the bits are those
-of the operator forms without building a number per step.  The integrand
-itself still gets and returns numbers.  :func:`weighted_sum` runs on the
-integer steps of :mod:`gsinv.mantissa`.  Every context rounds to nearest:
-an ``MPContext`` has no rounding setting.
+:func:`integrate` runs on the mpf operators of its context: it makes a
+few quadratures per verify run, so only its node tables are raw tuples.
+An integrand's mpf is rebound to the context before any arithmetic,
+because mpmath rounds an operation at its left operand's precision.
+:func:`weighted_sum` runs on the integer steps of :mod:`gsinv.mantissa`.
+Every context rounds to nearest: an ``MPContext`` has no rounding
+setting.
 """
 from __future__ import annotations
 
@@ -42,8 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_div, mpf_mul, mpf_shift,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import from_rational, round_nearest
 
 from .coeffs import check_order
 from .errors import DomainError, ProbeError, QuadratureError, as_number
@@ -391,17 +389,20 @@ def _level_nodes(m, level, semi_infinite):
 
 
 def _real_value(v, m):
-    """The ``_mpf_`` of integrand value ``v``, converted as the mpf operators convert it.
+    """Integrand value ``v`` as an mpf of ``m``, converted as the mpf operators convert it.
 
-    An mpf gives its own tuple, an int or a float its exact one; a value
-    no real mpf stands for (an mpc, None, a string) raises DomainError.
+    An mpf of any context keeps its bits but is rebound to ``m``: mpmath
+    rounds a binary operation at its left operand's precision, so a value
+    left in a wider context would round the node sum there.  An int or a
+    float is taken exactly; a value no real mpf stands for (an mpc, None,
+    a string) raises DomainError.
     """
     try:
-        return v._mpf_
+        return m.make_mpf(v._mpf_)
     except AttributeError:
         pass
     try:
-        return m.convert(v, strings=False)._mpf_
+        return m.make_mpf(m.convert(v, strings=False)._mpf_)
     except (TypeError, ValueError, AttributeError):
         raise DomainError(f"integrand value is not a real number: {v!r}") from None
 
@@ -410,29 +411,24 @@ def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
     """Integrate over [-1, 1] given endpoint-offset evaluators.
 
     ``fleft(node)`` evaluates the integrand at ``x = -1 + d`` and
-    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's raw
-    node tuple (see :func:`_level_nodes`), and returns a raw ``_mpf_``;
-    offsets ``d`` stay exact down to ~1e-(dps+5), so integrable endpoint
-    singularities at a = 0 cost no precision.  The node sum of a level
-    makes the calls of ``new += w * (fright + fleft)`` on raw tuples;
-    level totals and the stop test run on numbers.
+    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's node
+    tuple (see :func:`_level_nodes`) rebuilt as mpfs of ``m``, and returns
+    an mpf of ``m``; offsets ``d`` stay exact down to ~1e-(dps+5), so
+    integrable endpoint singularities at a = 0 cost no precision.  The
+    node sum of a level is ``new += w * (fright + fleft)``.
     """
     tol = m.mpf(10) ** (-digits)
-    prec = m.prec
     total = m.mpf(0)
     prev = None
     for level in range(MAX_LEVEL + 1):
-        h = m.mpf(1) / 2**level
-        nodes = _level_nodes(m, level, semi_infinite)
-        new = fzero
+        nodes = [tuple(map(m.make_mpf, node)) for node in _level_nodes(m, level, semi_infinite)]
+        new = m.mpf(0)
         if level == 0:  # the midpoint t = 0, counted once
-            new = mpf_add(new, mpf_mul(nodes[0][0], fright(nodes[0]), prec, round_nearest),
-                          prec, round_nearest)
+            new += nodes[0][0] * fright(nodes[0])
             nodes = nodes[1:]
         for node in nodes:
-            pair = mpf_add(fright(node), fleft(node), prec, round_nearest)
-            new = mpf_add(new, mpf_mul(node[0], pair, prec, round_nearest), prec, round_nearest)
-        total = (total / 2 if level else m.mpf(0)) + m.make_mpf(new) * h
+            new += node[0] * (fright(node) + fleft(node))
+        total = (total / 2 if level else m.mpf(0)) + new / 2**level
         if level >= 2 and abs(total - prev) <= tol * max(m.mpf(1), abs(total)):
             return total
         prev = total
@@ -475,22 +471,14 @@ def integrate(f, a, b, ctx: PrecisionContext):
     b = ctx.mpf(b)
     if not m.isfinite(a) or m.isnan(b) or b == m.ninf:
         raise DomainError(f"integrate needs a finite a and a finite or +inf b, got ({a}, {b})")
-    # the evaluators make the calls of the operator forms in their
-    # comments on raw tuples; the integrand still gets and gives numbers
-    prec = m.prec
-    make = m.make_mpf
-    ra = a._mpf_
     if b == m.inf:
-        def fleft(node):  # f(a + neg_log1m_s) / (1 - s) / 2, s = d/2 near 0
+        def fleft(node):  # s = d/2 near 0
             _, s, neg_log1m_s, _ = node
-            v = _real_value(f(make(mpf_add(ra, neg_log1m_s, prec, round_nearest))), m)
-            oms = mpf_sub(fone, s, prec, round_nearest)
-            return mpf_shift(mpf_div(v, oms, prec, round_nearest), -1)
+            return _real_value(f(a + neg_log1m_s), m) / (1 - s) / 2
 
-        def fright(node):  # f(a - ln_oms) / oms / 2, 1 - s = d/2 near 0, u large
+        def fright(node):  # 1 - s = d/2 near 0, u large
             _, oms, _, ln_oms = node
-            v = _real_value(f(make(mpf_sub(ra, ln_oms, prec, round_nearest))), m)
-            return mpf_shift(mpf_div(v, oms, prec, round_nearest), -1)
+            return _real_value(f(a - ln_oms), m) / oms / 2
 
         return _tanh_sinh(m, fleft, fright, ctx.digits, semi_infinite=True)
 
@@ -498,14 +486,12 @@ def integrate(f, a, b, ctx: PrecisionContext):
         return m.mpf(0)
     if b < a:
         return -integrate(f, b, a, ctx)
-    rb, halfw = b._mpf_, ((b - a) / 2)._mpf_
+    halfw = (b - a) / 2
 
-    def fleft(node):  # f(a + halfw d) * halfw
-        x = mpf_add(ra, mpf_mul(halfw, node[1], prec, round_nearest), prec, round_nearest)
-        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, round_nearest)
+    def fleft(node):
+        return _real_value(f(a + halfw * node[1]), m) * halfw
 
-    def fright(node):  # f(b - halfw d) * halfw
-        x = mpf_sub(rb, mpf_mul(halfw, node[1], prec, round_nearest), prec, round_nearest)
-        return mpf_mul(_real_value(f(make(x)), m), halfw, prec, round_nearest)
+    def fright(node):
+        return _real_value(f(b - halfw * node[1]), m) * halfw
 
     return _tanh_sinh(m, fleft, fright, ctx.digits)

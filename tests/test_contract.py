@@ -243,6 +243,12 @@ FINDINGS = {
     "decay_bound_probe n_range=5": lambda: gsinv.decay_bound_probe(0.1, 5, CTX),
     "decay_bound_probe n_range=None": lambda: gsinv.decay_bound_probe(0.1, None, CTX),
     "expansion_probe k_range=5": lambda: inverter.expansion_probe(STEP.F, 1, 5, 1, CTX),
+    "constant F pole z=0": lambda: pairs.get_pair("constant").F(CTX.mpf(0)),
+    "ramp F pole z=0": lambda: pairs.get_pair("ramp").F(CTX.mpf(0)),
+    "root F pole z=0": lambda: pairs.get_pair("root").F(CTX.mpf(0)),
+    "step F pole z=0": lambda: pairs.get_pair("step").F(CTX.mpf(0)),
+    "square-wave F pole z=0": lambda: pairs.get_pair("square-wave").F(CTX.mpf(0)),
+    "exponential F pole z=-1": lambda: pairs.get_pair("exponential").F(CTX.mpf(-1)),
 }
 
 
@@ -250,6 +256,11 @@ FINDINGS = {
 def test_finding_raises_domain_error(finding):
     with pytest.raises(DomainError):
         FINDINGS[finding]()
+
+
+def test_corpus_transforms_without_a_pole_at_zero_give_one_there():
+    for name in ("sine", "exponential"):
+        assert pairs.get_pair(name).F.eval(CTX.mpf(0)) == 1
 
 
 def test_expansion_probe_checks_every_order_before_the_transform():

@@ -292,6 +292,28 @@ def test_w_meets_documented_residual_bound_in_region_a(digits, re, im):
     assert in_region_a(w, tol=tol)
 
 
+# _mpf_ of wew_residual at 30 digits of w and z given as 60-digit mpc
+# values, which the working context takes with their bits and rounds at
+# its own precision, and as Python complex values, taken exactly
+_RESIDUAL_PINS = {
+    "complex": (0, 1808718700066873266333724868070997665281, -133, 131),
+    "mpc60": (0, 444666952918983405897581886569477014487, -129, 129),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RESIDUAL_PINS))
+def test_wew_residual_rounds_foreign_arguments_at_the_working_precision(kind):
+    ctx, wide = PrecisionContext(30), PrecisionContext(60).mp
+    w, z = {
+        "complex": (0.3 + 0.2j, 0.5 + 0.4j),
+        "mpc60": (wide.mpc(wide.mpf(1) / 3, wide.mpf(2) / 7),
+                  wide.mpc(wide.mpf(1) / 7, -wide.mpf(1) / 9)),
+    }[kind]
+    residual = wew_residual(w, z, ctx)
+    assert type(residual) is ctx.mp.mpf
+    assert residual._mpf_ == _RESIDUAL_PINS[kind]
+
+
 @given(st.sampled_from([float("inf"), float("-inf"), float("nan")]), _finite, st.booleans())
 def test_w_rejects_non_finite_parts(bad, other, bad_is_real):
     ctx = _CTX[15]

@@ -201,13 +201,17 @@ def test_integrate_accepts_float_inf(ctx30):
 # value type; the float pair returns floats only beyond u = 60, where they
 # are far below the tolerance, and the int pair truncates e^(200 - ...)
 # to integers wider than the working precision, which must not be
-# rounded before the first operation
+# rounded before the first operation.  The mpf60 pair returns mpfs of a
+# 60-digit context, which must be rebound to the working context before
+# the first operation: mpmath rounds at the left operand's precision
 _VALUE_PINS = {
     (20, "int"): ((0, 4715167891479108588894619150975, 180, 102),
                   (0, 1841862457609026792536960605849, 188, 101)),
     (20, "float"): ((0, 3602879701896397, -54, 52), (0, 1, 0, 1)),
     (20, "mpf"): ((0, 2390304894924208636532562697705, -100, 101),
                   (0, 10141204801825835211973625643007, -104, 103)),
+    (20, "mpf60"): ((0, 5980163889437430860369012075257, -103, 103),
+                    (0, 6760803201217223474649083762005, -104, 103)),
     (40, "int"): ((0, 21744873839671952140656380893580846574416808634113, 118, 164),
                   (0, 543621845991798803516409522339521164360420215852827, 120, 169)),
     (40, "float"): ((0, 3602879701896397, -54, 52),
@@ -219,14 +223,15 @@ _VALUE_PINS = {
 
 @pytest.mark.parametrize("digits, kind", sorted(_VALUE_PINS))
 def test_integrate_value_bits_are_pinned(digits, kind):
-    # an integrand may return an int, a float or an mpf; each is taken as
-    # the mpf operators take it (ints and floats exactly)
+    # an integrand may return an int, a float or an mpf of any context;
+    # each is taken as the mpf operators of ctx take it (ints and floats exactly)
     ctx = PrecisionContext(digits)
-    m = ctx.mp
+    m, wide = ctx.mp, PrecisionContext(60).mp
     finite, semi = {
         "int": (lambda x: int(m.exp(200 - 100 * x)), lambda u: int(m.exp(200 - u))),
         "float": (lambda x: 0.1, lambda u: m.exp(-u) if u < 60 else float(m.exp(-u))),
         "mpf": (lambda x: m.sqrt(x), lambda u: m.exp(-u) * m.cos(u)),
+        "mpf60": (lambda x: wide.exp(-x) * wide.cos(x), lambda u: wide.exp(-u) / 3),
     }[kind]
     got = (integrate(finite, 0, 2, ctx)._mpf_, integrate(semi, 0, m.inf, ctx)._mpf_)
     assert got == _VALUE_PINS[digits, kind]

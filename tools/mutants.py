@@ -260,6 +260,13 @@ MUTANTS = {
          T_NUM + "test_mpf_tuples_round_like_context",
          T_INV + "test_coefficient_vector_rounds_like_context_mpf"],
     ),
+    "quadrature-value-not-rebound": (
+        "numerics.py",
+        "        return m.make_mpf(v._mpf_)\n",
+        "        v._mpf_\n"
+        "        return v\n",
+        [T_NUM + "test_integrate_value_bits_are_pinned[20-mpf60]"],
+    ),
     "poch-half-off-by-one": (
         "qpoly.py",
         "Fraction(factorial(2 * k), 4**k * factorial(k))",
