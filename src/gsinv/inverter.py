@@ -18,7 +18,7 @@ from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log, round_nearest
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
-from .mantissa import _nearest_sum, _round_even, _signed
+from .mantissa import _abscissas, _nearest_sum, _signed
 from .numerics import (
     _TABLES,
     PrecisionContext,
@@ -42,12 +42,12 @@ class TransformFn:
     precision.  Every library caller passes an mpf.  The corpus
     evaluators of :mod:`gsinv.pairs` are kernels on the pairs of
     :mod:`gsinv.mantissa` behind ``_Kernel``, and take only a finite mpf.
-    The inverter runs the kernel itself on the abscissas' pairs when F is
-    a ``TransformFn`` (no subclass) whose ``eval`` is one, through the
-    kernel's progression per x where it has one (step and square wave
-    take exp(-z) from a geometric progression, the root its value from a
-    Newton step); it calls every other F, a wrapped kernel included, per
-    abscissa.
+    When F is a ``TransformFn`` (no subclass) whose ``eval`` is one, the
+    inverter runs the kernel's batch instead: one call per read of the
+    abscissa cache gives the values at all the abscissas it is missing
+    (step and square wave take exp(-z) from a geometric progression, the
+    root its value from a Newton step, both kept per x).  It calls every
+    other F, a wrapped kernel included, per abscissa.
     """
 
     eval: object
@@ -63,18 +63,19 @@ class _Kernel:
     makes the result an mpf of that context.  A ``z`` at a pole, where the kernel
     divides by zero, raises DomainError naming z.
 
-    ``progression``, where the library sets it, is the kernel on the
-    abscissas of one x: ``progression(bman, bexp, prec)``, for ``base =
-    bman 2**bexp``, returns a function ``(j, zman, zexp) -> (man, exp)``
-    of z_j, ``j * base`` rounded, with the bits of ``raw`` at z_j and
-    state shared across the j of that x.
+    ``batch`` is the kernel on the abscissas of one x: ``batch(bman,
+    bexp, prec)``, for ``base = bman 2**bexp > 0``, returns a function
+    ``js -> [(man, exp), ...]`` that gives, for each ``j >= 1`` of ``js``,
+    the bits of ``raw`` at z_j, ``j * base`` rounded as
+    :func:`~gsinv.mantissa._abscissas` rounds it, in one loop, with
+    state shared across the calls of that x.
     """
 
-    __slots__ = ("raw", "progression")
+    __slots__ = ("raw", "batch")
 
-    def __init__(self, raw, progression=None):
+    def __init__(self, raw, batch):
         self.raw = raw
-        self.progression = progression
+        self.batch = batch
 
     def __call__(self, z):
         man, exp = _signed(z._mpf_)
@@ -110,12 +111,13 @@ class _AbscissaCache:
     by a whole ladder (or by the Gaver functionals of one accelerated
     sum) evaluates F once per distinct abscissa, and checks once that the
     value is a number the mpf operators take.  The abscissa ``j * base``
-    is rounded as its operator (``mpf_mul_int``) rounds it, as a signed
-    pair.  A library kernel (``kernel``, see :class:`TransformFn`) gets
-    the pair and its values stay pairs; one with a progression (see
-    :class:`_Kernel`) is read through the progression of this x
-    (``at_x``), whose state lives and dies with the cache.  Any other F gets
-    an mpf, through ``F(z)``.
+    is rounded as its operator (``mpf_mul_int``) rounds it, as a pair
+    (:func:`~gsinv.mantissa._abscissas`).  For a library kernel (see
+    :class:`TransformFn`), ``batch`` is the kernel's batch for this x
+    (see :class:`_Kernel`), whose state lives and dies with the cache:
+    each read calls it once for the abscissas it is missing, and the
+    values stay pairs.  Any other F gets an mpf per abscissa, through
+    ``F(z)``.
     """
 
     def __init__(self, F, x, ctx):
@@ -128,9 +130,8 @@ class _AbscissaCache:
         # exact types: a subclass's __call__ or a wrapper (functools.wraps
         # copies attributes) must see every evaluation
         kernel = F.eval if type(F) is TransformFn else None
-        self.kernel = kernel.raw if type(kernel) is _Kernel else None
-        self.at_x = (kernel.progression(*self.base._mpf_[1:3], prec)
-                     if self.kernel and kernel.progression else None)
+        self.batch = (kernel.batch(*self.base._mpf_[1:3], prec)
+                      if type(kernel) is _Kernel else None)
         self.values: dict[int, object] = {}
 
     def _values(self, js):
@@ -142,45 +143,62 @@ class _AbscissaCache:
         a kernel's as its pair.
         """
         values = self.values
-        m = self.ctx.mp
-        prec = m.prec
-        _, bman, bexp, _ = self.base._mpf_  # base > 0
-        make, F, kernel, at_x = m.make_mpf, self.F, self.kernel, self.at_x
-        out = []
-        for j in js:
-            value = values.get(j)  # a stored value is never None: None is no number
-            if value is None:
-                zman, zexp = _round_even(bman * j, bexp, prec)  # j * base
+        missing = [j for j in js if j not in values]
+        if not missing:
+            return [values[j] for j in js]
+        new = (self._batch if self.batch else self._each)(missing)
+        values.update(zip(missing, new))
+        return new if len(missing) == len(js) else [values[j] for j in js]
+
+    def _batch(self, js):
+        """The kernel's batch at ``js``.  Where it raises, each ``j`` runs alone, on
+        this error path only, and the error names the first that raises, with its
+        exception as the cause (the last ``j`` and the batch's own, if none does)."""
+        try:
+            return self.batch(js)
+        except Exception as exc:
+            for j in js:
                 try:
-                    if at_x:
-                        value = at_x(j, zman, zexp)
-                    elif kernel:
-                        value = kernel(zman, zexp, prec)
-                    else:
-                        value = F(make(from_man_exp(zman, zexp)))
-                except Exception as exc:  # attach the offending abscissa
-                    z = make(from_man_exp(zman, zexp))
-                    raise TransformEvaluationError(
-                        f"transform evaluation failed at z = {self.ctx.nstr(z)}", z=z
-                    ) from exc
-                if not (kernel or hasattr(value, "_mpf_")):  # a check only: the value is kept
-                    try:
-                        m.convert(value, strings=False)
-                    except (TypeError, ValueError):
-                        z = make(from_man_exp(zman, zexp))
-                        raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is "
-                                          f"not a number: {value!r}") from None
-                values[j] = value
+                    self.batch((j,))
+                except Exception as alone:
+                    exc = alone
+                    break
+            m = self.ctx.mp
+            raise self._failure(m.make_mpf(from_man_exp(
+                *_abscissas(*self.base._mpf_[1:3], (j,), m.prec)[0]))) from exc
+
+    def _each(self, js):
+        """F at ``js``, called once per abscissa with an mpf, each value checked."""
+        m = self.ctx.mp
+        make, F = m.make_mpf, self.F
+        out = []
+        for z in _abscissas(*self.base._mpf_[1:3], js, m.prec):
+            z = make(from_man_exp(*z))
+            try:
+                value = F(z)
+            except Exception as exc:  # attach the offending abscissa
+                raise self._failure(z) from exc
+            if not hasattr(value, "_mpf_"):  # a check only: the value is kept
+                try:
+                    m.convert(value, strings=False)
+                except (TypeError, ValueError):
+                    raise DomainError(f"transform value at z = {self.ctx.nstr(z)} is "
+                                      f"not a number: {value!r}") from None
             out.append(value)
         return out
+
+    def _failure(self, z):
+        """The TransformEvaluationError of an evaluation at the mpf ``z``."""
+        return TransformEvaluationError(f"transform evaluation failed at z = {self.ctx.nstr(z)}",
+                                        z=z)
 
     def __call__(self, j: int):
         """F at the abscissa ``j * base``, as a value of the mpf operators."""
         value = self._values((j,))[0]
-        return self.ctx.mp.make_mpf(from_man_exp(*value)) if self.kernel else value
+        return self.ctx.mp.make_mpf(from_man_exp(*value)) if self.batch else value
 
     def first(self, count: int) -> list:
-        """F at the abscissas 1..count, in order; pairs if ``kernel`` is set."""
+        """F at the abscissas 1..count, in order; pairs if ``batch`` is set."""
         return self._values(range(1, count + 1))
 
 
@@ -228,7 +246,7 @@ def stehfest_approx(F, x, n: int, ctx: PrecisionContext, _cache=None):
     # a_k(n) as raw tuples (see mpf_tuples)
     a = _TABLES.get(("a_k", n, m.prec), lambda: mpf_tuples(gaver_stehfest_coeffs(n).a, m.prec))
     values = cache.first(len(a))
-    if cache.kernel:  # the values are a kernel's pairs: weighted_sum's steps, called directly
+    if cache.batch:  # the values are a kernel's pairs: weighted_sum's steps, called directly
         return cache.base * m.make_mpf(_nearest_sum(a, values, m.prec))
     return cache.base * weighted_sum(a, values, m)
 

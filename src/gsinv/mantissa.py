@@ -7,7 +7,11 @@ call it names, at round-to-nearest unless it says otherwise: libmp
 rounds the exact result of each call correctly, and so does the step,
 so a chain of steps has the bits of the chain of calls without building
 a tuple per call.  :func:`_signed` turns a raw ``_mpf_`` or ``_mpc_``
-tuple into a pair, and :func:`_raw` turns a complex pair back.
+tuple into a pair, and :func:`_raw` turns a complex pair back.  The
+steps for positive operands (:func:`_round_pos`, :func:`_quotient_pos`,
+:func:`_plus_one` and :func:`_abscissas`) have no sign branches: the
+batch kernels of :mod:`gsinv.pairs` run on them, and the signed
+rounding and quotient call them on the magnitudes.
 
 One step is no correctly rounded operation: ``mpf_exp`` rounds a
 ``prec + 14``-bit approximation of the exponential, whose error,
@@ -41,13 +45,19 @@ def _raw(v):
 
 def _round_even(man, exp, prec):
     """``man 2**exp`` rounded to ``prec`` bits half to even, as ``normalize1`` at round_nearest."""
-    n = man.bit_length() - prec
+    if man < 0:
+        man, exp = _round_pos(-man, exp, prec)
+        return -man, exp
+    return _round_pos(man, exp, prec)
+
+
+def _round_pos(a, exp, prec):
+    """:func:`_round_even` of ``a 2**exp`` for ``a >= 0``, without the sign branches."""
+    n = a.bit_length() - prec
     if n <= 0:
-        return man, exp
-    a = -man if man < 0 else man
+        return a, exp
     t = a >> (n - 1)
-    a = (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1
-    return -a if man < 0 else a, exp + n
+    return (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1, exp + n
 
 
 def _round_down(man, exp, prec):
@@ -59,20 +69,31 @@ def _round_down(man, exp, prec):
 
 
 def _quotient(nman, nexp, dman, dexp, prec):
-    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman != 0``, as ``mpf_div``.
-
-    The integer quotient keeps at least ``prec + 2`` bits and a sticky
-    bit for the remainder before :func:`_round_even`.
-    """
+    """``(nman 2**nexp) / (dman 2**dexp)`` for ``dman != 0``, as ``mpf_div``: the
+    :func:`_quotient_pos` of the magnitudes, with the quotient's sign."""
     if not nman:
         return 0, 0
     if dman < 0:
         nman, dman = -nman, -dman
-    a = -nman if nman < 0 else nman
-    k = prec + 2 + dman.bit_length() - a.bit_length()
-    q, r = divmod(a << k, dman) if k >= 0 else divmod(a, dman << -k)
+    if nman < 0:
+        man, exp = _quotient_pos(-nman, nexp, dman, dexp, prec)
+        return -man, exp
+    return _quotient_pos(nman, nexp, dman, dexp, prec)
+
+
+def _quotient_pos(nman, nexp, dman, dexp, prec):
+    """:func:`_quotient` for ``nman, dman > 0``, without the sign branches.
+
+    The integer quotient keeps at least ``prec + 2`` bits and a sticky
+    bit for the remainder before :func:`_round_pos`.
+    """
+    k = prec + 2 + dman.bit_length() - nman.bit_length()
+    q, r = divmod(nman << k, dman) if k >= 0 else divmod(nman, dman << -k)
     q = q << 1 | (r != 0)
-    return _round_even(-q if nman < 0 else q, nexp - dexp - k - 1, prec)
+    n = q.bit_length() - prec  # 3 or 4: _round_pos, inlined, as every kernel ends here
+    t = q >> (n - 1)
+    q = (t >> 1) + 1 if t & 1 and ((t & 2) or q & ((1 << (n - 1)) - 1)) else t >> 1
+    return q, nexp - dexp - k - 1 + n
 
 
 def _sqrt(man, exp, prec):
@@ -92,7 +113,7 @@ def _sqrt(man, exp, prec):
     if root * root != man:
         root = root << 1 | 1
         shift += 2
-    return _round_even(root, (exp - shift) // 2, prec)
+    return _round_pos(root, (exp - shift) // 2, prec)
 
 
 def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
@@ -118,6 +139,40 @@ def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
     if xexp >= yexp:
         return rnd((xman << xexp - yexp) + yman, yexp, prec)
     return rnd(xman + (yman << yexp - xexp), xexp, prec)
+
+
+def _plus_one(man, exp, prec):
+    """``x + 1`` as ``mpf_add(x, 1, prec)`` for ``x = man 2**exp > 0`` of at most ``prec`` bits.
+
+    For such an x, ``mpf_add``'s far-operand rule (see :func:`_add`)
+    gives the rounding of the exact sum, so the step rounds the exact sum
+    with :func:`_round_pos`; where one operand lies under half an ulp of
+    the other, the sum is the other, and nothing is shifted.
+    """
+    top = exp + man.bit_length()  # 2**(top - 1) <= x < 2**top
+    if top > prec + 1:  # 1 is under half an ulp of x
+        return man, exp
+    if top <= -prec:  # x is under half an ulp of 1
+        return 1, 0
+    if exp >= 0:
+        return _round_pos((man << exp) + 1, 0, prec)
+    return _round_pos(man + (1 << -exp), exp, prec)
+
+
+def _abscissas(bman, bexp, js, prec):
+    """``j * base`` for ``base = bman 2**bexp > 0`` and each ``j >= 1`` of ``js``, rounded
+    as ``mpf_mul_int`` rounds it: a list of the pairs of :func:`_round_pos`."""
+    out = []
+    for j in js:  # _round_pos, inlined: the call would cost about a tenth of a kernel
+        p = bman * j
+        n = p.bit_length() - prec
+        if n > 0:
+            t = p >> (n - 1)
+            p = (t >> 1) + 1 if t & 1 and ((t & 2) or p & ((1 << (n - 1)) - 1)) else t >> 1
+            out.append((p, bexp + n))
+        else:
+            out.append((p, bexp))
+    return out
 
 
 def _low(man, exp):
@@ -258,34 +313,41 @@ class _ExpProgression:
         self.bman, self.bexp, self.prec = bman, bexp, prec
         self.powers = None  # [P_0, P_1, ...] as wp-bit (man, exp) pairs, from the first use
 
-    def __call__(self, j, zman, zexp):
-        """exp(-z_j) as a pair, where ``(zman, zexp)`` is z_j, ``j * base`` rounded."""
-        prec, bexp = self.prec, self.bexp
+    def __call__(self, js):
+        """``(z_j, exp(-z_j))`` for each ``j`` of ``js``, a pair of pairs, z_j from
+        :func:`_abscissas`."""
+        bman, bexp, prec = self.bman, self.bexp, self.prec
         wp = prec + _EXP_GUARD
-        if _low(zman, zexp) < 0:  # z_j is no integer; nor is base, so bexp < 0
-            d = j * self.bman - (zman << zexp - bexp)  # delta_j = d 2**bexp, exactly
-            if not d or 2 * (d.bit_length() + bexp) < -wp:  # delta_j**2 / 2 is under 2**-wp
-                pman, pexp = self._power(j, wp)
-                man = pman + (pman * d >> -bexp)
-                rounded = _round_clear(man, pexp, prec, _EXP_BAND)
-                if rounded:
-                    return rounded
-        return _exp_neg(zman, zexp, prec)
+        powers, out = None, []
+        for j, (zman, zexp) in zip(js, _abscissas(bman, bexp, js, prec)):
+            if _low(zman, zexp) < 0:  # z_j is no integer; nor is base, so bexp < 0
+                d = j * bman - (zman << zexp - bexp)  # delta_j = d 2**bexp, exactly
+                if not d or 2 * (d.bit_length() + bexp) < -wp:  # delta_j**2 / 2 is under 2**-wp
+                    if powers is None:
+                        powers = self._powers(max(js), wp)
+                    pman, pexp = powers[j]
+                    man = pman + (pman * d >> -bexp)
+                    rounded = _round_clear(man, pexp, prec, _EXP_BAND)
+                    if rounded:
+                        out.append(((zman, zexp), rounded))
+                        continue
+            out.append(((zman, zexp), _exp_neg(zman, zexp, prec)))
+        return out
 
-    def _power(self, j, wp):
-        """``P_j`` as a pair with a ``wp``-bit mantissa, each power truncated from the last."""
+    def _powers(self, top, wp):
+        """``[P_0, .., P_top]`` at least, ``wp``-bit pairs, each power truncated from the last."""
         powers = self.powers
         if powers is None:
             _, qman, qexp, _ = mpf_exp(from_man_exp(-self.bman, self.bexp), wp, round_nearest)
             n = qman.bit_length() - wp
             powers = self.powers = [(1 << wp - 1, 1 - wp), (qman << -n, qexp + n)]
         qman, qexp = powers[1]
-        while len(powers) <= j:
+        while len(powers) <= top:
             man, exp = powers[-1]
             man *= qman
             n = man.bit_length() - wp
             powers.append((man >> n, exp + qexp + n))
-        return powers[j]
+        return powers
 
 
 _ROOT_GUARD = 64  # W = prec + _ROOT_GUARD: the bits of A and of the table's 2**W / sqrt(j)
@@ -342,10 +404,10 @@ class _RootProgression:
     above is exact integer arithmetic or a correct rounding.
     """
 
-    __slots__ = ("pi", "prec", "table", "a", "f")
+    __slots__ = ("pi", "bman", "bexp", "prec", "table", "a", "f")
 
     def __init__(self, pman, pexp, bman, bexp, prec, table):
-        self.pi, self.prec, self.table = (pman, pexp), prec, table
+        self.pi, self.bman, self.bexp, self.prec, self.table = (pman, pexp), bman, bexp, prec, table
         # pman / bman lies within a factor 2 of 2**k: the shift gives the
         # radicand 2W - 2 or 2W - 1 bits, plus one for an even 2F
         shift = 2 * (prec + _ROOT_GUARD) - 2 - pman.bit_length() + bman.bit_length()
@@ -353,14 +415,19 @@ class _RootProgression:
         self.f = (shift - pexp + bexp) >> 1
         self.a = isqrt((pman << shift) // bman)
 
-    def __call__(self, j, zman, zexp):
-        """sqrt(pi/z_j) as a pair, where ``(zman, zexp)`` is z_j, ``j * base`` rounded."""
-        prec, table, f = self.prec, self.table, self.f
-        qman, qexp = _quotient(*self.pi, zman, zexp, prec)
-        if j <= len(table):
-            y = self.a * table[j - 1] >> prec + _ROOT_GUARD
-            s = y + ((qman << qexp + 2 * f) - y * y) // (y << 1)
-            rounded = _round_clear(s, -f, prec, _ROOT_BAND)
-            if rounded:
-                return rounded
-        return _sqrt(qman, qexp, prec)
+    def __call__(self, js):
+        """sqrt(pi/z_j) for each ``j`` of ``js``, as pairs, z_j from :func:`_abscissas`."""
+        prec, table, f, a = self.prec, self.table, self.f, self.a
+        w, size, pi = prec + _ROOT_GUARD, len(table), self.pi
+        out = []
+        for j, z in zip(js, _abscissas(self.bman, self.bexp, js, prec)):
+            qman, qexp = _quotient_pos(*pi, *z, prec)
+            if j <= size:
+                y = a * table[j - 1] >> w
+                s = y + ((qman << qexp + 2 * f) - y * y) // (y << 1)
+                rounded = _round_clear(s, -f, prec, _ROOT_BAND)
+                if rounded:
+                    out.append(rounded)
+                    continue
+            out.append(_sqrt(qman, qexp, prec))
+        return out

@@ -18,8 +18,9 @@ from mpmath.libmp import from_man_exp, mpf_pi, prec_to_dps, round_nearest, to_st
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .mantissa import (_add, _ExpProgression, _exp_neg, _quotient, _RootProgression, _round_even,
-                       _root_table, _sqrt)
+from .mantissa import (_abscissas, _add, _ExpProgression, _exp_neg, _plus_one, _quotient,
+                       _quotient_pos, _RootProgression, _round_even, _round_pos, _root_table,
+                       _sqrt)
 from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
                        mpf_tuples)
 
@@ -71,27 +72,43 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
-# The transform F of each corpus pair, named after the pair: a kernel
-# z = (man, exp) -> F(z) at precision prec that rounds where the operator
-# form in its comment rounds, so the bits are those of the operator form.
-# _Kernel makes it the mpf evaluator F.eval, and lets the inverter call the
-# kernel itself on the pairs of its abscissas.  Step and square wave also
-# take e = exp(-z) as a pair with the bits of mpf_exp: one mpf_exp per z,
-# one geometric progression per x on the abscissas.  The root rounds pi
-# once per precision, and on the abscissas takes one Newton step from a
-# progression per x.  No other kernel makes a libmp call.
+# The transform F of each corpus pair, named after the pair: a _Kernel of a
+# raw kernel z = (man, exp) -> F(z) at precision prec, the mpf evaluator
+# F.eval, and of its batch on the abscissas z_j of one x, which the inverter
+# calls instead (see inverter._Kernel).  Both round where the operator form in
+# the raw kernel's comment rounds, so the bits are those of the operator form;
+# the batch's z_j are positive, and it runs the steps for positive operands.
+# Step and square wave also take e = exp(-z) as a pair with the bits of
+# mpf_exp: one mpf_exp per z, one geometric progression per x on the
+# abscissas.  The root rounds pi once per precision, and on the abscissas
+# takes one Newton step from a progression per x.  No other kernel makes a
+# libmp call.
 
-@_Kernel
+def _constant_batch(bman, bexp, prec):
+    return lambda js: [_quotient_pos(1, 0, *z, prec) for z in _abscissas(bman, bexp, js, prec)]
+
+
+@partial(_Kernel, batch=_constant_batch)
 def _constant(man, exp, prec):  # 1/z
     return _quotient(1, 0, man, exp, prec)
 
 
-@_Kernel
+def _ramp_batch(bman, bexp, prec):
+    return lambda js: [_quotient_pos(1, 0, *_round_pos(zman * zman, zexp + zexp, prec), prec)
+                       for zman, zexp in _abscissas(bman, bexp, js, prec)]
+
+
+@partial(_Kernel, batch=_ramp_batch)
 def _ramp(man, exp, prec):  # 1/z**2
     return _quotient(1, 0, *_round_even(man * man, exp + exp, prec), prec)
 
 
-@_Kernel
+def _exponential_batch(bman, bexp, prec):
+    return lambda js: [_quotient_pos(1, 0, *_plus_one(*z, prec), prec)
+                       for z in _abscissas(bman, bexp, js, prec)]
+
+
+@partial(_Kernel, batch=_exponential_batch)
 def _exponential(man, exp, prec):  # 1/(z+1)
     return _quotient(1, 0, *_add(man, exp, 1, 0, prec), prec)
 
@@ -101,14 +118,14 @@ def _pi(prec):
     return _TABLES.get(("pi", prec), lambda: mpf_pi(prec, round_nearest)[1:3])
 
 
-def _root_progression(bman, bexp, prec):
-    """The root's kernel on the abscissas of ``base = bman 2**bexp``; pi and the table
-    are taken once per precision."""
+def _root_batch(bman, bexp, prec):
+    """The root's progression for ``base = bman 2**bexp``; pi and the table are taken
+    once per precision."""
     table = _TABLES.get(("root", prec), lambda: _root_table(prec))
     return _RootProgression(*_pi(prec), bman, bexp, prec, table)
 
 
-@partial(_Kernel, progression=_root_progression)
+@partial(_Kernel, batch=_root_batch)
 def _root(man, exp, prec):  # sqrt(pi/z)
     if man < 0:
         z = to_str(from_man_exp(man, exp), prec_to_dps(prec))
@@ -116,28 +133,42 @@ def _root(man, exp, prec):  # sqrt(pi/z)
     return _sqrt(*_quotient(*_pi(prec), man, exp, prec), prec)
 
 
-def _takes_exp(kernel):
-    """The _Kernel of ``kernel(man, exp, prec, e)``, which also takes e = exp(-z)."""
-    def progression(bman, bexp, prec):
-        exps = _ExpProgression(bman, bexp, prec)
-        return lambda j, man, exp: kernel(man, exp, prec, exps(j, man, exp))
-
-    return _Kernel(lambda man, exp, prec: kernel(man, exp, prec, _exp_neg(man, exp, prec)),
-                   progression)
+def _step_batch(bman, bexp, prec):
+    exps = _ExpProgression(bman, bexp, prec)
+    return lambda js: [_quotient_pos(*e, *z, prec) for z, e in exps(js)]
 
 
-@_takes_exp
-def _step(man, exp, prec, e):  # exp(-z)/z
-    return _quotient(*e, man, exp, prec)
+@partial(_Kernel, batch=_step_batch)
+def _step(man, exp, prec):  # exp(-z)/z
+    return _quotient(*_exp_neg(man, exp, prec), man, exp, prec)
 
 
-@_takes_exp
-def _square_wave(man, exp, prec, e):  # 1/(z*(1+exp(-z)))
-    dman, dexp = _add(*e, 1, 0, prec)
+def _square_wave_batch(bman, bexp, prec):
+    exps = _ExpProgression(bman, bexp, prec)
+
+    def batch(js):
+        out = []
+        for (zman, zexp), e in exps(js):
+            dman, dexp = _plus_one(*e, prec)
+            out.append(_quotient_pos(1, 0, *_round_pos(zman * dman, zexp + dexp, prec), prec))
+        return out
+
+    return batch
+
+
+@partial(_Kernel, batch=_square_wave_batch)
+def _square_wave(man, exp, prec):  # 1/(z*(1+exp(-z)))
+    dman, dexp = _add(*_exp_neg(man, exp, prec), 1, 0, prec)
     return _quotient(1, 0, *_round_even(man * dman, exp + dexp, prec), prec)
 
 
-@_Kernel
+def _sine_batch(bman, bexp, prec):
+    return lambda js: [
+        _quotient_pos(1, 0, *_plus_one(*_round_pos(zman * zman, zexp + zexp, prec), prec), prec)
+        for zman, zexp in _abscissas(bman, bexp, js, prec)]
+
+
+@partial(_Kernel, batch=_sine_batch)
 def _sine(man, exp, prec):  # 1/(1+z**2)
     return _quotient(1, 0, *_add(*_round_even(man * man, exp + exp, prec), 1, 0, prec), prec)
 

@@ -29,6 +29,7 @@ from gsinv import (
     stehfest_via_gaver,
 )
 from gsinv.inverter import expansion_probe
+from gsinv.mantissa import _abscissas
 from gsinv.numerics import low_digits_note
 from conftest import load_fixture
 
@@ -271,6 +272,45 @@ def test_corpus_transform_runs_its_kernel_without_its_eval(monkeypatch):
         assert (stehfest_approx(p.F, 1, 6, ctx), gaver_approx(p.F, 1, 6, ctx)) == expected[p.name]
 
 
+def test_kernel_path_calls_the_batch_once_per_read_that_misses_abscissas(monkeypatch):
+    # one batch per call (per x), one call of it per read of the abscissa
+    # cache that misses abscissas, for just those, and no raw kernel call
+    made, reads, misses = [], [], []
+    values = inverter._AbscissaCache._values
+
+    def counting_values(self, js):
+        missing = tuple(j for j in js if j not in self.values)
+        if missing:
+            misses.append(missing)
+        return values(self, js)
+
+    def forbidden(man, exp, prec):
+        raise AssertionError("a raw kernel called on the inverter's path")
+
+    monkeypatch.setattr(inverter._AbscissaCache, "_values", counting_values)
+    ctx = context_for_order(6)
+    routes = (  # each route's reads that miss abscissas
+        (stehfest_approx, [tuple(range(1, 13))]),
+        (lambda F, x, n, ctx: invert_ladder(F, x, n, ctx=ctx),
+         [(2 * k - 1, 2 * k) for k in range(1, 7)]),  # two new abscissas per order
+        (stehfest_via_gaver, [(j,) for j in range(1, 13)]),  # one at a time
+    )
+    for p in corpus():
+        batch = p.F.eval.batch
+
+        def counting(bman, bexp, prec, batch=batch):
+            made.append(bman)
+            at_x = batch(bman, bexp, prec)
+            return lambda js: reads.append(tuple(js)) or at_x(js)
+
+        monkeypatch.setattr(p.F.eval, "batch", counting)
+        monkeypatch.setattr(p.F.eval, "raw", forbidden)
+        for route, expected in routes:
+            del made[:], reads[:], misses[:]
+            route(p.F, 1, 6, ctx)
+            assert len(made) == 1 and reads == misses == expected, p.name
+
+
 @pytest.mark.parametrize("route", sorted(_ENTRY_ROUTES))
 def test_single_order_and_ladder_share_error_semantics(ctx30, route, monkeypatch):
     run = _ENTRY_ROUTES[route]
@@ -296,6 +336,9 @@ def test_single_order_and_ladder_share_error_semantics(ctx30, route, monkeypatch
         return exponential(man, exp, prec)
 
     monkeypatch.setattr(pair.F.eval, "raw", fragile_raw)
+    # and its batch, the fragile kernel at each abscissa of the call
+    monkeypatch.setattr(pair.F.eval, "batch", lambda bman, bexp, prec: lambda js: [
+        fragile_raw(*z, prec) for z in _abscissas(bman, bexp, js, prec)])
     reported = []
     for F in (pair.F, _wrapped(pair.F)):
         with pytest.raises(TransformEvaluationError) as err:

@@ -2,15 +2,16 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import (from_man_exp, from_rational, ftwo, fzero, mpc_div, mpc_mul, mpc_sub,
-                          mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pi,
-                          mpf_pos, mpf_sqrt, round_down, round_nearest)
+from mpmath.libmp import (fone, from_man_exp, from_rational, ftwo, fzero, mpc_div, mpc_mul,
+                          mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_sqrt, round_down,
+                          round_nearest)
 
 import gsinv.mantissa as mantissa
 from gsinv import PrecisionContext, context_for_order
-from gsinv.mantissa import (_add, _cdiv, _cmul, _csub, _ExpProgression, _quotient, _raw,
-                            _RootProgression, _root_table, _round_down, _round_even, _signed,
-                            _sqrt)
+from gsinv.mantissa import (_abscissas, _add, _cdiv, _cmul, _csub, _ExpProgression, _plus_one,
+                            _quotient, _quotient_pos, _raw, _RootProgression, _root_table,
+                            _round_down, _round_even, _signed, _sqrt)
 from conftest import _factor
 
 
@@ -54,6 +55,28 @@ def test_mantissa_steps_match_libmp(case):
     for low in (0, 3):  # a pair may carry trailing zero bits
         root = _sqrt(man << low, exp - low, prec)
         assert from_man_exp(*root) == mpf_sqrt(mpf_abs(x), prec, round_nearest)
+
+
+@given(_real_operands())
+def test_positive_steps_match_libmp(case):
+    # the steps for operands > 0 as the batch kernels take them: x / y, and
+    # for operands of at most prec bits x + 1 and the multiples j x
+    prec, x, y = case
+    x, y = mpf_abs(x), mpf_abs(y)
+    if fzero not in (x, y):
+        quotient = _quotient_pos(*_signed(x), *_signed(y), prec)
+        assert from_man_exp(*quotient) == mpf_div(x, y, prec, round_nearest)
+    for v in (x, y):
+        v = mpf_pos(v, prec, round_nearest)
+        if v == fzero:
+            continue
+        man, exp = _signed(v)
+        for low in (0, 3):  # a pair may carry trailing zero bits
+            assert from_man_exp(*_plus_one(man << low, exp - low, prec)) == mpf_add(
+                v, fone, prec, round_nearest)
+        js = (1, 2, 3, 7, 96, 128, 1000)
+        assert [from_man_exp(*z) for z in _abscissas(man, exp, js, prec)] == [
+            mpf_mul_int(v, j, prec, round_nearest) for j in js]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -187,13 +210,13 @@ def _base(x, prec):
 
 
 def _check_progression(bman, bexp, prec, js):
-    """The progression of ``base = bman 2**bexp`` read at ``js``: each value is
-    ``mpf_exp(-z_j, prec)``; returns the progression."""
+    """The progression of ``base = bman 2**bexp`` read at ``js`` in one call: each
+    value is z_j with ``mpf_exp(-z_j, prec)``; returns the progression."""
     exps = _ExpProgression(bman, bexp, prec)
-    for j in js:
-        z = _round_even(bman * j, bexp, prec)  # z_j as the abscissa cache rounds it
+    for j, (z, e) in zip(js, exps(js), strict=True):
+        assert z == _round_even(bman * j, bexp, prec)  # z_j as the abscissa cache rounds it
         want = mpf_exp(mpf_neg(from_man_exp(*z)), prec, round_nearest)
-        assert from_man_exp(*exps(j, *z)) == want, (bman, bexp, prec, j)
+        assert from_man_exp(*e) == want, (bman, bexp, prec, j)
     return exps
 
 
@@ -244,20 +267,20 @@ def test_exp_progression_takes_mpf_exp_in_the_band(monkeypatch):
     calls = []
     monkeypatch.setattr(mantissa, "mpf_exp",
                         lambda x, wp, rnd: calls.append((x, wp)) or mpf_exp(x, wp, rnd))
-    got = _ExpProgression(bman, bexp, prec)(2, *z)
+    (_, got), = _ExpProgression(bman, bexp, prec)((2,))
     # the ratio exp(-base), then libmp's own call for the value in the band
     assert calls == [(mpf_neg(from_man_exp(bman, bexp)), prec + 64), (minus_z, prec)]
     assert from_man_exp(*got) == want
 
 
 def _check_roots(bman, bexp, prec, js):
-    """The root progression of ``base = bman 2**bexp`` read at ``js``: each value
-    is the exact kernel's ``_sqrt(*_quotient(pi, z_j))``, as a pair."""
+    """The root progression of ``base = bman 2**bexp`` read at ``js`` in one call: each
+    value is the exact kernel's ``_sqrt(*_quotient(pi, z_j))``, as a pair."""
     pi = mpf_pi(prec, round_nearest)[1:3]
     roots = _RootProgression(*pi, bman, bexp, prec, _root_table(prec))
-    for j in js:
+    for j, root in zip(js, roots(js), strict=True):
         z = _round_even(bman * j, bexp, prec)  # z_j as the abscissa cache rounds it
-        assert roots(j, *z) == _sqrt(*_quotient(*pi, *z, prec), prec), (bman, bexp, prec, j)
+        assert root == _sqrt(*_quotient(*pi, *z, prec), prec), (bman, bexp, prec, j)
 
 
 @given(_progressions(), st.integers(15, 300))

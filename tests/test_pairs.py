@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import MPContext
+from mpmath.libmp import from_man_exp
 
 import gsinv.mantissa
 import gsinv.pairs
@@ -23,7 +24,7 @@ from gsinv import (
 )
 from gsinv.cli import MAX_DIGITS
 from gsinv.inverter import _AbscissaCache
-from gsinv.mantissa import _root_table
+from gsinv.mantissa import _root_table, _round_even
 from gsinv.pairs import _jump_locations, dini_integral_estimate, laplace_identity_residual
 
 
@@ -192,7 +193,7 @@ def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(
         expected = [form(j * base)._mpf_ for j in js]
         for order in (js, js[::-1]):
             cache = _AbscissaCache(pair.F, ctx.mpf(x), ctx)  # the inverter's path on pairs
-            assert cache.kernel is not None
+            assert cache.batch is not None
             assert [cache(j)._mpf_ for j in order] == [expected[j - 1] for j in order], pair.name
         for z in (1, 2, 7, 10**30, -0.5, -7):
             z = ctx.mpf(z)
@@ -201,6 +202,83 @@ def test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms(
             else:
                 with pytest.raises(DomainError, match=re.escape(f"got z = {z}")):
                     pair.F(z)
+
+
+def _reads(n, reading):
+    """The reads of the abscissas j = 1..2n that the inverter's routes make of
+    one batch: the calls of the batch of one x, in order."""
+    return {
+        "ascending": lambda: [range(1, 2 * n + 1)],  # stehfest_approx
+        "descending": lambda: [range(2 * n, 0, -1)],
+        "ladder": lambda: [(2 * k - 1, 2 * k) for k in range(1, n + 1)],  # two new per order
+        "one at a time": lambda: [(k + i,) for k in range(1, n + 1) for i in range(k + 1)],
+    }[reading]()  # the last: the Gaver witness, which reads k + i for each functional k
+
+
+_READINGS = ("ascending", "descending", "ladder", "one at a time")
+
+
+def _check_batches(bman, bexp, prec, reads):
+    """Each corpus kernel's batch for ``base = bman 2**bexp``, made once and read as
+    ``reads``: every value has the bits of the raw kernel at z_j."""
+    for pair in corpus():
+        kernel = pair.F.eval
+        batch = kernel.batch(bman, bexp, prec)
+        want = {}  # j -> the raw kernel at z_j, z_j rounded as the abscissa cache rounds it
+        for js in reads:
+            for j in js:
+                if j not in want:
+                    z = _round_even(bman * j, bexp, prec)
+                    want[j] = from_man_exp(*kernel.raw(*z, prec))
+            assert [from_man_exp(*v) for v in batch(js)] == [want[j] for j in js], (
+                pair.name, bman, bexp, prec, js)
+
+
+def _base(x, ctx):
+    """ln2 / x as the abscissa cache rounds it, a pair."""
+    return _AbscissaCache(get_pair("constant").F, ctx.mpf(x), ctx).base._mpf_[1:3]
+
+
+@given(st.floats(-6, 6), st.integers(15, 300), st.integers(1, 64), st.sampled_from(_READINGS))
+def test_batch_kernels_have_the_bits_of_the_raw_kernels(decade, digits, n, reading):
+    ctx = PrecisionContext(digits)
+    _check_batches(*_base(10.0 ** decade, ctx), ctx.mp.prec, _reads(n, reading))
+
+
+@pytest.mark.parametrize("reading", _READINGS)
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("x", ["1e-30", "1e30"])
+def test_batch_kernels_at_far_abscissas(x, n, reading):
+    # abscissas near 1e30, where the exp progression falls back on mpf_exp
+    # at lower precisions, and near 1e-30.  Order 1 runs at 70 bits, where
+    # the root's table is empty and every root is the exact one
+    ctx = context_for_order(n)
+    prec = ctx.mp.prec
+    assert (_root_table(prec) == ()) == (n == 1)
+    _check_batches(*_base(x, ctx), prec, _reads(n, reading))
+
+
+@pytest.mark.parametrize("reading", ["ascending", "one at a time"])
+@pytest.mark.parametrize("prec", [70, 664])
+@pytest.mark.parametrize("base", [(3, 0), (1, -1)])
+def test_batch_kernels_at_integer_abscissas(base, prec, reading):
+    # every abscissa an integer (base 3), or every other one (base 1/2)
+    _check_batches(*base, prec, _reads(64, reading))
+
+
+def test_batch_kernels_where_the_progressions_fall_back(monkeypatch):
+    # x = 153577/37043 at 70 bits: exp(-z_2) lies 2**-19 ulp from a rounding
+    # midpoint, where the exp progression takes mpf_exp's bits.  With the
+    # root's band widened to a whole ulp, every root is the exact one
+    ctx = context_for_order(1)
+    assert ctx.mp.prec == 70
+    base = _base(Fraction(153577, 37043), ctx)
+    for reading in _READINGS:
+        _check_batches(*base, 70, _reads(64, reading))
+    ctx = context_for_order(16)
+    monkeypatch.setattr(gsinv.mantissa, "_ROOT_BAND", 0)
+    for reading in _READINGS:
+        _check_batches(*_base("0.7", ctx), ctx.mp.prec, _reads(16, reading))
 
 
 @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])

@@ -1,6 +1,7 @@
 """Truncated power series over exact rationals: ``mul_trunc`` and
 ``compose_outer``, the two operations the generating-function identity of
-q_n is built from.  Every check is an exact equality of ``Fraction`` lists."""
+q_n is built from, and H's Laurent coefficients built with them.  Every check
+is an exact equality of ``Fraction`` lists."""
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsinv.lambertw import branch_series
 from gsinv.series import compose_outer, mul_trunc
 
 F = Fraction
@@ -136,3 +138,15 @@ def test_compose_outer_is_the_sum_of_the_truncated_powers(coeffs, tail, order):
         expected = [x + y for x, y in zip(_truncated(expected, len(term) - 1), term)]
     got = compose_outer(lambda n: coeffs[n - 1] if n <= len(coeffs) else F(0), inner, order)
     assert got == _truncated(expected, order)
+
+
+def test_h_laurent_coefficients_are_exact():
+    # H = p^-3 (1 - p S) S^-3 with S = (1 + W)/p, W = sum mu_n p^n the branch
+    # series (mu_0 = -1, mu_1 = 1), and 1/S = 1 + sum (-1)^n (S - 1)^n: the
+    # Laurent coefficients of H from p^-3 on, as exact rationals
+    order = 4
+    s = list(branch_series(order + 1)[1:])  # S: mu_0 cancels the 1
+    inverse = [F(1)] + compose_outer(lambda n: F((-1) ** n), [F(0)] + s[1:], order)[1:]
+    cube = mul_trunc(inverse, mul_trunc(inverse, inverse, order), order)
+    h = mul_trunc([F(1)] + [-c for c in s[:order]], cube, order)  # (1 - p S) S^-3
+    assert h == [F(1), F(0), F(-11, 24), F(-4, 135), F(-1, 1152)]

@@ -47,8 +47,8 @@ MUTANTS = {
     ),
     "kernel-round-down": (
         "pairs.py",
-        "_quotient, _RootProgression, _round_even,\n",
-        "_quotient, _RootProgression, _round_down as _round_even,\n",
+        "_RootProgression, _round_even, _round_pos,",
+        "_RootProgression, _round_down as _round_even, _round_pos,",
         [T_PAIRS + "test_corpus_evaluators_match_their_operator_forms_bit_for_bit",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
@@ -86,7 +86,8 @@ MUTANTS = {
         "mantissa.py",
         "q = q << 1 | (r != 0)",
         "q = q << 1",
-        [T_MAN + "test_mantissa_steps_match_libmp"],
+        [T_MAN + "test_mantissa_steps_match_libmp",
+         T_MAN + "test_positive_steps_match_libmp"],
     ),
     "step-sqrt-sticky-dropped": (
         "mantissa.py",
@@ -122,16 +123,44 @@ MUTANTS = {
     ),
     "eval-in-place-of-call": (
         "inverter.py",
-        "value = F(make(from_man_exp(zman, zexp)))",
-        "value = F.eval(make(from_man_exp(zman, zexp)))",
+        "value = F(z)",
+        "value = F.eval(z)",
         [T_INV + "test_transform_subclass_and_wrapped_eval_see_every_call"],
     ),
     "abscissa-round-down": (
-        "inverter.py",
-        "from .mantissa import _nearest_sum, _round_even, _signed\n",
-        "from .mantissa import _nearest_sum, _round_down as _round_even, _signed\n",
+        "mantissa.py",
+        "p = (t >> 1) + 1 if t & 1 and ((t & 2) or p & ((1 << (n - 1)) - 1)) else t >> 1",
+        "p = t >> 1",
         [T_INV + "test_stehfest_calls_transform_at_each_abscissa_once",
+         T_MAN + "test_positive_steps_match_libmp",
+         T_PAIRS + "test_batch_kernels_have_the_bits_of_the_raw_kernels",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
+    ),
+    "batch-kernel-round-down": (
+        "pairs.py",
+        "_round_even, _round_pos, _root_table,",
+        "_round_even, _round_down as _round_pos, _root_table,",
+        [T_PAIRS + "test_batch_kernels_have_the_bits_of_the_raw_kernels",
+         T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
+    ),
+    "plus-one-unrounded": (
+        "mantissa.py",
+        "    return _round_pos(man + (1 << -exp), exp, prec)\n",
+        "    return man + (1 << -exp), exp\n",
+        [T_MAN + "test_positive_steps_match_libmp",
+         T_PAIRS + "test_batch_kernels_have_the_bits_of_the_raw_kernels"],
+    ),
+    "read-returns-only-missing-values": (
+        "inverter.py",
+        "return new if len(missing) == len(js) else [values[j] for j in js]",
+        "return new",
+        [T_INV + "test_ladder_entries_equal_standalone_approximants"],
+    ),
+    "batch-failure-at-first-abscissa": (
+        "inverter.py",
+        "            for j in js:\n                try:\n                    self.batch((j,))",
+        "            for j in js[:1]:\n                try:\n                    self.batch((j,))",
+        [T_INV + "test_single_order_and_ladder_share_error_semantics"],
     ),
     "periodic-split-one-period": (
         "pairs.py",
@@ -154,9 +183,10 @@ MUTANTS = {
     ),
     "fast-path-never-taken": (
         "inverter.py",
-        "self.kernel = kernel.raw if type(kernel) is _Kernel else None",
-        "self.kernel = None",
-        [T_INV + "test_corpus_transform_runs_its_kernel_without_its_eval"],
+        "if type(kernel) is _Kernel else None)",
+        "if False else None)",
+        [T_INV + "test_corpus_transform_runs_its_kernel_without_its_eval",
+         T_INV + "test_kernel_path_calls_the_batch_once_per_read_that_misses_abscissas"],
     ),
     "sum-product-tie-to-even-dropped": (
         "mantissa.py",
@@ -232,8 +262,8 @@ MUTANTS = {
     ),
     "root-table-read-at-j-plus-1": (
         "mantissa.py",
-        "y = self.a * table[j - 1] >>",
-        "y = self.a * table[j] >>",
+        "y = a * table[j - 1] >> w",
+        "y = a * table[j] >> w",
         [T_MAN + "test_root_progression_has_the_bits_of_the_exact_root"],
     ),
     "qn-eval-rounds-a-bit-short": (
