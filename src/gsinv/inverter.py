@@ -18,7 +18,7 @@ from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log, round_nearest
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
 from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
-from .mantissa import _abscissas, _nearest_sum, _signed
+from .mantissa import _abscissas, _nearest_sum
 from .numerics import (
     _TABLES,
     PrecisionContext,
@@ -40,14 +40,14 @@ class TransformFn:
     abscissa; it receives a high-precision scalar and should derive any
     constants it needs from ``z.context`` so results carry the caller's
     precision.  Every library caller passes an mpf.  The corpus
-    evaluators of :mod:`gsinv.pairs` are kernels on the pairs of
-    :mod:`gsinv.mantissa` behind ``_Kernel``, and take only a finite mpf.
-    When F is a ``TransformFn`` (no subclass) whose ``eval`` is one, the
-    inverter runs the kernel's batch instead: one call per read of the
-    abscissa cache gives the values at all the abscissas it is missing
-    (step and square wave take exp(-z) from a geometric progression, the
-    root its value from a Newton step, both kept per x).  It calls every
-    other F, a wrapped kernel included, per abscissa.
+    evaluators of :mod:`gsinv.pairs` are ``_Kernel``s: their operator
+    forms, which take only a finite mpf, each with a batch on the pairs of
+    :mod:`gsinv.mantissa`.  When F is a ``TransformFn`` (no subclass)
+    whose ``eval`` is one, the inverter runs the batch instead: one call
+    per read of the abscissa cache gives the values at all the abscissas
+    it is missing (step and square wave take exp(-z) from a geometric
+    progression, the root its value from a Newton step, both kept per x).
+    It calls every other F, a wrapped kernel included, per abscissa.
     """
 
     eval: object
@@ -58,33 +58,34 @@ class TransformFn:
 
 
 class _Kernel:
-    """The mpf evaluator F(z) of a kernel ``raw(man, exp, prec) -> (man, exp)``: it
-    runs the kernel on the pair of a finite ``z`` at ``z.context``'s precision and
-    makes the result an mpf of that context.  A ``z`` at a pole, where the kernel
-    divides by zero, raises DomainError naming z.
+    """The mpf evaluator F(z) of an operator ``form(z)``, for a finite mpf ``z``; any
+    other ``z`` raises DomainError naming it, and so does a ``z`` at a pole, where
+    the form divides by zero.
 
-    ``batch`` is the kernel on the abscissas of one x: ``batch(bman,
-    bexp, prec)``, for ``base = bman 2**bexp > 0``, returns a function
-    ``js -> [(man, exp), ...]`` that gives, for each ``j >= 1`` of ``js``,
-    the bits of ``raw`` at z_j, ``j * base`` rounded as
-    :func:`~gsinv.mantissa._abscissas` rounds it, in one loop, with
-    state shared across the calls of that x.
+    ``batch`` is the form on the abscissas of one x, as integer steps:
+    ``batch(bman, bexp, prec)``, for ``base = bman 2**bexp > 0``, returns
+    a function ``js -> [(man, exp), ...]`` that gives, for each ``j >= 1``
+    of ``js``, the bits of ``form`` at ``prec`` at z_j, ``j * base``
+    rounded as :func:`~gsinv.mantissa._abscissas` rounds it, in one loop,
+    with state shared across the calls of that x.
     """
 
-    __slots__ = ("raw", "batch")
+    __slots__ = ("form", "batch")
 
-    def __init__(self, raw, batch):
-        self.raw = raw
+    def __init__(self, form, batch):
+        self.form = form
         self.batch = batch
 
     def __call__(self, z):
-        man, exp = _signed(z._mpf_)
+        try:
+            _, man, exp, _ = z._mpf_
+        except AttributeError:
+            raise DomainError(f"a corpus transform needs an mpf z, got z = {z!r}") from None
         if exp and not man:
             raise DomainError(f"a corpus transform needs a finite z, got z = {z}")
-        m = z.context
         try:
-            return m.make_mpf(from_man_exp(*self.raw(man, exp, m.prec)))
-        except ZeroDivisionError:  # a kernel's divisor is zero: abscissas never get here
+            return self.form(z)
+        except ZeroDivisionError:  # the form divides by zero: abscissas never get here
             raise DomainError(f"a corpus transform has a pole at z = {z}") from None
 
 

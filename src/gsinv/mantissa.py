@@ -10,8 +10,9 @@ a tuple per call.  :func:`_signed` turns a raw ``_mpf_`` or ``_mpc_``
 tuple into a pair, and :func:`_raw` turns a complex pair back.  The
 steps for positive operands (:func:`_round_pos`, :func:`_quotient_pos`,
 :func:`_plus_one` and :func:`_abscissas`) have no sign branches: the
-batch kernels of :mod:`gsinv.pairs` run on them, and the signed
-rounding and quotient call them on the magnitudes.
+batches of the corpus transforms in :mod:`gsinv.pairs` run on them, and
+the signed rounding and quotient, which Lambert W's Halley steps and
+``qn_eval`` take, call them on the magnitudes.
 
 One step is no correctly rounded operation: ``mpf_exp`` rounds a
 ``prec + 14``-bit approximation of the exponential, whose error,
@@ -276,19 +277,13 @@ def _round_clear(man, exp, prec, band):
     return None
 
 
-def _exp_neg(man, exp, prec):
-    """exp(-z) as its operators give it: -z rounded to prec, then libmp's exp, a pair."""
-    _, eman, eexp, _ = mpf_exp(from_man_exp(*_round_even(-man, exp, prec)), prec, round_nearest)
-    return eman, eexp
-
-
 _EXP_GUARD = 64  # bits the powers of the progression carry beyond prec
 _EXP_BAND = 6  # the progression rounds only more than 2**-_EXP_BAND ulp from a midpoint
 
 
 class _ExpProgression:
     """exp(-z_j) for the abscissas ``z_j = j * base`` rounded to ``prec`` bits, as
-    ``_exp_neg(z_j)`` gives it, for ``base = bman 2**bexp > 0`` and any ``j >= 1``.
+    ``mpf_exp(-z_j, prec)`` gives it, for ``base = bman 2**bexp > 0`` and any ``j >= 1``.
 
     The abscissas are an arithmetic progression, so their exponentials are
     nearly the geometric one ``P_j = Q**j``, ``Q = exp(-base)``.  ``Q`` is
@@ -302,7 +297,7 @@ class _ExpProgression:
     rounding midpoint, where ``mpf_exp`` rounds to the same bits (see the
     module docstring).  Near a power of two the two roundings agree as
     well, since both values lie far under half an ulp from it.
-    ``_exp_neg`` gives every other value: within the band, where
+    ``mpf_exp`` gives every other value: within the band, where
     ``delta_j**2`` is not negligible at ``wp`` (huge abscissas), and at an
     integer z_j, which ``mpf_exp`` takes to ``mpf_pow_int`` above 600 bits.
     """
@@ -331,7 +326,8 @@ class _ExpProgression:
                     if rounded:
                         out.append(((zman, zexp), rounded))
                         continue
-            out.append(((zman, zexp), _exp_neg(zman, zexp, prec)))
+            _, eman, eexp, _ = mpf_exp(from_man_exp(-zman, zexp), prec, round_nearest)
+            out.append(((zman, zexp), (eman, eexp)))
         return out
 
     def _powers(self, top, wp):

@@ -4,23 +4,23 @@ Each pair stores an exact transform expression evaluated at arbitrary
 precision (the abscissas k ln2/x are irrational and precision-dependent,
 so tabulated values would be useless), a reference original, a regularity
 class asserted by construction, and the jump data needed to form Jordan
-midpoint targets.  The corpus transforms are kernels on the integer
-steps of :mod:`gsinv.mantissa`.
+midpoint targets.  A corpus transform is its operator form for a lone
+z, and at the inverter's abscissas a batch on the integer steps of
+:mod:`gsinv.mantissa` with the same bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from mpmath.libmp import from_man_exp, mpf_pi, prec_to_dps, round_nearest, to_str
+from mpmath.libmp import mpf_pi, round_nearest
 
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
                        invert_ladder)
-from .mantissa import (_abscissas, _add, _ExpProgression, _exp_neg, _plus_one, _quotient,
-                       _quotient_pos, _RootProgression, _round_even, _round_pos, _root_table,
-                       _sqrt)
+from .mantissa import (_abscissas, _ExpProgression, _plus_one, _quotient_pos, _RootProgression,
+                       _round_pos, _root_table)
 from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order, integrate,
                        mpf_tuples)
 
@@ -72,25 +72,18 @@ def _sq_ref(t):
     return m.mpf(1 if int(fl) % 2 == 0 else 0)
 
 
-# The transform F of each corpus pair, named after the pair: a _Kernel of a
-# raw kernel z = (man, exp) -> F(z) at precision prec, the mpf evaluator
-# F.eval, and of its batch on the abscissas z_j of one x, which the inverter
-# calls instead (see inverter._Kernel).  Both round where the operator form in
-# the raw kernel's comment rounds, so the bits are those of the operator form;
-# the batch's z_j are positive, and it runs the steps for positive operands.
-# Step and square wave also take e = exp(-z) as a pair with the bits of
-# mpf_exp: one mpf_exp per z, one geometric progression per x on the
-# abscissas.  The root rounds pi once per precision, and on the abscissas
-# takes one Newton step from a progression per x.  No other kernel makes a
+# The transform F of each corpus pair is a _Kernel of the formula's operator
+# form, the mpf evaluator F.eval of a lone z, and of its batch on the
+# abscissas z_j of one x, named after the pair, which the inverter calls
+# instead (see inverter._Kernel).  A batch runs the steps for positive
+# operands and rounds where the operator form rounds, so its bits are those
+# of the form at z_j.  Step and square wave take exp(-z_j) from one
+# geometric progression per x; the root rounds pi once per precision and
+# takes one Newton step from a progression per x.  No other batch makes a
 # libmp call.
 
 def _constant_batch(bman, bexp, prec):
     return lambda js: [_quotient_pos(1, 0, *z, prec) for z in _abscissas(bman, bexp, js, prec)]
-
-
-@partial(_Kernel, batch=_constant_batch)
-def _constant(man, exp, prec):  # 1/z
-    return _quotient(1, 0, man, exp, prec)
 
 
 def _ramp_batch(bman, bexp, prec):
@@ -98,19 +91,9 @@ def _ramp_batch(bman, bexp, prec):
                        for zman, zexp in _abscissas(bman, bexp, js, prec)]
 
 
-@partial(_Kernel, batch=_ramp_batch)
-def _ramp(man, exp, prec):  # 1/z**2
-    return _quotient(1, 0, *_round_even(man * man, exp + exp, prec), prec)
-
-
 def _exponential_batch(bman, bexp, prec):
     return lambda js: [_quotient_pos(1, 0, *_plus_one(*z, prec), prec)
                        for z in _abscissas(bman, bexp, js, prec)]
-
-
-@partial(_Kernel, batch=_exponential_batch)
-def _exponential(man, exp, prec):  # 1/(z+1)
-    return _quotient(1, 0, *_add(man, exp, 1, 0, prec), prec)
 
 
 def _pi(prec):
@@ -125,22 +108,16 @@ def _root_batch(bman, bexp, prec):
     return _RootProgression(*_pi(prec), bman, bexp, prec, table)
 
 
-@partial(_Kernel, batch=_root_batch)
-def _root(man, exp, prec):  # sqrt(pi/z)
-    if man < 0:
-        z = to_str(from_man_exp(man, exp), prec_to_dps(prec))
+def _root_form(z):
+    if z < 0:  # m.sqrt would return an mpc
         raise DomainError(f"sqrt(pi/z) needs z > 0, got z = {z}")
-    return _sqrt(*_quotient(*_pi(prec), man, exp, prec), prec)
+    m = z.context
+    return m.sqrt(m.pi / z)
 
 
 def _step_batch(bman, bexp, prec):
     exps = _ExpProgression(bman, bexp, prec)
     return lambda js: [_quotient_pos(*e, *z, prec) for z, e in exps(js)]
-
-
-@partial(_Kernel, batch=_step_batch)
-def _step(man, exp, prec):  # exp(-z)/z
-    return _quotient(*_exp_neg(man, exp, prec), man, exp, prec)
 
 
 def _square_wave_batch(bman, bexp, prec):
@@ -156,21 +133,10 @@ def _square_wave_batch(bman, bexp, prec):
     return batch
 
 
-@partial(_Kernel, batch=_square_wave_batch)
-def _square_wave(man, exp, prec):  # 1/(z*(1+exp(-z)))
-    dman, dexp = _add(*_exp_neg(man, exp, prec), 1, 0, prec)
-    return _quotient(1, 0, *_round_even(man * dman, exp + dexp, prec), prec)
-
-
 def _sine_batch(bman, bexp, prec):
     return lambda js: [
         _quotient_pos(1, 0, *_plus_one(*_round_pos(zman * zman, zexp + zexp, prec), prec), prec)
         for zman, zexp in _abscissas(bman, bexp, js, prec)]
-
-
-@partial(_Kernel, batch=_sine_batch)
-def _sine(man, exp, prec):  # 1/(1+z**2)
-    return _quotient(1, 0, *_add(*_round_even(man * man, exp + exp, prec), 1, 0, prec), prec)
 
 
 def corpus() -> tuple[TransformPair, ...]:
@@ -187,38 +153,39 @@ def _corpus(transform_fn) -> tuple[TransformPair, ...]:
     return (
         TransformPair(
             "constant",
-            transform_fn(_constant, "1/z"),
+            transform_fn(_Kernel(lambda z: 1 / z, _constant_batch), "1/z"),
             lambda t: t.context.mpf(1),
             "smooth",
         ),
         TransformPair(
             "ramp",
-            transform_fn(_ramp, "1/z^2"),
+            transform_fn(_Kernel(lambda z: 1 / z**2, _ramp_batch), "1/z^2"),
             lambda t: t,
             "smooth",
         ),
         TransformPair(
             "exponential",
-            transform_fn(_exponential, "1/(z+1)"),
+            transform_fn(_Kernel(lambda z: 1 / (z + 1), _exponential_batch), "1/(z+1)"),
             lambda t: t.context.exp(-t),
             "smooth",
         ),
         TransformPair(
             "root",
-            transform_fn(_root, "sqrt(pi/z)"),
+            transform_fn(_Kernel(_root_form, _root_batch), "sqrt(pi/z)"),
             lambda t: 1 / t.context.sqrt(t),
             "smooth",
         ),
         TransformPair(
             "step",
-            transform_fn(_step, "exp(-z)/z"),
+            transform_fn(_Kernel(lambda z: z.context.exp(-z) / z, _step_batch), "exp(-z)/z"),
             lambda t: t.context.mpf(1 if t >= 1 else 0),
             "bounded-variation-jump",
             jumps=((Fraction(1), 0, 1),),
         ),
         TransformPair(
             "square-wave",
-            transform_fn(_square_wave, "1/(z(1+exp(-z)))"),
+            transform_fn(_Kernel(lambda z: 1 / (z * (1 + z.context.exp(-z))), _square_wave_batch),
+                         "1/(z(1+exp(-z)))"),
             _sq_ref,
             "bounded-variation-jump",
             jumps=tuple(
@@ -229,7 +196,7 @@ def _corpus(transform_fn) -> tuple[TransformPair, ...]:
         ),
         TransformPair(
             "sine",
-            transform_fn(_sine, "1/(1+z^2)"),
+            transform_fn(_Kernel(lambda z: 1 / (1 + z**2), _sine_batch), "1/(1+z^2)"),
             lambda t: t.context.sin(t),
             "oscillatory",
         ),

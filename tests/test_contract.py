@@ -249,6 +249,10 @@ FINDINGS = {
     "step F pole z=0": lambda: pairs.get_pair("step").F(CTX.mpf(0)),
     "square-wave F pole z=0": lambda: pairs.get_pair("square-wave").F(CTX.mpf(0)),
     "exponential F pole z=-1": lambda: pairs.get_pair("exponential").F(CTX.mpf(-1)),
+    "exponential F z=2.0": lambda: pairs.get_pair("exponential").F(2.0),
+    "exponential F z=2": lambda: pairs.get_pair("exponential").F(2),
+    "exponential F z='2'": lambda: pairs.get_pair("exponential").F("2"),
+    "exponential F z=None": lambda: pairs.get_pair("exponential").F(None),
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 import gsinv.cli as cli
 import gsinv.inverter as inverter
@@ -274,7 +275,7 @@ def test_corpus_transform_runs_its_kernel_without_its_eval(monkeypatch):
 
 def test_kernel_path_calls_the_batch_once_per_read_that_misses_abscissas(monkeypatch):
     # one batch per call (per x), one call of it per read of the abscissa
-    # cache that misses abscissas, for just those, and no raw kernel call
+    # cache that misses abscissas, for just those, and no call of the operator form
     made, reads, misses = [], [], []
     values = inverter._AbscissaCache._values
 
@@ -284,8 +285,8 @@ def test_kernel_path_calls_the_batch_once_per_read_that_misses_abscissas(monkeyp
             misses.append(missing)
         return values(self, js)
 
-    def forbidden(man, exp, prec):
-        raise AssertionError("a raw kernel called on the inverter's path")
+    def forbidden(z):
+        raise AssertionError("an operator form called on the inverter's path")
 
     monkeypatch.setattr(inverter._AbscissaCache, "_values", counting_values)
     ctx = context_for_order(6)
@@ -304,7 +305,7 @@ def test_kernel_path_calls_the_batch_once_per_read_that_misses_abscissas(monkeyp
             return lambda js: reads.append(tuple(js)) or at_x(js)
 
         monkeypatch.setattr(p.F.eval, "batch", counting)
-        monkeypatch.setattr(p.F.eval, "raw", forbidden)
+        monkeypatch.setattr(p.F.eval, "form", forbidden)
         for route, expected in routes:
             del made[:], reads[:], misses[:]
             route(p.F, 1, 6, ctx)
@@ -328,17 +329,19 @@ def test_single_order_and_ladder_share_error_semantics(ctx30, route, monkeypatch
     # a corpus kernel failing from j = 3 on: its path on pairs and the generic
     # path through a wrapped eval raise the same error at the same abscissa
     pair = get_pair("exponential")
-    exponential = pair.F.eval.raw
+    exponential = pair.F.eval.form
 
-    def fragile_raw(man, exp, prec):
-        if ctx30.mp.ldexp(man, exp) > 2.5 * base:
+    def fragile_form(z):
+        if z > 2.5 * base:
             raise ValueError("boom")
-        return exponential(man, exp, prec)
+        return exponential(z)
 
-    monkeypatch.setattr(pair.F.eval, "raw", fragile_raw)
-    # and its batch, the fragile kernel at each abscissa of the call
+    monkeypatch.setattr(pair.F.eval, "form", fragile_form)
+    # and its batch, the fragile form at each abscissa of the call
+    make = ctx30.mp.make_mpf
     monkeypatch.setattr(pair.F.eval, "batch", lambda bman, bexp, prec: lambda js: [
-        fragile_raw(*z, prec) for z in _abscissas(bman, bexp, js, prec)])
+        fragile_form(make(from_man_exp(*z)))._mpf_[1:3]
+        for z in _abscissas(bman, bexp, js, prec)])
     reported = []
     for F in (pair.F, _wrapped(pair.F)):
         with pytest.raises(TransformEvaluationError) as err:
@@ -745,7 +748,7 @@ def test_stehfest_sum_bits_match_operator_loop(n):
         "int and mpf": lambda z: 1 if z < 1 else 1 / z,
         "mpc": lambda z: 1 / (z + m.mpc(1, 2)),
         "complex": lambda z: 1 / (complex(z) + 1j),
-        # the corpus evaluators: stehfest_approx runs their raw kernels
+        # the corpus evaluators: stehfest_approx runs their batches
         **{pair.name: pair.F.eval for pair in corpus()},
     }
     for label, f in transforms.items():

@@ -220,16 +220,18 @@ _READINGS = ("ascending", "descending", "ladder", "one at a time")
 
 def _check_batches(bman, bexp, prec, reads):
     """Each corpus kernel's batch for ``base = bman 2**bexp``, made once and read as
-    ``reads``: every value has the bits of the raw kernel at z_j."""
+    ``reads``: every value has the bits of its operator form at z_j, at ``prec``."""
+    m = MPContext()
+    m.prec = prec
     for pair in corpus():
-        kernel = pair.F.eval
-        batch = kernel.batch(bman, bexp, prec)
-        want = {}  # j -> the raw kernel at z_j, z_j rounded as the abscissa cache rounds it
+        form = OPERATOR_FORMS[pair.formula]
+        batch = pair.F.eval.batch(bman, bexp, prec)
+        want = {}  # j -> the operator form at z_j, z_j rounded as the abscissa cache rounds it
         for js in reads:
             for j in js:
                 if j not in want:
-                    z = _round_even(bman * j, bexp, prec)
-                    want[j] = from_man_exp(*kernel.raw(*z, prec))
+                    z = m.make_mpf(from_man_exp(*_round_even(bman * j, bexp, prec)))
+                    want[j] = form(z)._mpf_
             assert [from_man_exp(*v) for v in batch(js)] == [want[j] for j in js], (
                 pair.name, bman, bexp, prec, js)
 
@@ -240,7 +242,7 @@ def _base(x, ctx):
 
 
 @given(st.floats(-6, 6), st.integers(15, 300), st.integers(1, 64), st.sampled_from(_READINGS))
-def test_batch_kernels_have_the_bits_of_the_raw_kernels(decade, digits, n, reading):
+def test_batch_kernels_have_the_bits_of_their_operator_forms(decade, digits, n, reading):
     ctx = PrecisionContext(digits)
     _check_batches(*_base(10.0 ** decade, ctx), ctx.mp.prec, _reads(n, reading))
 
@@ -302,7 +304,7 @@ def test_mpf_exp_is_the_only_libmp_call_per_abscissa(monkeypatch, n):
     # step and square wave take exp(-z) from one progression per x on the
     # inverter's path: one mpf_exp for its ratio at prec + 64 bits, and
     # mpf_exp itself only for an abscissa whose exp(-z) lies within
-    # 2**-6 ulp of a rounding midpoint.  F.eval of one z is one mpf_exp
+    # 2**-6 ulp of a rounding midpoint
     calls = []
     exp = gsinv.mantissa.mpf_exp
     monkeypatch.setattr(gsinv.mantissa, "mpf_exp", lambda *args: calls.append(args) or exp(*args))
@@ -316,10 +318,6 @@ def test_mpf_exp_is_the_only_libmp_call_per_abscissa(monkeypatch, n):
         for x, wp, _ in calls[1:]:
             assert wp == prec and _ulps_from_midpoint(x, prec) < 2**-6, pair.name
         assert len(calls) <= 1 + n // 8, pair.name
-        calls.clear()
-        for z in ("0.7", "3", "1e-30", "1e30"):
-            pair.F(ctx.mpf(z))
-        assert [c[1] for c in calls] == ([prec] * 4 if takes_exp else []), pair.name
     # the kernels reach libmp only through numerics' and mantissa's steps
     assert not {"mpf_add", "mpf_div", "mpf_exp", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt"} & set(
         vars(gsinv.pairs))
@@ -330,7 +328,7 @@ def test_isqrt_runs_once_per_x_on_the_root_progression(monkeypatch, n):
     # the root takes sqrt(pi/z) at the abscissas from one progression per x:
     # one isqrt for its scale, plus the precision's table when it is built.
     # Below the precision of its bound (n = 1) the table is empty and each
-    # abscissa takes the exact root.  F.eval of one z is one isqrt
+    # abscissa takes the exact root
     ctx = context_for_order(n)
     built = len(_root_table(ctx.mp.prec))
     per_abscissa = 0 if built else 1
@@ -343,10 +341,6 @@ def test_isqrt_runs_once_per_x_on_the_root_progression(monkeypatch, n):
         calls.clear()
         stehfest_approx(F, x, n, ctx)
         assert len(calls) == table + 1 + 2 * n * per_abscissa, x
-    calls.clear()
-    for z in ("0.7", "3", "1e-30", "1e30"):
-        F(ctx.mpf(z))
-    assert len(calls) == 4
 
 
 def test_dini_constant_zero(ctx20):
