@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
-import warnings
 from typing import TYPE_CHECKING
 
 from .errors import NUMERICAL_ERRORS
@@ -62,11 +63,23 @@ MAX_DIGITS = 300
 
 
 def _write(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """``text`` on stdout, or in place in the file ``out_path``, with its old tail cut.
+
+    The file is not truncated to zero first, as ``open(out_path, "w")``
+    does: on ext4 (``auto_da_alloc``) closing a file truncated to zero and
+    rewritten starts its writeback at once, a disk write per command.
+    Encoding, newlines and the mode of a new file are those of
+    ``open(out_path, "w")``.  Only a regular file longer than the text is
+    cut; a device or a FIFO takes the text as it would from ``open``.
+    """
+    if not out_path:
         sys.stdout.write(text)
+        return
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        old = os.fstat(fh.fileno())
+        fh.write(text)
+        if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
+            fh.truncate()
 
 
 def _write_json(doc, out_path):
@@ -124,17 +137,17 @@ def _cmd_coeffs(args) -> int:
 
 def _invert_single(F, x, n, ref, ctx) -> InversionReport:
     """Order ``n`` alone; the same entry as the last rung of a ladder to ``n``."""
-    from .inverter import InversionReport, ReportEntry, stehfest_approx
+    from .inverter import InversionReport, ReportEntry, _AbscissaCache, stehfest_approx
 
-    value = stehfest_approx(F, x, n, ctx)
+    value = stehfest_approx(F, x, n, ctx, _cache=_AbscissaCache(F, x, ctx))
     err = None if ref is None else abs(value - ctx.mpf(ref(x)))
     return InversionReport(x, (ReportEntry(n, value, err),), ctx.digits)
 
 
 def _cmd_invert(args) -> int:
-    from .inverter import invert_ladder
+    from .inverter import _AbscissaCache, invert_ladder
     from .numerics import check_point
-    from .pairs import get_pair, jordan_target
+    from .pairs import _target, get_pair
 
     if args.n is not None and args.n_max is not None:
         print("error: give one of --n / --n-max, not both", file=sys.stderr)
@@ -151,7 +164,7 @@ def _cmd_invert(args) -> int:
     if args.pair:
         pair = get_pair(args.pair)
         F = pair.F
-        ref = lambda x: jordan_target(pair, x, ctx)
+        ref = lambda x: _target(pair, x, ctx)
         if pair.oscillatory_flag:
             flags = ["oscillatory"]
             print(f"note: pair {pair.name!r} is oscillatory; convergence "
@@ -171,14 +184,15 @@ def _cmd_invert(args) -> int:
         print("error: --pair or --transform is required", file=sys.stderr)
         return 2
 
+    # Each x is checked here, once, and n_max by _resolve_ctx, which has printed
+    # the low-digits warning: the library calls take the checked x with its
+    # abscissa cache, so they neither check it again nor repeat the warning.
     xs = [check_point(part, ctx) for part in args.x.split(",")]
-    with warnings.catch_warnings(record=True):
-        # _resolve_ctx has printed the low-digits warning; the library's copy repeats it
-        warnings.simplefilter("always")  # recorded and dropped, even under -W error
-        if args.n_max:
-            reports = [invert_ladder(F, x, n_max, ref=ref, ctx=ctx) for x in xs]
-        else:
-            reports = [_invert_single(F, x, n_max, ref, ctx) for x in xs]
+    if args.n_max:
+        reports = [invert_ladder(F, x, n_max, ref, ctx, _cache=_AbscissaCache(F, x, ctx))
+                   for x in xs]
+    else:
+        reports = [_invert_single(F, x, n_max, ref, ctx) for x in xs]
 
     if args.output == "csv":
         rows = []

@@ -207,7 +207,8 @@ def _start(F, x, n: int, ctx: PrecisionContext) -> _AbscissaCache:
     """Every entry point's prologue: check ``x`` and the largest order ``n``, warn the
     public caller (two frames up) once, return the call's abscissa cache.
 
-    A call handed a private ``_cache`` skips it: its caller ran it.
+    A call handed a private ``_cache`` skips it: its caller ran it, or checked ``x``
+    and the order itself.
     """
     x = check_point(x, ctx)
     check_order(n)
@@ -266,18 +267,19 @@ def stehfest_via_gaver(F, x, n: int, ctx: PrecisionContext):
     return acc
 
 
-def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = None):
+def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = None, _cache=None):
     """Approximants for n = 1..n_max, with errors when ``ref`` is given.
 
     With ``ctx=None`` the precision follows the required_digits rule for
     ``n_max``.  An explicit coarser context is allowed (one warning is
     issued) so cancellation failure can be demonstrated deliberately.
     All orders share one abscissa cache, so F is evaluated once per
-    distinct abscissa: 2 n_max calls.
+    distinct abscissa: 2 n_max calls.  A private ``_cache`` is that cache,
+    built by a caller that has checked ``x`` and ``n_max`` (see ``_start``).
     """
     if ctx is None:
         ctx = context_for_order(n_max)  # checks n_max first
-    cache = _start(F, x, n_max, ctx)
+    cache = _cache or _start(F, x, n_max, ctx)
     x = cache.x
     target = None if ref is None else ctx.mpf(ref(x))
     entries = []

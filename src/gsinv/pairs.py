@@ -212,7 +212,11 @@ def get_pair(name: str) -> TransformPair:
 
 def jordan_target(pair: TransformPair, x, ctx: PrecisionContext):
     """Reference value at ``x``: f_ref(x), or the jump midpoint at a jump."""
-    x = check_point(x, ctx)
+    return _target(pair, check_point(x, ctx), ctx)
+
+
+def _target(pair: TransformPair, x, ctx: PrecisionContext):
+    """:func:`jordan_target` at an ``x`` its caller has checked with ``check_point``."""
     if pair.jumps:
         # the locations rounded as ctx.mpf rounds them, once per precision
         prec, exact = ctx.mp.prec, pair._locations

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
+import threading
 import warnings
 
 import pytest
@@ -173,12 +176,6 @@ def test_ladder_requires_n_max(capsys):
 def test_invert_unknown_pair(capsys):
     rc, _, err = run_cli(capsys, "invert", "--pair", "bogus", "--x", "1", "--n", "4")
     assert rc == 2
-
-
-def test_invert_rejects_nonpositive_x(capsys):
-    rc, _, err = run_cli(capsys, "invert", "--pair", "constant", "--x", "-1", "--n", "4")
-    assert rc == 2
-    assert err == "error: evaluation point must be finite and > 0, got x = -1.0\n"
 
 
 def test_invert_low_digits_warns(capsys):
@@ -449,12 +446,103 @@ def test_out_path(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
-@pytest.mark.parametrize("flag", ["--n", "--n-max"])
-def test_invert_rejects_infinite_x(capsys, flag):
-    rc, out, err = run_cli(capsys, "invert", "--pair", "exponential", "--x", "inf", flag, "4")
-    assert rc == 2
-    assert out == ""
-    assert err == "error: evaluation point must be finite and > 0, got x = +inf\n"
+def _report_argv(output):
+    return ("invert", "--pair", "step", "--x", "0.5,1,2.5", "--n", "8", "--output", output)
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("output", ["json", "csv", "text"])
+def test_out_rewrites_an_existing_file_in_place(tmp_path, capsys, monkeypatch, output, old):
+    rc, stdout, _ = run_cli(capsys, *_report_argv(output))
+    assert rc == 0
+    target = tmp_path / "out.txt"
+    target.write_text("old\n" * len(stdout) if old == "longer" else "{}\n")
+    inode = target.stat().st_ino
+    flags = []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, flag, *rest: flags.append(flag)
+                        or real_open(path, flag, *rest))
+    assert run_cli(capsys, *_report_argv(output), "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == stdout.encode()  # the old tail is gone
+    assert target.stat().st_ino == inode  # the same file, not one renamed over it
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)  # never cut to zero
+
+
+def test_out_to_devnull_exits_0(capsys):
+    assert run_cli(capsys, *_report_argv("json"), "--out", os.devnull) == (0, "", "")
+
+
+def test_out_to_a_fifo_writes_the_stdout_bytes_and_cuts_nothing(tmp_path, capsys):
+    rc, stdout, _ = run_cli(capsys, *_report_argv("json"))
+    assert rc == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result = run_cli(capsys, *_report_argv("json"), "--out", str(fifo))
+    reader.join(timeout=5)
+    if reader.is_alive():  # the command never opened the FIFO: release the reader
+        os.close(os.open(fifo, os.O_WRONLY))
+        reader.join()
+    assert result == (0, "", "")
+    assert got == [stdout.encode()]
+
+
+def test_out_creates_a_new_file_with_the_mode_open_gives_it(tmp_path, capsys):
+    target, reference = tmp_path / "new.json", tmp_path / "reference.json"
+    umask = os.umask(0o027)
+    try:
+        rc, _, _ = run_cli(capsys, "coeffs", "--n", "2", "--out", str(target))
+        open(reference, "w").close()
+    finally:
+        os.umask(umask)
+    assert rc == 0
+    mode = stat.S_IMODE(target.stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE(reference.stat().st_mode)
+
+
+@pytest.mark.parametrize("source", [("--pair", "step"), ("--pair", "sine"),
+                                    ("--transform", "1/(z+1)")], ids=" ".join)
+@pytest.mark.parametrize("order", [("invert", "--n"), ("invert", "--n-max"),
+                                   ("ladder", "--n-max")], ids=" ".join)
+def test_each_x_is_checked_once(capsys, monkeypatch, source, order):
+    import gsinv.inverter
+    import gsinv.pairs
+
+    checked = []
+    real = numerics.check_point
+
+    def counting(x, *args):
+        checked.append(x)
+        return real(x, *args)
+
+    for module in (numerics, gsinv.inverter, gsinv.pairs):
+        monkeypatch.setattr(module, "check_point", counting)
+    command, flag = order
+    rc, _, _ = run_cli(capsys, command, *source, "--x", "0.5,1,2.5", flag, "6")
+    assert rc == 0
+    assert checked == ["0.5", "1", "2.5"]
+
+
+_BAD_X = {  # --x -> its error line
+    "0": "evaluation point must be finite and > 0, got x = 0.0",
+    "-1": "evaluation point must be finite and > 0, got x = -1.0",
+    "inf": "evaluation point must be finite and > 0, got x = +inf",
+    "nan": "evaluation point must be finite and > 0, got x = nan",
+    "": "not a real number: ''",
+    "x": "not a real number: 'x'",
+}
+
+
+@pytest.mark.parametrize("x", sorted(_BAD_X))
+@pytest.mark.parametrize("order", [("invert", "--n"), ("invert", "--n-max"),
+                                   ("ladder", "--n-max")], ids=" ".join)
+def test_bad_x_exits_2_with_its_error_line(capsys, x, order):
+    command, flag = order
+    for points in (x, f"1,{x}"):
+        rc, out, err = run_cli(capsys, command, "--pair", "step", "--x", points, flag, "4")
+        assert (rc, out, err) == (2, "", f"error: {_BAD_X[x]}\n")
 
 
 @pytest.mark.parametrize("flag", ["--n", "--n-max"])
@@ -488,7 +576,8 @@ def test_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys, argv,
     rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert rc == 2
     assert stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    code = errno.EISDIR if bad == "directory" else errno.ENOENT
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
 
 
 @pytest.mark.parametrize("argv", [

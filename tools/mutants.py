@@ -6,7 +6,8 @@ exact piece of source text (it must occur exactly once), runs the named
 tests against the copy and prints ``caught`` or ``missed``.  The named
 tests are first run against an unmutated copy, where they must pass.
 Exits 1 if any mutant is missed or its text is no longer in the source,
-2 if a test run errors out (collection error, interrupt).  Run from
+2 if a test run errors out (collection error, interrupt).  The last line
+counts the mutants caught.  Run from
 anywhere; the repository is found from this file:
 
     python3 tools/mutants.py            # every mutant
@@ -29,6 +30,7 @@ T_PAIRS = "tests/test_pairs.py::"
 T_W = "tests/test_lambertw.py::"
 T_NUM = "tests/test_numerics.py::"
 T_Q = "tests/test_qpoly.py::"
+T_CLI = "tests/test_cli.py::"
 
 # name -> (file under src/gsinv, source text, mutated text, tests that must fail)
 MUTANTS = {
@@ -339,6 +341,20 @@ MUTANTS = {
         [T_Q + "test_decay_bound_probe_evaluates_q_n_once_per_order_with_the_exhaustive_bits",
          T_Q + "test_max_ratio_has_the_bits_of_the_exhaustive_loop"],
     ),
+    "out-tail-not-cut": (
+        "cli.py",
+        "            fh.truncate()\n",
+        "            pass\n",
+        [T_CLI + f"test_out_rewrites_an_existing_file_in_place[{output}-longer]"
+         for output in ("json", "csv", "text")],
+    ),
+    "out-truncated-unconditionally": (
+        "cli.py",
+        "if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():",
+        "if True:",
+        [T_CLI + "test_out_to_devnull_exits_0",
+         T_CLI + "test_out_to_a_fifo_writes_the_stdout_bytes_and_cuts_nothing"],
+    ),
 }
 
 
@@ -357,7 +373,7 @@ def main(names) -> int:
         print(f"unknown mutants: {unknown}; known: {sorted(MUTANTS)}", file=sys.stderr)
         return 2
     chosen = {name: MUTANTS[name] for name in names or MUTANTS}
-    status = 0
+    status = caught = 0
     with tempfile.TemporaryDirectory() as tmp:
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -381,6 +397,8 @@ def main(names) -> int:
             verdict = {0: "missed", 1: "caught"}.get(rc, f"error (pytest exit {rc})")
             print(f"{name:34s} {verdict}")
             status = max(status, {0: 1, 1: 0}.get(rc, 2))
+            caught += rc == 1
+    print(f"{caught} of {len(chosen)} mutants caught")
     return status
 
 
