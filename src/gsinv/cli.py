@@ -26,32 +26,18 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it uses, so that coeffs loads no
 # mpmath, and invert, ladder and corpus load no verification layer.
-# BUILTIN_TRANSFORMS and TransformFn are module attributes resolved on
-# use (see __getattr__); the commands read them through _module so that
-# a value set on the module shows through.
+# TransformFn is a module attribute resolved on use (see __getattr__); the
+# commands read it through _module so that a constructor set on the module
+# (a tracer's) builds the F of --transform.
 _module = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name == "BUILTIN_TRANSFORMS":  # --transform takes a corpus pair by its transform formula
-        from . import pairs
-
-        return _builtin_transforms(pairs.TransformFn)
     if name == "TransformFn":
         from .inverter import TransformFn
 
         return globals().setdefault(name, TransformFn)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@functools.lru_cache(maxsize=1)
-def _builtin_transforms(transform_fn) -> dict:
-    """{formula: eval} of the corpus built by ``transform_fn``, the constructor in effect in
-    :mod:`gsinv.pairs`: one dict while it stays, a new one when it changes (a tracer's
-    wrappers come and go with it)."""
-    from .pairs import corpus
-
-    return {p.formula: p.F.eval for p in corpus()}
 
 
 # Largest --digits of invert, ladder and weval; the smallest is the
@@ -147,7 +133,7 @@ def _invert_single(F, x, n, ref, ctx) -> InversionReport:
 def _cmd_invert(args) -> int:
     from .inverter import _AbscissaCache, invert_ladder
     from .numerics import check_point
-    from .pairs import _target, get_pair
+    from .pairs import _target, corpus, get_pair
 
     if args.n is not None and args.n_max is not None:
         print("error: give one of --n / --n-max, not both", file=sys.stderr)
@@ -170,15 +156,13 @@ def _cmd_invert(args) -> int:
             print(f"note: pair {pair.name!r} is oscillatory; convergence "
                   "theory does not cover it", file=sys.stderr)
     elif args.transform:
-        transforms = _module.BUILTIN_TRANSFORMS
-        if args.transform not in transforms:
-            print(
-                f"error: unknown transform {args.transform!r}; "
-                f"built-ins: {sorted(transforms)}",
-                file=sys.stderr,
-            )
+        # the corpus pair of that formula, looked up in the corpus in effect
+        evals = {p.formula: p.F.eval for p in corpus()}
+        if args.transform not in evals:
+            print(f"error: unknown transform {args.transform!r}; built-ins: {sorted(evals)}",
+                  file=sys.stderr)
             return 2
-        F = _module.TransformFn(transforms[args.transform], args.transform)
+        F = _module.TransformFn(evals[args.transform], args.transform)
         ref = None
     else:
         print("error: --pair or --transform is required", file=sys.stderr)

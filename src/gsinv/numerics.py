@@ -448,9 +448,11 @@ def integrate(f, a, b, ctx: PrecisionContext):
         endpoint singularities are fine when the endpoint is 0.
     a, b
         Interval ends.  ``a`` must be finite; ``b`` is finite or ``+inf``
-        (mpmath or float infinity), in which case ``f`` must decay at
-        least exponentially and the range is reduced to ``s in [0, 1)``
-        via ``u = a - ln(1 - s)``.
+        (mpmath or float infinity), in which case the range is reduced to
+        ``s in [0, 1)`` via ``u = a - ln(1 - s)``.  The nodes reach about
+        ``u = a + (dps + 5) ln 10``, so ``f`` must decay at least as fast
+        as ``e^-(u - a)``: ``exp(-0.2 u)`` from ``a = 1`` is still near
+        1e-7 there and raises QuadratureError at 18 digits.
     ctx : PrecisionContext
         Precision policy; refinement stops once two successive levels
         agree to ``10**-digits``, or fails after :data:`MAX_LEVEL` levels.

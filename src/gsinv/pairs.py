@@ -142,8 +142,10 @@ def _sine_batch(bman, bexp, prec):
 def corpus() -> tuple[TransformPair, ...]:
     """The built-in pairs instantiating the convergence theorem's classes.
 
-    Built once per ``TransformFn`` in effect in this module, so a
-    constructor patched here (a tracer's) builds the pairs it returns.
+    The one transform registry: ``invert --transform`` takes, at each
+    call, the pair whose ``formula`` it names.  Built once per
+    ``TransformFn`` in effect in this module, so a constructor patched
+    here (a tracer's) builds the pairs it returns.
     """
     return _corpus(TransformFn)
 
@@ -292,14 +294,17 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     The quadrature is piecewise between consecutive jump locations (plus
     a semi-infinite tail), since the double-exponential rule assumes
     smoothness away from the endpoints.  A periodic pair is split at
-    every jump below the span, not only at the listed ones.
+    every jump below the span, not only at the listed ones.  The tail is
+    integrated in ``u = z (t - lo)``, where it decays as ``e^(-u)``, the
+    rate :func:`~gsinv.numerics.integrate` needs on ``(0, inf)``.
     """
     m = ctx.mp
     z = check_point(z, ctx, "z")
     f = pair.f_ref
 
     def integrand(t):
-        return m.exp(-z * t) * f(t)
+        v = f(t)
+        return m.exp(-z * t) * v if v else v  # a zero piece costs no exp
 
     # keep enough pieces that the tail beyond the last split is negligible
     span = (ctx.digits + ctx.guard + 5) * m.ln(10) / z
@@ -308,5 +313,5 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     for s in _jump_locations(pair, span, ctx):
         total += integrate(integrand, lo, s, ctx)
         lo = s
-    total += integrate(integrand, lo, m.inf, ctx)
+    total += integrate(lambda u: integrand(lo + u / z), 0, m.inf, ctx) / z
     return abs(total - pair.F(z))

@@ -22,7 +22,7 @@ from gsinv import (
     get_pair,
 )
 from gsinv import numerics
-from gsinv.cli import BUILTIN_TRANSFORMS, MAX_DIGITS, main
+from gsinv.cli import MAX_DIGITS, main
 from gsinv.numerics import low_digits_note
 from conftest import FIXTURES, load_fixture
 
@@ -162,7 +162,11 @@ def test_single_order_evaluates_only_its_abscissas(capsys, monkeypatch):
     import gsinv.cli as cli
 
     seen = []
-    monkeypatch.setitem(cli.BUILTIN_TRANSFORMS, "1/z", lambda z: seen.append(z) or 1 / z)
+
+    def counting(eval, label=""):  # the constructor of the F of --transform
+        return TransformFn(lambda z: seen.append(z) or eval(z), label)
+
+    monkeypatch.setattr(cli, "TransformFn", counting)
     rc, _, _ = run_cli(capsys, "invert", "--transform", "1/z", "--x", "1,2", "--n", "9")
     assert rc == 0
     assert len(seen) == 2 * 2 * 9  # 2n abscissas per point, no lower orders
@@ -202,42 +206,67 @@ def test_invert_low_digits_prints_only_the_cli_warning(capsys, order):
     assert caught == []
 
 
-def test_builtin_transforms_follow_the_corpus_in_effect(monkeypatch):
+def test_transform_evaluates_the_kernel_of_the_corpus_in_effect(monkeypatch):
     import gsinv.cli as cli
     import gsinv.pairs
 
-    seen = []
+    traced = []
 
     def traced_transform_fn(eval, label=""):  # as a tracer patches the corpus constructor
-        def traced(z):
-            seen.append(z)
+        def wrapper(z):
+            traced.append(z)
             return eval(z)
 
-        return TransformFn(traced, label)
+        return TransformFn(wrapper, label)
 
-    invert = ["invert", "--transform", "1/(z+1)", "--x", "1", "--n", "4", "--out", os.devnull]
+    evals = []  # the eval that F of --transform calls, once per abscissa
+
+    def recording(eval, label=""):
+        return TransformFn(lambda z: evals.append(eval) or eval(z), label)
+
+    monkeypatch.setattr(cli, "TransformFn", recording)
+
+    def run(*source):
+        evals.clear()
+        assert main(["invert", *source, "--x", "0.5,2", "--n", "5", "--out", os.devnull]) == 0
+
+    def ran_the_step_kernel():
+        step = get_pair("step").F.eval
+        return len(evals) == 2 * 10 and all(e is step for e in evals)
+
+    invert = ("--transform", "exp(-z)/z")
+    run(*invert)
+    assert ran_the_step_kernel()
     with monkeypatch.context() as patch:
         patch.setattr(gsinv.pairs, "TransformFn", traced_transform_fn)
-        assert cli.BUILTIN_TRANSFORMS["exp(-z)/z"] is get_pair("step").F.eval
-        assert main(invert) == 0
-        assert len(seen) == 8
-    assert cli.BUILTIN_TRANSFORMS["exp(-z)/z"] is get_pair("step").F.eval
-    assert main(invert) == 0
-    assert len(seen) == 8  # the restored corpus's own kernel ran
+        run("--pair", "step")  # builds the corpus of the patched constructor
+        assert len(traced) == 2 * 10
+    run(*invert)  # the corpus built again by the restored constructor
+    assert ran_the_step_kernel() and len(traced) == 2 * 10
+    with monkeypatch.context() as patch:
+        patch.setattr(gsinv.pairs, "TransformFn", traced_transform_fn)
+        run(*invert)
+        assert ran_the_step_kernel() and len(traced) == 2 * 2 * 10
+    run(*invert)
+    assert ran_the_step_kernel() and len(traced) == 2 * 2 * 10
 
 
-def test_builtin_transforms_are_the_corpus_formulas(capsys):
-    assert sorted(BUILTIN_TRANSFORMS) == sorted(p.formula for p in corpus())
-    rc, _, err = run_cli(capsys, "invert", "--transform", "bogus", "--x", "1", "--n", "4")
-    assert rc == 2 and "1/(z(1+exp(-z)))" in err
+def test_transform_names_the_corpus_formulas(capsys):
+    rc, out, err = run_cli(capsys, "invert", "--transform", "bogus", "--x", "1", "--n", "4")
+    assert rc == 2 and out == ""
+    assert err == ("error: unknown transform 'bogus'; built-ins: ['1/(1+z^2)', "
+                   "'1/(z(1+exp(-z)))', '1/(z+1)', '1/z', '1/z^2', 'exp(-z)/z', 'sqrt(pi/z)']\n")
 
+
+@pytest.mark.parametrize("name", [p.name for p in corpus()])
+def test_transform_formula_gives_the_values_of_its_pair(capsys, name):
     def values(*source):
         rc, out, _ = run_cli(capsys, "invert", *source, "--x", "0.5,2", "--n-max", "8",
                              "--output", "json")
         assert rc == 0
         return [[e["value"] for e in r["entries"]] for r in json.loads(out)["reports"]]
 
-    assert values("--transform", "1/(z(1+exp(-z)))") == values("--pair", "square-wave")
+    assert values("--transform", get_pair(name).formula) == values("--pair", name)
 
 
 def test_square_wave_error_beyond_the_listed_jumps(capsys):

@@ -120,6 +120,29 @@ def test_laplace_identity_square_wave_past_the_listed_jumps(z):
     assert resid <= tol, ctx.nstr(resid, 4)
 
 
+@pytest.mark.parametrize("digits", [18, 30])
+@pytest.mark.parametrize("name", ["constant", "ramp", "root", "step", "sine"])
+def test_laplace_identity_at_a_slow_decay_rate(name, digits):
+    # e^(-0.2 t) is still about 1e-7 where integrate's (lo, inf) map stops in t,
+    # so the tail is integrated in u = z (t - lo), where it decays as e^(-u)
+    ctx = PrecisionContext(digits)
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard + 2))  # as in the all-pairs test
+    resid = laplace_identity_residual(get_pair(name), "0.2", ctx)
+    assert resid <= tol, ctx.nstr(resid, 4)
+
+
+def test_laplace_identity_takes_no_exp_where_the_original_is_zero(monkeypatch):
+    # the step is 0 on (0, 1): there the integrand is 0 without e^(-z t)
+    ctx = PrecisionContext(18)
+    m = ctx.mp
+    args = []
+    exp = m.exp
+    monkeypatch.setattr(m, "exp", lambda v: args.append(v) or exp(v))
+    resid = laplace_identity_residual(get_pair("step"), 2, ctx)
+    assert resid <= m.mpf(10) ** (-(ctx.digits - ctx.guard + 2))
+    assert args and max(args) <= -2  # every t >= 1
+
+
 def test_jump_locations_continue_a_periodic_pair(ctx30):
     wave = get_pair("square-wave")
     assert len(wave.jumps) == 80 and wave.period == 2

@@ -341,6 +341,24 @@ MUTANTS = {
         [T_Q + "test_decay_bound_probe_evaluates_q_n_once_per_order_with_the_exhaustive_bits",
          T_Q + "test_max_ratio_has_the_bits_of_the_exhaustive_loop"],
     ),
+    "transform-keyed-on-name": (
+        "cli.py",
+        "evals = {p.formula: p.F.eval for p in corpus()}",
+        "evals = {p.name: p.F.eval for p in corpus()}",
+        [T_CLI + "test_transform_formula_gives_the_values_of_its_pair"],
+    ),
+    "laplace-tail-in-t": (
+        "pairs.py",
+        "integrate(lambda u: integrand(lo + u / z), 0, m.inf, ctx) / z",
+        "integrate(integrand, lo, m.inf, ctx)",
+        [T_PAIRS + "test_laplace_identity_at_a_slow_decay_rate[step-18]"],
+    ),
+    "laplace-exp-on-zero-pieces": (
+        "pairs.py",
+        "return m.exp(-z * t) * v if v else v",
+        "return m.exp(-z * t) * v",
+        [T_PAIRS + "test_laplace_identity_takes_no_exp_where_the_original_is_zero"],
+    ),
     "out-tail-not-cut": (
         "cli.py",
         "            fh.truncate()\n",
