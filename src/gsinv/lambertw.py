@@ -40,7 +40,9 @@ a part of ``1 + e z`` of at least 1/2, or a part of ``ln z`` of at least
 tolerances, is always exact.  An argument with ``Im z < 0`` is solved
 at its conjugate and the result conjugated, as
 ``conj(W(conj z))``.  The bits are those of the plain mpc arithmetic.
-:func:`wew_residual`, which only checks a result, is that arithmetic.
+:func:`wew_residual`, which only checks a result, makes the libmp calls
+of ``abs(w * exp(w) - z)`` on raw tuples in ``_wew_residual``, which the
+identity check of :mod:`gsinv.verify` also calls once per point.
 """
 from __future__ import annotations
 
@@ -50,8 +52,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath.libmp import (finf, fnone, fone, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate,
-                          mpc_log, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add, mpf_cos_sin,
-                          mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest, to_str)
+                          mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add,
+                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest,
+                          to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
@@ -115,10 +118,23 @@ def in_region_a(w, tol=0) -> bool:
 
 
 def wew_residual(w, z, ctx: PrecisionContext):
-    """|w e^w - z| at working precision."""
+    """|w e^w - z| at working precision.
+
+    ``w`` and ``z`` are taken as ``m.mpc`` takes them: a float or complex
+    exactly, an mpf or mpc of any context with each part rounded to the
+    working precision.  So a w wider than the context is
+    checked at its rounded bits, not its own: a 60-digit W(2+3i) checked
+    at 30 digits gives 4.59e-41, its own bits 2.30e-41.
+    """
     m = ctx.mp
-    w = m.mpc(w)  # an mpc of any context keeps its bits; the operators round at m.prec
-    return abs(w * m.exp(w) - m.mpc(z))
+    return m.make_mpf(_wew_residual(m.mpc(w)._mpc_, m.mpc(z)._mpc_, m.prec))
+
+
+def _wew_residual(w, z, prec):
+    """``|w e^w - z|`` of the raw mpc ``w`` and ``z``, with the libmp calls of the
+    operator form ``abs(w * exp(w) - z)`` at ``prec``."""
+    wew = mpc_mul(w, mpc_exp(w, prec, round_nearest), prec, round_nearest)
+    return mpc_abs(mpc_sub(wew, z, prec, round_nearest), prec, round_nearest)
 
 
 class _WConstants(NamedTuple):
@@ -259,7 +275,9 @@ def lambert_w0(z, ctx: PrecisionContext):
     ----------
     z : complex or real
         Finite argument.  For real ``z < -1/e`` the representative with
-        ``0 < Im w < pi`` is returned.
+        ``0 < Im w < pi`` is returned.  An mpc or mpf of ``ctx`` whose
+        parts fit its precision is taken as it is; any other value as
+        ``m.mpc`` takes it, which rounds each part to that precision.
     ctx : PrecisionContext
 
     Returns
@@ -278,13 +296,17 @@ def lambert_w0(z, ctx: PrecisionContext):
         If Halley's iteration ends without a ``w`` meeting that bound.
     """
     m = ctx.mp
-    z = as_number(m.mpc, z, "complex number")
-    if not m.isfinite(z):
-        raise DomainError(f"lambert_w0 needs a finite argument, got {z}")
-    zc = z._mpc_
+    prec = m.prec
+    if type(z) is m.mpc and z._mpc_[0][3] <= prec and z._mpc_[1][3] <= prec:
+        zc = z._mpc_  # parts that fit prec: m.mpc would return their bits
+    elif type(z) is m.mpf and z._mpf_[3] <= prec:
+        zc = (z._mpf_, fzero)
+    else:
+        zc = as_number(m.mpc, z, "complex number")._mpc_
+    if any(not man and exp for _s, man, exp, _bc in zc):  # inf or nan
+        raise DomainError(f"lambert_w0 needs a finite argument, got {m.make_mpc(zc)}")
     if zc == _CZERO:
         return m.mpc(0)
-    prec = m.prec
     if mpf_lt(zc[1], fzero):  # W(conj z) = conj W(z)
         w = _w0_upper(mpc_conjugate(zc, prec, round_nearest), ctx)
         return m.make_mpc(mpc_conjugate(w, prec, round_nearest))

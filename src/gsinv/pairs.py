@@ -271,21 +271,23 @@ def dini_integral_estimate(pair: TransformPair, x, c, epsilon, ctx: PrecisionCon
     return DiniEstimate(value=base, divergent=bool(extended > threshold), increment=extended)
 
 
-def _jump_locations(pair: TransformPair, stop, ctx: PrecisionContext) -> list:
-    """Every jump location of ``pair`` below ``stop``, ascending, as mpf of ``ctx``.
+def _jumps_below(pair: TransformPair, stop, ctx: PrecisionContext) -> list:
+    """Every jump of ``pair`` below ``stop``, ascending, as mpf of ``ctx``.
 
-    The listed ones first, then for a periodic pair the jumps of its last
-    listed period shifted by whole periods.
+    Each jump is ``(location, left limit, right limit)``: the listed ones
+    first, then for a periodic pair those of its last listed period
+    shifted by whole periods.
     """
-    listed = [loc for loc, _l, _r in pair.jumps]
+    listed = list(pair.jumps)
     shifted = []
     if pair.period and listed:
-        window = [loc for loc in listed if loc > listed[-1] - pair.period]
+        window = [jump for jump in listed if jump[0] > listed[-1][0] - pair.period]
         k = 1
-        while ctx.mpf(window[0] + k * pair.period) < stop:
-            shifted += [loc + k * pair.period for loc in window]
+        while ctx.mpf(window[0][0] + k * pair.period) < stop:
+            shifted += [(loc + k * pair.period, left, right) for loc, left, right in window]
             k += 1
-    return [s for s in map(ctx.mpf, listed + shifted) if s < stop]
+    jumps = [tuple(map(ctx.mpf, jump)) for jump in listed + shifted]
+    return [jump for jump in jumps if jump[0] < stop]
 
 
 def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
@@ -294,24 +296,39 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     The quadrature is piecewise between consecutive jump locations (plus
     a semi-infinite tail), since the double-exponential rule assumes
     smoothness away from the endpoints.  A periodic pair is split at
-    every jump below the span, not only at the listed ones.  The tail is
-    integrated in ``u = z (t - lo)``, where it decays as ``e^(-u)``, the
-    rate :func:`~gsinv.numerics.integrate` needs on ``(0, inf)``.
+    every jump below the span, not only at the listed ones.  A node whose
+    offset from an end is below the working precision rounds onto that
+    end; at a jump it takes the piece's one-sided limit from the jump
+    data, not ``f_ref`` there (the Jordan midpoint, or a step's right
+    value), so a piece where the original is 0 integrates to exactly 0.
+    A piece on ``(lo, s)`` integrates ``e^(-z (t - lo)) f_ref(t)`` and is
+    scaled by ``e^(-z lo)`` after: :func:`~gsinv.numerics.integrate`
+    stops once two levels agree to ``10**-digits`` absolutely when its
+    value is below 1, which leaves a piece near 1e-12 a relative error
+    near 1e-13.  The tail is integrated in ``u = z (t - lo)``, where it
+    decays as ``e^(-u)``, the rate that ``integrate`` needs on ``(0,
+    inf)``; it is not scaled, since past the span it is negligible and a
+    periodic pair still jumps there.
     """
     m = ctx.mp
     z = check_point(z, ctx, "z")
     f = pair.f_ref
 
-    def integrand(t):
-        v = f(t)
-        return m.exp(-z * t) * v if v else v  # a zero piece costs no exp
+    def piece(lo, after_lo, hi, before_hi, origin):  # e^(-z (t - origin)) f(t) on (lo, hi)
+        def integrand(t):
+            v = after_lo if t == lo else before_hi if t == hi else f(t)
+            return m.exp(-z * (t - origin)) * v if v else v  # a zero piece costs no exp
+
+        return integrand
 
     # keep enough pieces that the tail beyond the last split is negligible
     span = (ctx.digits + ctx.guard + 5) * m.ln(10) / z
     total = m.mpf(0)
-    lo = m.mpf(0)
-    for s in _jump_locations(pair, span, ctx):
-        total += integrate(integrand, lo, s, ctx)
-        lo = s
-    total += integrate(lambda u: integrand(lo + u / z), 0, m.inf, ctx) / z
+    lo, after_lo = m.mpf(0), None  # no node rounds onto 0
+    for s, left, right in _jumps_below(pair, span, ctx):
+        value = integrate(piece(lo, after_lo, s, left, lo), lo, s, ctx)
+        total += m.exp(-z * lo) * value if value else value
+        lo, after_lo = s, right
+    tail = piece(lo, after_lo, None, None, 0)
+    total += integrate(lambda u: tail(lo + u / z), 0, m.inf, ctx) / z
     return abs(total - pair.F(z))

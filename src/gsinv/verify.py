@@ -15,11 +15,14 @@ import functools
 import random
 from fractions import Fraction
 
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpf_abs, mpf_div, mpf_gt, mpf_lt,
+                          round_nearest)
+
 from .coeffs import (MAX_ORDER, coeffs_from_weights, gaver_stehfest_coeffs, stehfest_weights,
                      vandermonde_check)
 from .errors import NUMERICAL_ERRORS, DomainError
 from .inverter import equivalence_probe, stehfest_approx, stehfest_via_gaver
-from .lambertw import in_region_a, lambert_w0, wew_residual, xi_alpha
+from .lambertw import _wew_residual, in_region_a, lambert_w0, xi_alpha
 from .numerics import cached_context, context_for_order
 from .pairs import corpus, get_pair, run_pair
 from .qpoly import (decay_bound_probe, genfun_identity_check, integral_representation_check,
@@ -74,25 +77,41 @@ def check_lambertw_defining_identity(seed=20240901, cut=_cut_from_branch_point):
     """Scaled residuals at 800 random points off the cut and 200 on it.
 
     ``cut(m, i)`` is the i-th cut point; each random point's W must also
-    lie in the principal-branch range A.
+    lie in the principal-branch range A.  The per-point arithmetic runs on
+    raw tuples with the bits of the operator forms ``m.mpc(x, y)``,
+    ``abs(z.imag) < near_cut``, ``wew_residual(w, z, ctx) / max(abs(z), 1)``
+    and ``max(worst, scaled)``.
     """
     ctx = cached_context(30)
     m = ctx.mp
+    prec = m.prec
     tol = m.mpf(10) ** (-(ctx.digits - 5))
+    region_tol = float(tol)
     rng = random.Random(seed)
-    near_cut = m.mpf("1e-3")
-    worst, outside_a, count = m.mpf(0), 0, 0
+    near_cut = m.mpf("1e-3")._mpf_
+    worst, outside_a, count = fzero, 0, 0
+
+    def record(w, zc):  # worst = max(worst, |w e^w - z| / max(|z|, 1))
+        nonlocal worst
+        az = mpc_abs(zc, prec, round_nearest)
+        scale = fone if mpf_gt(fone, az) else az
+        scaled = mpf_div(_wew_residual(w._mpc_, zc, prec), scale, prec, round_nearest)
+        if mpf_gt(scaled, worst):
+            worst = scaled
+
     while count < 800:
-        z = m.mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if abs(z.imag) < near_cut and z.real < 0:
+        x, y = rng.uniform(-10, 10), rng.uniform(-10, 10)
+        zc = (from_float(x), from_float(y))
+        if x < 0 and mpf_lt(mpf_abs(zc[1]), near_cut):
             continue
-        w = lambert_w0(z, ctx)
-        worst = max(worst, wew_residual(w, z, ctx) / max(abs(z), m.mpf(1)))
-        outside_a += not in_region_a(w, tol=tol)
+        w = lambert_w0(m.make_mpc(zc), ctx)
+        record(w, zc)
+        outside_a += not in_region_a(w, tol=region_tol)
         count += 1
     for i in range(200):
-        z = cut(m, i)
-        worst = max(worst, wew_residual(lambert_w0(z, ctx), z, ctx) / max(abs(z), m.mpf(1)))
+        z = cut(m, i)  # an mpc or an mpf
+        record(lambert_w0(z, ctx), m.mpc(z)._mpc_)
+    worst = m.make_mpf(worst)
     return (worst <= tol and not outside_a,
             {"worst_scaled_residual": ctx.nstr(worst, 6), "tolerance": ctx.nstr(tol, 3)},
             {"random_points": 800, "cut_points": 200, "digits": ctx.digits})

@@ -22,10 +22,11 @@ from gsinv import (
     wew_residual,
     xi_alpha,
 )
-from gsinv import lambertw, numerics
+from gsinv import lambertw, numerics, verify
 from gsinv.numerics import power_sum
 from gsinv.series import mul_trunc
 from conftest import load_fixture
+from test_acceptance import _cut_linspace
 
 
 def test_branch_series_leading_coefficients():
@@ -293,8 +294,8 @@ def test_w_meets_documented_residual_bound_in_region_a(digits, re, im):
 
 
 # _mpf_ of wew_residual at 30 digits of w and z given as 60-digit mpc
-# values, which the working context takes with their bits and rounds at
-# its own precision, and as Python complex values, taken exactly
+# values, whose parts are rounded to the working precision first (as
+# m.mpc rounds them), and as Python complex values, taken exactly
 _RESIDUAL_PINS = {
     "complex": (0, 1808718700066873266333724868070997665281, -133, 131),
     "mpc60": (0, 444666952918983405897581886569477014487, -129, 129),
@@ -312,6 +313,135 @@ def test_wew_residual_rounds_foreign_arguments_at_the_working_precision(kind):
     residual = wew_residual(w, z, ctx)
     assert type(residual) is ctx.mp.mpf
     assert residual._mpf_ == _RESIDUAL_PINS[kind]
+
+
+def _operator_residual(w, z, ctx):
+    # wew_residual as it was written on mpmath operators
+    m = ctx.mp
+    w = m.mpc(w)
+    return abs(w * m.exp(w) - m.mpc(z))
+
+
+def test_wew_residual_has_the_bits_of_its_operator_form():
+    ctx = PrecisionContext(30)
+    m = ctx.mp
+    wide, narrow = PrecisionContext(60), PrecisionContext(20)
+    rng = random.Random(31)
+    cases = []
+    for _ in range(100):  # random w and z, and W(z) with its z
+        z = ctx.mpc(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        cases += [(ctx.mpc(rng.uniform(-5, 5), rng.uniform(-4, 4)), z), (lambert_w0(z, ctx), z)]
+    for x in (-0.25, 1.5, 40):  # real z: an mpf, a float, an int
+        cases += [(lambert_w0(x, ctx), ctx.mpf(x)), (lambert_w0(x, ctx), x),
+                  (lambert_w0(x, ctx), int(x))]
+    cases += [(0, 0), (m.mpc(0), m.mpf(0)), (ctx.mpc("0.1", "0.2"), 0)]  # z = 0
+    for other in (wide, narrow):  # foreign contexts, and Python complex values
+        o = other.mp
+        w = lambert_w0(other.mpc(2, 3), other)
+        cases += [(w, other.mpc(2, 3)), (w, 2 + 3j), (0.3 + 0.2j, other.mpc(2, 3)),
+                  (o.mpf(1) / 3, o.mpf(2) / 7)]
+    for w, z in cases:
+        residual = wew_residual(w, z, ctx)
+        assert type(residual) is m.mpf
+        assert residual._mpf_ == _operator_residual(w, z, ctx)._mpf_, (w, z)
+
+
+def _operator_identity_check(seed, cut):
+    # verify.check_lambertw_defining_identity as it was written on mpmath
+    # operators, the reference for the check's raw-tuple loop; also returns
+    # the points it solves, as raw mpc
+    ctx = numerics.cached_context(30)
+    m = ctx.mp
+    tol = m.mpf(10) ** (-(ctx.digits - 5))
+    rng = random.Random(seed)
+    near_cut = m.mpf("1e-3")
+    worst, outside_a, points = m.mpf(0), 0, []
+    while len(points) < 800:
+        z = m.mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
+        if abs(z.imag) < near_cut and z.real < 0:
+            continue
+        w = lambert_w0(z, ctx)
+        worst = max(worst, _operator_residual(w, z, ctx) / max(abs(z), m.mpf(1)))
+        outside_a += not in_region_a(w, tol=tol)
+        points.append(z._mpc_)
+    for i in range(200):
+        z = cut(m, i)
+        worst = max(worst, _operator_residual(lambert_w0(z, ctx), z, ctx) / max(abs(z), m.mpf(1)))
+        points.append(m.mpc(z)._mpc_)
+    return {"check": "lambertw-defining-identity",
+            "status": "pass" if worst <= tol and not outside_a else "fail",
+            "metrics": {"worst_scaled_residual": ctx.nstr(worst, 6),
+                        "tolerance": ctx.nstr(tol, 3)},
+            "grid": {"random_points": 800, "cut_points": 200, "digits": ctx.digits}}, points
+
+
+@pytest.mark.parametrize("grid", ["verify", "acceptance", "seed-22"])
+def test_identity_check_reports_what_its_operator_loop_reports(monkeypatch, grid):
+    # the acceptance grid's cut points are mpf, the verify grid's mpc; the
+    # 51st draw of seed 22 lands next to the cut, where the check draws again
+    seed, cut = {"verify": (20240901, verify._cut_from_branch_point),
+                 "acceptance": (2468, _cut_linspace),
+                 "seed-22": (22, verify._cut_from_branch_point)}[grid]
+    expected, expected_points = _operator_identity_check(seed, cut)
+    points = []
+    solve = verify.lambert_w0
+    monkeypatch.setattr(verify, "lambert_w0",
+                        lambda z, ctx: points.append(ctx.mp.mpc(z)._mpc_) or solve(z, ctx))
+    assert verify.check_lambertw_defining_identity(seed=seed, cut=cut) == expected
+    assert points == expected_points
+
+
+def test_identity_check_scales_by_the_larger_of_abs_z_and_1(monkeypatch):
+    # with every residual 1 the worst scaled residual is 1 / max(|z|, 1) at
+    # the smallest |z|: the first cut point -1/e has |z| < 1, so it is 1
+    monkeypatch.setattr(verify, "_wew_residual", lambda w, z, prec: mpmath.libmp.fone)
+    report = verify.check_lambertw_defining_identity()
+    assert report["status"] == "fail"
+    assert report["metrics"]["worst_scaled_residual"] == "1.0"
+
+
+def _w0_inputs():
+    # (kind, z) for a 30-digit context: numbers of the context itself, of it
+    # at a raised precision, of other contexts and of Python, in several regions
+    ctx = PrecisionContext(30)
+    m, wide = ctx.mp, PrecisionContext(60).mp
+    with m.extraprec(40):
+        raised = [m.mpc(m.mpf(1) / 3, m.mpf(2) / 7), m.mpc(-m.mpf(1) / 3, m.mpf(1) / 10**9),
+                  m.mpc(m.mpf(1) / 30, -m.mpf(1) / 70), m.mpf(-1) / 3, m.mpf(7) / 3,
+                  m.mpc(-m.mpf(10) / 3, 0)]
+    return ctx, [
+        *(("same", ctx.mpc(re, im)) for re, im in
+          (("2.5", "-1.5"), ("-0.3678", "1e-6"), ("0.05", "0.02"), ("-3", "0"))),
+        *(("mpf", ctx.mpf(x)) for x in ("-0.25", "-1", "0.01", "40")),
+        *(("raised", z) for z in raised),
+        *(("foreign", z) for z in (wide.mpc(wide.mpf(1) / 3, -wide.mpf(2) / 7),
+                                  wide.mpf(-5) / 3, PrecisionContext(20).mpc("1.5", "0.5"))),
+        *(("python", z) for z in (0.3 + 0.2j, -0.5, 3, -0.36 - 0.01j)),
+        *(("non-finite", z) for z in (m.mpc(m.inf, 0), m.mpc(0, m.nan), wide.mpc(1, wide.ninf),
+                                      complex("nan+1j"), m.inf)),
+    ]
+
+
+def test_w_of_every_kind_of_argument_keeps_its_bits():
+    # a number of the context whose parts fit its precision is taken as it
+    # is; every other argument is rounded to the precision first, as m.mpc
+    # rounds it.  The digest pins the bits (or DomainError) of every input.
+    ctx, inputs = _w0_inputs()
+    m = ctx.mp
+    out = []
+    for kind, z in inputs:
+        try:
+            w = lambert_w0(z, ctx)
+        except DomainError:
+            out.append((kind, "DomainError"))
+            with pytest.raises(DomainError):
+                lambert_w0(m.mpc(z), ctx)
+            continue
+        assert _w_bits(w) == _w_bits(lambert_w0(m.mpc(z), ctx)), (kind, z)
+        out.append((kind, *_w_bits(w)))
+    assert [kind for kind, *row in out if row == ["DomainError"]] == ["non-finite"] * 5
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "d6cf018c00ca59ec3d81c5ab731171666a19c624a39f828282535d066b1beafe")
 
 
 @given(st.sampled_from([float("inf"), float("-inf"), float("nan")]), _finite, st.booleans())

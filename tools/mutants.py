@@ -3,12 +3,14 @@
 
 For each mutant, copies ``src/`` to a temporary directory, replaces one
 exact piece of source text (it must occur exactly once), runs the named
-tests against the copy and prints ``caught`` or ``missed``.  The named
-tests are first run against an unmutated copy, where they must pass.
-Exits 1 if any mutant is missed or its text is no longer in the source,
-2 if a test run errors out (collection error, interrupt).  The last line
-counts the mutants caught.  Run from
-anywhere; the repository is found from this file:
+tests against the copy and prints ``caught`` or ``missed``.  Each
+mutant's tests are first run on their own against the unmutated copy,
+where they must pass: a test that fails when run alone would count a
+mutant caught that it never saw.  Exits 1 if any mutant is missed or its
+text is no longer in the source, 2 if its tests fail unmutated or a test
+run errors out (collection error, interrupt).  The last line counts the
+mutants caught.  Run from anywhere; the repository is found from this
+file:
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named mutants only
@@ -171,8 +173,8 @@ MUTANTS = {
     ),
     "periodic-split-one-period": (
         "pairs.py",
-        "        while ctx.mpf(window[0] + k * pair.period) < stop:",
-        "        if ctx.mpf(window[0] + k * pair.period) < stop:",
+        "        while ctx.mpf(window[0][0] + k * pair.period) < stop:",
+        "        if ctx.mpf(window[0][0] + k * pair.period) < stop:",
         [T_PAIRS + "test_jump_locations_continue_a_periodic_pair",
          T_PAIRS + "test_laplace_identity_square_wave_past_the_listed_jumps"],
     ),
@@ -349,15 +351,51 @@ MUTANTS = {
     ),
     "laplace-tail-in-t": (
         "pairs.py",
-        "integrate(lambda u: integrand(lo + u / z), 0, m.inf, ctx) / z",
-        "integrate(integrand, lo, m.inf, ctx)",
+        "integrate(lambda u: tail(lo + u / z), 0, m.inf, ctx) / z",
+        "integrate(tail, lo, m.inf, ctx)",
         [T_PAIRS + "test_laplace_identity_at_a_slow_decay_rate[step-18]"],
     ),
     "laplace-exp-on-zero-pieces": (
         "pairs.py",
-        "return m.exp(-z * t) * v if v else v",
-        "return m.exp(-z * t) * v",
+        "return m.exp(-z * (t - origin)) * v if v else v",
+        "return m.exp(-z * (t - origin)) * v",
         [T_PAIRS + "test_laplace_identity_takes_no_exp_where_the_original_is_zero"],
+    ),
+    "laplace-piece-reads-f-at-its-ends": (
+        "pairs.py",
+        "v = after_lo if t == lo else before_hi if t == hi else f(t)",
+        "v = f(t)",
+        [T_PAIRS + "test_laplace_identity_piece_where_the_original_is_zero_is_exactly_zero[step]"],
+    ),
+    "laplace-pieces-unscaled": (
+        "pairs.py",
+        "value = integrate(piece(lo, after_lo, s, left, lo), lo, s, ctx)",
+        "value = integrate(piece(lo, after_lo, s, left, 0), lo, s, ctx) * m.exp(z * lo)",
+        [T_PAIRS + "test_laplace_identity_of_every_pair_to_the_working_precision"],
+    ),
+    "identity-max-with-mpf-lt": (
+        "verify.py",
+        "if mpf_gt(scaled, worst):",
+        "if mpf_lt(scaled, worst):",
+        [T_W + "test_identity_check_reports_what_its_operator_loop_reports[verify]"],
+    ),
+    "identity-scale-without-max-1": (
+        "verify.py",
+        "scale = fone if mpf_gt(fone, az) else az",
+        "scale = az",
+        [T_W + "test_identity_check_scales_by_the_larger_of_abs_z_and_1"],
+    ),
+    "identity-near-cut-test-dropped": (
+        "verify.py",
+        "        if x < 0 and mpf_lt(mpf_abs(zc[1]), near_cut):\n            continue\n",
+        "",
+        [T_W + "test_identity_check_reports_what_its_operator_loop_reports[seed-22]"],
+    ),
+    "w0-fast-path-of-any-width": (
+        "lambertw.py",
+        "if type(z) is m.mpc and z._mpc_[0][3] <= prec and z._mpc_[1][3] <= prec:",
+        "if type(z) is m.mpc:",
+        [T_W + "test_w_of_every_kind_of_argument_keeps_its_bits"],
     ),
     "out-tail-not-cut": (
         "cli.py",
@@ -395,17 +433,17 @@ def main(names) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        tests = sorted({t for *_, ts in chosen.values() for t in ts})
-        rc = run_tests(src, tests)
-        if rc != 0:
-            print(f"the named tests fail on the unmutated source (pytest exit {rc})")
-            return 2
         for name, (file, old, new, tests) in chosen.items():
             path = src / "gsinv" / file
             text = path.read_text()
             if text.count(old) != 1:
                 print(f"{name:34s} stale: its text occurs {text.count(old)} times in {file}")
                 status = max(status, 1)
+                continue
+            rc = run_tests(src, tests)
+            if rc != 0:
+                print(f"{name:34s} error: its tests fail unmutated (pytest exit {rc})")
+                status = 2
                 continue
             path.write_text(text.replace(old, new))
             try:
