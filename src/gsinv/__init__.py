@@ -18,9 +18,9 @@ The public names are those a CLI command or a ``verify`` check reaches,
 plus the exception types behind the CLI's exit codes.  ``_ORIGIN`` below
 is the one declaration of them: the submodules define no ``__all__``,
 and ``_ORIGIN`` cannot be read off the submodules without importing
-them.  Diagnostics that only the tests call (``gaver_kernel``,
-``expansion_probe``, ``qn_asymptotic`` and the like) are imported from
-their modules.
+them.  Diagnostics that only the tests call (``qn_asymptotic``,
+``laplace_identity_residual`` and the like) are imported from their
+modules.
 """
 import importlib
 

@@ -1,4 +1,4 @@
-"""Exact-rational Gaver-Stehfest coefficients, weights and kernel.
+"""Exact-rational Gaver-Stehfest coefficients and weights.
 
 All coefficient arithmetic is exact (big-integer rationals); conversion
 to floating point happens only at evaluation time.  The alternating signs
@@ -11,12 +11,9 @@ import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
-
-if TYPE_CHECKING:  # numerics loads mpmath; the exact tables need neither
-    from .numerics import PrecisionContext
 
 MAX_ORDER = 64  # approximant orders; beyond 64 the exact integers grow without benefit
 QN_MAX_ORDER = 200  # q_n orders, which the verification layer probes up to 200
@@ -112,19 +109,3 @@ def coeffs_from_weights(n: int) -> GaverStehfestCoeffs:
             m = k + i
             a[m - 1] += w.c[k - 1] * row * comb(k, i) * (-1) ** i
     return GaverStehfestCoeffs(n, tuple(a))
-
-
-def gaver_kernel(k: int, u, ctx: PrecisionContext):
-    """Kernel p_k(u) = (2k)!/(k!(k-1)!) (1-e^-u)^k e^-ku, u >= 0.
-
-    Nonnegative with unit mass on [0, inf); the mass and mean are probed
-    by quadrature in the test suite.
-    """
-    check_order(k)
-    m = ctx.mp
-    u = ctx.mpf(u)
-    if not u >= 0:
-        raise DomainError(f"kernel argument must be >= 0, got u = {u}")
-    pre = Fraction(factorial(2 * k), factorial(k) * factorial(k - 1))
-    eu = m.exp(-u)
-    return ctx.mpf(pre) * (1 - eu) ** k * eu**k

@@ -17,14 +17,13 @@ from math import comb, factorial
 from mpmath.libmp import from_man_exp, ftwo, mpf_div, mpf_log, round_nearest
 
 from .coeffs import QN_MAX_ORDER, check_order, gaver_stehfest_coeffs, stehfest_weights
-from .errors import DomainError, ProbeError, TransformEvaluationError, as_number
+from .errors import DomainError, TransformEvaluationError
 from .mantissa import _abscissas, _nearest_sum
 from .numerics import (
     _TABLES,
     PrecisionContext,
     check_point,
     context_for_order,
-    fit_line,
     integrate,
     low_digits_note,
     mpf_tuples,
@@ -288,42 +287,6 @@ def invert_ladder(F, x, n_max: int, ref=None, ctx: PrecisionContext | None = Non
         err = None if target is None else abs(value - target)
         entries.append(ReportEntry(n, value, err))
     return InversionReport(x, tuple(entries), ctx.digits)
-
-
-def expansion_probe(F, x, k_range, ref, ctx: PrecisionContext):
-    """Empirical leading error coefficient of the Gaver functionals.
-
-    Fits ``k (gaver_k(x) - ref)`` against ``b1 + b2/k`` over ``k_range``
-    (at least 4 values) and returns the fitted limit ``b1``.  Diagnostic
-    only: the caller asserts smoothness of the original at ``x`` and
-    supplies the reference value.
-
-    Raises
-    ------
-    DomainError
-        Before any transform call, if ``k_range`` is not a sequence of at
-        least 4 orders in [1, 64].
-    ProbeError
-        If the fit residual exceeds 5% of ``|b1|`` (plus a small absolute
-        floor), which signals the 1/k expansion is not visible over the
-        window.
-    """
-    ks = as_number(list, k_range, "sequence of orders")
-    if len(ks) < 4:
-        raise DomainError("k_range must span at least 4 values")
-    for k in ks:  # every order, before the first transform call
-        check_order(k)
-    cache = _start(F, x, max(ks), ctx)
-    m = ctx.mp
-    fref = ctx.mpf(ref)
-    ys = [k * (gaver_approx(F, cache.x, k, ctx, _cache=cache) - fref) for k in ks]
-    b1, b2, rms = fit_line([m.mpf(1) / k for k in ks], ys, m)
-    floor = m.mpf(10) ** (-(ctx.digits // 2)) * max(m.mpf(1), abs(fref))
-    if rms > ctx.mpf(0.05) * abs(b1) + floor:
-        raise ProbeError(
-            f"expansion fit residual {ctx.nstr(rms, 6)} too large for b1 = {ctx.nstr(b1, 6)}"
-        )
-    return b1
 
 
 def _symmetrized_difference(f, x, c, eps, ctx: PrecisionContext):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import mpf_pi, round_nearest
+from mpmath.libmp import from_rational, mpf_pi, round_nearest, to_rational
 
 from .errors import DomainError
 from .inverter import (InversionReport, TransformFn, _Kernel, _symmetrized_difference,
@@ -32,8 +32,9 @@ class TransformPair:
     """A transform evaluator with its known original.
 
     ``jumps`` lists (location, left limit, right limit); locations are
-    exact rationals.  A pair with a ``period`` has more jumps than it
-    lists: those of its last listed period recur every ``period`` on.
+    exact rationals, strictly ascending.  A pair with a ``period`` (> 0)
+    has more jumps than it lists: those of its last listed period recur
+    every ``period`` on.
     """
 
     name: str
@@ -48,7 +49,12 @@ class TransformPair:
     def __post_init__(self):
         if self.klass not in CLASSES:
             raise DomainError(f"unknown regularity class {self.klass!r}")
+        if self.period is not None and not self.period > 0:
+            raise DomainError(f"period must be > 0, or None if not periodic, got {self.period!r}")
         exact = [Fraction(loc) for loc, _l, _r in self.jumps]
+        if any(a >= b for a, b in zip(exact, exact[1:])):
+            raise DomainError("jump locations must be strictly ascending, got "
+                              + ", ".join(map(str, exact)))
         object.__setattr__(self, "_locations", tuple((q.numerator, q.denominator) for q in exact))
 
     @property
@@ -227,7 +233,35 @@ def _target(pair: TransformPair, x, ctx: PrecisionContext):
         for loc, (_, left, right) in zip(rounded, pair.jumps):
             if x._mpf_ == loc:  # x == ctx.mpf(location)
                 return (ctx.mpf(left) + ctx.mpf(right)) / 2
+        if pair.period:
+            jump = _recurring_jump(pair, x._mpf_, prec)
+            if jump:
+                return (ctx.mpf(jump[1]) + ctx.mpf(jump[2])) / 2
     return ctx.mpf(pair.f_ref(x))
+
+
+def _recurring_jump(pair: TransformPair, x: tuple, prec: int):
+    """The jump of ``pair``'s last listed period that recurs at the mpf tuple ``x``, or None.
+
+    A jump at ``loc`` recurs at each ``loc + k period``, k >= 1, and is at
+    ``x`` where ``x`` is that location rounded to ``prec`` bits, as
+    ``ctx.mpf`` rounds it.  The test is exact, on rationals: a location is
+    rounded only where it lies within a unit of ``x`` without being ``x``,
+    so one that ``x`` equals, an integer say, never is.
+    """
+    X, period = Fraction(*to_rational(x)), Fraction(pair.period)
+    unit = X / 2 ** (prec - 1)  # more than x's distance from anything that rounds to it
+    start = Fraction(*pair._locations[-1]) - period
+    for jump, q in zip(reversed(pair.jumps), reversed(pair._locations)):
+        loc = Fraction(*q)
+        if loc <= start:
+            break
+        k = round((X - loc) / period)
+        s = loc + k * period
+        if k >= 1 and (s == X or abs(s - X) < unit and
+                       from_rational(s.numerator, s.denominator, prec, round_nearest) == x):
+            return jump
+    return None
 
 
 def run_pair(pair: TransformPair, x, n_max: int, ctx: PrecisionContext | None = None) -> InversionReport:

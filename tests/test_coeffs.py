@@ -8,11 +8,10 @@ from gsinv import (
     StehfestWeights,
     coeffs_from_weights,
     gaver_stehfest_coeffs,
-    integrate,
     stehfest_weights,
     vandermonde_check,
 )
-from gsinv.coeffs import MAX_ORDER, gaver_kernel
+from gsinv.coeffs import MAX_ORDER
 
 
 def test_weights_small_orders():
@@ -81,33 +80,3 @@ def test_order_bounds():
     with pytest.raises(DomainError):
         gaver_stehfest_coeffs(65)
 
-
-def test_kernel_values(ctx30):
-    m = ctx30.mp
-    assert gaver_kernel(1, 0, ctx30) == 0
-    val = gaver_kernel(1, m.ln(2), ctx30)
-    assert abs(val - m.mpf(1) / 2) <= ctx30.eps
-    with pytest.raises(DomainError):
-        gaver_kernel(1, -1, ctx30)
-    with pytest.raises(DomainError):
-        gaver_kernel(0, 1, ctx30)
-
-
-def test_kernel_normalization(ctx20):
-    m = ctx20.mp
-    for k in range(1, 11):
-        mass = integrate(lambda u: gaver_kernel(k, u, ctx20), 0, m.inf, ctx20)
-        assert abs(mass - 1) <= 10 * ctx20.eps
-
-
-def test_kernel_mean_tends_to_ln2(ctx20):
-    # E[U_2] = 13/12 exactly; the deviation from ln 2 shrinks with k
-    m = ctx20.mp
-    mean2 = integrate(lambda u: u * gaver_kernel(2, u, ctx20), 0, m.inf, ctx20)
-    assert abs(mean2 - ctx20.mpf(Fraction(13, 12))) <= 10 * ctx20.eps
-    dev2 = abs(mean2 - m.ln(2))
-    assert dev2 < m.mpf("0.5")
-    mean8 = integrate(lambda u: u * gaver_kernel(8, u, ctx20), 0, m.inf, ctx20)
-    dev8 = abs(mean8 - m.ln(2))
-    assert dev8 < dev2 / 3
-    assert dev8 < m.mpf("0.25")

@@ -21,11 +21,10 @@ from hypothesis import strategies as st
 
 import gsinv
 from gsinv import DomainError, PrecisionContext, TransformFn, TransformPair
-from gsinv import coeffs, inverter, pairs, qpoly
+from gsinv import pairs, qpoly
 from gsinv.coeffs import MAX_ORDER, QN_MAX_ORDER
 
 CTX = PrecisionContext(20)
-CTX40 = PrecisionContext(40)  # above required_digits(8), the highest order the table runs
 NAN, INF = math.nan, math.inf
 
 
@@ -114,8 +113,6 @@ def _pair(calls):
 # paper lemmas that only the tests reproduce: public in their module, out
 # of gsinv.__all__ until a CLI command or a verify check reaches them
 DIAGNOSTICS = {
-    "gaver_kernel": coeffs,
-    "expansion_probe": inverter,
     "dini_integral_estimate": pairs,
     "DiniEstimate": pairs,
     "laplace_identity_residual": pairs,
@@ -134,8 +131,6 @@ CONTRACT = {
     "stehfest_weights": (lambda count: dict(n=4), {"n": ORDER}),
     "gaver_stehfest_coeffs": (lambda count: dict(n=4), {"n": ORDER}),
     "coeffs_from_weights": (lambda count: dict(n=4), {"n": ORDER}),
-    "gaver_kernel": (lambda count: dict(k=2, u=1, ctx=CTX),
-                     {"k": ORDER, "u": Point(0, INF, lo_closed=True, hi_closed=True)}),
     "gaver_approx": (lambda count: dict(F=_F(count), x=1, k=2, ctx=CTX),
                      {"x": POSITIVE, "k": ORDER}),
     "stehfest_approx": (lambda count: dict(F=_F(count), x=1, n=2, ctx=CTX),
@@ -144,9 +139,6 @@ CONTRACT = {
                            {"x": POSITIVE, "n": ORDER}),
     "invert_ladder": (lambda count: dict(F=_F(count), x=1, n_max=2, ctx=CTX),
                       {"x": POSITIVE, "n_max": ORDER}),
-    "expansion_probe": (lambda count: dict(F=_F(count), x=1, k_range=range(4, 9), ref=1,
-                                           ctx=CTX40),
-                        {"x": POSITIVE}),
     "equivalence_probe": (lambda count: dict(f=_f(count), x=1, c=1, eps=0.2, n=4, ctx=CTX),
                           {"x": POSITIVE, "eps": EPS, "n": QN_ORDER}),
     "branch_series": (lambda count: dict(N=5), {"N": COUNT}),
@@ -215,8 +207,8 @@ def test_out_of_domain_argument_raises_only_domain_error_first(name, param, data
 
 STEP = gsinv.get_pair("step")
 
-# each of these returned a number or raised another error before the
-# shared order and point checks
+# each of these returned a value or raised another error before its check
+# (most are the shared order and point checks)
 FINDINGS = {
     "equivalence_probe n=0": lambda: gsinv.equivalence_probe(STEP.f_ref, 1, 0.5, 0.2, 0, CTX),
     "equivalence_probe n=-3": lambda: gsinv.equivalence_probe(STEP.f_ref, 1, 0.5, 0.2, -3, CTX),
@@ -233,7 +225,6 @@ FINDINGS = {
     "vandermonde_check None": lambda: gsinv.vandermonde_check(None),
     "context_for_order 100": lambda: gsinv.context_for_order(100),
     "qn_asymptotic n=2.5": lambda: qpoly.qn_asymptotic(2.5, 0.6, CTX),
-    "gaver_kernel u=nan": lambda: coeffs.gaver_kernel(2, NAN, CTX),
     "lambert_w0 'abc'": lambda: gsinv.lambert_w0("abc", CTX),
     "branch_series N=2.5": lambda: gsinv.branch_series(2.5),
     "decay_bound_probe n_range=[1.5, ...]": lambda: gsinv.decay_bound_probe(
@@ -242,7 +233,6 @@ FINDINGS = {
         0.1, ["a", "b", "c", "d"], CTX),
     "decay_bound_probe n_range=5": lambda: gsinv.decay_bound_probe(0.1, 5, CTX),
     "decay_bound_probe n_range=None": lambda: gsinv.decay_bound_probe(0.1, None, CTX),
-    "expansion_probe k_range=5": lambda: inverter.expansion_probe(STEP.F, 1, 5, 1, CTX),
     "constant F pole z=0": lambda: pairs.get_pair("constant").F(CTX.mpf(0)),
     "ramp F pole z=0": lambda: pairs.get_pair("ramp").F(CTX.mpf(0)),
     "root F pole z=0": lambda: pairs.get_pair("root").F(CTX.mpf(0)),
@@ -253,6 +243,10 @@ FINDINGS = {
     "exponential F z=2": lambda: pairs.get_pair("exponential").F(2),
     "exponential F z='2'": lambda: pairs.get_pair("exponential").F("2"),
     "exponential F z=None": lambda: pairs.get_pair("exponential").F(None),
+    "TransformPair period=-2": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                     STEP.jumps, Fraction(-2)),
+    "TransformPair jumps at 2 then 1": lambda: TransformPair(
+        "bad", STEP.F, STEP.f_ref, STEP.klass, ((Fraction(2), 0, 1), (Fraction(1), 1, 0))),
 }
 
 
@@ -265,13 +259,6 @@ def test_finding_raises_domain_error(finding):
 def test_corpus_transforms_without_a_pole_at_zero_give_one_there():
     for name in ("sine", "exponential"):
         assert pairs.get_pair(name).F.eval(CTX.mpf(0)) == 1
-
-
-def test_expansion_probe_checks_every_order_before_the_transform():
-    calls = Calls()
-    with pytest.raises(DomainError):
-        inverter.expansion_probe(_F(calls), 1, [1, 2, 3, 0], 0.3, CTX)
-    assert calls.count == 0
 
 
 def test_shared_messages():

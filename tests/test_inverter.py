@@ -15,7 +15,6 @@ import gsinv.pairs
 from gsinv import (
     DomainError,
     PrecisionContext,
-    ProbeError,
     TransformEvaluationError,
     TransformFn,
     context_for_order,
@@ -29,7 +28,6 @@ from gsinv import (
     stehfest_approx,
     stehfest_via_gaver,
 )
-from gsinv.inverter import expansion_probe
 from gsinv.mantissa import _abscissas
 from gsinv.numerics import low_digits_note
 from conftest import load_fixture
@@ -39,16 +37,19 @@ F_RAMP = TransformFn(lambda z: 1 / z**2, "1/z^2")
 F_EXP = TransformFn(lambda z: 1 / (z + 1), "1/(z+1)")
 
 
-def test_gaver_constant_exact(ctx30):
-    val = gaver_approx(F_CONST, 1, 1, ctx30)
-    assert abs(val - 1) <= 10 * ctx30.eps
+def test_gaver_constant_exact():
+    # the prefactor (2k)!/(k!(k-1)!) gives the kernel p_k unit mass
+    ctx = context_for_order(10)
+    for k in range(1, 11):
+        assert abs(gaver_approx(F_CONST, 1, k, ctx) - 1) <= 10 * ctx.eps
 
 
 def test_gaver_ramp_first_order(ctx30):
-    # E[U_1] = 3/2, so the k = 1 functional equals 3/(2 ln 2) at x = 1
+    # the functional of the ramp is E[U_k]/ln 2 at x = 1: E[U_1] = 3/2, E[U_2] = 13/12
     m = ctx30.mp
-    val = gaver_approx(F_RAMP, 1, 1, ctx30)
-    assert abs(val - ctx30.mpf(Fraction(3, 2)) / m.ln(2)) <= 10 * ctx30.eps
+    for k, mean in ((1, Fraction(3, 2)), (2, Fraction(13, 12))):
+        val = gaver_approx(F_RAMP, 1, k, ctx30)
+        assert abs(val - ctx30.mpf(mean) / m.ln(2)) <= 10 * ctx30.eps
 
 
 def test_gaver_error_decreasing_in_k():
@@ -150,8 +151,6 @@ _LOW_DIGITS_CALLS = {
     "stehfest_approx": (lambda: stehfest_approx(F_EXP, 1, 10, _CTX15), 10),
     "stehfest_via_gaver": (lambda: stehfest_via_gaver(F_EXP, 1, 10, _CTX15), 10),
     "invert_ladder": (lambda: invert_ladder(F_EXP, 1, 10, ctx=_CTX15), 10),
-    "expansion_probe": (lambda: expansion_probe(F_EXP, 1, range(4, 12), _CTX15.mp.exp(-1),
-                                                _CTX15), 11),
 }
 
 
@@ -471,37 +470,6 @@ def test_transform_values_other_than_mpf_pass_unchanged(ctx30, route):
     # an int, a Fraction or an mpc value is a number: the operators convert it
     for value in (3, Fraction(1, 3), ctx30.mp.mpc(1, 2)):
         ROUTES[route](TransformFn(lambda z: value, "number"), ctx30)
-
-
-def test_expansion_probe_constant_is_zero():
-    ctx = context_for_order(20)
-    b1 = expansion_probe(F_CONST, 1, range(8, 21), ctx.mpf(1), ctx)
-    assert abs(b1) <= ctx.mpf(10) ** (-(ctx.digits // 2))
-
-
-def test_expansion_probe_window_stability():
-    # the fitted leading error coefficient is stable to 2 significant
-    # digits when the fit window shifts
-    ctx = PrecisionContext(required_digits(36), 30)
-    cases = [
-        (F_RAMP, ctx.mpf(1)),
-        (F_EXP, ctx.mp.exp(-1)),
-    ]
-    for F, ref in cases:
-        b_main = expansion_probe(F, 1, range(8, 33), ref, ctx)
-        b_shift = expansion_probe(F, 1, range(12, 37), ref, ctx)
-        b_short = expansion_probe(F, 1, range(8, 25), ref, ctx)
-        assert b_main != 0
-        for other in (b_shift, b_short):
-            assert abs(other / b_main - 1) <= ctx.mpf("0.01")
-
-
-def test_expansion_probe_rejects_bad_reference():
-    ctx = PrecisionContext(required_digits(32), 30)
-    with pytest.raises(ProbeError):
-        expansion_probe(F_RAMP, 1, range(8, 33), ctx.mpf("0.35"), ctx)
-    with pytest.raises(DomainError):
-        expansion_probe(F_RAMP, 1, range(8, 11), ctx.mpf(1), ctx)
 
 
 def test_equivalence_probe_constant_zero(ctx30):

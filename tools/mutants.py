@@ -33,6 +33,7 @@ T_W = "tests/test_lambertw.py::"
 T_NUM = "tests/test_numerics.py::"
 T_Q = "tests/test_qpoly.py::"
 T_CLI = "tests/test_cli.py::"
+T_CONTRACT = "tests/test_contract.py::"
 
 # name -> (file under src/gsinv, source text, mutated text, tests that must fail)
 MUTANTS = {
@@ -410,6 +411,20 @@ MUTANTS = {
         "if True:",
         [T_CLI + "test_out_to_devnull_exits_0",
          T_CLI + "test_out_to_a_fifo_writes_the_stdout_bytes_and_cuts_nothing"],
+    ),
+    "periodic-target-listed-jumps-only": (
+        "pairs.py",
+        "        if pair.period:\n"
+        "            jump = _recurring_jump(pair, x._mpf_, prec)\n",
+        "        if False:\n"
+        "            jump = _recurring_jump(pair, x._mpf_, prec)\n",
+        [T_PAIRS + "test_periodic_target_is_the_midpoint_at_every_recurring_jump"],
+    ),
+    "jump-order-unchecked": (
+        "pairs.py",
+        "if any(a >= b for a, b in zip(exact, exact[1:])):",
+        "if False:",
+        [T_CONTRACT + "test_finding_raises_domain_error[TransformPair jumps at 2 then 1]"],
     ),
 }
 
