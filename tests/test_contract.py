@@ -245,8 +245,12 @@ FINDINGS = {
     "exponential F z=None": lambda: pairs.get_pair("exponential").F(None),
     "TransformPair period=-2": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
                                                      STEP.jumps, Fraction(-2)),
+    "TransformPair period=0": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                    STEP.jumps, 0),
     "TransformPair jumps at 2 then 1": lambda: TransformPair(
         "bad", STEP.F, STEP.f_ref, STEP.klass, ((Fraction(2), 0, 1), (Fraction(1), 1, 0))),
+    "TransformPair jumps at 1 then 1": lambda: TransformPair(
+        "bad", STEP.F, STEP.f_ref, STEP.klass, ((Fraction(1), 0, 1), (Fraction(1), 1, 0))),
 }
 
 

@@ -37,19 +37,18 @@ F_RAMP = TransformFn(lambda z: 1 / z**2, "1/z^2")
 F_EXP = TransformFn(lambda z: 1 / (z + 1), "1/(z+1)")
 
 
-def test_gaver_constant_exact():
+@pytest.mark.parametrize("k", range(1, 11))
+def test_gaver_constant_exact(k):
     # the prefactor (2k)!/(k!(k-1)!) gives the kernel p_k unit mass
     ctx = context_for_order(10)
-    for k in range(1, 11):
-        assert abs(gaver_approx(F_CONST, 1, k, ctx) - 1) <= 10 * ctx.eps
+    assert abs(gaver_approx(F_CONST, 1, k, ctx) - 1) <= 10 * ctx.eps
 
 
-def test_gaver_ramp_first_order(ctx30):
+@pytest.mark.parametrize("k, mean", [(1, Fraction(3, 2)), (2, Fraction(13, 12))])
+def test_gaver_ramp_first_order(ctx30, k, mean):
     # the functional of the ramp is E[U_k]/ln 2 at x = 1: E[U_1] = 3/2, E[U_2] = 13/12
-    m = ctx30.mp
-    for k, mean in ((1, Fraction(3, 2)), (2, Fraction(13, 12))):
-        val = gaver_approx(F_RAMP, 1, k, ctx30)
-        assert abs(val - ctx30.mpf(mean) / m.ln(2)) <= 10 * ctx30.eps
+    val = gaver_approx(F_RAMP, 1, k, ctx30)
+    assert abs(val - ctx30.mpf(mean) / ctx30.mp.ln(2)) <= 10 * ctx30.eps
 
 
 def test_gaver_error_decreasing_in_k():

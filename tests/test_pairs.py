@@ -101,18 +101,24 @@ def test_square_wave_target_is_the_midpoint_beyond_the_listed_jumps(ctx30, x):
     assert jordan_target(pair, ctx30.mpf(x) + ctx30.mpf("0.5"), ctx30) == (x + 1) % 2
 
 
-def test_periodic_target_is_the_midpoint_at_every_recurring_jump(ctx30):
+def _plain_square_wave(t):
     # a square wave with no midpoints of its own: only the jump data gives them
-    def plain(t):
-        return t.context.mpf(1 - int(t.context.floor(t)) % 2)
+    return t.context.mpf(1 - int(t.context.floor(t)) % 2)
 
+
+def test_periodic_target_is_the_midpoint_at_every_recurring_jump(ctx30):
     wave, half = get_pair("square-wave"), ctx30.mpf(1) / 2
-    pair = TransformPair("plain", wave.F, plain, wave.klass, ((1, 1, 0), (2, 0, 1)), 2)
+    pair = TransformPair("plain", wave.F, _plain_square_wave, wave.klass,
+                         ((1, 1, 0), (2, 0, 1)), 2)
     assert [jordan_target(pair, x, ctx30) for x in (1, 2, 3, 4, 5, 101)] == [half] * 6
     assert [jordan_target(pair, x, ctx30) for x in ("0.5", "2.5", "5.5")] == [1, 1, 0]
+
+
+def test_periodic_target_off_the_binary_grid_is_the_midpoint_only_at_its_rounding(ctx30):
     # a location off the binary grid recurs where x is its rounding, and only there
-    third = TransformPair("third", wave.F, plain, wave.klass, ((Fraction(1, 3), 1, 0),),
-                          Fraction(2, 3))
+    wave, half = get_pair("square-wave"), ctx30.mpf(1) / 2
+    third = TransformPair("third", wave.F, _plain_square_wave, wave.klass,
+                          ((Fraction(1, 3), 1, 0),), Fraction(2, 3))
     at = [ctx30.mpf(Fraction(1 + 2 * k, 3)) for k in (2, 3, 4)]
     assert [jordan_target(third, x, ctx30) for x in at] == [half] * 3
     assert jordan_target(third, at[0] * (1 + 4 * ctx30.eps), ctx30) == 0
