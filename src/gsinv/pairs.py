@@ -240,26 +240,25 @@ def _target(pair: TransformPair, x, ctx: PrecisionContext):
     return ctx.mpf(pair.f_ref(x))
 
 
+def _recurring(pair: TransformPair) -> list:
+    """The jumps of ``pair``'s last listed period: those that recur every ``period``."""
+    last = pair.jumps[-1][0]
+    return [jump for jump in pair.jumps if jump[0] > last - pair.period]
+
+
 def _recurring_jump(pair: TransformPair, x: tuple, prec: int):
     """The jump of ``pair``'s last listed period that recurs at the mpf tuple ``x``, or None.
 
     A jump at ``loc`` recurs at each ``loc + k period``, k >= 1, and is at
     ``x`` where ``x`` is that location rounded to ``prec`` bits, as
-    ``ctx.mpf`` rounds it.  The test is exact, on rationals: a location is
-    rounded only where it lies within a unit of ``x`` without being ``x``,
-    so one that ``x`` equals, an integer say, never is.
+    ``ctx.mpf`` rounds it.  Only the recurrence nearest ``x`` can be.
     """
     X, period = Fraction(*to_rational(x)), Fraction(pair.period)
-    unit = X / 2 ** (prec - 1)  # more than x's distance from anything that rounds to it
-    start = Fraction(*pair._locations[-1]) - period
-    for jump, q in zip(reversed(pair.jumps), reversed(pair._locations)):
-        loc = Fraction(*q)
-        if loc <= start:
-            break
+    for jump in _recurring(pair):
+        loc = Fraction(jump[0])
         k = round((X - loc) / period)
         s = loc + k * period
-        if k >= 1 and (s == X or abs(s - X) < unit and
-                       from_rational(s.numerator, s.denominator, prec, round_nearest) == x):
+        if k >= 1 and from_rational(s.numerator, s.denominator, prec, round_nearest) == x:
             return jump
     return None
 
@@ -315,7 +314,7 @@ def _jumps_below(pair: TransformPair, stop, ctx: PrecisionContext) -> list:
     listed = list(pair.jumps)
     shifted = []
     if pair.period and listed:
-        window = [jump for jump in listed if jump[0] > listed[-1][0] - pair.period]
+        window = _recurring(pair)
         k = 1
         while ctx.mpf(window[0][0] + k * pair.period) < stop:
             shifted += [(loc + k * pair.period, left, right) for loc, left, right in window]

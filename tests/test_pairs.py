@@ -114,6 +114,14 @@ def test_periodic_target_is_the_midpoint_at_every_recurring_jump(ctx30):
     assert [jordan_target(pair, x, ctx30) for x in ("0.5", "2.5", "5.5")] == [1, 1, 0]
 
 
+def test_periodic_target_recurs_after_the_listed_jumps_only(ctx30):
+    # the last listed period recurs forward: 1 and 2 are no jumps of this pair
+    wave, half = get_pair("square-wave"), ctx30.mpf(1) / 2
+    late = TransformPair("late", wave.F, _plain_square_wave, wave.klass,
+                         ((3, 1, 0), (4, 0, 1)), 2)
+    assert [jordan_target(late, x, ctx30) for x in (1, 2, 5, 6)] == [0, 1, half, half]
+
+
 def test_periodic_target_off_the_binary_grid_is_the_midpoint_only_at_its_rounding(ctx30):
     # a location off the binary grid recurs where x is its rounding, and only there
     wave, half = get_pair("square-wave"), ctx30.mpf(1) / 2

@@ -420,6 +420,12 @@ MUTANTS = {
         "            jump = _recurring_jump(pair, x._mpf_, prec)\n",
         [T_PAIRS + "test_periodic_target_is_the_midpoint_at_every_recurring_jump"],
     ),
+    "periodic-target-recurs-backwards": (
+        "pairs.py",
+        "        if k >= 1 and from_rational(",
+        "        if from_rational(",
+        [T_PAIRS + "test_periodic_target_recurs_after_the_listed_jumps_only"],
+    ),
     "jump-order-unchecked": (
         "pairs.py",
         "if any(a >= b for a, b in zip(exact, exact[1:])):",
