@@ -24,8 +24,9 @@ numbers, so no mpmath context is shared through it: each caller
 rebuilds the values with its own ``make_mpf``, and the results are
 bit-identical to building them afresh.
 
-:func:`integrate` runs on the mpf operators of its context: it makes a
-few quadratures per verify run, so only its node tables are raw tuples.
+:func:`integrate` is tanh-sinh on finite intervals only, and runs on the
+mpf operators of its context: it makes a few quadratures per verify run,
+so only its node tables are raw tuples.
 An integrand's mpf is rebound to the context before any arithmetic,
 because mpmath rounds an operation at its left operand's precision.
 :func:`weighted_sum` runs on the integer steps of :mod:`gsinv.mantissa`.
@@ -326,24 +327,6 @@ _TABLES = _BoundedCache(maxsize=256)
 # tanh-sinh (double exponential) quadrature
 # ---------------------------------------------------------------------
 
-def _neg_log1m(m, s):
-    # -ln(1-s) for s in [0, 1); series branch keeps tiny s exact in
-    # relative terms, which the singular-endpoint substitution relies on.
-    if s > 0.25:
-        return -m.ln(1 - s)
-    acc = m.mpf(0)
-    term = m.mpf(s)
-    k = 1
-    floor = m.mpf(10) ** (-m.dps - 5) * s
-    while True:
-        piece = term / k
-        acc += piece
-        if abs(piece) <= floor:
-            return acc
-        k += 1
-        term *= s
-
-
 def _build_level(m, level):
     # weight w and offset d = 1 - tanh(s) of the nodes of one refinement
     # level: every t = i h at level 0, the odd multiples of h = 2^-level
@@ -368,24 +351,9 @@ def _build_level(m, level):
     return tuple(nodes)
 
 
-def _build_semi_level(m, level):
-    # the (0, inf) map reads s = d/2 at both ends: u = -ln(1-s) near 0
-    # and u = -ln(s) for large u
-    nodes = []
-    for w, delta in _level_nodes(m, level, False):
-        s = m.make_mpf(delta) / 2
-        nodes.append((w, s._mpf_, _neg_log1m(m, s)._mpf_, m.ln(s)._mpf_))
-    return tuple(nodes)
-
-
-def _level_nodes(m, level, semi_infinite):
-    """Raw node tuples of one level at ``m.prec``, built by ``m`` on a miss.
-
-    Finite nodes are ``(w, d)``; semi-infinite ones are
-    ``(w, s, -ln(1 - s), ln s)`` with ``s = d/2``.
-    """
-    build = _build_semi_level if semi_infinite else _build_level
-    return _TABLES.get(("nodes", m.prec, level, semi_infinite), lambda: build(m, level))
+def _level_nodes(m, level):
+    """Raw ``(w, d)`` node tuples of one level at ``m.prec``, built by ``m`` on a miss."""
+    return _TABLES.get(("nodes", m.prec, level), lambda: _build_level(m, level))
 
 
 def _real_value(v, m):
@@ -407,27 +375,31 @@ def _real_value(v, m):
         raise DomainError(f"integrand value is not a real number: {v!r}") from None
 
 
-def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
-    """Integrate over [-1, 1] given endpoint-offset evaluators.
+def _tanh_sinh(m, f, a, b, digits):
+    """Integrate ``f`` over ``(a, b)``, ``a < b`` both finite, by tanh-sinh.
 
-    ``fleft(node)`` evaluates the integrand at ``x = -1 + d`` and
-    ``fright(node)`` at ``x = 1 - d``, where ``node`` is the level's node
-    tuple (see :func:`_level_nodes`) rebuilt as mpfs of ``m``, and returns
-    an mpf of ``m``; offsets ``d`` stay exact down to ~1e-(dps+5), so
-    integrable endpoint singularities at a = 0 cost no precision.  The
-    node sum of a level is ``new += w * (fright + fleft)``.
+    A node of offset ``d`` (see :func:`_build_level`) evaluates ``f`` at
+    ``b - halfw d`` and at ``a + halfw d``, in that order, and adds
+    ``w * (f(b - halfw d) halfw + f(a + halfw d) halfw)`` to the level's
+    sum; offsets ``d`` stay exact down to ~1e-(dps+5), so integrable
+    endpoint singularities at a = 0 cost no precision.
     """
+    halfw = (b - a) / 2
+
+    def value(x):
+        return _real_value(f(x), m) * halfw
+
     tol = m.mpf(10) ** (-digits)
     total = m.mpf(0)
     prev = None
     for level in range(MAX_LEVEL + 1):
-        nodes = [tuple(map(m.make_mpf, node)) for node in _level_nodes(m, level, semi_infinite)]
+        nodes = [tuple(map(m.make_mpf, node)) for node in _level_nodes(m, level)]
         new = m.mpf(0)
         if level == 0:  # the midpoint t = 0, counted once
-            new += nodes[0][0] * fright(nodes[0])
+            new += nodes[0][0] * value(b - halfw * nodes[0][1])
             nodes = nodes[1:]
-        for node in nodes:
-            new += node[0] * (fright(node) + fleft(node))
+        for w, d in nodes:
+            new += w * (value(b - halfw * d) + value(a + halfw * d))
         total = (total / 2 if level else m.mpf(0)) + new / 2**level
         if level >= 2 and abs(total - prev) <= tol * max(m.mpf(1), abs(total)):
             return total
@@ -439,7 +411,7 @@ def _tanh_sinh(m, fleft, fright, digits, semi_infinite=False):
 
 
 def integrate(f, a, b, ctx: PrecisionContext):
-    """Integrate ``f`` over ``(a, b)`` with absolute error near ``ctx.eps``.
+    """Integrate ``f`` over the finite interval ``(a, b)`` with absolute error near ``ctx.eps``.
 
     Parameters
     ----------
@@ -447,12 +419,9 @@ def integrate(f, a, b, ctx: PrecisionContext):
         Real-valued integrand of one high-precision argument.  Integrable
         endpoint singularities are fine when the endpoint is 0.
     a, b
-        Interval ends.  ``a`` must be finite; ``b`` is finite or ``+inf``
-        (mpmath or float infinity), in which case the range is reduced to
-        ``s in [0, 1)`` via ``u = a - ln(1 - s)``.  The nodes reach about
-        ``u = a + (dps + 5) ln 10``, so ``f`` must decay at least as fast
-        as ``e^-(u - a)``: ``exp(-0.2 u)`` from ``a = 1`` is still near
-        1e-7 there and raises QuadratureError at 18 digits.
+        Finite interval ends; ``b < a`` integrates backwards.  A half-line
+        is cut where its integrand has fallen below the tolerance, as
+        :func:`~gsinv.pairs.laplace_identity_residual` cuts its tail.
     ctx : PrecisionContext
         Precision policy; refinement stops once two successive levels
         agree to ``10**-digits``, or fails after :data:`MAX_LEVEL` levels.
@@ -460,7 +429,7 @@ def integrate(f, a, b, ctx: PrecisionContext):
     Raises
     ------
     DomainError
-        If ``a`` is not finite, or ``b`` is NaN or ``-inf``; ``f`` is
+        If ``a`` or ``b`` is not finite (an infinity or NaN); ``f`` is
         never called then.  Also if ``f`` returns a value that is not a
         real number (an mpc, None, a string); an int or a float is taken
         exactly.
@@ -471,29 +440,10 @@ def integrate(f, a, b, ctx: PrecisionContext):
     m = ctx.mp
     a = ctx.mpf(a)
     b = ctx.mpf(b)
-    if not m.isfinite(a) or m.isnan(b) or b == m.ninf:
-        raise DomainError(f"integrate needs a finite a and a finite or +inf b, got ({a}, {b})")
-    if b == m.inf:
-        def fleft(node):  # s = d/2 near 0
-            _, s, neg_log1m_s, _ = node
-            return _real_value(f(a + neg_log1m_s), m) / (1 - s) / 2
-
-        def fright(node):  # 1 - s = d/2 near 0, u large
-            _, oms, _, ln_oms = node
-            return _real_value(f(a - ln_oms), m) / oms / 2
-
-        return _tanh_sinh(m, fleft, fright, ctx.digits, semi_infinite=True)
-
+    if not (m.isfinite(a) and m.isfinite(b)):
+        raise DomainError(f"integrate needs finite a and b, got ({a}, {b})")
     if b == a:
         return m.mpf(0)
     if b < a:
         return -integrate(f, b, a, ctx)
-    halfw = (b - a) / 2
-
-    def fleft(node):
-        return _real_value(f(a + halfw * node[1]), m) * halfw
-
-    def fright(node):
-        return _real_value(f(b - halfw * node[1]), m) * halfw
-
-    return _tanh_sinh(m, fleft, fright, ctx.digits)
+    return _tanh_sinh(m, f, a, b, ctx.digits)

@@ -27,12 +27,24 @@ from .numerics import (_TABLES, PrecisionContext, check_point, context_for_order
 CLASSES = ("smooth", "dini", "bounded-variation-jump", "oscillatory")
 
 
+def _rational(value, name: str) -> Fraction:
+    """``value`` as an exact Fraction; a string or a value that is no finite real raises
+    DomainError."""
+    if not isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TransformPair:
     """A transform evaluator with its known original.
 
-    ``jumps`` lists (location, left limit, right limit); locations are
-    exact rationals, strictly ascending.  A pair with a ``period`` (> 0)
+    ``jumps`` lists (location, left limit, right limit) tuples; locations
+    are exact rationals, strictly ascending.  A string or a non-finite
+    location or period raises DomainError.  A pair with a ``period`` (> 0)
     has more jumps than it lists: those of its last listed period recur
     every ``period`` on.
     """
@@ -49,9 +61,12 @@ class TransformPair:
     def __post_init__(self):
         if self.klass not in CLASSES:
             raise DomainError(f"unknown regularity class {self.klass!r}")
-        if self.period is not None and not self.period > 0:
+        if self.period is not None and not _rational(self.period, "period") > 0:
             raise DomainError(f"period must be > 0, or None if not periodic, got {self.period!r}")
-        exact = [Fraction(loc) for loc, _l, _r in self.jumps]
+        for jump in self.jumps:
+            if not (isinstance(jump, tuple) and len(jump) == 3):
+                raise DomainError(f"a jump is (location, left limit, right limit), got {jump!r}")
+        exact = [_rational(loc, "jump location") for loc, _l, _r in self.jumps]
         if any(a >= b for a, b in zip(exact, exact[1:])):
             raise DomainError("jump locations must be strictly ascending, got "
                               + ", ".join(map(str, exact)))
@@ -289,7 +304,8 @@ def dini_integral_estimate(pair: TransformPair, x, c, epsilon, ctx: PrecisionCon
 
     The integrand carries an absolute value, so accuracy relies on the
     symmetrized oscillation keeping one sign near 0; the default corpus
-    satisfies this at the points the tests probe.
+    satisfies this at the points the tests probe.  An ``epsilon`` at or
+    below ``v_min`` raises DomainError before ``f_ref`` is called.
     """
     m = ctx.mp
     g = _symmetrized_difference(pair.f_ref, x, c, epsilon, ctx)
@@ -298,6 +314,10 @@ def dini_integral_estimate(pair: TransformPair, x, c, epsilon, ctx: PrecisionCon
         return abs(g(v)) / v
 
     v_min = m.mpf(10) ** (-(ctx.digits // 2))
+    epsilon = ctx.mpf(epsilon)
+    if not epsilon > v_min:
+        raise DomainError(f"epsilon must exceed v_min = 1e-{ctx.digits // 2} at "
+                          f"{ctx.digits} digits, got epsilon = {epsilon}")
     base = integrate(integrand, v_min, epsilon, ctx)
     extended = integrate(integrand, v_min / 10, v_min, ctx)
     threshold = m.mpf("1e-6") * max(m.mpf(1), abs(base))
@@ -324,10 +344,12 @@ def _jumps_below(pair: TransformPair, stop, ctx: PrecisionContext) -> list:
 
 
 def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
-    """|integral_0^inf e^(-z t) f_ref(t) dt - F(z)|, split at the jumps.
+    """|integral_0^span e^(-z t) f_ref(t) dt - F(z)|, split at the jumps.
 
-    The quadrature is piecewise between consecutive jump locations (plus
-    a semi-infinite tail), since the double-exponential rule assumes
+    ``span = (digits + guard + 5) ln 10 / z``: past it e^(-z t) is below
+    every tolerance, so the integral to infinity is cut there.  The
+    quadrature is piecewise between consecutive jump locations (plus a
+    last piece up to the span), since the double-exponential rule assumes
     smoothness away from the endpoints.  A periodic pair is split at
     every jump below the span, not only at the listed ones.  A node whose
     offset from an end is below the working precision rounds onto that
@@ -338,30 +360,25 @@ def laplace_identity_residual(pair: TransformPair, z, ctx: PrecisionContext):
     scaled by ``e^(-z lo)`` after: :func:`~gsinv.numerics.integrate`
     stops once two levels agree to ``10**-digits`` absolutely when its
     value is below 1, which leaves a piece near 1e-12 a relative error
-    near 1e-13.  The tail is integrated in ``u = z (t - lo)``, where it
-    decays as ``e^(-u)``, the rate that ``integrate`` needs on ``(0,
-    inf)``; it is not scaled, since past the span it is negligible and a
-    periodic pair still jumps there.
+    near 1e-13.
     """
     m = ctx.mp
     z = check_point(z, ctx, "z")
     f = pair.f_ref
 
-    def piece(lo, after_lo, hi, before_hi, origin):  # e^(-z (t - origin)) f(t) on (lo, hi)
+    def piece(lo, after_lo, hi, before_hi):  # e^(-z (t - lo)) f(t) on (lo, hi)
         def integrand(t):
             v = after_lo if t == lo else before_hi if t == hi else f(t)
-            return m.exp(-z * (t - origin)) * v if v else v  # a zero piece costs no exp
+            return m.exp(-z * (t - lo)) * v if v else v  # a zero piece costs no exp
 
         return integrand
 
-    # keep enough pieces that the tail beyond the last split is negligible
     span = (ctx.digits + ctx.guard + 5) * m.ln(10) / z
     total = m.mpf(0)
     lo, after_lo = m.mpf(0), None  # no node rounds onto 0
-    for s, left, right in _jumps_below(pair, span, ctx):
-        value = integrate(piece(lo, after_lo, s, left, lo), lo, s, ctx)
+    # the last piece ends at the span, where a node that rounds onto it reads f
+    for s, left, right in _jumps_below(pair, span, ctx) + [(span, f(span), None)]:
+        value = integrate(piece(lo, after_lo, s, left), lo, s, ctx)
         total += m.exp(-z * lo) * value if value else value
         lo, after_lo = s, right
-    tail = piece(lo, after_lo, None, None, 0)
-    total += integrate(lambda u: tail(lo + u / z), 0, m.inf, ctx) / z
     return abs(total - pair.F(z))

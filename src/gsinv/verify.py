@@ -252,11 +252,13 @@ def run_suites(names) -> tuple[list[dict], bool]:
     Raises
     ------
     DomainError
-        If a name is not a suite, before any suite runs.
+        If a name is not a suite, or ``names`` is empty, before any suite runs.
     """
     if names is None or isinstance(names, str):
         names = [names or "all"]
     expanded = [suite for name in names for suite in (SUITES if name == "all" else (name,))]
+    if not expanded:
+        raise DomainError(f"no suite named; choose from {sorted(SUITES)} or 'all'")
     for name in expanded:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

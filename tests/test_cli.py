@@ -328,6 +328,20 @@ def test_run_suites_expands_all_once_in_order(monkeypatch):
         assert ran == list(verify.SUITES)
 
 
+@pytest.mark.parametrize("names", [[], ()], ids=["list", "tuple"])
+def test_run_suites_refuses_no_suite_and_the_cli_runs_all(capsys, monkeypatch, names):
+    import gsinv.verify as verify
+
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name: ran.append(name) or [])
+    with pytest.raises(DomainError, match=r"no suite named; choose from \['corpus'"):
+        verify.run_suites(names)
+    assert ran == []
+    rc, _, _ = run_cli(capsys, "verify")  # no --suite: every suite
+    assert rc == 0 and ran == list(verify.SUITES)
+
+
 def test_verify_failed_check_exits_1(capsys, monkeypatch):
     import gsinv.verify as verify
 

@@ -207,6 +207,13 @@ def test_out_of_domain_argument_raises_only_domain_error_first(name, param, data
 
 STEP = gsinv.get_pair("step")
 
+
+def _not_called(t):
+    raise AssertionError("the original was called")
+
+
+NO_CALL = TransformPair("no-call", STEP.F, _not_called, "smooth")  # its checks come first
+
 # each of these returned a value or raised another error before its check
 # (most are the shared order and point checks)
 FINDINGS = {
@@ -251,6 +258,18 @@ FINDINGS = {
         "bad", STEP.F, STEP.f_ref, STEP.klass, ((Fraction(2), 0, 1), (Fraction(1), 1, 0))),
     "TransformPair jumps at 1 then 1": lambda: TransformPair(
         "bad", STEP.F, STEP.f_ref, STEP.klass, ((Fraction(1), 0, 1), (Fraction(1), 1, 0))),
+    "TransformPair period='2'": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                      STEP.jumps, "2"),
+    "TransformPair jump at 'abc'": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                         (("abc", 0, 1),)),
+    "TransformPair jump at inf": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                       ((INF, 0, 1),)),
+    "TransformPair jump (1, 0)": lambda: TransformPair("bad", STEP.F, STEP.f_ref, STEP.klass,
+                                                       ((1, 0),)),
+    "dini_integral_estimate epsilon=1e-15": lambda: pairs.dini_integral_estimate(
+        NO_CALL, 1, 1, 1e-15, CTX),
+    "dini_integral_estimate epsilon=v_min": lambda: pairs.dini_integral_estimate(
+        NO_CALL, 1, 1, "1e-10", CTX),
 }
 
 

@@ -94,15 +94,16 @@ def test_context_for_order_covers_required():
 
 
 def test_integrate_exponential(ctx30):
-    val = integrate(lambda u: ctx30.mp.exp(-u), 0, ctx30.mp.inf, ctx30)
-    assert abs(val - 1) <= ctx30.eps
+    m = ctx30.mp
+    val = integrate(lambda u: m.exp(-u), 0, 3, ctx30)
+    assert abs(val - (1 - m.exp(-3))) <= ctx30.eps
 
 
 def test_integrate_gaver_kernel_mass(ctx30):
-    # p_1(u) = 2 e^-u (1 - e^-u) has unit mass on [0, inf)
+    # p_1(u) = 2 e^-u (1 - e^-u) has mass 1 - 2 e^-L + e^-2L on [0, L]
     m = ctx30.mp
-    val = integrate(lambda u: 2 * m.exp(-u) * (1 - m.exp(-u)), 0, m.inf, ctx30)
-    assert abs(val - 1) <= ctx30.eps
+    val = integrate(lambda u: 2 * m.exp(-u) * (1 - m.exp(-u)), 0, 3, ctx30)
+    assert abs(val - (1 - 2 * m.exp(-3) + m.exp(-6))) <= ctx30.eps
 
 
 def _si_series(x, ctx):
@@ -144,8 +145,8 @@ def test_integrate_precision_consistency():
     fine = PrecisionContext(40)
     m = fine.mp
     f = lambda u: m.exp(-(u**2))
-    a = integrate(f, 0, m.inf, coarse)
-    b = integrate(f, 0, m.inf, fine)
+    a = integrate(f, 0, 3, coarse)
+    b = integrate(f, 0, 3, fine)
     assert abs(fine.mpf(a) - b) <= coarse.eps
 
 
@@ -155,10 +156,10 @@ def test_integrate_endpoint_singularity(ctx30):
     assert abs(val - 2) <= ctx30.eps
 
 
-def test_integrate_semi_infinite_with_singularity(ctx30):
+def test_integrate_decaying_endpoint_singularity(ctx30):
     m = ctx30.mp
-    val = integrate(lambda x: m.exp(-2 * x) / m.sqrt(x), 0, m.inf, ctx30)
-    assert abs(val - m.sqrt(m.pi / 2)) <= 10 * ctx30.eps
+    val = integrate(lambda x: m.exp(-2 * x) / m.sqrt(x), 0, 1, ctx30)
+    assert abs(val - m.sqrt(m.pi / 2) * m.erf(m.sqrt(2))) <= 10 * ctx30.eps
 
 
 def test_integrate_orientation_and_empty(ctx30):
@@ -180,7 +181,7 @@ def test_quadrature_error_carries_estimates(ctx30, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["mpf", "float"])
 @pytest.mark.parametrize("a, b", [("-inf", "0"), ("nan", "1"), ("inf", "1"), ("0", "-inf"),
-                                  ("0", "nan")])
+                                  ("0", "nan"), ("0", "inf")])
 def test_integrate_rejects_bad_limits_before_calling_f(ctx30, kind, a, b):
     make = ctx30.mpf if kind == "mpf" else float
 
@@ -191,13 +192,7 @@ def test_integrate_rejects_bad_limits_before_calling_f(ctx30, kind, a, b):
         integrate(f, make(a), make(b), ctx30)
 
 
-def test_integrate_accepts_float_inf(ctx30):
-    m = ctx30.mp
-    assert integrate(lambda u: m.exp(-u), 0, float("inf"), ctx30) == \
-        integrate(lambda u: m.exp(-u), 0, m.inf, ctx30)
-
-
-# _mpf_ of integrate over (0, 2) and over (0, inf), one integrand pair per
+# _mpf_ of integrate over (0, 2) and over (0, 80), one integrand pair per
 # value type; the float pair returns floats only beyond u = 60, where they
 # are far below the tolerance, and the int pair truncates e^(200 - ...)
 # to integers wider than the working precision, which must not be
@@ -206,18 +201,17 @@ def test_integrate_accepts_float_inf(ctx30):
 # the first operation: mpmath rounds at the left operand's precision
 _VALUE_PINS = {
     (20, "int"): ((0, 4715167891479108588894619150975, 180, 102),
-                  (0, 1841862457609026792536960605849, 188, 101)),
+                  (0, 1841862457609026792536960605851, 188, 101)),
     (20, "float"): ((0, 3602879701896397, -54, 52), (0, 1, 0, 1)),
-    (20, "mpf"): ((0, 2390304894924208636532562697705, -100, 101),
-                  (0, 10141204801825835211973625643007, -104, 103)),
+    (20, "mpf"): ((0, 2390304894924208636532562697705, -100, 101), (0, 1, -1, 1)),
     (20, "mpf60"): ((0, 5980163889437430860369012075257, -103, 103),
-                    (0, 6760803201217223474649083762005, -104, 103)),
+                    (0, 3380401600608611737324541881003, -103, 102)),
     (40, "int"): ((0, 21744873839671952140656380893580846574416808634113, 118, 164),
-                  (0, 543621845991798803516409522339521164360420215852827, 120, 169)),
+                  (0, 271810922995899401758204761169760577274426891919491, 121, 168)),
     (40, "float"): ((0, 3602879701896397, -54, 52),
-                    (0, 187072209578355573530071658587684226515959423193201, -167, 168)),
+                    (0, 187072209578355573530071658587684223139583924017123, -167, 167)),
     (40, "mpf"): ((0, 176373370619208312604394578603845036587024571377415, -166, 167),
-                  (0, 748288838313422294120286634350736906063837462003707, -170, 169)),
+                  (0, 374144419156711147060143317175368447065853928765391, -169, 168)),
 }
 
 
@@ -227,13 +221,13 @@ def test_integrate_value_bits_are_pinned(digits, kind):
     # each is taken as the mpf operators of ctx take it (ints and floats exactly)
     ctx = PrecisionContext(digits)
     m, wide = ctx.mp, PrecisionContext(60).mp
-    finite, semi = {
+    near, far = {
         "int": (lambda x: int(m.exp(200 - 100 * x)), lambda u: int(m.exp(200 - u))),
         "float": (lambda x: 0.1, lambda u: m.exp(-u) if u < 60 else float(m.exp(-u))),
         "mpf": (lambda x: m.sqrt(x), lambda u: m.exp(-u) * m.cos(u)),
         "mpf60": (lambda x: wide.exp(-x) * wide.cos(x), lambda u: wide.exp(-u) / 3),
     }[kind]
-    got = (integrate(finite, 0, 2, ctx)._mpf_, integrate(semi, 0, m.inf, ctx)._mpf_)
+    got = (integrate(near, 0, 2, ctx)._mpf_, integrate(far, 0, 80, ctx)._mpf_)
     assert got == _VALUE_PINS[digits, kind]
 
 
@@ -241,7 +235,7 @@ def test_integrate_value_bits_are_pinned(digits, kind):
 def test_integrate_rejects_a_value_that_is_not_real(ctx20, value):
     m = ctx20.mp
     bad = {"mpc": m.mpc(1, 1), "complex": 1j, "None": None, "str": "1"}[value]
-    for b in (1, m.inf):
+    for b in (1, -1):
         with pytest.raises(DomainError, match="integrand value"):
             integrate(lambda x: bad, 0, b, ctx20)
 
@@ -412,8 +406,8 @@ def test_weighted_sum_rounds_halfway_and_sticky_bits_as_libmp(prec, k, kept, low
 def _sample_integrals(ctx, wrap=lambda g: g):
     m = ctx.mp
     return [
-        integrate(wrap(lambda u: m.exp(-2 * u) / m.sqrt(u)), 0, m.inf, ctx),
-        integrate(wrap(lambda u: m.exp(-u) * m.cos(u)), 1, m.inf, ctx),
+        integrate(wrap(lambda u: m.exp(-2 * u) / m.sqrt(u)), 0, 20, ctx),
+        integrate(wrap(lambda u: m.exp(-u) * m.cos(u)), 1, 40, ctx),
         integrate(wrap(lambda u: m.sin(u) / u), 0, m.pi, ctx),
         integrate(wrap(lambda x: 1 / m.sqrt(x)), 0, 1, ctx),
     ]
@@ -499,7 +493,7 @@ def _mixed_jobs(ctx):
     v = ctx.mpf("0.37")
     return [
         lambda: qn_eval(6, v, ctx),
-        lambda: integrate(lambda u: m.exp(-2 * u) / m.sqrt(u), 0, m.inf, ctx),
+        lambda: integrate(lambda u: m.exp(-2 * u) / m.sqrt(u), 0, 20, ctx),
         lambda: qn_eval(17, v, ctx),
         lambda: integrate(lambda u: m.sin(u) / u, 0, m.pi, ctx),
         lambda: qn_eval(30, v, ctx),

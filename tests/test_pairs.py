@@ -155,8 +155,8 @@ def test_laplace_identity_square_wave_past_the_listed_jumps(z):
 @pytest.mark.parametrize("digits", [18, 30])
 @pytest.mark.parametrize("name", ["constant", "ramp", "root", "step", "sine"])
 def test_laplace_identity_at_a_slow_decay_rate(name, digits):
-    # e^(-0.2 t) is still about 1e-7 where integrate's (lo, inf) map stops in t,
-    # so the tail is integrated in u = z (t - lo), where it decays as e^(-u)
+    # at z = 0.2 the span (digits + guard + 5) ln 10 / z is about 380 at 18
+    # digits and 518 at 30, so the last piece (lo, span) is long
     ctx = PrecisionContext(digits)
     tol = ctx.mp.mpf(10) ** (-(ctx.digits - ctx.guard + 2))  # as in the all-pairs test
     resid = laplace_identity_residual(get_pair(name), "0.2", ctx)
@@ -189,24 +189,32 @@ def test_laplace_identity_piece_where_the_original_is_zero_is_exactly_zero(monke
 
     monkeypatch.setattr(gsinv.pairs, "integrate", recorded)
     laplace_identity_residual(pair, "0.2", ctx)
-    zero = [(a, value) for a, b, value in pieces[:-1]
-            if pair.f_ref((a + b) / 2) == 0]  # the tail is last
-    assert len(zero) == (1 if name == "step" else 189)
+    zero = [(a, value) for a, b, value in pieces if pair.f_ref((a + b) / 2) == 0]
+    assert len(zero) == (1 if name == "step" else 190)  # the wave's last piece (379, span) too
     assert all(value == 0 for _a, value in zero), [(ctx.nstr(a, 4), value) for a, value in zero
                                                   if value]
 
 
 def test_laplace_identity_takes_no_exp_where_the_original_is_zero(monkeypatch):
-    # the step is 0 on (0, 1): there the integrand is 0 without e^(-z t)
+    # the step is 0 on (0, 1): there the integrand is 0 without e^(-z (t - lo))
     ctx = PrecisionContext(18)
     m = ctx.mp
     laplace_identity_residual(get_pair("step"), 2, ctx)  # builds the nodes, which take exp
-    args = []
-    exp = m.exp
+    args, pieces = [], []
+    exp, integrate = m.exp, gsinv.pairs.integrate
+
+    def recorded(f, a, b, ctx):
+        before = len(args)
+        value = integrate(f, a, b, ctx)
+        pieces.append((a, len(args) - before))
+        return value
+
     monkeypatch.setattr(m, "exp", lambda v: args.append(v) or exp(v))
+    monkeypatch.setattr(gsinv.pairs, "integrate", recorded)
     resid = laplace_identity_residual(get_pair("step"), 2, ctx)
     assert resid <= m.mpf(10) ** (-(ctx.digits - ctx.guard + 2))
-    assert args and max(args) <= -2  # every t >= 1
+    assert pieces[0] == (0, 0) and [a for a, _ in pieces] == [0, 1]
+    assert pieces[1][1] > 0 and max(args) <= 0
 
 
 def test_jump_locations_continue_a_periodic_pair(ctx30):

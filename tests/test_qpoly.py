@@ -458,16 +458,16 @@ def test_integral_representation_fails_with_one_q_n_numerator_off_by_one(n, wher
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_integral_form_of_the_approximant_matches_its_summation_form(n):
     # a numerical witness of the lemma whose kernel the identity states
-    # exactly: tanh-sinh of q_n(4 e^-u (1 - e^-u)) f(x u / ln 2) over
-    # (0, inf) against the a_k(n) summation f_n(x)
+    # exactly: the integral of q_n(4 e^-u (1 - e^-u)) f(x u / ln 2) over
+    # u in (0, inf), by tanh-sinh in y = e^-u over (0, 1), against the
+    # a_k(n) summation f_n(x)
     ctx = context_for_order(8)
     m = ctx.mp
     pair = get_pair("exponential")
     x, ln2 = ctx.mpf(1), m.ln(2)
 
-    def direct(u):
-        eu = m.exp(-u)
-        return qn_eval(n, 4 * eu * (1 - eu), ctx) * pair.f_ref(x * u / ln2)
+    def direct(y):  # du = -dy / y
+        return qn_eval(n, 4 * y * (1 - y), ctx) * pair.f_ref(-x * m.ln(y) / ln2) / y
 
     tol = m.mpf(10) ** (-(ctx.digits // 2))
-    assert abs(integrate(direct, 0, m.inf, ctx) - stehfest_approx(pair.F, x, n, ctx)) <= tol
+    assert abs(integrate(direct, 0, 1, ctx) - stehfest_approx(pair.F, x, n, ctx)) <= tol

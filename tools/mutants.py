@@ -350,16 +350,16 @@ MUTANTS = {
         "evals = {p.name: p.F.eval for p in corpus()}",
         [T_CLI + "test_transform_formula_gives_the_values_of_its_pair"],
     ),
-    "laplace-tail-in-t": (
+    "laplace-span-without-guard": (
         "pairs.py",
-        "integrate(lambda u: tail(lo + u / z), 0, m.inf, ctx) / z",
-        "integrate(tail, lo, m.inf, ctx)",
-        [T_PAIRS + "test_laplace_identity_at_a_slow_decay_rate[step-18]"],
+        "span = (ctx.digits + ctx.guard + 5) * m.ln(10) / z",
+        "span = ctx.digits * m.ln(10) / z",
+        [T_PAIRS + "test_laplace_identity_of_every_pair_to_the_working_precision"],
     ),
     "laplace-exp-on-zero-pieces": (
         "pairs.py",
-        "return m.exp(-z * (t - origin)) * v if v else v",
-        "return m.exp(-z * (t - origin)) * v",
+        "return m.exp(-z * (t - lo)) * v if v else v",
+        "return m.exp(-z * (t - lo)) * v",
         [T_PAIRS + "test_laplace_identity_takes_no_exp_where_the_original_is_zero"],
     ),
     "laplace-piece-reads-f-at-its-ends": (
@@ -370,8 +370,9 @@ MUTANTS = {
     ),
     "laplace-pieces-unscaled": (
         "pairs.py",
-        "value = integrate(piece(lo, after_lo, s, left, lo), lo, s, ctx)",
-        "value = integrate(piece(lo, after_lo, s, left, 0), lo, s, ctx) * m.exp(z * lo)",
+        "value = integrate(piece(lo, after_lo, s, left), lo, s, ctx)",
+        "value = integrate(lambda t, g=piece(lo, after_lo, s, left), c=m.exp(-z * lo): g(t) * c, "
+        "lo, s, ctx) / m.exp(-z * lo)",
         [T_PAIRS + "test_laplace_identity_of_every_pair_to_the_working_precision"],
     ),
     "identity-max-with-mpf-lt": (
@@ -425,6 +426,43 @@ MUTANTS = {
         "        if k >= 1 and from_rational(",
         "        if from_rational(",
         [T_PAIRS + "test_periodic_target_recurs_after_the_listed_jumps_only"],
+    ),
+    "integrate-infinite-b-let-through": (
+        "numerics.py",
+        "if not (m.isfinite(a) and m.isfinite(b)):",
+        "if not m.isfinite(a) or m.isnan(b) or b == m.ninf:",
+        [T_NUM + f"test_integrate_rejects_bad_limits_before_calling_f[0-inf-{kind}]"
+         for kind in ("mpf", "float")],
+    ),
+    "pair-period-string-parsed": (
+        "pairs.py",
+        "    if not isinstance(value, str):\n",
+        "    if True:\n",
+        [T_CONTRACT + "test_finding_raises_domain_error[TransformPair period='2']"],
+    ),
+    "pair-jump-shape-unchecked": (
+        "pairs.py",
+        "if not (isinstance(jump, tuple) and len(jump) == 3):",
+        "if False:",
+        [T_CONTRACT + "test_finding_raises_domain_error[TransformPair jump (1, 0)]"],
+    ),
+    "dini-epsilon-below-v-min": (
+        "pairs.py",
+        "if not epsilon > v_min:",
+        "if not epsilon >= v_min:",
+        [T_CONTRACT + "test_finding_raises_domain_error[dini_integral_estimate epsilon=v_min]"],
+    ),
+    "dini-epsilon-unchecked": (
+        "pairs.py",
+        "if not epsilon > v_min:",
+        "if False:",
+        [T_CONTRACT + "test_finding_raises_domain_error[dini_integral_estimate epsilon=1e-15]"],
+    ),
+    "run-suites-none-passes": (
+        "verify.py",
+        "    if not expanded:\n",
+        "    if False:\n",
+        [T_CLI + "test_run_suites_refuses_no_suite_and_the_cli_runs_all"],
     ),
     "jump-order-unchecked": (
         "pairs.py",
