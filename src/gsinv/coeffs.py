@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -62,13 +62,23 @@ def stehfest_weights(n: int) -> StehfestWeights:
 
 
 def vandermonde_check(w: StehfestWeights) -> bool:
-    """True iff sum_k c_k k^-j = delta_{j,0} exactly for j = 0..n-1."""
+    """True iff sum_k c_k k^-j = delta_{j,0} exactly for j = 0..n-1.
+
+    The test runs on integers: with c_k = N_k / D over one denominator D
+    and L = lcm(1..len(c)), the condition for j reads sum_k N_k (L/k)^j
+    = D delta_{j,0}, and each term is the one for j - 1 times L/k.
+    """
     if not isinstance(w, StehfestWeights):
         raise DomainError(f"vandermonde_check needs StehfestWeights, got {w!r}")
+    c = [Fraction(ck) for ck in w.c]
+    d = lcm(*(ck.denominator for ck in c))
+    terms = [ck.numerator * (d // ck.denominator) for ck in c]  # N_k, for j = 0
+    span = lcm(*range(1, len(c) + 1))
+    steps = [span // k for k in range(1, len(c) + 1)]  # L/k
     for j in range(w.n):
-        total = sum(ck * Fraction(1, k**j) for k, ck in enumerate(w.c, start=1))
-        if total != (1 if j == 0 else 0):
+        if sum(terms) != (d if j == 0 else 0):
             return False
+        terms = [t * s for t, s in zip(terms, steps)]
     return True
 
 

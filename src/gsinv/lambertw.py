@@ -17,9 +17,11 @@ Algorithm selection per region:
   for ``|z| < 0.2/e``, ``z (1 - z)`` in the rest of ``|z| <= 1.2``, and
   ``ln z - ln ln z`` (or the linearization at W(1) near z = 1) beyond.
 
-Every region finishes with Halley's iteration, which runs on the
-integer steps of :mod:`gsinv.mantissa`; only ``mpc_exp``'s ``mpf_exp``
-and ``mpf_cos_sin`` stay libmp calls.  What depends only on the
+Every region finishes with Halley's iteration.  Each step runs as two
+passes of straight-line integer code, :func:`_wew` for ``e^w`` and ``f
+= w e^w - z`` and :func:`_halley_step` for the update, which round
+every sum in line with the bits of the mpc operators; only
+``mpc_exp``'s ``mpf_exp`` and ``mpf_cos_sin`` stay libmp calls.  What depends only on the
 precision (the branch point, the tolerances, the region radii, the seed
 constants and the rounded branch series) is built once per binary
 precision, with the caller's context, and kept as raw tuples in
@@ -40,9 +42,10 @@ a part of ``1 + e z`` of at least 1/2, or a part of ``ln z`` of at least
 tolerances, is always exact.  An argument with ``Im z < 0`` is solved
 at its conjugate and the result conjugated, as
 ``conj(W(conj z))``.  The bits are those of the plain mpc arithmetic.
-:func:`wew_residual`, which only checks a result, makes the libmp calls
-of ``abs(w * exp(w) - z)`` on raw tuples in ``_wew_residual``, which the
-identity check of :mod:`gsinv.verify` also calls once per point.
+:func:`wew_residual`, which only checks a result, takes ``mpc_abs`` of
+the f of :func:`_wew` in ``_wew_residual``, which the identity check of
+:mod:`gsinv.verify` also calls once per point: the package has one
+definition of ``w e^w - z``, with the bits of ``abs(w * exp(w) - z)``.
 """
 from __future__ import annotations
 
@@ -52,13 +55,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath.libmp import (finf, fnone, fone, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate,
-                          mpc_exp, mpc_log, mpc_mul, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add,
-                          mpf_cos_sin, mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest,
-                          to_str)
+                          mpc_log, mpc_mul_mpf, mpc_sub, mpc_to_str, mpf_add, mpf_cos_sin,
+                          mpf_exp, mpf_gt, mpf_le, mpf_lt, mpf_mul, round_nearest, to_str)
 
 from .coeffs import check_count
 from .errors import DomainError, PrecisionError, as_number
-from .mantissa import _add, _cdiv, _cmul, _csub, _raw, _round_even, _signed
+from .mantissa import _raw, _signed, _unrounded_sum
 from .numerics import _TABLES, PrecisionContext, mpf_tuples, power_sum
 
 
@@ -124,17 +126,15 @@ def wew_residual(w, z, ctx: PrecisionContext):
     exactly, an mpf or mpc of any context with each part rounded to the
     working precision.  So a w wider than the context is
     checked at its rounded bits, not its own: a 60-digit W(2+3i) checked
-    at 30 digits gives 4.59e-41, its own bits 2.30e-41.
+    at 30 digits gives 4.59e-41, its own bits 2.30e-41.  An infinite or
+    nan part takes mpmath's operators, whose rules for them the integer
+    steps of ``_wew`` do not carry.
     """
     m = ctx.mp
-    return m.make_mpf(_wew_residual(m.mpc(w)._mpc_, m.mpc(z)._mpc_, m.prec))
-
-
-def _wew_residual(w, z, prec):
-    """``|w e^w - z|`` of the raw mpc ``w`` and ``z``, with the libmp calls of the
-    operator form ``abs(w * exp(w) - z)`` at ``prec``."""
-    wew = mpc_mul(w, mpc_exp(w, prec, round_nearest), prec, round_nearest)
-    return mpc_abs(mpc_sub(wew, z, prec, round_nearest), prec, round_nearest)
+    w, z = m.mpc(w), m.mpc(z)
+    if any(not man and exp for _, man, exp, _ in w._mpc_ + z._mpc_):  # inf or nan
+        return abs(w * m.exp(w) - z)
+    return m.make_mpf(_wew_residual(w._mpc_, z._mpc_, m.prec))
 
 
 class _WConstants(NamedTuple):
@@ -187,19 +187,263 @@ def _screened_abs(v, top_min, prec):
     return mpc_abs(v, prec, round_nearest)
 
 
+def _wew_residual(w, z, prec):
+    """``|w e^w - z|`` of the finite raw mpc ``w`` and ``z``: ``mpc_abs`` of the f of
+    :func:`_wew`, with the bits of the operator form ``abs(w * exp(w) - z)``."""
+    wew = _wew(w, z, prec)
+    return mpc_abs(_raw(((wew[4], wew[5]), (wew[6], wew[7]))), prec, round_nearest)
+
+
+# Halley's step runs as straight-line integer code over local ints, with
+# the bits of the mpc operators: each part is ``man 2**exp``, each sum is
+# formed exactly from its operands (exact products mostly) and rounded
+# in line, half to even at prec, except mpc_div's three sums, which
+# round toward zero at wp = prec + 10.  A signed s rounds half to even at
+# n dropped bits as (s + 2**(n-1) - 1 + (s >> n & 1)) >> n: the floor
+# quotient, raised when the remainder passes half or reaches it from an
+# odd quotient.  A sum whose operands' tops lie more than prec + 4 bits
+# apart (wp + 4 for mpc_div's) takes mpf_add's far-operand rule through
+# mantissa._unrounded_sum, so no shift spans the gap.  A quotient keeps
+# prec + 2 bits and a sticky bit for the remainder, as mpf_div does.
+
+
+def _wew(w, z, prec):
+    """``e^w`` and ``f = w e^w - z`` of the finite raw mpc ``w`` and ``z``, as ``mpc_exp``,
+    then ``mpc_mul`` and ``mpc_sub`` round them at ``prec``: the parts of both, flat, as
+    ``(er, ere, ei, eie, fr, fre, fi, fie)``.
+
+    ``mpc_exp`` takes cos and sin at prec when Re w = 0, exp when Im w =
+    0, and otherwise both at ``prec + 4``, whose products it rounds; its
+    ``mpf_exp`` and ``mpf_cos_sin`` stay libmp calls.
+    """
+    (s, a, ae, _), (t, b, be, _) = w
+    a, b = -a if s else a, -b if t else b
+    (s, zr, zre, _), (t, zi, zie, _) = z
+    zr, zi = -zr if s else zr, -zi if t else zi
+    if not a:
+        (s, er, ere, _), (t, ei, eie, _) = mpf_cos_sin(w[1], prec, round_nearest)
+    elif not b:
+        (s, er, ere, _), t, ei, eie = mpf_exp(w[0], prec, round_nearest), 0, 0, 0
+    else:
+        _, m, me, _ = mpf_exp(w[0], prec + 4, round_nearest)
+        (s, er, ere, _), (t, ei, eie, _) = mpf_cos_sin(w[1], prec + 4, round_nearest)
+        er, ere, ei, eie = m * er, me + ere, m * ei, me + eie
+        n = er.bit_length() - prec
+        if n > 0:
+            er, ere = (er + (1 << n - 1) - 1 + (er >> n & 1)) >> n, ere + n
+        n = ei.bit_length() - prec
+        if n > 0:
+            ei, eie = (ei + (1 << n - 1) - 1 + (ei >> n & 1)) >> n, eie + n
+    er, ei, far = -er if s else er, -ei if t else ei, prec + 4
+    p, pe, q, qe = a * er, ae + ere, -b * ei, be + eie  # Re (w e^w)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    pr, pre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = pr.bit_length() - prec
+    if n > 0:
+        pr, pre = (pr + (1 << n - 1) - 1 + (pr >> n & 1)) >> n, pre + n
+    p, pe, q, qe = a * ei, ae + eie, b * er, be + ere  # Im (w e^w)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    pi, pie = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = pi.bit_length() - prec
+    if n > 0:
+        pi, pie = (pi + (1 << n - 1) - 1 + (pi >> n & 1)) >> n, pie + n
+    p, pe, q, qe = pr, pre, -zr, zre  # Re f
+    g = pe + p.bit_length() - qe - q.bit_length()
+    fr, fre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = fr.bit_length() - prec
+    if n > 0:
+        fr, fre = (fr + (1 << n - 1) - 1 + (fr >> n & 1)) >> n, fre + n
+    p, pe, q, qe = pi, pie, -zi, zie  # Im f
+    g = pe + p.bit_length() - qe - q.bit_length()
+    fi, fie = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = fi.bit_length() - prec
+    if n > 0:
+        fi, fie = (fi + (1 << n - 1) - 1 + (fi >> n & 1)) >> n, fie + n
+    return er, ere, ei, eie, fr, fre, fi, fie
+
+
+def _halley_step(w, wew, prec):
+    """``dw = f / (h - (w + 2) f / (2 (w + 1)))``, ``h = e^w (w + 1)``, and ``w - dw`` of
+    the finite raw mpc ``w`` and ``wew = _wew(w, z, prec)``, as the mpc operators round
+    them at ``prec``: the parts of both, flat, as ``(kr, kre, ki, kie, wr, wre, wi, wie)``.
+
+    A zero denominator is replaced by h.  None at the branch point, where
+    ``w + 1`` rounds to 0 and the iteration map is singular.
+    """
+    (s, a, ae, _), (t, b, be, _) = w
+    a, b = -a if s else a, -b if t else b
+    er, ere, ei, eie, fr, fre, fi, fie = wew
+    far, wp, wfar = prec + 4, prec + 10, prec + 14
+    p, pe, q, qe = a, ae, 1, 0  # Re (w + 1)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    u, ue = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+             (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = u.bit_length() - prec
+    if n > 0:
+        u, ue = (u + (1 << n - 1) - 1 + (u >> n & 1)) >> n, ue + n
+    if not (u or b):
+        return None
+    p, pe, q, qe = er * u, ere + ue, -ei * b, eie + be  # h = e^w (w + 1)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    hr, hre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = hr.bit_length() - prec
+    if n > 0:
+        hr, hre = (hr + (1 << n - 1) - 1 + (hr >> n & 1)) >> n, hre + n
+    p, pe, q, qe = er * b, ere + be, ei * u, eie + ue  # Im h
+    g = pe + p.bit_length() - qe - q.bit_length()
+    hi, hie = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = hi.bit_length() - prec
+    if n > 0:
+        hi, hie = (hi + (1 << n - 1) - 1 + (hi >> n & 1)) >> n, hie + n
+    p, pe, q, qe = a, ae, 1, 1  # Re (w + 2)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    v, ve = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+             (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = v.bit_length() - prec
+    if n > 0:
+        v, ve = (v + (1 << n - 1) - 1 + (v >> n & 1)) >> n, ve + n
+    p, pe, q, qe = v * fr, ve + fre, -b * fi, be + fie  # t = (w + 2) f
+    g = pe + p.bit_length() - qe - q.bit_length()
+    tr, tre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = tr.bit_length() - prec
+    if n > 0:
+        tr, tre = (tr + (1 << n - 1) - 1 + (tr >> n & 1)) >> n, tre + n
+    p, pe, q, qe = v * fi, ve + fie, b * fr, be + fre  # Im t
+    g = pe + p.bit_length() - qe - q.bit_length()
+    ti, tie = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = ti.bit_length() - prec
+    if n > 0:
+        ti, tie = (ti + (1 << n - 1) - 1 + (ti >> n & 1)) >> n, tie + n
+    wp = prec + 10  # q = t / (2 (w + 1)), the 2 exact in the exponents
+    p, pe, q, qe = u * u, 2 * ue + 2, b * b, 2 * be + 2  # |2 (w + 1)|^2
+    g = pe + p.bit_length() - qe - q.bit_length()
+    ma, mae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = ma.bit_length() - wp
+    if n > 0:
+        ma, mae = ma >> n, mae + n
+    p, pe, q, qe = tr * u, tre + ue + 1, ti * b, tie + be + 1  # Re t conj(2 (w + 1))
+    g = pe + p.bit_length() - qe - q.bit_length()
+    sa, sae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = sa.bit_length() - wp
+    if n > 0:
+        sa, sae = sa >> n if sa > 0 else -(-sa >> n), sae + n
+    p, pe, q, qe = ti * u, tie + ue + 1, -tr * b, tre + be + 1  # Im t conj(2 (w + 1))
+    g = pe + p.bit_length() - qe - q.bit_length()
+    ta, tae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = ta.bit_length() - wp
+    if n > 0:
+        ta, tae = ta >> n if ta > 0 else -(-ta >> n), tae + n
+    qr = qre = 0
+    if sa:
+        p = -sa if sa < 0 else sa
+        k = prec + 2 + ma.bit_length() - p.bit_length()
+        p, r = divmod(p << k, ma) if k >= 0 else divmod(p, ma << -k)
+        p = p << 1 | (r != 0)
+        n = p.bit_length() - prec
+        p = (p + (1 << n - 1) - 1 + (p >> n & 1)) >> n
+        qr, qre = -p if sa < 0 else p, sae - mae - k - 1 + n
+    qi = qie = 0
+    if ta:
+        p = -ta if ta < 0 else ta
+        k = prec + 2 + ma.bit_length() - p.bit_length()
+        p, r = divmod(p << k, ma) if k >= 0 else divmod(p, ma << -k)
+        p = p << 1 | (r != 0)
+        n = p.bit_length() - prec
+        p = (p + (1 << n - 1) - 1 + (p >> n & 1)) >> n
+        qi, qie = -p if ta < 0 else p, tae - mae - k - 1 + n
+    p, pe, q, qe = hr, hre, -qr, qre  # d = h - q
+    g = pe + p.bit_length() - qe - q.bit_length()
+    dr, dre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = dr.bit_length() - prec
+    if n > 0:
+        dr, dre = (dr + (1 << n - 1) - 1 + (dr >> n & 1)) >> n, dre + n
+    p, pe, q, qe = hi, hie, -qi, qie  # Im d
+    g = pe + p.bit_length() - qe - q.bit_length()
+    di, die = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = di.bit_length() - prec
+    if n > 0:
+        di, die = (di + (1 << n - 1) - 1 + (di >> n & 1)) >> n, die + n
+    if not (dr or di):
+        dr, dre, di, die = hr, hre, hi, hie
+    p, pe, q, qe = dr * dr, dre + dre, di * di, die + die  # |d|^2; dw = f / d
+    g = pe + p.bit_length() - qe - q.bit_length()
+    mb, mbe = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = mb.bit_length() - wp
+    if n > 0:
+        mb, mbe = mb >> n, mbe + n
+    p, pe, q, qe = fr * dr, fre + dre, fi * di, fie + die  # Re f conj(d)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    sb, sbe = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = sb.bit_length() - wp
+    if n > 0:
+        sb, sbe = sb >> n if sb > 0 else -(-sb >> n), sbe + n
+    p, pe, q, qe = fi * dr, fie + dre, -fr * di, fre + die  # Im f conj(d)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    tb, tbe = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = tb.bit_length() - wp
+    if n > 0:
+        tb, tbe = tb >> n if tb > 0 else -(-tb >> n), tbe + n
+    kr = kre = 0
+    if sb:
+        p = -sb if sb < 0 else sb
+        k = prec + 2 + mb.bit_length() - p.bit_length()
+        p, r = divmod(p << k, mb) if k >= 0 else divmod(p, mb << -k)
+        p = p << 1 | (r != 0)
+        n = p.bit_length() - prec
+        p = (p + (1 << n - 1) - 1 + (p >> n & 1)) >> n
+        kr, kre = -p if sb < 0 else p, sbe - mbe - k - 1 + n
+    ki = kie = 0
+    if tb:
+        p = -tb if tb < 0 else tb
+        k = prec + 2 + mb.bit_length() - p.bit_length()
+        p, r = divmod(p << k, mb) if k >= 0 else divmod(p, mb << -k)
+        p = p << 1 | (r != 0)
+        n = p.bit_length() - prec
+        p = (p + (1 << n - 1) - 1 + (p >> n & 1)) >> n
+        ki, kie = -p if tb < 0 else p, tbe - mbe - k - 1 + n
+    p, pe, q, qe = a, ae, -kr, kre  # w - dw
+    g = pe + p.bit_length() - qe - q.bit_length()
+    wr, wre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = wr.bit_length() - prec
+    if n > 0:
+        wr, wre = (wr + (1 << n - 1) - 1 + (wr >> n & 1)) >> n, wre + n
+    p, pe, q, qe = b, be, -ki, kie  # Im (w - dw)
+    g = pe + p.bit_length() - qe - q.bit_length()
+    wi, wie = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else
+               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))
+    n = wi.bit_length() - prec
+    if n > 0:
+        wi, wie = (wi + (1 << n - 1) - 1 + (wi >> n & 1)) >> n, wie + n
+    return kr, kre, ki, kie, wr, wre, wi, wie
+
+
 def _halley(z, w, rtol, step_tol, prec, max_residual):
     """Halley's iteration for ``w e^w = z`` on raw ``_mpc_`` tuples.
 
-    Each step computes ``w * e^w - z`` and ``ew (w+1) - (w+2) f / (2 (w+1))``
-    with the bits of the mpc operators: ``mpc_exp``'s ``mpf_exp`` and
-    ``mpf_cos_sin`` are libmp calls, every other operation an exact
-    product or a step of :mod:`gsinv.mantissa`.  The stop tests
-    ``|f| <= rtol`` and ``|dw| <= step_tol (1 + |w|)`` are first screened
-    on the integers' exponents (see :func:`_top`): when the bounds alone
-    show a test false, its ``hypot`` is skipped.  After 100
-    steps the stored residuals are replayed with strict ``<``, which
-    returns the first w of least residual, as tracking it on every step
-    would.
+    Each step is :func:`_wew` and :func:`_halley_step`, with the bits of
+    the mpc operators.  The stop tests ``|f| <= rtol`` and ``|dw| <=
+    step_tol (1 + |w|)`` are first screened on the integers' exponents
+    (see :func:`_top`): when the bounds alone show a test false, its
+    ``hypot`` is skipped.  After 100 steps the stored residuals are
+    replayed with strict ``<``, which returns the first w of least
+    residual, as tracking it on every step would.
 
     ``max_residual()`` is called only on that fallback and returns the
     raw bound the best ``|f|`` must meet; a w that misses it raises
@@ -207,35 +451,22 @@ def _halley(z, w, rtol, step_tol, prec, max_residual):
     """
     f_screen = rtol[2] + rtol[3] + 2  # _top(f) >= f_screen: |f| >= 2**(f_screen - 1) > rtol
     step_screen = step_tol[2] + step_tol[3] + 3
-    mz, (wr, wi) = _signed(z), _signed(w)
     steps = []
     for _ in range(100):
-        if not wr[0]:  # mpc_exp: cos and sin at prec when Re w = 0, exp when Im w = 0
-            ew = _signed(mpf_cos_sin(w[1], prec, round_nearest))
-        elif not wi[0]:
-            ew = (_signed(mpf_exp(w[0], prec, round_nearest)), (0, 0))
-        else:
-            mm, me = _signed(mpf_exp(w[0], prec + 4, round_nearest))
-            (cm, ce), (sm, se) = _signed(mpf_cos_sin(w[1], prec + 4, round_nearest))
-            ew = (_round_even(mm * cm, me + ce, prec), _round_even(mm * sm, me + se, prec))
-        f = _csub(_cmul((wr, wi), ew, prec), mz, prec)
+        wew = _wew(w, z, prec)
+        f = (wew[4], wew[5]), (wew[6], wew[7])
         steps.append((w, f))
         top_f = _top(f)
         if top_f is None or top_f < f_screen:
             if mpf_le(mpc_abs(_raw(f), prec, round_nearest), rtol):
                 return w
-        w1r = _add(*wr, 1, 0, prec)  # Re (w + 1)
-        if not (w1r[0] or wi[0]):
-            return w  # branch point: iteration map is singular there
-        ew_w1 = _cmul(ew, (w1r, wi), prec)
-        w1x2 = ((w1r[0], w1r[1] + 1), (wi[0], wi[1] + 1))  # 2 (w + 1): exact
-        denom = _csub(ew_w1, _cdiv(_cmul((_add(*wr, 1, 1, prec), wi), f, prec), w1x2, prec), prec)
-        if not (denom[0][0] or denom[1][0]):
-            denom = ew_w1
-        dw = _cdiv(f, denom, prec)
-        wr, wi = _csub((wr, wi), dw, prec)
-        w = _raw((wr, wi))
-        top_dw, top_w = _top(dw), _top((wr, wi))
+        step = _halley_step(w, wew, prec)
+        if step is None:  # the branch point
+            return w
+        kr, kre, ki, kie, wr, wre, wi, wie = step
+        dw, v = ((kr, kre), (ki, kie)), ((wr, wre), (wi, wie))
+        w = _raw(v)
+        top_dw, top_w = _top(dw), _top(v)
         if top_dw is None or top_w is None or top_dw < step_screen + max(top_w + 1, 0):
             aw1 = mpf_add(mpc_abs(w, prec, round_nearest), fone, prec, round_nearest)  # |w| + 1
             bound = mpf_mul(step_tol, aw1, prec, round_nearest)

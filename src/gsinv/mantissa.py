@@ -11,8 +11,10 @@ tuple into a pair, and :func:`_raw` turns a complex pair back.  The
 steps for positive operands (:func:`_round_pos`, :func:`_quotient_pos`,
 :func:`_plus_one` and :func:`_abscissas`) have no sign branches: the
 batches of the corpus transforms in :mod:`gsinv.pairs` run on them, and
-the signed rounding and quotient, which Lambert W's Halley steps and
-``qn_eval`` take, call them on the magnitudes.
+the signed rounding and quotient, which ``qn_eval`` takes, call them on
+the magnitudes.  Lambert W's Halley step rounds in line instead, with a
+copy of the rounding idiom per operation, and takes only ``mpf_add``'s
+far-operand rule from here (:func:`_unrounded_sum`).
 
 One step is no correctly rounded operation: ``mpf_exp`` rounds a
 ``prec + 14``-bit approximation of the exponential, whose error,
@@ -59,14 +61,6 @@ def _round_pos(a, exp, prec):
         return a, exp
     t = a >> (n - 1)
     return (t >> 1) + 1 if t & 1 and ((t & 2) or a & ((1 << (n - 1)) - 1)) else t >> 1, exp + n
-
-
-def _round_down(man, exp, prec):
-    """``man 2**exp`` rounded to ``prec`` bits toward zero, as ``normalize1`` at round_down."""
-    n = man.bit_length() - prec
-    if n <= 0:
-        return man, exp
-    return -(-man >> n) if man < 0 else man >> n, exp + n
 
 
 def _quotient(nman, nexp, dman, dexp, prec):
@@ -117,35 +111,34 @@ def _sqrt(man, exp, prec):
     return _round_pos(root, (exp - shift) // 2, prec)
 
 
-def _add(xman, xexp, yman, yexp, prec, rnd=_round_even):
-    """``x + y`` as ``mpf_add(x, y, prec)`` at the rounding of ``rnd`` (:func:`_round_even`
-    or :func:`_round_down`).
+def _unrounded_sum(xman, xexp, yman, yexp, prec):
+    """The ``(man, exp)`` whose rounding at ``prec`` ``mpf_add(x, y, prec)`` returns: the
+    exact sum, except for far operands.
 
-    ``mpf_add`` rounds the exact sum, except for far operands: when x
-    lies more than ``prec + 4`` bits above y and its lowest set bit more
-    than 100 above y's, it rounds ``x 2**(prec + 4)`` perturbed by one
-    toward y's sign.  That differs from the exact sum's rounding only
-    when x has more than ``prec`` bits (an exact product), and it is
-    reproduced here, so no shift is wider than the far rule allows.
+    When x lies more than ``prec + 4`` bits above y and its lowest set
+    bit more than 100 above y's, ``mpf_add`` rounds ``x 2**(prec + 4)``
+    perturbed by one toward y's sign instead.  That differs from the
+    exact sum's rounding only when x has more than ``prec`` bits (an
+    exact product), and it shifts nothing across the gap.
     """
     if not xman:
-        return rnd(yman, yexp, prec)
+        return yman, yexp
     if not yman:
-        return rnd(xman, xexp, prec)
+        return xman, xexp
     gap = xexp + xman.bit_length() - yexp - yman.bit_length()
     if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:
-        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)
+        return (xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4
     if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:
-        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4, prec)
+        return (yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4
     if xexp >= yexp:
-        return rnd((xman << xexp - yexp) + yman, yexp, prec)
-    return rnd(xman + (yman << yexp - xexp), xexp, prec)
+        return (xman << xexp - yexp) + yman, yexp
+    return xman + (yman << yexp - xexp), xexp
 
 
 def _plus_one(man, exp, prec):
     """``x + 1`` as ``mpf_add(x, 1, prec)`` for ``x = man 2**exp > 0`` of at most ``prec`` bits.
 
-    For such an x, ``mpf_add``'s far-operand rule (see :func:`_add`)
+    For such an x, ``mpf_add``'s far-operand rule (see :func:`_unrounded_sum`)
     gives the rounding of the exact sum, so the step rounds the exact sum
     with :func:`_round_pos`; where one operand lies under half an ulp of
     the other, the sum is the other, and nothing is shifted.
@@ -233,33 +226,6 @@ def _nearest_sum(coeffs, values, prec):
             exp += n
         acc, aexp = -s if neg else s, exp
     return from_man_exp(acc, aexp)
-
-
-def _cmul(x, y, prec):
-    """``mpc_mul``: the four products are exact, each part is one rounded sum."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec),
-            _add(am * dm, ae + de, bm * cm, be + ce, prec))
-
-
-def _csub(x, y, prec):
-    """``mpc_sub``."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    return _add(am, ae, -cm, ce, prec), _add(bm, be, -dm, de, prec)
-
-
-def _cdiv(x, y, prec):
-    """``mpc_div``: ``c^2 + d^2``, ``ac + bd`` and ``bc - ad`` rounded toward zero
-    at ``prec + 10`` (libmp's default rounding), then two correctly rounded quotients."""
-    (am, ae), (bm, be) = x
-    (cm, ce), (dm, de) = y
-    wp = prec + 10
-    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)
-    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)
-    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)
-    return _quotient(*t, *mag, prec), _quotient(*u, *mag, prec)
 
 
 def _round_clear(man, exp, prec, band):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gsinv import (
     DomainError,
@@ -34,6 +36,26 @@ def test_vandermonde_holds_through_20():
 def test_vandermonde_detects_perturbation():
     bad = StehfestWeights(2, (Fraction(-1), Fraction(2) + Fraction(1, 7)))
     assert not vandermonde_check(bad)
+
+
+def _rational_vandermonde(w):
+    # the check as it reads: the exact sums of c_k k^-j in Fractions
+    return all(sum(ck * Fraction(1, k**j) for k, ck in enumerate(w.c, start=1)) == (j == 0)
+               for j in range(w.n))
+
+
+@given(st.integers(1, 15), st.integers(0, 14), st.fractions(max_denominator=10**6),
+       st.sampled_from(["weights", "perturbed", "random", "ints"]))
+def test_vandermonde_check_gives_the_boolean_of_the_rational_sums(n, k, delta, kind):
+    c = list(stehfest_weights(n).c)
+    if kind == "perturbed":
+        c[k % n] += delta
+    elif kind == "random":
+        c = [Fraction(k + i, 1 + (i * delta.denominator) % 97) * (-1) ** i for i in range(n)]
+    elif kind == "ints":  # any Rational: the order 1 weights as an int
+        c = [int(x) if x.denominator == 1 else x for x in c]
+    w = StehfestWeights(n, tuple(c))
+    assert vandermonde_check(w) == _rational_vandermonde(w)
 
 
 def test_coeffs_small_orders():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import finf
+from mpmath.libmp import (finf, fone, from_man_exp, ftwo, fzero, mpc_div, mpc_exp, mpc_mul,
+                          mpc_sub, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub,
+                          round_down, round_nearest)
 
 from gsinv import (
     DomainError,
@@ -23,6 +25,7 @@ from gsinv import (
     xi_alpha,
 )
 from gsinv import lambertw, numerics, verify
+from gsinv.mantissa import _raw
 from gsinv.numerics import power_sum
 from gsinv.series import mul_trunc
 from conftest import load_fixture
@@ -188,6 +191,7 @@ def test_halley_on_tuples_matches_mpc_arithmetic():
     assert fallbacks >= 2
 
 
+_CZERO = (fzero, fzero)
 _CONTEXTS = {}
 
 
@@ -232,6 +236,188 @@ def test_integer_halley_matches_mpc_arithmetic(case):
     expected, _ = _halley_on_numbers(m, z, w0, rtol, step_tol)
     got = lambertw._halley(z._mpc_, w0._mpc_, rtol._mpf_, step_tol._mpf_, m.prec, lambda: finf)
     assert got == expected._mpc_
+
+
+def _libmpc_wew(w, z, prec):
+    """``(e^w, w e^w - z)`` of the raw ``w`` and ``z`` on libmpc's calls."""
+    ew = mpc_exp(w, prec, round_nearest)
+    return ew, mpc_sub(mpc_mul(w, ew, prec, round_nearest), z, prec, round_nearest)
+
+
+def _libmpc_step(w, ew, f, prec):
+    """``(dw, w - dw)`` of Halley's step from the raw ``w``, ``ew`` and ``f`` on libmpc's
+    calls, ``w + 1`` and ``w + 2`` by ``mpf_add``; None at the branch point."""
+    w1 = (mpf_add(w[0], fone, prec, round_nearest), w[1])
+    if w1 == _CZERO:
+        return None
+    h = mpc_mul(ew, w1, prec, round_nearest)
+    w2 = (mpf_add(w[0], ftwo, prec, round_nearest), w[1])
+    q = mpc_div(mpc_mul(w2, f, prec, round_nearest), (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1)),
+                prec, round_nearest)
+    d = mpc_sub(h, q, prec, round_nearest)
+    dw = mpc_div(f, h if d == _CZERO else d, prec, round_nearest)
+    return dw, mpc_sub(w, dw, prec, round_nearest)
+
+
+def _ops_with(prec, add, div):
+    """``mpc_mul``, ``mpc_sub`` and ``mpc_div`` as libmpc makes them, with each sum made by
+    ``add(p, q, prec, rnd)`` and each quotient by ``div(t, mag, prec, rnd)``."""
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return (add(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)), prec, round_nearest),
+                add(mpf_mul(a, d), mpf_mul(b, c), prec, round_nearest))
+
+    def sub(x, y):
+        return tuple(add(p, mpf_neg(q), prec, round_nearest) for p, q in zip(x, y))
+
+    def quotient(x, y):
+        (a, b), (c, d) = x, y
+        wp = prec + 10
+        mag = add(mpf_mul(c, c), mpf_mul(d, d), wp, round_down)
+        t = add(mpf_mul(a, c), mpf_mul(b, d), wp, round_down)
+        u = add(mpf_mul(b, c), mpf_neg(mpf_mul(a, d)), wp, round_down)
+        return div(t, mag, prec, round_nearest), div(u, mag, prec, round_nearest)
+
+    return mul, sub, quotient
+
+
+def _wew_with(w, z, prec, add, div):
+    """:func:`_libmpc_wew` with the sums and quotients of :func:`_ops_with`."""
+    mul, sub, _ = _ops_with(prec, add, div)
+    ew = mpc_exp(w, prec, round_nearest)
+    return ew, sub(mul(w, ew), z)
+
+
+def _step_with(w, ew, f, prec, add, div):
+    """:func:`_libmpc_step` with the sums and quotients of :func:`_ops_with`."""
+    mul, sub, quotient = _ops_with(prec, add, div)
+    w1 = (add(w[0], fone, prec, round_nearest), w[1])
+    if w1 == _CZERO:
+        return None
+    h = mul(ew, w1)
+    w2 = (add(w[0], ftwo, prec, round_nearest), w[1])
+    d = sub(h, quotient(mul(w2, f), (mpf_shift(w1[0], 1), mpf_shift(w1[1], 1))))
+    dw = quotient(f, h if d == _CZERO else d)
+    return dw, sub(w, dw)
+
+
+def _ties_down(p, q, prec, rnd):
+    """The exact ``p + q`` rounded at ``rnd``, with a tie rounded toward minus infinity."""
+    s = mpf_add(p, q)
+    if rnd != round_nearest or s == fzero:
+        return mpf_pos(s, prec, rnd)
+    return mpf_pos(mpf_sub(s, from_man_exp(1, s[2] - 2)), prec, rnd)
+
+
+_RULE_DROPPED = {  # each rule of libmpc's sums and quotients, replaced: (add, div)
+    "toward-zero": (lambda p, q, prec, rnd: mpf_add(p, q, prec, round_nearest), mpf_div),
+    "far-gap": (lambda p, q, prec, rnd: mpf_pos(mpf_add(p, q), prec, rnd), mpf_div),  # exact
+    "tie-to-even": (_ties_down, mpf_div),
+    "sticky": (mpf_add, lambda t, mag, prec, rnd: mpf_pos(mpf_div(t, mag, prec + 3, round_down),
+                                                          prec, rnd)),  # rounded twice
+}
+
+
+def _halves(half, w, x, prec):
+    """The raw results of :func:`lambertw._wew` (``half`` "wew", ``x`` the pair of pairs of
+    z) or :func:`lambertw._halley_step` ("step", ``x`` those of e^w and f) for the pair
+    of pairs ``w``, and the raw arguments of their libmpc chains."""
+    if half == "wew":
+        args = (_raw(w), _raw(x))
+        got = lambertw._wew(*args, prec)
+        return (_raw(((got[0], got[1]), (got[2], got[3]))),
+                _raw(((got[4], got[5]), (got[6], got[7])))), args
+    (ew, f), args = x, (_raw(w), _raw(x[0]), _raw(x[1]))
+    got = lambertw._halley_step(args[0], (*ew[0], *ew[1], *f[0], *f[1]), prec)
+    if got is None:
+        return None, args
+    return (_raw(((got[0], got[1]), (got[2], got[3]))),
+            _raw(((got[4], got[5]), (got[6], got[7])))), args
+
+
+# (rule, half, prec, w, x): w and x pairs of (man, exp) parts as _halves
+# takes them, where a rule decides a bit of the half: mpc_div's sums
+# rounded toward zero at prec + 10, mpf_add's far-operand rule (in Re w
+# e^w for "wew", in Re e^w (w + 1) for the second "step" case), half to
+# even at a tie of w + 1, and mpf_div's sticky bit
+_DECIDING_CASES = [
+    ("toward-zero", "step", 64,
+     ((18446744073709551615, 2), (-1, -5)),
+     (((-65536, -14), (1, -130)), ((-1, 77), (1, 127)))),
+    ("toward-zero", "step", 53,
+     ((9007199254740991, 1), (-9007199254740991, -49)),
+     (((0, 4), (-16384, -12)), ((1, 66), (-9007199254740991, -51)))),
+    ("toward-zero", "step", 64,
+     ((-18446744073709551615, 3), (0, 0)),
+     (((0, -3), (-1, -4)), ((-1, -123), (1, -49)))),
+    ("far-gap", "wew", 120,
+     ((791604705545944663500430548544693663, -118),
+      (-1329227995784915872903807060280344575, 6)),
+     ((1, -242), (-598712014624373889350510872438961311, -245))),
+    ("far-gap", "wew", 113,
+     ((-3754193240731950890114529302149077, -110), (8261510090795170408497681360221855, 5)),
+     ((2708445277166852809927353069530941, -116), (-10384593717069655257060992658440191, -114))),
+    ("far-gap", "step", 120,
+     ((-116542115615486149789064606323505793, -119),
+      (621547203262907095501613922870584053, -253)),
+     (((-1203332881334692095184449735421097612, -124),
+       (1018959618000551295784983636756211599, -117)),
+      ((-33554432, -162), (4611686018427387904, -65)))),
+    ("tie-to-even", "step", 53,
+     ((-9007199254740991, 1), (1, -60)),
+     (((1, 1), (1, 3)), ((0, 21), (1, 57)))),
+    ("sticky", "step", 53,
+     ((-1, -4), (0, 0)),
+     (((-1, -2), (1, -4)), ((17592186044416, 52), (-1, 66)))),
+]
+
+
+@pytest.mark.parametrize("rule, half, prec, w, x", _DECIDING_CASES)
+def test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit(rule, half, prec, w, x):
+    got, args = _halves(half, w, x, prec)
+    libmpc, chain = (_libmpc_wew, _wew_with) if half == "wew" else (_libmpc_step, _step_with)
+    want = libmpc(*args, prec)
+    assert chain(*args, prec, mpf_add, mpf_div) == want  # the chain is libmpc's
+    assert chain(*args, prec, *_RULE_DROPPED[rule]) != want  # the rule decides a bit
+    assert got == want
+
+
+@st.composite
+def _halley_operands(draw):
+    """``(prec, w, z, ew, f)``: pairs of (man, exp) parts, zero, one bit, all
+    ones or random; Re w under 2**8, so that e^w stays small, with the other
+    parts up to 10**5 bits apart, around mpf_add's far-operand rule too,
+    and w on a tie of w + 1 (all ones at 2**(prec + 1))."""
+    prec = draw(st.integers(53, 600))
+
+    def part(top):
+        kind = draw(st.sampled_from(["random", "random", "ones", "one", "zero"]))
+        man = {"random": lambda: draw(st.integers(1 << (prec - 1), (1 << prec) - 1)),
+               "ones": lambda: (1 << prec) - 1, "one": lambda: 1, "zero": lambda: 0}[kind]()
+        return man * draw(st.sampled_from([1, -1])), top - man.bit_length()
+
+    gaps = (prec + 4, prec + 5, prec + 14, prec + 15, 2 * prec + 1)  # around the far rule
+    tops = st.one_of(st.integers(-4, 4), st.sampled_from([s * g for g in gaps for s in (1, -1)]),
+                     st.integers(-3 * prec, 3 * prec), st.integers(-10**5, 10**5))
+    re = part(draw(st.integers(-4, 8)))
+    if draw(st.booleans()):
+        re = (((1 << prec) - 1) * draw(st.sampled_from([1, -1])), 1)  # w + 1 on a tie
+    w = (re, part(min(draw(tops), 3 * prec)))  # |Im w| < 2**(3 prec): cheap cos and sin
+    z, ew, f = ((part(draw(tops)), part(draw(tops))) for _ in range(3))
+    return prec, w, z, ew, f
+
+
+@given(_halley_operands())
+def test_halley_steps_match_libmpc(case):
+    # both halves of the step on arbitrary operands, the second with e^w
+    # and f of its own: zero parts, far operands, ties, precisions 53-600
+    prec, w, z, ew, f = case
+    if w[0][1] + w[0][0].bit_length() <= 8:  # e^w of a w + 1 tie may be out of reach
+        got, args = _halves("wew", w, z, prec)
+        assert got == _libmpc_wew(*args, prec)
+    if ew[0][0] or ew[1][0]:
+        got, args = _halves("step", w, (ew, f), prec)
+        assert got == _libmpc_step(*args, prec)
 
 
 def test_w_across_a_gap_of_332000_bits_keeps_its_bits_and_is_fast():
@@ -345,6 +531,19 @@ def test_wew_residual_has_the_bits_of_its_operator_form():
         assert type(residual) is m.mpf
         assert residual._mpf_ == _operator_residual(w, z, ctx)._mpf_, (w, z)
 
+
+
+def test_wew_residual_of_an_infinite_or_nan_part_is_its_operator_form():
+    # the integer steps carry no inf or nan: such a part takes the operators
+    ctx = PrecisionContext(30)
+    m = ctx.mp
+    cases = [(m.inf, 1), (m.nan, 1), (1, m.inf), (m.mpc(1, m.inf), 2), (m.mpc(m.ninf, 1), 0),
+             (m.mpc(2, 3), m.mpc(m.inf, m.nan)), (0, m.ninf), (m.mpc(0, m.inf), 0)]
+    for w, z in cases:
+        want = _operator_residual(w, z, ctx)._mpf_
+        assert wew_residual(w, z, ctx)._mpf_ == want, (w, z)
+    assert [wew_residual(w, z, ctx)._mpf_ for w, z in cases[:3]] == [
+        mpmath.libmp.fnan, mpmath.libmp.fnan, mpmath.libmp.finf]
 
 def _operator_identity_check(seed, cut):
     # verify.check_lambertw_defining_identity as it was written on mpmath

@@ -2,20 +2,21 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath.libmp import (fone, from_man_exp, from_rational, ftwo, fzero, mpc_div, mpc_mul,
-                          mpc_sub, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_sqrt, round_down,
-                          round_nearest)
+from mpmath.libmp import (fone, from_man_exp, from_rational, ftwo, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pos, mpf_sqrt, round_down, round_nearest)
 
 import gsinv.mantissa as mantissa
 from gsinv import PrecisionContext, context_for_order
-from gsinv.mantissa import (_abscissas, _add, _cdiv, _cmul, _csub, _ExpProgression, _plus_one,
-                            _quotient, _quotient_pos, _raw, _RootProgression, _root_table,
-                            _round_down, _round_even, _signed, _sqrt)
+from gsinv.mantissa import (_abscissas, _ExpProgression, _plus_one, _quotient, _quotient_pos,
+                            _RootProgression, _root_table, _round_even, _signed, _sqrt,
+                            _unrounded_sum)
 from conftest import _factor
 
 
-_STEPS = ((round_nearest, _round_even), (round_down, _round_down))
+def _rounded_sum(x, y, prec, rnd):
+    """The raw ``x + y`` of :func:`_unrounded_sum`, rounded at ``rnd``."""
+    return mpf_pos(from_man_exp(*_unrounded_sum(*_signed(x), *_signed(y), prec)), prec, rnd)
 
 
 @st.composite
@@ -40,13 +41,13 @@ def _real_operands(draw):
 
 @given(_real_operands())
 def test_mantissa_steps_match_libmp(case):
-    # the rounding, sum, quotient and root steps give libmp's bits at
-    # round-to-nearest, the first two also toward zero (the default of
-    # libmpc's mpc_div)
+    # the rounding, quotient and root steps give libmp's bits at
+    # round-to-nearest, and the unrounded sum rounds to mpf_add's bits
+    # there and toward zero (the default of libmpc's mpc_div)
     prec, x, y = case
-    for rnd, step in _STEPS:
-        assert from_man_exp(*step(*_signed(x), prec)) == mpf_pos(x, prec, rnd)
-        assert from_man_exp(*_add(*_signed(x), *_signed(y), prec, step)) == mpf_add(x, y, prec, rnd)
+    assert from_man_exp(*_round_even(*_signed(x), prec)) == mpf_pos(x, prec, round_nearest)
+    for rnd in (round_nearest, round_down):
+        assert _rounded_sum(x, y, prec, rnd) == mpf_add(x, y, prec, rnd)
     if y != fzero:
         for d in (y, mpf_neg(y)):
             quotient = _quotient(*_signed(x), *_signed(d), prec)
@@ -80,9 +81,9 @@ def test_positive_steps_match_libmp(case):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("rnd, step", _STEPS)
+@pytest.mark.parametrize("rnd", [round_nearest, round_down])
 @pytest.mark.parametrize("prec", [53, 200])
-def test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit(prec, rnd, step, sign):
+def test_unrounded_sum_takes_the_far_operand_shortcut_where_it_decides_a_bit(prec, rnd, sign):
     # x has 2 prec bits: below its kept prec bits lie a bit under a tie
     # (round-to-nearest) or all ones (toward zero).  y is one unit of x's
     # last bit plus a bit 101 lower, so the exact sum rounds up; mpf_add
@@ -94,113 +95,7 @@ def test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit(prec
     for a, b in ((x, y), (y, x)):
         want = mpf_add(a, b, prec, rnd)
         assert want != exact
-        assert from_man_exp(*_add(*_signed(a), *_signed(b), prec, step)) == want
-
-
-def _mul_div_with(x, y, prec, add):
-    """``mpc_mul(x, y)`` and ``mpc_div(x, y)`` as libmpc makes them, with
-    each sum of two exact products made by ``add(p, q, prec, rnd)``."""
-    (a, b), (c, d) = x, y
-    wp = prec + 10
-    mul = (add(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)), prec, round_nearest),
-           add(mpf_mul(a, d), mpf_mul(b, c), prec, round_nearest))
-    mag = add(mpf_mul(c, c), mpf_mul(d, d), wp, round_down)
-    t = add(mpf_mul(a, c), mpf_mul(b, d), wp, round_down)
-    u = add(mpf_mul(b, c), mpf_neg(mpf_mul(a, d)), wp, round_down)
-    return mul, (mpf_div(t, mag, prec, round_nearest), mpf_div(u, mag, prec, round_nearest))
-
-
-_RULE_DROPPED = {  # each rule of libmpc's sums, replaced by another rounding
-    "toward-zero": lambda p, q, prec, rnd: mpf_add(p, q, prec, round_nearest),
-    "far-gap": lambda p, q, prec, rnd: mpf_pos(mpf_add(p, q), prec, rnd),  # exact, then rounded
-}
-
-# (rule, operation, prec, x, y) with x and y pairs of (man, exp) parts:
-# mpc_div's sums rounded toward zero at prec + 10, and mpf_add's
-# far-operand rule where the product above (a c in mpc_mul, a c + b d in
-# mpc_div) or the one below (b d in mpc_mul, b c - a d in mpc_div) is
-# more than prec + 4 bits from the other
-_DECIDING_CASES = [
-    ("toward-zero", "div", 64,
-     ((-14278556607192130115, -66),
-      (-14717111800213140027, -63)),
-     ((10853173116138462906, -64),
-      (-14081149105223591541, -63))),
-    ("toward-zero", "div", 53,
-     ((-7240653509220053, -53),
-      (-5681037538489929, -55)),
-     ((-6915268357586497, -54),
-      (8335656048413087, -55))),
-    ("far-gap", "mul", 120,
-     ((895440541862978621087500254366983081, -120),
-      (-1312905311595290830895515695976770475, -246)),
-     ((-1252532969797467909210097858846030804, -120),
-      (-1220206907534926443362569628951582472, -119))),
-    ("far-gap", "mul", 113,
-     ((7095155275253591624574234341775818, -113),
-      (8791581139282824209223350452736486, -234)),
-     ((-10183378175520284335236183123425324, -113),
-      (-9581161855622422870785231897392488, -112))),
-    ("far-gap", "mul", 113,
-     ((-7484431823930883087739356886922301, -234),
-      (8746133589465123639490570471709393, -113)),
-     ((-9571771024160936970423669956745625, -113),
-      (-10005847784047025717963643993565461, -110))),
-    ("far-gap", "mul", 113,
-     ((5271671389982855012370802341141415, -232),
-      (-7988942736304602219785680907626077, -110)),
-     ((-5631949956149624886912741643268954, -113),
-      (8072660978491255373999064106165601, -110))),
-    ("far-gap", "div", 113,
-     ((-8367396833049418452069824350208832, -113),
-      (8766677471770240891065918695462429, -245)),
-     ((-7315012906957287991399776786107025, -113),
-      (-7323753537879323198119404461751781, -115))),
-    ("far-gap", "div", 120,
-     ((-1245362152744353263324157383245142112, -120),
-      (-948154731703867427209787748925845642, -256)),
-     ((-763696432024224735656455364066688381, -120),
-      (-820313094705625003406559158890426202, -117))),
-]
-
-
-@pytest.mark.parametrize("rule, op, prec, x, y", _DECIDING_CASES)
-def test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit(rule, op, prec, x, y):
-    rx, ry = _raw(x), _raw(y)
-    mul, div = _mul_div_with(rx, ry, prec, mpf_add)
-    assert mul == mpc_mul(rx, ry, prec, round_nearest)
-    assert div == mpc_div(rx, ry, prec, round_nearest)
-    want, step = (mul, _cmul) if op == "mul" else (div, _cdiv)
-    other = _mul_div_with(rx, ry, prec, _RULE_DROPPED[rule])[op == "div"]
-    assert other != want  # the rule decides a bit of this operation
-    assert _raw(step(x, y, prec)) == want
-
-
-@st.composite
-def _complex_operands(draw):
-    """``(prec, x, y)``: pairs of (man, exp) parts, up to 10**5 bits apart."""
-    prec = draw(st.integers(53, 600))
-
-    def part(top):
-        kind = draw(st.sampled_from(["random", "random", "ones", "one", "zero"]))
-        man = {"random": lambda: draw(st.integers(1 << (prec - 1), (1 << prec) - 1)),
-               "ones": lambda: (1 << prec) - 1, "one": lambda: 1, "zero": lambda: 0}[kind]()
-        return man * draw(st.sampled_from([1, -1])), top - man.bit_length()
-
-    gaps = (prec + 4, prec + 5, prec + 14, prec + 15, 2 * prec + 1)  # around the far rule
-    tops = st.one_of(st.integers(-4, 4), st.sampled_from([s * g for g in gaps for s in (1, -1)]),
-                     st.integers(-3 * prec, 3 * prec), st.integers(-10**5, 10**5))
-    return prec, (part(0), part(draw(tops))), (part(draw(tops)), part(draw(tops)))
-
-
-@given(_complex_operands())
-def test_halley_steps_match_libmpc(case):
-    prec, x, y = case
-    rx, ry = _raw(x), _raw(y)
-    assert _raw(_cmul(x, y, prec)) == mpc_mul(rx, ry, prec, round_nearest)
-    assert _raw(_csub(x, y, prec)) == mpc_sub(rx, ry, prec, round_nearest)
-    if y[0][0] or y[1][0]:
-        assert _raw(_cdiv(x, y, prec)) == mpc_div(rx, ry, prec, round_nearest)
+        assert _rounded_sum(a, b, prec, rnd) == want
 
 
 def _base(x, prec):

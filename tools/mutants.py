@@ -41,8 +41,10 @@ MUTANTS = {
         "pairs.py",
         "    return lambda js: [_quotient_pos(1, 0, *z, prec) for z in _abscissas(bman, bexp, js, "
         "prec)]\n",
-        "    from .mantissa import _round_down\n"
-        "    return lambda js: [_round_down(*_quotient_pos(1, 0, *z, prec + 4), prec)\n"
+        "    def down(man, exp):  # toward zero\n"
+        "        n = man.bit_length() - prec\n"
+        "        return (man >> n, exp + n) if n > 0 else (man, exp)\n"
+        "    return lambda js: [down(*_quotient_pos(1, 0, *z, prec + 4))\n"
         "                       for z in _abscissas(bman, bexp, js, prec)]\n",
         [T_PAIRS + "test_batch_kernels_have_the_bits_of_their_operator_forms"],
     ),
@@ -56,16 +58,16 @@ MUTANTS = {
         "pairs.py",
         "            out.append(_quotient_pos(1, 0, *_round_pos(zman * dman, zexp + dexp, prec), "
         "prec))\n",
-        "            from .mantissa import _round_down\n"
-        "            out.append(_quotient_pos(1, 0, *_round_down(zman * dman, zexp + dexp, prec), "
-        "prec))\n",
+        "            p = zman * dman  # rounded toward zero\n"
+        "            n = max(p.bit_length() - prec, 0)\n"
+        "            out.append(_quotient_pos(1, 0, p >> n, zexp + dexp + n, prec))\n",
         [T_PAIRS + "test_batch_kernels_have_the_bits_of_their_operator_forms",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
     "halley-shift-dropped": (
         "lambertw.py",
-        "(wi[0], wi[1] + 1))  # 2 (w + 1)",
-        "(wi[0], wi[1]))  # 2 (w + 1)",
+        "u * u, 2 * ue + 2, b * b, 2 * be + 2  # |2 (w + 1)|^2",
+        "u * u, 2 * ue, b * b, 2 * be  # |2 (w + 1)|^2",
         [T_W + "test_w_bits_match_pinned_fixture",
          T_W + "test_halley_on_tuples_matches_mpc_arithmetic"],
     ),
@@ -76,15 +78,77 @@ MUTANTS = {
         [T_W + "test_w_bits_match_pinned_fixture",
          T_W + "test_integer_halley_matches_mpc_arithmetic"],
     ),
-    "halley-div-sums-to-nearest": (
-        "mantissa.py",
-        "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp, _round_down)\n"
-        "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp, _round_down)\n"
-        "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp, _round_down)\n",
-        "    mag = _add(cm * cm, ce + ce, dm * dm, de + de, wp)\n"
-        "    t = _add(am * cm, ae + ce, bm * dm, be + de, wp)\n"
-        "    u = _add(bm * cm, be + ce, -am * dm, ae + de, wp)\n",
-        [T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    "halley-div-sums-to-nearest": (  # the three sums of q = t / (2 (w + 1))
+        "lambertw.py",
+        "        ma, mae = ma >> n, mae + n\n"
+        "    p, pe, q, qe = tr * u, tre + ue + 1, ti * b, tie + be + 1  # Re t conj(2 (w + 1))\n"
+        "    g = pe + p.bit_length() - qe - q.bit_length()\n"
+        "    sa, sae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else\n"
+        "               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))\n"
+        "    n = sa.bit_length() - wp\n"
+        "    if n > 0:\n"
+        "        sa, sae = sa >> n if sa > 0 else -(-sa >> n), sae + n\n"
+        "    p, pe, q, qe = ti * u, tie + ue + 1, -tr * b, tre + be + 1  # Im t conj(2 (w + 1))\n"
+        "    g = pe + p.bit_length() - qe - q.bit_length()\n"
+        "    ta, tae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else\n"
+        "               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))\n"
+        "    n = ta.bit_length() - wp\n"
+        "    if n > 0:\n"
+        "        ta, tae = ta >> n if ta > 0 else -(-ta >> n), tae + n\n",
+        "        ma, mae = (ma + (1 << n - 1) - 1 + (ma >> n & 1)) >> n, mae + n\n"
+        "    p, pe, q, qe = tr * u, tre + ue + 1, ti * b, tie + be + 1  # Re t conj(2 (w + 1))\n"
+        "    g = pe + p.bit_length() - qe - q.bit_length()\n"
+        "    sa, sae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else\n"
+        "               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))\n"
+        "    n = sa.bit_length() - wp\n"
+        "    if n > 0:\n"
+        "        sa, sae = (sa + (1 << n - 1) - 1 + (sa >> n & 1)) >> n, sae + n\n"
+        "    p, pe, q, qe = ti * u, tie + ue + 1, -tr * b, tre + be + 1  # Im t conj(2 (w + 1))\n"
+        "    g = pe + p.bit_length() - qe - q.bit_length()\n"
+        "    ta, tae = (_unrounded_sum(p, pe, q, qe, wp) if g > wfar or g < -wfar else\n"
+        "               (p + (q << qe - pe), pe) if pe < qe else ((p << pe - qe) + q, qe))\n"
+        "    n = ta.bit_length() - wp\n"
+        "    if n > 0:\n"
+        "        ta, tae = (ta + (1 << n - 1) - 1 + (ta >> n & 1)) >> n, tae + n\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    ),
+    "halley-down-sum-to-nearest": (  # one sum of dw = f / d
+        "lambertw.py",
+        "        sb, sbe = sb >> n if sb > 0 else -(-sb >> n), sbe + n\n",
+        "        sb, sbe = (sb + (1 << n - 1) - 1 + (sb >> n & 1)) >> n, sbe + n\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    ),
+    "halley-step-tie-to-even-dropped": (  # w + 1
+        "lambertw.py",
+        "        u, ue = (u + (1 << n - 1) - 1 + (u >> n & 1)) >> n, ue + n\n",
+        "        u, ue = (u + (1 << n - 1) - 1) >> n, ue + n\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit",
+         T_W + "test_halley_steps_match_libmpc"],
+    ),
+    "halley-quotient-sticky-dropped": (  # Re q
+        "lambertw.py",
+        "        p = -sa if sa < 0 else sa\n"
+        "        k = prec + 2 + ma.bit_length() - p.bit_length()\n"
+        "        p, r = divmod(p << k, ma) if k >= 0 else divmod(p, ma << -k)\n"
+        "        p = p << 1 | (r != 0)\n",
+        "        p = -sa if sa < 0 else sa\n"
+        "        k = prec + 2 + ma.bit_length() - p.bit_length()\n"
+        "        p, r = divmod(p << k, ma) if k >= 0 else divmod(p, ma << -k)\n"
+        "        p = p << 1\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit",
+         T_W + "test_halley_steps_match_libmpc"],
+    ),
+    "halley-step-far-sum-bypassed": (  # Re e^w (w + 1): exact across the gap
+        "lambertw.py",
+        "    hr, hre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else\n",
+        "    hr, hre = (_unrounded_sum(p, pe, q, qe, prec) if False else\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    ),
+    "wew-far-sum-bypassed": (  # Re w e^w: exact across the gap
+        "lambertw.py",
+        "    pr, pre = (_unrounded_sum(p, pe, q, qe, prec) if g > far or g < -far else\n",
+        "    pr, pre = (_unrounded_sum(p, pe, q, qe, prec) if False else\n",
+        [T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
     "step-tie-to-even-dropped": (
         "mantissa.py",
@@ -109,21 +173,19 @@ MUTANTS = {
     "step-far-gap-exact": (
         "mantissa.py",
         "    if gap > prec + 4 and _low(xman, xexp) - _low(yman, yexp) > 100:\n"
-        "        return rnd((xman << prec + 4) + (1 if yman > 0 else -1), "
-        "xexp - prec - 4, prec)\n"
+        "        return (xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4\n"
         "    if gap < -prec - 4 and _low(yman, yexp) - _low(xman, xexp) > 100:\n"
-        "        return rnd((yman << prec + 4) + (1 if xman > 0 else -1), "
-        "yexp - prec - 4, prec)\n",
+        "        return (yman << prec + 4) + (1 if xman > 0 else -1), yexp - prec - 4\n",
         "",
-        [T_MAN + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
-         T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+        [T_MAN + "test_unrounded_sum_takes_the_far_operand_shortcut_where_it_decides_a_bit",
+         T_W + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
     ),
-    "step-far-gap-unrounded": (
-        "mantissa.py",
-        "return rnd((xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4, prec)",
-        "return (xman << prec + 4) + (1 if yman > 0 else -1), xexp - prec - 4",
-        [T_MAN + "test_mantissa_add_takes_the_far_operand_shortcut_where_it_decides_a_bit",
-         T_MAN + "test_halley_steps_round_as_libmpc_where_a_rule_decides_a_bit"],
+    "step-far-gap-unrounded": (  # Re (w - dw)
+        "lambertw.py",
+        "    n = wr.bit_length() - prec\n",
+        "    n = wr.bit_length() - prec if -far <= g <= far else 0\n",
+        [T_W + "test_halley_steps_match_libmpc",
+         T_W + "test_w_across_a_gap_of_332000_bits_keeps_its_bits_and_is_fast"],
     ),
     "final-conjugation-dropped": (
         "lambertw.py",
@@ -148,8 +210,11 @@ MUTANTS = {
     ),
     "batch-kernel-round-down": (
         "pairs.py",
-        "_round_pos, _root_table)",
-        "_round_down as _round_pos, _root_table)",
+        "_round_pos, _root_table)\n",
+        "_root_table)\n\n\n"
+        "def _round_pos(a, exp, prec):  # toward zero\n"
+        "    n = a.bit_length() - prec\n"
+        "    return (a >> n, exp + n) if n > 0 else (a, exp)\n",
         [T_PAIRS + "test_batch_kernels_have_the_bits_of_their_operator_forms",
          T_PAIRS + "test_kernels_at_far_abscissas_and_the_digits_cap_match_their_operator_forms"],
     ),
